@@ -31,7 +31,7 @@ from scipy import integrate
 from scipy.special import gammaln
 from scipy.stats import qmc
 
-from .estimators import DiscreteMeasure, discrete_energy
+from .estimators import DiscreteMeasure, _least_squares, discrete_energy
 from .rng import stable_digest, stable_index
 from .spaces import DigitVector, NetDepthError
 
@@ -362,11 +362,7 @@ def kernel_q_slope(d: int, u: float, p: float, qs: Sequence[float],
     xs = [math.log(q) for q in qs]
     ys = [math.log(r) for r in ratios]
     half = len(xs) // 2
-    xs, ys = xs[half:], ys[half:]
-    xbar = sum(xs) / len(xs)
-    ybar = sum(ys) / len(ys)
-    return (sum((x - xbar) * (y - ybar) for x, y in zip(xs, ys))
-            / sum((x - xbar) ** 2 for x in xs))
+    return _least_squares(xs[half:], ys[half:])[0]
 
 
 # ---------------------------------------------------------------------------

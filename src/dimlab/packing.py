@@ -10,8 +10,9 @@ delta.  Two counters are provided:
 * an exact branch-and-bound counter for instances up to a configured
   size, used both directly and as the correctness oracle for greedy.
 
-All comparisons are done on integer-scaled coordinates, so a distance
-tie (exactly equal to delta) is never misclassified.
+All comparisons are exact, so a distance tie (exactly equal to delta) is
+never misclassified: one-dimensional greedy sweeps compare Fractions,
+everything else works on integer-scaled coordinates.
 """
 
 from __future__ import annotations
@@ -103,12 +104,36 @@ def greedy_packing_coords(
     delta: Fraction,
     presorted: bool = False,
 ) -> list[int]:
-    """Indices of a greedy maximal delta-packing of the coordinate rows."""
+    """Indices of a greedy maximal delta-packing of the coordinate rows.
+
+    ``presorted`` declares the rows already in ascending order, which the
+    insertion order (and on 1-D rows the sweep) relies on.
+    """
     if not rows:
         raise ValueError("empty point set")
-    int_rows, dscaled = _scaled_rows(rows, Fraction(delta))
+    delta = Fraction(delta)
     order = list(range(len(rows))) if presorted else _sorted_order(rows)
+    if len(rows[0]) == 1:
+        return _sweep_indices(rows, order, delta)
+    int_rows, dscaled = _scaled_rows(rows, delta)
     return _greedy_indices(int_rows, order, dscaled)
+
+
+def _sweep_indices(rows, order, delta: Fraction) -> list[int]:
+    """Greedy packing of 1-D rows visited in ascending order.
+
+    Every chosen point lies at or below the candidate, so the nearest
+    one is the last chosen: the candidate is kept iff it lies strictly
+    beyond that point plus delta.
+    """
+    chosen = [order[0]]
+    bound = rows[order[0]][0] + delta
+    for idx in order[1:]:
+        x = rows[idx][0]
+        if x > bound:
+            chosen.append(idx)
+            bound = x + delta
+    return chosen
 
 
 def max_packing_greedy(net: ResolutionNet, n: int | None = None, *,

@@ -182,7 +182,9 @@ def finite_point_cloud(points: Iterable, table: Iterable[Iterable]) -> SpaceDesc
 def _as_fraction_point(x) -> Fraction:
     if isinstance(x, DigitVector):
         raise MixedRepresentationError("digit vector where a rational was expected")
-    if isinstance(x, (Fraction, int)):
+    if isinstance(x, Fraction):
+        return x
+    if isinstance(x, int):
         return Fraction(x)
     raise MixedRepresentationError(f"not an exact rational point: {x!r}")
 
@@ -202,7 +204,9 @@ def coords_of(space: SpaceDescriptor, point) -> tuple[Fraction, ...]:
         base_pt, cube = point
         if len(cube) != space.cube_dim:
             raise ValueError("cube coordinate arity mismatch")
-        return coords_of(space.base, base_pt) + tuple(Fraction(z) for z in cube)
+        return coords_of(space.base, base_pt) + tuple(
+            z if isinstance(z, Fraction) else Fraction(z) for z in cube
+        )
     raise UnsupportedSpaceError(f"no coordinates for space kind {space.kind!r}")
 
 

@@ -185,6 +185,30 @@ class TestDiscreteEnergy:
         )
         assert discrete_energy(m, s) == pytest.approx(expected, rel=1e-12)
 
+    @pytest.mark.parametrize("measure", [
+        DiscreteMeasure(
+            tuple(range(6)),
+            tuple(Fraction(k, 21) for k in range(1, 7)),
+            tuple((Fraction(k, 7), Fraction(k * k % 5, 9)) for k in range(6)),
+        ),
+        DiscreteMeasure.uniform_on_net(build_net(harmonic_sequence(), 9)),
+        DiscreteMeasure.uniform_on_net(build_net(unit_interval(), 10)),
+        # distinct atoms whose float coordinates coincide are skipped
+        measure_on_values([0, Fraction(1, 3 ** 40),
+                           Fraction(1, 3 ** 40) + Fraction(1, 10 ** 40), 1]),
+    ], ids=["planar-unequal", "harmonic-513", "interval-1025", "coincident"])
+    def test_matches_ordered_pair_fsum(self, measure):
+        xs = [tuple(float(c) for c in row) for row in measure.coords]
+        ws = [float(w) for w in measure.weights]
+        s_list = [0.3, 0.75, 1.6]
+        for s, got in zip(s_list, estimators._energy_grid(measure, s_list)):
+            expected = math.fsum(
+                wa * wb * d ** -s
+                for a, wa in zip(xs, ws) for b, wb in zip(xs, ws)
+                if (d := math.dist(a, b)) > 0
+            )
+            assert got == pytest.approx(expected, rel=1e-12)
+
     def test_monotone_in_s_when_distances_below_one(self):
         m = measure_on_values([0, Fraction(1, 8), Fraction(1, 3),
                                Fraction(2, 3)])

@@ -12,7 +12,13 @@ from dimlab.packing import (
     mesh_count_2d,
     occupied_cell_count,
 )
-from dimlab.spaces import ResolutionNet, build_net, triadic_cantor, unit_interval
+from dimlab.spaces import (
+    ResolutionNet,
+    build_net,
+    harmonic_sequence,
+    triadic_cantor,
+    unit_interval,
+)
 
 
 def _net_from_values(values):
@@ -68,6 +74,45 @@ class TestGreedy:
         delta = Fraction(1, 16)
         for p in net.point_list():
             assert any(abs(p - w) <= delta for w in res.witness)
+
+
+def _grid_hash_greedy(rows, delta, order):
+    """The integer-scaled grid-hash greedy, the reference for the 1-D sweep."""
+    int_rows, dscaled = packing._scaled_rows(rows, delta)
+    return packing._greedy_indices(int_rows, order, dscaled)
+
+
+class TestOneDimensionalSweep:
+    @pytest.mark.parametrize("space", [unit_interval(), triadic_cantor(),
+                                       harmonic_sequence()],
+                             ids=lambda sp: sp.kind)
+    @pytest.mark.parametrize("n", range(2, 10))
+    def test_matches_grid_hash_on_nets(self, space, n):
+        rows = build_net(space, n).coord_rows()
+        order = list(range(len(rows)))
+        for delta in (Fraction(1, 2 ** n), Fraction(1, 2 ** (n - 1))):
+            assert (packing.greedy_packing_coords(rows, delta, presorted=True)
+                    == _grid_hash_greedy(rows, delta, order))
+
+    def test_matches_grid_hash_on_shuffled_rows(self):
+        rows = build_net(harmonic_sequence(), 6).coord_rows()
+        random.Random(5).shuffle(rows)
+        order = sorted(range(len(rows)), key=rows.__getitem__)
+        for n in (2, 4, 6):
+            delta = Fraction(1, 2 ** n)
+            assert (packing.greedy_packing_coords(rows, delta)
+                    == _grid_hash_greedy(rows, delta, order))
+
+    def test_duplicates_and_exact_ties(self):
+        # ties at exactly delta and repeated coordinates are both rejected
+        vals = [0, 0, Fraction(1, 4), Fraction(1, 4), Fraction(1, 2),
+                Fraction(5, 8), Fraction(3, 4), Fraction(3, 4), 1]
+        rows = [(Fraction(v),) for v in reversed(vals)]
+        order = sorted(range(len(rows)), key=rows.__getitem__)
+        for delta in (Fraction(1, 8), Fraction(1, 4), Fraction(1, 2)):
+            got = packing.greedy_packing_coords(rows, delta)
+            assert got == _grid_hash_greedy(rows, delta, order)
+        assert [rows[i][0] for i in got] == [0, Fraction(5, 8)]
 
 
 class TestExact:

@@ -12,8 +12,11 @@ either summand.  This module reproduces those counts by explicit
 enumeration and carries the closed forms.
 
 Digit bookkeeping convention: all counting is done in exact integers at
-denominators 3**depth (abscissa) and 3**(depth//2) (ordinate), so a
-point can never be misclassified across a half-open mesh boundary.
+denominators 3**depth (abscissa) and 3**((depth+1)//2) (ordinate), so a
+point can never be misclassified across a half-open mesh boundary.  A
+depth-``depth`` digit string is a bit pattern whose highest bit is the
+first digit; every numerator is a sum of per-digit weights over the set
+bits (:func:`_weights`).
 """
 
 from __future__ import annotations
@@ -39,18 +42,10 @@ class DigitFunction(enum.Enum):
 
 def evaluate(fn: DigitFunction, digits: DigitVector) -> Fraction:
     """Exact value of the digit function, truncated at the available digits."""
-    a = digits.digits
-    odd = sum(
-        Fraction(a[i], 3 ** ((i + 2) // 2)) for i in range(0, len(a), 2)
-    )
-    even = sum(
-        Fraction(a[i], 3 ** ((i + 1) // 2)) for i in range(1, len(a), 2)
-    )
-    if fn is DigitFunction.ODD_DIGITS:
-        return odd
-    if fn is DigitFunction.EVEN_DIGITS:
-        return even
-    return odd + even
+    depth = digits.depth
+    weights = _weights(fn, depth)  # lowest bit first: the last digit
+    num = sum(w for w, a in zip(reversed(weights), digits.digits) if a)
+    return Fraction(num, 3 ** ((depth + 1) // 2))
 
 
 def to_middle_thirds(x: Fraction) -> Fraction:
@@ -71,28 +66,37 @@ class GraphEnumeration:
     points: tuple[tuple[Fraction, Fraction], ...]
 
 
-def _value_numerator(fn: DigitFunction, bits: int, depth: int) -> int:
-    """Integer numerator of the function value at denominator 3**half.
+# the positions each function reads, as i % 2 for digit position i
+_READS = {
+    DigitFunction.ODD_DIGITS: (1,),
+    DigitFunction.EVEN_DIGITS: (0,),
+    DigitFunction.SUM: (0, 1),
+}
 
-    ``half`` is (depth+1)//2 for the odd reader and depth//2 for the even
-    reader; the sum is returned at the odd half so both parts align.
+
+def _weights(fn: DigitFunction | None, depth: int) -> tuple[int, ...]:
+    """Per-digit numerators of depth-``depth`` bit patterns, lowest bit first.
+
+    Bit k holds the digit at position i = depth - k.  With ``fn`` None
+    these are the abscissa weights 3**k at denominator 3**depth; with a
+    digit function, its value weights at denominator 3**half, half =
+    (depth+1)//2: 3**(half - (i+1)//2) at the positions it reads (odd i
+    for f, even i for g, both for the sum) and 0 elsewhere.
     """
-    odd_half = (depth + 1) // 2
-    even_half = depth // 2
-    odd_num = 0
-    even_num = 0
-    for i in range(1, depth + 1):
-        if not (bits >> (depth - i)) & 1:
-            continue
-        if i % 2 == 1:
-            odd_num += 3 ** (odd_half - (i + 1) // 2)
-        else:
-            even_num += 3 ** (even_half - i // 2)
-    if fn is DigitFunction.ODD_DIGITS:
-        return odd_num
-    if fn is DigitFunction.EVEN_DIGITS:
-        return even_num * 3 ** (odd_half - even_half)
-    return odd_num + even_num * 3 ** (odd_half - even_half)
+    if fn is None:
+        return tuple(3 ** k for k in range(depth))
+    half = (depth + 1) // 2
+    reads = _READS[fn]
+    return tuple(3 ** (half - (i + 1) // 2) if i % 2 in reads else 0
+                 for i in range(depth, 0, -1))
+
+
+def _sums(weights) -> list[int]:
+    """Weight sum over the set bits of every pattern, indexed by pattern."""
+    sums = [0]
+    for w in weights:
+        sums += [s + w for s in sums]
+    return sums
 
 
 def enumerate_graph(fn: DigitFunction, depth: int,
@@ -108,17 +112,11 @@ def enumerate_graph(fn: DigitFunction, depth: int,
         raise EnumerationLimitExceeded(
             f"depth {depth} exceeds the enumeration limit {limit}"
         )
-    odd_half = (depth + 1) // 2
-    xden = 3 ** depth
-    vden = 3 ** odd_half
-    points = []
-    for bits in range(1 << depth):
-        xnum = 0
-        for i in range(depth):
-            xnum = xnum * 3 + ((bits >> (depth - 1 - i)) & 1)
-        points.append((Fraction(xnum, xden),
-                       Fraction(_value_numerator(fn, bits, depth), vden)))
-    return GraphEnumeration(fn, depth, tuple(points))
+    xs, vs = _sums(_weights(None, depth)), _sums(_weights(fn, depth))
+    xden, vden = 3 ** depth, 3 ** ((depth + 1) // 2)
+    points = tuple((Fraction(x, xden), Fraction(v, vden))
+                   for x, v in zip(xs, vs))
+    return GraphEnumeration(fn, depth, points)
 
 
 def closed_form_counts(n: int) -> tuple[int, int, int]:
@@ -148,20 +146,17 @@ def brute_force_mesh_count(fn: DigitFunction, n: int,
             f"depth {depth} exceeds the enumeration limit {limit}"
         )
     half = 2 * n
-    x_div = 3 ** half  # x numerator at 3**-4n -> cell via // 3**(4n-2n)
-    cells = set()
-    sum_fn = fn is DigitFunction.SUM
-    for bits in range(1 << depth):
-        xnum = 0
-        for i in range(depth):
-            xnum = xnum * 3 + ((bits >> (depth - 1 - i)) & 1)
-        # value numerator at denominator 3**2n is an exact integer
-        vnum = _value_numerator(fn, bits, depth)
-        cx = xnum // x_div
-        cells.add((cx, vnum))
-        if sum_fn:
-            # completion point: value + 3**-2n lands on the next cell edge
-            cells.add((cx, vnum + 1))
+    weights = _weights(fn, depth)
+    v_low, v_high = _sums(weights[:half]), _sums(weights[half:])
+    # the x numerator at 3**-4n falls in cell x // 3**2n; the low half of
+    # the digits adds less than 3**2n, so the high half alone decides it
+    x_div = 3 ** half
+    columns = [x // x_div for x in _sums(_weights(None, depth)[half:])]
+    # value numerators at denominator 3**2n are exact integers
+    cells = {(cx, vh + vl) for cx, vh in zip(columns, v_high) for vl in v_low}
+    if fn is DigitFunction.SUM:
+        # completion points: value + 3**-2n lands on the next cell edge
+        cells |= {(cx, v + 1) for cx, v in cells}
     return len(cells)
 
 
@@ -180,14 +175,9 @@ def surjectivity_check(n: int,
         raise EnumerationLimitExceeded(
             f"depth {depth} exceeds the enumeration limit {limit}"
         )
-    want = set(range(3 ** n))
-    for prefix in range(1 << (2 * n)):
-        base_bits = prefix << (2 * n)
-        base_val = _value_numerator(DigitFunction.SUM, base_bits, depth)
-        seen = set()
-        for ext in range(1 << (2 * n)):
-            vnum = _value_numerator(DigitFunction.SUM, base_bits | ext, depth)
-            seen.add(vnum - base_val)
-        if not want <= seen:
-            return False
-    return True
+    half = 2 * n
+    values = _weights(DigitFunction.SUM, depth)
+    # value(h | ext) = value(h) + value(ext) for a prefix h in the high
+    # half of the bits and an extension ext in the low half, so every
+    # prefix sees the same band offsets and one table of them decides all
+    return set(range(3 ** n)) <= set(_sums(values[:half]))

@@ -168,36 +168,15 @@ def _cloud_greedy(net: ResolutionNet, delta: Fraction) -> list[int]:
 def exact_packing_coords(rows: list[tuple[Fraction, ...]], delta: Fraction,
                          limit: int = EXACT_SEARCH_LIMIT) -> list[int]:
     """Indices of a true maximum delta-packing of the coordinate rows."""
-    m = len(rows)
-    if m == 0:
+    if not rows:
         raise ValueError("empty point set")
-    if m > limit:
-        raise ExactSearchLimitExceeded(
-            f"{m} points exceed the exact search limit of {limit}"
-        )
     int_rows, dscaled = _scaled_rows(rows, Fraction(delta))
     d2 = dscaled * dscaled
-    conflict = [
-        [
-            sum((a - b) * (a - b) for a, b in zip(r1, r2)) <= d2
-            for r2 in int_rows
-        ]
-        for r1 in int_rows
-    ]
-    best_mask = _max_independent_set(_adjacency_masks(conflict), m)
-    return [i for i in range(m) if best_mask >> i & 1]
-
-
-def _adjacency_masks(conflict) -> list[int]:
-    m = len(conflict)
-    adj = []
-    for i in range(m):
-        mask = 0
-        for j in range(m):
-            if i != j and conflict[i][j]:
-                mask |= 1 << j
-        adj.append(mask)
-    return adj
+    return _exact_indices(
+        int_rows,
+        lambda r1, r2: sum((a - b) * (a - b) for a, b in zip(r1, r2)) <= d2,
+        limit,
+    )
 
 
 def max_packing_exact(net: ResolutionNet, n: int | None = None, *,
@@ -211,22 +190,35 @@ def max_packing_exact(net: ResolutionNet, n: int | None = None, *,
     """
     n, delta = _resolve_delta(n, delta)
     pts = net.point_list()
-    m = len(pts)
-    if m == 0:
+    if not pts:
         raise ValueError("empty net")
     if net.space.kind == FINITE_POINT_CLOUD:
-        if m > limit:
-            raise ExactSearchLimitExceeded(
-                f"{m} points exceed the exact search limit of {limit}"
-            )
         table = net.space.cloud_table
-        conflict = [[table[a][b] <= delta for b in pts] for a in pts]
-        best_mask = _max_independent_set(_adjacency_masks(conflict), m)
-        chosen = [i for i in range(m) if best_mask >> i & 1]
+        chosen = _exact_indices(pts, lambda a, b: table[a][b] <= delta, limit)
     else:
         chosen = exact_packing_coords(net.coord_rows(), delta, limit)
     return PackingResult(n, delta, len(chosen),
                          tuple(pts[i] for i in chosen), "exact")
+
+
+def _exact_indices(items, conflicts, limit: int) -> list[int]:
+    """Indices of a largest subset of items no two of which conflict.
+
+    ``conflicts(a, b)`` is symmetric and asked once per unordered pair;
+    more than ``limit`` items are refused before any pair is compared.
+    """
+    m = len(items)
+    if m > limit:
+        raise ExactSearchLimitExceeded(
+            f"{m} points exceed the exact search limit of {limit}"
+        )
+    adj = [0] * m
+    for i, j in itertools.combinations(range(m), 2):
+        if conflicts(items[i], items[j]):
+            adj[i] |= 1 << j
+            adj[j] |= 1 << i
+    best_mask = _max_independent_set(adj, m)
+    return [i for i in range(m) if best_mask >> i & 1]
 
 
 def _max_independent_set(adj: list[int], m: int) -> int:
@@ -324,12 +316,12 @@ def mesh_count_2d(points, n: int) -> int:
 def occupied_cell_count(net: ResolutionNet, n: int) -> int:
     """Number of half-open 2**-n grid cells occupied by the net's points.
 
-    For a lazily represented product net the count factorizes exactly:
-    the cell of (b, z) is (cell(b), cell(z_1), ..., cell(z_d)) and the
-    point set is a full Cartesian product, so occupied cells are the
-    product of the per-factor occupied cells.
+    On a product net the count factorizes exactly: the cell of (b, z)
+    is (cell(b), cell(z_1), ..., cell(z_d)) and the point set is a full
+    Cartesian product, so occupied cells are the product of the
+    per-factor occupied cells.
     """
-    if net.points is None:
+    if net.factors is not None:
         base_net, axis, d = net.factors
         axis_cells = _distinct_cells([(z,) for z in axis], n)
         return occupied_cell_count(base_net, n) * axis_cells ** d

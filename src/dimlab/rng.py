@@ -1,9 +1,13 @@
 """Stateless derived randomness.
 
 Every stochastic quantity in the package is a pure function of a seed
-and a structural key, derived through sha256.  Draws are therefore
-reproducible across runs and platforms and independent of evaluation
-order, which keeps trial loops trivially parallelizable.
+and a structural key.  Draws are therefore reproducible across runs and
+independent of evaluation order, which keeps trial loops trivially
+parallelizable.  This module derives them through sha256: one digest
+per scalar draw (:func:`stable_index`), or one digest keying a numpy
+Philox generator (``energy._pair_mean``).  The saturation Monte Carlo
+is the exception: ``witness.simulate_saturation_failure`` seeds one
+``random.Random(f"{seed}:{t}")`` per trial.
 """
 
 from __future__ import annotations

@@ -26,7 +26,8 @@ HARMONIC_SEQUENCE = "harmonic_sequence"
 PRODUCT_WITH_CUBE = "product_with_cube"
 FINITE_POINT_CLOUD = "finite_point_cloud"
 
-# Materialization guard for lazily represented product nets.
+# Largest point tuple a net is ever expanded into: the 1-D nets are
+# refused above it before allocation, product nets on ``point_list``.
 MAX_MATERIALIZED_POINTS = 2_000_000
 
 
@@ -259,9 +260,12 @@ def metric(space: SpaceDescriptor, x, y) -> Fraction | float:
 class ResolutionNet:
     """Finite 2**-n stand-in for a compact space with exact point access.
 
-    ``points`` is None for large product nets, which are kept as factor
-    data and iterated lazily.  Points are stored in ascending
-    lexicographic coordinate order; all constructions emit them sorted.
+    A product net is always kept as its factors ``(base net, axis ticks,
+    d)`` with ``points`` None: it is iterated lazily, counted per factor,
+    and expanded only by :meth:`point_list`, which refuses more than
+    ``MAX_MATERIALIZED_POINTS``.  Every other net stores its points.
+    Points come in ascending lexicographic coordinate order; all
+    constructions emit them sorted.
     """
 
     space: SpaceDescriptor
@@ -320,10 +324,21 @@ def build_net(space: SpaceDescriptor, n: int) -> ResolutionNet:
     * harmonic sequence: {0} and every 1/k with k <= 2**n, so the
       omitted tail lies within one 2**-n ball around 0;
     * products: delegated to :func:`product_net` at the same scale.
+
+    A net of more than ``MAX_MATERIALIZED_POINTS`` points is refused
+    with :class:`NetDepthError` before any point is allocated.
     """
     if n < 0:
         raise ValueError("scale index must be nonnegative")
     kind = space.kind
+    if kind in (UNIT_INTERVAL, TRIADIC_CANTOR, HARMONIC_SEQUENCE):
+        size = (1 << cantor_net_depth(n) if kind == TRIADIC_CANTOR
+                else 2 ** n + 1)
+        if size > MAX_MATERIALIZED_POINTS:
+            raise NetDepthError(
+                f"the {kind} net at scale {n} has {size} points, above the "
+                f"limit of {MAX_MATERIALIZED_POINTS}"
+            )
     if kind == UNIT_INTERVAL:
         step = Fraction(1, 2 ** n)
         pts = tuple(k * step for k in range(2 ** n + 1))
@@ -350,8 +365,9 @@ def product_net(base: ResolutionNet, d: int, n: int) -> ResolutionNet:
     """Net for base x [0,1]**d under the product metric.
 
     The cube factor carries the closed 2**-n grid with 2**n + 1 ticks per
-    axis.  Small nets are materialized; larger ones stay lazy and are
-    expanded on demand.
+    axis.  The net is kept factored whatever its size (see
+    :class:`ResolutionNet`), so cell counts factorize and nothing is
+    expanded unless a caller asks for :meth:`ResolutionNet.point_list`.
     """
     if d < 1:
         raise ValueError("cube dimension must be positive")
@@ -361,12 +377,4 @@ def product_net(base: ResolutionNet, d: int, n: int) -> ResolutionNet:
         )
     space = product_with_cube(base.space, d)
     axis = tuple(Fraction(k, 2 ** n) for k in range(2 ** n + 1))
-    total = base.size() * len(axis) ** d
-    if total <= 100_000:
-        pts = tuple(
-            (b, z)
-            for b in base.iter_points()
-            for z in itertools.product(axis, repeat=d)
-        )
-        return ResolutionNet(space, n, pts, factors=(base, axis, d))
     return ResolutionNet(space, n, None, factors=(base, axis, d))

@@ -113,24 +113,6 @@ def _point_value(space: SpaceDescriptor, point) -> Fraction:
     return Fraction(point)
 
 
-def _base_packing(space: SpaceDescriptor, n: int):
-    """Packing count and witness of the base space at scale 2**-n.
-
-    Exact search when the net is small enough, greedy otherwise.  The
-    greedy witness is preferred whenever it matches the exact count,
-    because its min gap comes out structurally clean on these families
-    (the ascending sweep is optimal on one-dimensional point sets).
-    """
-    net = build_net(space, n + 1)
-    greedy = packing.max_packing_greedy(net, n)
-    if net.size() <= packing.EXACT_SEARCH_LIMIT:
-        exact = packing.max_packing_exact(net, n)
-        if greedy.count == exact.count:
-            return greedy.count, greedy.witness, "exact"
-        return exact.count, exact.witness, "exact"
-    return greedy.count, greedy.witness, "greedy"
-
-
 def _cantor_satellites(center: DigitVector, eps: Fraction, need: int,
                        excluded: set[Fraction]) -> list[DigitVector]:
     # cylinder depth t with tail spread 3**-t / 2 <= eps
@@ -185,6 +167,11 @@ def build_layer(space: SpaceDescriptor, n: int, d: int,
                 earlier: Sequence[LayerSpec] = ()) -> LayerSpec:
     """Construct layer n over a perfect base family.
 
+    k_n and the ball centres come from one greedy 2**-n packing of the
+    base net at scale n + 1.  The base is one-dimensional, where the
+    ascending sweep is a maximum packing, so k_n is the net's packing
+    number N_n(K) and ``k_n_method`` is always "exact".
+
     ``earlier`` must contain the already-built lower layers so the new
     satellites avoid every previous satellite set exactly.
     """
@@ -194,12 +181,13 @@ def build_layer(space: SpaceDescriptor, n: int, d: int,
         raise ValueError("need n >= 1 and d >= 1")
     grid = value_grid(n, d)
     s_n = len(grid)
-    k_n, witness, method = _base_packing(space, n)
+    base = packing.max_packing_greedy(build_net(space, n + 1), n)
+    k_n = base.count
     m_n = replication_exponent(s_n, k_n, n)
     ell_n = s_n * m_n
 
     delta = Fraction(1, 2 ** n)
-    centers = sorted(witness, key=lambda p: _point_value(space, p))
+    centers = sorted(base.witness, key=lambda p: _point_value(space, p))
     vals = [_point_value(space, p) for p in centers]
     if k_n == 1:
         eps = delta  # no separation constraint with a single ball
@@ -246,7 +234,7 @@ def build_layer(space: SpaceDescriptor, n: int, d: int,
             r_candidates.append(best)
     bump_radius = min(r_candidates) / 4
 
-    return LayerSpec(space, n, d, grid, s_n, k_n, method, m_n, ell_n,
+    return LayerSpec(space, n, d, grid, s_n, k_n, "exact", m_n, ell_n,
                      tuple(centers), eps, tuple(satellites), bump_radius,
                      sat_values)
 

@@ -1,0 +1,70 @@
+"""The names the benchmark under ``perfbench/`` wraps must stay in place.
+
+``perfbench/spans.py`` patches dimlab functions by module and attribute
+name, and its counters read the wrapped calls' arguments by parameter
+name; ``perfbench/workloads.py`` marks item boundaries the same way.  A
+refactor that renames one of them would break the benchmark without a
+failing test, so these tests load the benchmark's own tables by path
+and resolve every name they list.
+"""
+
+import ast
+import importlib.util
+from pathlib import Path
+
+from dimlab import cantor_pair, packing, spaces
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+def _load_spans():
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_spans", PERFBENCH / "spans.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _mark_targets():
+    """(module, attribute) of every ``Marks(...)`` call in workloads.py."""
+    tree = ast.parse((PERFBENCH / "workloads.py").read_text(encoding="utf-8"))
+    return [
+        tuple(arg.value for arg in node.args)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and getattr(node.func, "id", None) == "Marks"
+    ]
+
+
+def test_tracer_wraps_every_span_and_restores_it():
+    spans = _load_spans()
+    targets = [spans.resolve(module, attr) for module, attr, *_ in spans.SPANS]
+    originals = [getattr(owner, name) for owner, name in targets]
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        for owner, name in targets:
+            assert hasattr(getattr(owner, name), "__wrapped__"), name
+        # counters read these parameters by name
+        net = spaces.build_net(spaces.triadic_cantor(), 3)
+        packing.max_packing_exact(net, 2)
+        packing.occupied_cell_count(spaces.product_net(net, 1, 3), 3)
+        cantor_pair.brute_force_mesh_count(cantor_pair.DigitFunction.SUM, 1)
+    finally:
+        tracer.uninstall()
+    for (owner, name), original in zip(targets, originals):
+        assert getattr(owner, name) is original
+    counts = tracer.per_pass()[0]
+    assert counts["packing.exact.rows"] == net.size()
+    assert counts["packing.cells.points"] == net.size() * 9
+    assert counts["cantor_pair.mesh.points"] == 16
+
+
+def test_workload_marks_resolve():
+    spans = _load_spans()
+    targets = _mark_targets()
+    assert targets
+    for module, attr in targets:
+        owner, name = spans.resolve(module, attr)
+        assert callable(getattr(owner, name)), f"{module}.{attr}"
+        spans.Marks(module, attr).close()

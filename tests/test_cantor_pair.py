@@ -79,12 +79,24 @@ class TestEnumerateGraph:
         assert len(set(gr.points)) == 256
 
     def test_matches_evaluate(self):
-        depth = 6
-        gr = enumerate_graph(S, depth)
-        for bits in (0, 17, 63):
-            dv = DigitVector(tuple((bits >> (depth - 1 - i)) & 1
-                                   for i in range(depth)))
-            assert (dv.value, evaluate(S, dv)) == gr.points[bits]
+        # both against f, g and f + g summed as Fractions straight from
+        # the definition, at every digit string of depth 1..9
+        def reference(fn, digits):
+            odd = sum(Fraction(a, 3 ** ((i + 1) // 2))
+                      for i, a in enumerate(digits, 1) if i % 2)
+            even = sum(Fraction(a, 3 ** (i // 2))
+                       for i, a in enumerate(digits, 1) if i % 2 == 0)
+            return {F: odd, G: even, S: odd + even}[fn]
+
+        for depth in range(1, 10):
+            for fn in (F, G, S):
+                gr = enumerate_graph(fn, depth)
+                for bits, point in enumerate(gr.points):
+                    dv = DigitVector(tuple((bits >> (depth - 1 - i)) & 1
+                                           for i in range(depth)))
+                    want = reference(fn, dv.digits)
+                    assert point == (dv.value, want)
+                    assert evaluate(fn, dv) == want
 
     def test_limit_refusal(self):
         with pytest.raises(EnumerationLimitExceeded):
@@ -117,14 +129,18 @@ class TestMeshCounts:
 
     def test_fast_path_matches_generic_mesh_counter(self):
         # the dedicated integer counter agrees with the rational one on
-        # the same enumerated points plus their tail completions
-        n = 1
-        gr = enumerate_graph(S, 4 * n)
-        xtail = Fraction(1, 2 * 3 ** (4 * n))
-        vtail = Fraction(1, 9 ** n)
-        pts = list(gr.points)
-        pts += [(x + xtail, v + vtail) for x, v in gr.points]
-        assert packing.mesh_count_2d(pts, n) == brute_force_mesh_count(S, n)
+        # the same enumerated points plus their tail completions, which
+        # add half a cell to f and to g and a full cell to f + g
+        for n in (1, 2):
+            xtail = Fraction(1, 2 * 3 ** (4 * n))
+            for fn, vtail in ((F, Fraction(1, 2 * 9 ** n)),
+                              (G, Fraction(1, 2 * 9 ** n)),
+                              (S, Fraction(1, 9 ** n))):
+                gr = enumerate_graph(fn, 4 * n)
+                pts = list(gr.points)
+                pts += [(x + xtail, v + vtail) for x, v in gr.points]
+                assert (packing.mesh_count_2d(pts, n)
+                        == brute_force_mesh_count(fn, n))
 
     def test_truncation_alone_undercounts_sum(self):
         # without the tail completions the top cell of each column is missed

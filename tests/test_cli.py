@@ -1,9 +1,10 @@
 import json
 import math
+import time
 
 import pytest
 
-from dimlab import cli
+from dimlab import cli, spaces
 from dimlab.cli import (
     ExperimentConfig,
     ResultRow,
@@ -82,6 +83,15 @@ class TestCommands:
     def test_usage_error_exit_code(self):
         assert main(["estimate", "--space", "klein-bottle"]) == 2
         assert main(["estimate", "--n-min", "9", "--n-max", "4"]) == 2
+
+    def test_oversized_net_refused_at_once(self, capsys):
+        # the first scale needs a 2**25 + 1 point harmonic net
+        start = time.perf_counter()
+        rc = main(["estimate", "--space", "harmonic",
+                   "--n-min", "24", "--n-max", "26"])
+        assert rc == 2
+        assert time.perf_counter() - start < 10
+        assert str(spaces.MAX_MATERIALIZED_POINTS) in capsys.readouterr().err
 
     def test_plotdata_slope(self, tmp_path):
         path = tmp_path / "series.txt"

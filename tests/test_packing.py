@@ -47,11 +47,22 @@ class TestGreedy:
         assert res.count == 2
         assert res.witness == (Fraction(0), Fraction(1))
 
-    def test_greedy_matches_exact_on_cantor_net(self):
-        net = build_net(triadic_cantor(), 4)  # 32 points
-        g = max_packing_greedy(net, 3)
-        e = max_packing_exact(net, 3)
-        assert g.count == e.count
+    @pytest.mark.parametrize("space, scale", [
+        (triadic_cantor(), 4),    # 32 points
+        (triadic_cantor(), 5),    # 64 points
+        (unit_interval(), 5),     # 33 points
+        (harmonic_sequence(), 5),  # 33 points
+    ], ids=["triadic_cantor-4", "triadic_cantor-5", "unit_interval-5",
+            "harmonic_sequence-5"])
+    def test_greedy_matches_exact_on_1d_net(self, space, scale):
+        # the ascending sweep is a maximum packing on 1-D nets, which is
+        # what lets witness.build_layer label every k_n "exact"
+        net = build_net(space, scale)
+        assert net.size() <= packing.EXACT_SEARCH_LIMIT
+        for n in range(scale + 1):
+            for delta in (Fraction(1, 2 ** n), Fraction(3, 2 ** (n + 2))):
+                assert (max_packing_greedy(net, delta=delta).count
+                        == max_packing_exact(net, delta=delta).count)
 
     def test_witness_is_strict_packing(self):
         net = build_net(triadic_cantor(), 5)
@@ -271,11 +282,23 @@ class TestOccupiedCells:
         assert occupied_cell_count(net, 3) == 9  # 8 interior cells + {1}
 
     def test_product_factorization_matches_direct(self):
-        base = build_net(triadic_cantor(), 3)
-        net = spaces.product_net(base, 1, 3)
-        factored = occupied_cell_count(net, 3)
-        direct = len({
-            tuple((c.numerator * 8) // c.denominator for c in net.coords(p))
-            for p in net.point_list()
-        })
-        assert factored == direct
+        # every product net is factored, so the direct count over its
+        # expanded points is an independent check of the factorization
+        for space in (triadic_cantor(), unit_interval()):
+            for d in (1, 2):
+                net = spaces.product_net(build_net(space, 3), d, 3)
+                assert net.points is None
+                for n in (1, 2, 3):
+                    direct = len({
+                        tuple((c.numerator * 2 ** n) // c.denominator
+                              for c in net.coords(p))
+                        for p in net.point_list()
+                    })
+                    assert occupied_cell_count(net, n) == direct
+
+    def test_product_beyond_materialization_limit(self):
+        net = spaces.product_net(build_net(unit_interval(), 7), 2, 7)
+        assert net.size() == 129 ** 3 > spaces.MAX_MATERIALIZED_POINTS
+        assert occupied_cell_count(net, 7) == 129 ** 3
+        with pytest.raises(spaces.NetDepthError):
+            net.point_list()

@@ -80,6 +80,17 @@ class TestBuildNet:
             rows = net.coord_rows()
             assert rows == sorted(rows)
 
+    @pytest.mark.parametrize("space, n, size", [
+        (unit_interval(), 21, 2 ** 21 + 1),
+        (harmonic_sequence(), 24, 2 ** 24 + 1),
+        (triadic_cantor(), 29, 2 ** 21),
+    ], ids=lambda v: getattr(v, "kind", None))
+    def test_oversized_net_refused_before_allocation(self, space, n, size):
+        with pytest.raises(NetDepthError) as err:
+            build_net(space, n)
+        assert str(size) in str(err.value)
+        assert str(spaces.MAX_MATERIALIZED_POINTS) in str(err.value)
+
     def test_negative_scale_rejected(self):
         with pytest.raises(ValueError):
             build_net(unit_interval(), -1)
@@ -180,6 +191,7 @@ class TestProductNet:
     def test_interval_times_line_grid(self):
         base = build_net(unit_interval(), 2)
         net = product_net(base, 1, 2)
+        assert net.points is None  # factored whatever its size
         assert net.size() == 25
         z = [Fraction(k, 4) for k in range(5)]
         assert set(net.point_list()) == {(x, (y,)) for x in base.point_list()

@@ -61,6 +61,15 @@ class TestLayerConstruction:
             assert bound < base ** (lay.m_n - 1)
         assert replication_exponent(1, 3, 4) == 1
 
+    @pytest.mark.parametrize("space, k_n", [
+        (triadic_cantor(), (1, 2, 4, 4, 8, 16, 16)),
+        (unit_interval(), (2, 3, 6, 11, 22, 43)),
+    ], ids=["triadic_cantor", "unit_interval"])
+    def test_k_n_pinned_and_exact(self, space, k_n):
+        layers = build_layers(space, 1, len(k_n))
+        assert [(lay.n, lay.k_n) for lay in layers] == list(enumerate(k_n, 1))
+        assert all(lay.k_n_method == "exact" for lay in layers)
+
     def test_k5_exact_and_m5(self, cantor_layers):
         lay = cantor_layers[4]
         assert lay.k_n == 8 and lay.k_n_method == "exact"

@@ -189,7 +189,8 @@ class RandomFieldSample:
 
     def tail_value(self, x: DigitVector, j: int) -> tuple[Fraction, ...]:
         level = self.family.depth + j
-        key = (x.value.numerator, x.value.denominator)
+        value = x.value
+        key = (value.numerator, value.denominator)
         return tuple(
             Fraction(stable_index(2, self.seed, "tail", level, key, c),
                      2 ** level)

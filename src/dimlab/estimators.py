@@ -103,9 +103,8 @@ def packing_count_series(
     space: SpaceDescriptor,
     scales: Sequence[int],
     net_scale: Callable[[int], int] | None = None,
-    method: str = "greedy",
 ) -> ScaleSeries:
-    """Packing counts of a space over the given scale indices.
+    """Greedy packing counts of a space over the given scale indices.
 
     Each count is taken on the canonical net one scale index finer than
     the packing scale (overridable), so the net resolves the packing.
@@ -114,24 +113,16 @@ def packing_count_series(
     entries = []
     for n in scales:
         net = build_net(space, net_scale(n))
-        if method == "exact":
-            res = packing.max_packing_exact(net, n)
-        else:
-            res = packing.max_packing_greedy(net, n)
-        entries.append((n, res.count))
+        entries.append((n, packing.max_packing_greedy(net, n).count))
     return ScaleSeries(tuple(entries), log_base=2)
 
 
-def cell_count_series(
-    space: SpaceDescriptor,
-    scales: Sequence[int],
-    net_scale: Callable[[int], int] | None = None,
-) -> ScaleSeries:
-    """Occupied 2**-n grid-cell counts of a space's nets."""
-    net_scale = net_scale or (lambda n: n)
+def cell_count_series(space: SpaceDescriptor,
+                      scales: Sequence[int]) -> ScaleSeries:
+    """Occupied 2**-n grid-cell counts of a space's scale-n nets."""
     entries = []
     for n in scales:
-        net = build_net(space, net_scale(n))
+        net = build_net(space, n)
         entries.append((n, packing.occupied_cell_count(net, n)))
     return ScaleSeries(tuple(entries), log_base=2)
 
@@ -238,9 +229,12 @@ class DiscreteMeasure:
     coords: tuple[tuple[Fraction, ...], ...]
 
     def __post_init__(self):
-        if sum(self.weights, Fraction(0)) != 1:
+        # integer numerators over one common denominator
+        common = math.lcm(*(w.denominator for w in self.weights))
+        nums = [w.numerator * (common // w.denominator) for w in self.weights]
+        if sum(nums) != common:
             raise ValueError("weights must sum to exactly 1")
-        if any(w <= 0 for w in self.weights):
+        if any(u <= 0 for u in nums):
             raise ValueError("weights must be positive")
         if len(set(self.coords)) != len(self.coords):
             raise ValueError("atoms must be distinct")

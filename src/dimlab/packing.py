@@ -11,14 +11,15 @@ delta.  Two counters are provided:
   size, used both directly and as the correctness oracle for greedy.
 
 All comparisons are exact, so a distance tie (exactly equal to delta) is
-never misclassified: one-dimensional greedy sweeps compare Fractions,
-everything else works on integer-scaled coordinates.
+never misclassified: the kernels compare the numbers they are given,
+``int`` or ``Fraction``, as they are, and squared distances against
+``delta * delta``.  Callers that pack many instances over one common
+denominator (the event check) pass integer rows and an integer delta.
 """
 
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -47,44 +48,45 @@ def _resolve_delta(n, delta) -> tuple[int | None, Fraction]:
         if n is None:
             raise ValueError("need a scale index n or an explicit delta")
         return n, Fraction(1, 2 ** n)
-    return n, Fraction(delta)
+    return n, _positive(Fraction(delta))
 
 
-def _scaled_rows(rows: list[tuple[Fraction, ...]], delta: Fraction):
-    """Rescale rational coordinates to integers; returns (rows, delta_scaled)."""
-    scale = delta.denominator
-    for row in rows:
-        for c in row:
-            scale = scale * c.denominator // math.gcd(scale, c.denominator)
-    int_rows = [tuple(int(c * scale) for c in row) for row in rows]
-    return int_rows, int(delta * scale)
+def _positive(delta):
+    if delta <= 0:
+        raise ValueError(f"packing scale delta must be positive, got {delta}")
+    return delta
+
+
+def _cell(row, width) -> tuple[int, ...]:
+    """Index of the half-open grid cell of side ``width`` holding the row."""
+    return tuple(c // width for c in row)
 
 
 def _sorted_order(rows):
     return sorted(range(len(rows)), key=rows.__getitem__)
 
 
-def _greedy_indices(int_rows, order, dscaled: int) -> list[int]:
-    """Greedy maximal packing over integer rows, insertion in ``order``.
+def _greedy_indices(rows, order, delta) -> list[int]:
+    """Greedy maximal packing of exact rows, insertion in ``order``.
 
     Candidates are hashed into delta-sized grid cells; a conflicting
     chosen point (distance <= delta) always lies in a neighboring cell.
     """
-    d2 = dscaled * dscaled
-    dim = len(int_rows[order[0]]) if order else 0
+    d2 = delta * delta
+    dim = len(rows[order[0]]) if order else 0
     offsets = list(itertools.product((-1, 0, 1), repeat=dim))
     buckets: dict[tuple, list[int]] = {}
     chosen = []
     for idx in order:
-        row = int_rows[idx]
-        cell = tuple(c // dscaled for c in row)
+        row = rows[idx]
+        cell = _cell(row, delta)
         ok = True
         for off in offsets:
             near = buckets.get(tuple(c + o for c, o in zip(cell, off)))
             if not near:
                 continue
             for j in near:
-                other = int_rows[j]
+                other = rows[j]
                 s = 0
                 for a, b in zip(row, other):
                     s += (a - b) * (a - b)
@@ -99,27 +101,24 @@ def _greedy_indices(int_rows, order, dscaled: int) -> list[int]:
     return chosen
 
 
-def greedy_packing_coords(
-    rows: list[tuple[Fraction, ...]],
-    delta: Fraction,
-    presorted: bool = False,
-) -> list[int]:
+def greedy_packing_coords(rows, delta, presorted: bool = False) -> list[int]:
     """Indices of a greedy maximal delta-packing of the coordinate rows.
 
-    ``presorted`` declares the rows already in ascending order, which the
-    insertion order (and on 1-D rows the sweep) relies on.
+    Rows and delta are ``int`` or ``Fraction`` and are compared exactly
+    as given.  ``presorted`` declares the rows already in ascending
+    order, which the insertion order (and on 1-D rows the sweep) relies
+    on.  1-D rows are swept, higher dimensions grid-hashed.
     """
     if not rows:
         raise ValueError("empty point set")
-    delta = Fraction(delta)
+    _positive(delta)
     order = list(range(len(rows))) if presorted else _sorted_order(rows)
     if len(rows[0]) == 1:
         return _sweep_indices(rows, order, delta)
-    int_rows, dscaled = _scaled_rows(rows, delta)
-    return _greedy_indices(int_rows, order, dscaled)
+    return _greedy_indices(rows, order, delta)
 
 
-def _sweep_indices(rows, order, delta: Fraction) -> list[int]:
+def _sweep_indices(rows, order, delta) -> list[int]:
     """Greedy packing of 1-D rows visited in ascending order.
 
     Every chosen point lies at or below the candidate, so the nearest
@@ -165,15 +164,17 @@ def _cloud_greedy(net: ResolutionNet, delta: Fraction) -> list[int]:
     return chosen
 
 
-def exact_packing_coords(rows: list[tuple[Fraction, ...]], delta: Fraction,
+def exact_packing_coords(rows, delta,
                          limit: int = EXACT_SEARCH_LIMIT) -> list[int]:
-    """Indices of a true maximum delta-packing of the coordinate rows."""
+    """Indices of a true maximum delta-packing of the coordinate rows.
+
+    Rows and delta are ``int`` or ``Fraction``, compared exactly as given.
+    """
     if not rows:
         raise ValueError("empty point set")
-    int_rows, dscaled = _scaled_rows(rows, Fraction(delta))
-    d2 = dscaled * dscaled
+    d2 = _positive(delta) * delta
     return _exact_indices(
-        int_rows,
+        rows,
         lambda r1, r2: sum((a - b) * (a - b) for a, b in zip(r1, r2)) <= d2,
         limit,
     )
@@ -302,15 +303,8 @@ def mesh_count_2d(points, n: int) -> int:
     """
     if not points:
         raise ValueError("empty point set")
-    scale = 9 ** n
-    cells = set()
-    for x, y in points:
-        fx, fy = Fraction(x), Fraction(y)
-        cells.add((
-            (fx.numerator * scale) // fx.denominator,
-            (fy.numerator * scale) // fy.denominator,
-        ))
-    return len(cells)
+    width = Fraction(1, 9 ** n)
+    return len({_cell((Fraction(x), Fraction(y)), width) for x, y in points})
 
 
 def occupied_cell_count(net: ResolutionNet, n: int) -> int:
@@ -329,8 +323,5 @@ def occupied_cell_count(net: ResolutionNet, n: int) -> int:
 
 
 def _distinct_cells(rows, n: int) -> int:
-    scale = 2 ** n
-    cells = set()
-    for row in rows:
-        cells.add(tuple((c.numerator * scale) // c.denominator for c in row))
-    return len(cells)
+    width = Fraction(1, 2 ** n)
+    return len({_cell(row, width) for row in rows})

@@ -211,10 +211,10 @@ def build_layer(space: SpaceDescriptor, n: int, d: int,
         satellites.append(tuple(ball))
         excluded.update(_point_value(space, p) for p in ball)
 
-    flat = [(float(_point_value(space, p)), _point_value(space, p), i)
-            for ball in satellites for i, p in enumerate(ball)]
-    flat.sort(key=lambda t: t[1])
-    sat_values = tuple((v, i) for _, v, i in flat)
+    # satellite values are distinct, so the index never breaks a tie
+    sat_values = tuple(sorted((_point_value(space, p), i)
+                              for ball in satellites
+                              for i, p in enumerate(ball)))
 
     sorted_vals = [v for v, _ in sat_values]
     gaps = [b - a for a, b in zip(sorted_vals, sorted_vals[1:])]
@@ -309,9 +309,13 @@ def event_threshold(layer: LayerSpec) -> Fraction:
 class EventChecker:
     """Reusable graph-packing event check for one layer and drift.
 
-    Precomputes, per evaluation point, which bumps of layers <= n reach
-    it and with what weight; a per-sample check is then a cheap linear
-    assembly followed by one greedy packing run.
+    A layer-l grid value is ``Fraction(8, 2**l) * j`` for an integer
+    vector j, so a graph row is (x, drift) plus bump coefficients
+    ``step * weight`` times integers.  The constructor puts x, drift,
+    every coefficient and delta over one common denominator and keeps
+    the integer numerators, with a table from each grid value to its j;
+    a check adds integer products and packs rows that pack exactly like
+    the rational ones.
     """
 
     def __init__(self, layers: Sequence[LayerSpec], n: int,
@@ -322,36 +326,43 @@ class EventChecker:
         self.layer = self.layers[-1]
         self.n = n
         self.d = self.layer.d
-        self.delta = Fraction(1, 2 ** n)
         self.threshold = event_threshold(self.layer)
         self.points = list(self.layer.all_satellites())
         space = self.layer.space
-        self.x_values = [_point_value(space, p) for p in self.points]
-        zero = tuple(Fraction(0) for _ in range(self.d))
-        self.drift_values = [
-            tuple(Fraction(c) for c in drift(p)) if drift else zero
-            for p in self.points
-        ]
-        self.terms = [
-            [
-                (li, *term)
-                for li, lay in enumerate(self.layers)
-                if (term := _bump_terms(lay, xv)) is not None
-            ]
-            for xv in self.x_values
+        steps = [Fraction(8, 2 ** lay.n) for lay in self.layers]
+        base, terms = [], []
+        for p in self.points:
+            x = _point_value(space, p)
+            g = tuple(map(Fraction, drift(p))) if drift else (0,) * self.d
+            base.append((x, *g))
+            terms.append([(li, term[0], steps[li] * term[1])
+                          for li, lay in enumerate(self.layers)
+                          if (term := _bump_terms(lay, x)) is not None])
+        delta = Fraction(1, 2 ** n)
+        denom = math.lcm(delta.denominator,
+                         *(v.denominator for row in base for v in row),
+                         *(w.denominator for row in terms for *_, w in row))
+        self.delta = int(delta * denom)
+        self.base = [tuple(int(v * denom) for v in row) for row in base]
+        self.terms = [[(li, i, int(w * denom)) for li, i, w in row]
+                      for row in terms]
+        self.grid_index = [
+            {g: tuple(int(c / step) for c in g) for g in lay.grid}
+            for lay, step in zip(self.layers, steps)
         ]
 
     def check(self, sample: WitnessSample) -> EventReport:
         if sample.layers[:self.n] != self.layers:
             raise ValueError("sample was drawn over different layers")
+        js = [[index[g] for g in vals]
+              for index, vals in zip(self.grid_index, sample.values)]
         rows = []
-        for xv, gv, terms in zip(self.x_values, self.drift_values, self.terms):
-            h = list(gv)
-            for li, i, weight in terms:
-                vals = sample.values[li][i]
-                for c in range(self.d):
-                    h[c] += vals[c] * weight
-            rows.append((xv, *h))
+        for base, terms in zip(self.base, self.terms):
+            row = list(base)
+            for li, i, coeff in terms:
+                for c, jc in enumerate(js[li][i], 1):
+                    row[c] += coeff * jc
+            rows.append(tuple(row))
         if len(rows) <= packing.EXACT_SEARCH_LIMIT:
             chosen = packing.exact_packing_coords(rows, self.delta)
             method = "exact"

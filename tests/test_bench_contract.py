@@ -12,7 +12,7 @@ import ast
 import importlib.util
 from pathlib import Path
 
-from dimlab import cantor_pair, packing, spaces
+from dimlab import cantor_pair, packing, spaces, witness
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -40,16 +40,19 @@ def test_tracer_wraps_every_span_and_restores_it():
     spans = _load_spans()
     targets = [spans.resolve(module, attr) for module, attr, *_ in spans.SPANS]
     originals = [getattr(owner, name) for owner, name in targets]
+    layers = witness.build_layers(spaces.triadic_cantor(), 1, 5)
     tracer = spans.Tracer()
     tracer.install()
     try:
         for owner, name in targets:
             assert hasattr(getattr(owner, name), "__wrapped__"), name
-        # counters read these parameters by name
+        # counters read these parameters and attributes by name
         net = spaces.build_net(spaces.triadic_cantor(), 3)
         packing.max_packing_exact(net, 2)
         packing.occupied_cell_count(spaces.product_net(net, 1, 3), 3)
         cantor_pair.brute_force_mesh_count(cantor_pair.DigitFunction.SUM, 1)
+        checker = witness.EventChecker(layers, 5)
+        checker.check(witness.sample_witness(layers, 0))
     finally:
         tracer.uninstall()
     for (owner, name), original in zip(targets, originals):
@@ -58,6 +61,9 @@ def test_tracer_wraps_every_span_and_restores_it():
     assert counts["packing.exact.rows"] == net.size()
     assert counts["packing.cells.points"] == net.size() * 9
     assert counts["cantor_pair.mesh.points"] == 16
+    assert counts["witness.event_check.calls"] == 1
+    assert counts["witness.event_check.rows"] == len(checker.points) > 64
+    assert counts["packing.greedy.rows"] == len(checker.points)
 
 
 def test_workload_marks_resolve():

@@ -224,6 +224,16 @@ class TestDiscreteEnergy:
             DiscreteMeasure((Fraction(0),), (Fraction(1, 2),),
                             ((Fraction(0),),))
 
+    @pytest.mark.parametrize("weights, message", [
+        ((Fraction(1, 3), Fraction(1, 2)), "sum"),
+        ((Fraction(3, 2), Fraction(-1, 2)), "positive"),
+        ((Fraction(1), Fraction(0)), "positive"),
+    ])
+    def test_weights_checked_over_common_denominator(self, weights, message):
+        with pytest.raises(ValueError, match=message):
+            DiscreteMeasure(tuple(range(len(weights))), weights,
+                            tuple((Fraction(i),) for i in range(len(weights))))
+
     def test_bounded_vs_divergent_across_depths(self, cantor_measure_family):
         lo = [discrete_energy(m, 0.5) for m in cantor_measure_family]
         hi = [discrete_energy(m, 0.75) for m in cantor_measure_family]

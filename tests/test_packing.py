@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -78,6 +79,19 @@ class TestGreedy:
         with pytest.raises(ValueError):
             max_packing_greedy(net, 1)
 
+    @pytest.mark.parametrize("delta", [0, -2, Fraction(-1, 3)])
+    def test_nonpositive_delta_rejected(self, delta):
+        # the sweep, the grid hash and exact search would disagree on it
+        net = _net_from_values([0, 1])
+        for count in (max_packing_greedy, max_packing_exact):
+            with pytest.raises(ValueError, match="positive"):
+                count(net, delta=delta)
+        for rows in ([(0,), (1,)], [(0, 0), (1, 0)]):
+            for kernel in (packing.greedy_packing_coords,
+                           packing.exact_packing_coords):
+                with pytest.raises(ValueError, match="positive"):
+                    kernel(rows, delta)
+
     def test_maximality(self):
         # no skipped net point can extend the greedy witness
         net = build_net(unit_interval(), 6)
@@ -88,9 +102,8 @@ class TestGreedy:
 
 
 def _grid_hash_greedy(rows, delta, order):
-    """The integer-scaled grid-hash greedy, the reference for the 1-D sweep."""
-    int_rows, dscaled = packing._scaled_rows(rows, delta)
-    return packing._greedy_indices(int_rows, order, dscaled)
+    """The grid-hash greedy, the reference for the 1-D sweep."""
+    return packing._greedy_indices(rows, order, delta)
 
 
 class TestOneDimensionalSweep:
@@ -124,6 +137,25 @@ class TestOneDimensionalSweep:
             got = packing.greedy_packing_coords(rows, delta)
             assert got == _grid_hash_greedy(rows, delta, order)
         assert [rows[i][0] for i in got] == [0, Fraction(5, 8)]
+
+
+class TestGridHash:
+    @pytest.mark.parametrize("space, depth", [(triadic_cantor(), 4),
+                                              (unit_interval(), 3)],
+                             ids=["triadic_cantor", "unit_interval"])
+    def test_fraction_rows_match_hand_scaled_integers(self, space, depth):
+        # rows compared as given pick the same points as the same rows
+        # scaled by hand to integers over their common denominator
+        rows = spaces.product_net(build_net(space, depth), 1, depth).coord_rows()
+        scale = math.lcm(2 ** 4, *(c.denominator for r in rows for c in r))
+        int_rows = [tuple(int(c * scale) for c in row) for row in rows]
+        order = sorted(range(len(rows)), key=rows.__getitem__)
+        for n in range(5):
+            delta = Fraction(1, 2 ** n)
+            got = packing._greedy_indices(rows, order, delta)
+            assert got == packing._greedy_indices(int_rows, order,
+                                                  int(delta * scale))
+            assert got == packing.greedy_packing_coords(rows, delta)
 
 
 class TestExact:

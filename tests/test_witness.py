@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from dimlab import cantor_pair, witness
+from dimlab import cantor_pair, packing, witness
 from dimlab.spaces import triadic_cantor, unit_interval
 from dimlab.witness import (
     build_layer,
@@ -231,6 +231,42 @@ class TestEventCheck:
             cantor_pair.DigitFunction.ODD_DIGITS, p),)
         rep = check_event(sample_witness(cantor_layers, seed=4), drift, 6)
         assert rep.holds
+
+    @pytest.mark.parametrize("space, d, n_max, drift", [
+        (triadic_cantor(), 1, 7, None),
+        (triadic_cantor(), 1, 7, "cantor-f"),
+        (triadic_cantor(), 2, 5, None),
+        (unit_interval(), 1, 5, None),
+    ], ids=["cantor-d1-zero", "cantor-d1-cantor-f", "cantor-d2-zero",
+            "interval-d1-zero"])
+    def test_integer_rows_match_fraction_rows(self, space, d, n_max, drift):
+        # the checker's integer rows over one common denominator pack
+        # exactly like the rational graph rows built from eval_witness
+        if drift == "cantor-f":
+            drift = lambda p: (cantor_pair.evaluate(
+                cantor_pair.DigitFunction.ODD_DIGITS, p),)
+        layers = build_layers(space, d, n_max)
+        for n in range(1, n_max + 1):
+            checker = witness.EventChecker(layers, n, drift)
+            points = layers[n - 1].all_satellites()
+            delta = Fraction(1, 2 ** n)
+            for seed in range(4):
+                sample = sample_witness(layers, ("rows", seed))
+                rows = []
+                for p in points:
+                    h = eval_witness(sample, p, n)
+                    g = drift(p) if drift else (0,) * d
+                    x = p if space == unit_interval() else p.value
+                    rows.append((x, *(a + b for a, b in zip(h, g))))
+                if len(rows) <= packing.EXACT_SEARCH_LIMIT:
+                    count = len(packing.exact_packing_coords(rows, delta))
+                    method = "exact"
+                else:
+                    count = len(packing.greedy_packing_coords(rows, delta))
+                    method = "greedy"
+                rep = checker.check(sample)
+                assert (rep.graph_count, rep.method) == (count, method)
+                assert rep.holds == (count >= event_threshold(layers[n - 1]))
 
 
 class TestSaturation:

@@ -342,9 +342,14 @@ def run(cfg: ExperimentConfig) -> ResultTable:
 # argument handling
 
 
-def _read_config_file(path: str) -> dict:
-    """Plain key=value lines; '#' starts a comment."""
-    values = {}
+OPTIONS = ("space", "n_min", "n_max", "stride", "depth", "trials", "seed",
+           "variant", "drift", "adversary", "d", "expect", "tol", "out",
+           "plot_out")
+
+
+def _config_flags(path: str) -> list[str]:
+    """Plain key=value lines as ``--key=value`` flags; '#' starts a comment."""
+    flags = []
     with open(path, encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, 1):
             line = raw.split("#", 1)[0].strip()
@@ -353,28 +358,16 @@ def _read_config_file(path: str) -> dict:
             if "=" not in line:
                 raise ValueError(f"{path}:{lineno}: expected key=value")
             key, val = (part.strip() for part in line.split("=", 1))
-            values[key.replace("-", "_")] = val
-    return values
-
-
-_INT_FIELDS = {"n_min", "n_max", "stride", "depth", "trials", "d"}
-_FLOAT_FIELDS = {"expect", "tol"}
+            key = key.replace("-", "_")
+            if key not in OPTIONS:
+                raise ValueError(f"{path}:{lineno}: unknown config key {key!r}")
+            flags.append(f"--{key.replace('_', '-')}={val}")
+    return flags
 
 
 def build_config(args: argparse.Namespace) -> ExperimentConfig:
     cfg = ExperimentConfig(args.command)
-    file_values = _read_config_file(args.config) if args.config else {}
-    for key, val in file_values.items():
-        if not hasattr(cfg, key):
-            raise ValueError(f"unknown config key {key!r}")
-        if key in _INT_FIELDS:
-            val = int(val)
-        elif key in _FLOAT_FIELDS:
-            val = float(val)
-        setattr(cfg, key, val)
-    for key in ("space", "n_min", "n_max", "stride", "depth", "trials",
-                "seed", "variant", "drift", "adversary", "d", "expect",
-                "tol", "out", "plot_out"):
+    for key in OPTIONS:
         val = getattr(args, key, None)
         if val is not None:
             setattr(cfg, key, val)
@@ -411,13 +404,18 @@ def make_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     parser = make_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
         args = parser.parse_args(argv)
+        if args.config:
+            # file values enter as flags ahead of the command line's, so
+            # they meet the same types and choices and the flags override
+            at = argv.index(args.command) + 1
+            args = parser.parse_args(
+                argv[:at] + _config_flags(args.config) + argv[at:])
+        table = run(build_config(args))
     except SystemExit as exc:
         return USAGE_ERROR if exc.code else 0
-    try:
-        cfg = build_config(args)
-        table = run(cfg)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR

@@ -245,12 +245,6 @@ class DiscreteMeasure:
         w = Fraction(1, len(pts))
         return cls(pts, (w,) * len(pts), tuple(net.coords(p) for p in pts))
 
-    @classmethod
-    def from_atoms(cls, atoms, coords_fn) -> "DiscreteMeasure":
-        pts = tuple(p for p, _ in atoms)
-        ws = tuple(Fraction(w) for _, w in atoms)
-        return cls(pts, ws, tuple(coords_fn(p) for p in pts))
-
     def float_coords(self) -> np.ndarray:
         return np.array([[float(c) for c in row] for row in self.coords])
 

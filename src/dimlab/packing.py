@@ -5,16 +5,21 @@ delta.  Two counters are provided:
 
 * a deterministic greedy counter (maximal, not maximum) that inserts
   points in ascending lexicographic coordinate order and therefore
-  reproduces exactly across runs; on one-dimensional point sets the
-  sweep it performs is in fact optimal;
+  reproduces exactly across runs.  One kernel serves every dimension: a
+  sorted window sweep that compares a candidate only with the chosen
+  points whose first coordinate lies within delta below its own.  On
+  one-dimensional point sets that window is the last chosen point, and
+  the sweep is in fact optimal;
 * an exact branch-and-bound counter for instances up to a configured
   size, used both directly and as the correctness oracle for greedy.
 
-All comparisons are exact, so a distance tie (exactly equal to delta) is
-never misclassified: the kernels compare the numbers they are given,
-``int`` or ``Fraction``, as they are, and squared distances against
-``delta * delta``.  Callers that pack many instances over one common
+The kernels compare the numbers they are given as they are, and squared
+distances against ``delta * delta``.  On ``int`` or ``Fraction`` rows
+every comparison is exact, so a distance tie (exactly equal to delta) is
+never misclassified; callers that pack many instances over one common
 denominator (the event check) pass integer rows and an integer delta.
+The saturation Monte Carlo passes ``float`` rows; on its dyadic grid
+values, shifted by the built-in adversaries, they are exact as well.
 """
 
 from __future__ import annotations
@@ -67,72 +72,49 @@ def _sorted_order(rows):
 
 
 def _greedy_indices(rows, order, delta) -> list[int]:
-    """Greedy maximal packing of exact rows, insertion in ``order``.
+    """Greedy maximal packing of rows inserted in ascending ``order``.
 
-    Candidates are hashed into delta-sized grid cells; a conflicting
-    chosen point (distance <= delta) always lies in a neighboring cell.
+    ``reach`` holds each chosen row's first coordinate plus delta and is
+    non-decreasing, so a conflicting chosen row (distance <= delta) is
+    among the trailing ones whose reach is at least the candidate's
+    first coordinate; only those are compared.  On 1-D rows reaching is
+    conflicting, so no distance is computed there.
     """
     d2 = delta * delta
-    dim = len(rows[order[0]]) if order else 0
-    offsets = list(itertools.product((-1, 0, 1), repeat=dim))
-    buckets: dict[tuple, list[int]] = {}
-    chosen = []
+    flat = len(rows[order[0]]) == 1
+    chosen: list[int] = []
+    reach = []
     for idx in order:
         row = rows[idx]
-        cell = _cell(row, delta)
-        ok = True
-        for off in offsets:
-            near = buckets.get(tuple(c + o for c, o in zip(cell, off)))
-            if not near:
-                continue
-            for j in near:
-                other = rows[j]
-                s = 0
-                for a, b in zip(row, other):
-                    s += (a - b) * (a - b)
-                if s <= d2:
-                    ok = False
-                    break
-            if not ok:
+        x = row[0]
+        k = len(chosen)
+        while k and reach[k - 1] >= x:
+            k -= 1
+            if flat:
                 break
-        if ok:
+            s = 0
+            for a, b in zip(row, rows[chosen[k]]):
+                s += (a - b) * (a - b)
+            if s <= d2:
+                break
+        else:
             chosen.append(idx)
-            buckets.setdefault(cell, []).append(idx)
+            reach.append(x + delta)
     return chosen
 
 
 def greedy_packing_coords(rows, delta, presorted: bool = False) -> list[int]:
     """Indices of a greedy maximal delta-packing of the coordinate rows.
 
-    Rows and delta are ``int`` or ``Fraction`` and are compared exactly
-    as given.  ``presorted`` declares the rows already in ascending
-    order, which the insertion order (and on 1-D rows the sweep) relies
-    on.  1-D rows are swept, higher dimensions grid-hashed.
+    Rows and delta are ``int``, ``Fraction`` or ``float`` and are
+    compared as given.  ``presorted`` declares the rows already in
+    ascending order, which the kernel's window relies on.
     """
     if not rows:
         raise ValueError("empty point set")
     _positive(delta)
     order = list(range(len(rows))) if presorted else _sorted_order(rows)
-    if len(rows[0]) == 1:
-        return _sweep_indices(rows, order, delta)
     return _greedy_indices(rows, order, delta)
-
-
-def _sweep_indices(rows, order, delta) -> list[int]:
-    """Greedy packing of 1-D rows visited in ascending order.
-
-    Every chosen point lies at or below the candidate, so the nearest
-    one is the last chosen: the candidate is kept iff it lies strictly
-    beyond that point plus delta.
-    """
-    chosen = [order[0]]
-    bound = rows[order[0]][0] + delta
-    for idx in order[1:]:
-        x = rows[idx][0]
-        if x > bound:
-            chosen.append(idx)
-            bound = x + delta
-    return chosen
 
 
 def max_packing_greedy(net: ResolutionNet, n: int | None = None, *,

@@ -27,7 +27,8 @@ PRODUCT_WITH_CUBE = "product_with_cube"
 FINITE_POINT_CLOUD = "finite_point_cloud"
 
 # Largest point tuple a net is ever expanded into: the 1-D nets are
-# refused above it before allocation, product nets on ``point_list``.
+# refused above it before allocation, product nets on ``point_list`` and
+# ``coord_rows``.
 MAX_MATERIALIZED_POINTS = 2_000_000
 
 
@@ -262,7 +263,8 @@ class ResolutionNet:
 
     A product net is always kept as its factors ``(base net, axis ticks,
     d)`` with ``points`` None: it is iterated lazily, counted per factor,
-    and expanded only by :meth:`point_list`, which refuses more than
+    expanded only by :meth:`point_list` and given coordinate rows joined
+    from its factors' rows by :meth:`coord_rows`; both refuse more than
     ``MAX_MATERIALIZED_POINTS``.  Every other net stores its points.
     Points come in ascending lexicographic coordinate order; all
     constructions emit them sorted.
@@ -292,11 +294,14 @@ class ResolutionNet:
     def point_list(self) -> tuple:
         if self.points is not None:
             return self.points
+        self._check_expandable()
+        return tuple(self.iter_points())
+
+    def _check_expandable(self) -> None:
         if self.size() > MAX_MATERIALIZED_POINTS:
             raise NetDepthError(
                 f"refusing to materialize {self.size()} product points"
             )
-        return tuple(self.iter_points())
 
     def coords(self, point) -> tuple[Fraction, ...]:
         return coords_of(self.space, point)
@@ -304,7 +309,12 @@ class ResolutionNet:
     def coord_rows(self) -> list[tuple[Fraction, ...]]:
         if self.space.kind == FINITE_POINT_CLOUD:
             raise UnsupportedSpaceError("point clouds have no coordinate rows")
-        return [self.coords(p) for p in self.point_list()]
+        if self.points is not None:
+            return [self.coords(p) for p in self.points]
+        self._check_expandable()
+        base_net, axis, d = self.factors
+        ticks = list(itertools.product(axis, repeat=d))
+        return [row + z for row in base_net.coord_rows() for z in ticks]
 
     def metric(self, x, y) -> Fraction | float:
         return metric(self.space, x, y)

@@ -437,23 +437,6 @@ def colliding_adversary(d: int) -> Callable:
     return strategy
 
 
-def _value_packing_count(points: list[tuple[float, ...]], delta: float,
-                         d: int) -> int:
-    if d == 1:
-        count = 0
-        last = None
-        for (v,) in sorted(points):
-            if last is None or v - last > delta:
-                count += 1
-                last = v
-        return count
-    chosen: list[tuple[float, ...]] = []
-    for p in sorted(points):
-        if all(math.dist(p, q) > delta for q in chosen):
-            chosen.append(p)
-    return len(chosen)
-
-
 def simulate_saturation_failure(layer: LayerSpec, adversary: Callable,
                                 trials: int, seed) -> SaturationReport:
     """Monte Carlo for the adversarially translated grid saturation event.
@@ -462,8 +445,9 @@ def simulate_saturation_failure(layer: LayerSpec, adversary: Callable,
     adversary produces each shift y_i from the history X_1..X_{i-1} only
     (it is handed nothing else, which enforces the measurability
     contract structurally).  A trial fails when the translated points
-    contain no s_n-element 2**-n packing.  The sweep count is exact for
-    d = 1 and greedy otherwise.
+    contain no s_n-element 2**-n packing.  The points are counted by the
+    greedy packing kernel on float rows, which is exact for d = 1 (a
+    maximum packing) and greedy otherwise.
 
     Pass condition: the Wilson 95% upper bound on the failure rate stays
     within 1.5x of 1 / (k_n * 2**n).
@@ -480,7 +464,7 @@ def simulate_saturation_failure(layer: LayerSpec, adversary: Callable,
             x = grid[rng.randrange(layer.s_n)]
             history.append(x)
             points.append(tuple(a + b for a, b in zip(x, y)))
-        if _value_packing_count(points, delta, layer.d) < layer.s_n:
+        if len(packing.greedy_packing_coords(points, delta)) < layer.s_n:
             failures += 1
     bound = 1.0 / (layer.k_n * 2 ** layer.n)
     upper = wilson_upper_bound(failures, trials)

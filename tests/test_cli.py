@@ -128,6 +128,42 @@ class TestCommands:
         cfgfile.write_text("banana = 7\n")
         assert main(["estimate", "--config", str(cfgfile)]) == 2
 
+    @pytest.mark.parametrize("line, flag", [
+        ("space = bogus", "--space"),
+        ("adversary = nonsense", "--adversary"),
+        ("trials = many", "--trials"),
+        ("expect = high", "--expect"),
+    ])
+    def test_config_file_values_validated(self, tmp_path, capsys, line, flag):
+        # file values meet the same types and choices as the flags
+        cfgfile = tmp_path / "exp.cfg"
+        cfgfile.write_text(line + "\n")
+        assert main(["saturation", "--config", str(cfgfile)]) == 2
+        err = capsys.readouterr().err
+        assert f"argument {flag}: invalid" in err
+        assert line.split("= ")[1] in err
+
+    def test_config_file_values_under_flags(self, tmp_path):
+        # the command line overrides the file; a value may start with '-'
+        cfgfile = tmp_path / "exp.cfg"
+        cfgfile.write_text(f"n-max = 9  # comment\nseed = -5\n"
+                           f"plot_out = {tmp_path / 'file.txt'}\n")
+        out = tmp_path / "r.csv"
+        assert main(["cantor", "--config", str(cfgfile), "--n-max", "3",
+                     "--out", str(out),
+                     "--plot-out", str(tmp_path / "flag.txt")]) == 0
+        assert (tmp_path / "flag.txt").exists()
+        assert not (tmp_path / "file.txt").exists()
+        body = out.read_text().splitlines()[1:]
+        assert body and all(",-5," in line for line in body)
+        assert "'n_max': 5" in body[-1]  # the slope floor over n_max = 3
+
+    def test_config_file_command_key_rejected(self, tmp_path, capsys):
+        cfgfile = tmp_path / "exp.cfg"
+        cfgfile.write_text("command = report\n")
+        assert main(["cantor", "--config", str(cfgfile)]) == 2
+        assert "unknown config key 'command'" in capsys.readouterr().err
+
     def test_rows_carry_seed_and_version(self, tmp_path):
         out = tmp_path / "seeded.csv"
         cfg = ExperimentConfig("cantor", n_max=4, seed="xyz", out=str(out))

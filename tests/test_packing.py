@@ -81,7 +81,7 @@ class TestGreedy:
 
     @pytest.mark.parametrize("delta", [0, -2, Fraction(-1, 3)])
     def test_nonpositive_delta_rejected(self, delta):
-        # the sweep, the grid hash and exact search would disagree on it
+        # no packing scale is defined there, so every counter refuses it
         net = _net_from_values([0, 1])
         for count in (max_packing_greedy, max_packing_exact):
             with pytest.raises(ValueError, match="positive"):
@@ -92,6 +92,32 @@ class TestGreedy:
                 with pytest.raises(ValueError, match="positive"):
                     kernel(rows, delta)
 
+    def test_product_net_expanded_once(self, monkeypatch):
+        # the packing counters expand a product net's points once, for
+        # the witness; its rows come from the factors
+        expanded = []
+        iter_points = ResolutionNet.iter_points
+
+        def spy(net):
+            expanded.append(net)
+            return iter_points(net)
+
+        monkeypatch.setattr(ResolutionNet, "iter_points", spy)
+        net = spaces.product_net(build_net(triadic_cantor(), 1), 1, 1)
+        assert net.size() <= packing.EXACT_SEARCH_LIMIT
+        for count in (max_packing_greedy, max_packing_exact):
+            expanded.clear()
+            res = count(net, 1)
+            assert [m for m in expanded if m is net] == [net]
+            assert res.witness[0] == next(iter_points(net))
+
+    def test_product_net_beyond_limit_refused(self):
+        net = spaces.product_net(build_net(unit_interval(), 7), 2, 7)
+        assert net.size() > spaces.MAX_MATERIALIZED_POINTS
+        for count in (max_packing_greedy, max_packing_exact):
+            with pytest.raises(spaces.NetDepthError):
+                count(net, 7)
+
     def test_maximality(self):
         # no skipped net point can extend the greedy witness
         net = build_net(unit_interval(), 6)
@@ -101,45 +127,95 @@ class TestGreedy:
             assert any(abs(p - w) <= delta for w in res.witness)
 
 
-def _grid_hash_greedy(rows, delta, order):
-    """The grid-hash greedy, the reference for the 1-D sweep."""
-    return packing._greedy_indices(rows, order, delta)
+def _all_pairs_greedy(rows, delta):
+    """Reference greedy: ascending order, keep a row iff every kept row
+    is more than delta away, comparing each candidate with all of them."""
+    chosen = []
+    for i in sorted(range(len(rows)), key=rows.__getitem__):
+        if all(sum((a - b) ** 2 for a, b in zip(rows[i], rows[j])) > delta ** 2
+               for j in chosen):
+            chosen.append(i)
+    return chosen
 
 
 class TestOneDimensionalSweep:
+    # The window kernel on 1-D rows against the all-pairs reference; the
+    # names are kept so that the test ids stay stable.
     @pytest.mark.parametrize("space", [unit_interval(), triadic_cantor(),
                                        harmonic_sequence()],
                              ids=lambda sp: sp.kind)
     @pytest.mark.parametrize("n", range(2, 10))
     def test_matches_grid_hash_on_nets(self, space, n):
         rows = build_net(space, n).coord_rows()
-        order = list(range(len(rows)))
         for delta in (Fraction(1, 2 ** n), Fraction(1, 2 ** (n - 1))):
             assert (packing.greedy_packing_coords(rows, delta, presorted=True)
-                    == _grid_hash_greedy(rows, delta, order))
+                    == _all_pairs_greedy(rows, delta))
 
     def test_matches_grid_hash_on_shuffled_rows(self):
         rows = build_net(harmonic_sequence(), 6).coord_rows()
         random.Random(5).shuffle(rows)
-        order = sorted(range(len(rows)), key=rows.__getitem__)
         for n in (2, 4, 6):
             delta = Fraction(1, 2 ** n)
             assert (packing.greedy_packing_coords(rows, delta)
-                    == _grid_hash_greedy(rows, delta, order))
+                    == _all_pairs_greedy(rows, delta))
 
     def test_duplicates_and_exact_ties(self):
         # ties at exactly delta and repeated coordinates are both rejected
         vals = [0, 0, Fraction(1, 4), Fraction(1, 4), Fraction(1, 2),
                 Fraction(5, 8), Fraction(3, 4), Fraction(3, 4), 1]
         rows = [(Fraction(v),) for v in reversed(vals)]
-        order = sorted(range(len(rows)), key=rows.__getitem__)
         for delta in (Fraction(1, 8), Fraction(1, 4), Fraction(1, 2)):
             got = packing.greedy_packing_coords(rows, delta)
-            assert got == _grid_hash_greedy(rows, delta, order)
+            assert got == _all_pairs_greedy(rows, delta)
         assert [rows[i][0] for i in got] == [0, Fraction(5, 8)]
 
 
-class TestGridHash:
+class TestWindowKernel:
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    @pytest.mark.parametrize("kind", ["int", "Fraction", "float"])
+    def test_matches_all_pairs_reference(self, dim, kind):
+        # coordinates on a coarse lattice, so exact ties at delta and
+        # duplicate rows are frequent; float rows stay dyadic, hence exact
+        make = {"int": lambda k: k, "Fraction": lambda k: Fraction(k, 8),
+                "float": lambda k: k / 8}[kind]
+        rnd = random.Random(dim * 10 + len(kind))
+        for _ in range(150):
+            rows = [tuple(make(rnd.randrange(0, 24)) for _ in range(dim))
+                    for _ in range(rnd.randrange(1, 50))]
+            rows += rnd.sample(rows, rnd.randrange(len(rows) + 1))
+            delta = make(rnd.randrange(1, 16))
+            got = packing.greedy_packing_coords(rows, delta)
+            assert got == _all_pairs_greedy(rows, delta)
+            order = sorted(range(len(rows)), key=rows.__getitem__)
+            ordered = [rows[i] for i in order]
+            assert got == [order[i] for i in packing.greedy_packing_coords(
+                ordered, delta, presorted=True)]
+
+    def test_float_rows(self):
+        def count(rows, delta):
+            return len(packing.greedy_packing_coords(rows, delta))
+        assert count([(0.0,), (0.5,), (1.0,)], 0.4) == 3
+        assert count([(0.0,), (0.25,)], 0.25) == 1  # tie excluded
+        assert count([(0.0,)] * 6, 0.1) == 1
+        # unit square corners at delta below the side length
+        pts = [(0.0, 0.0), (0.0, 1.0), (1.0, 0.0), (1.0, 1.0)]
+        assert count(pts, 0.9) == 4
+        assert count(pts, 1.2) == 2  # only a diagonal survives
+
+    @pytest.mark.parametrize("space", [unit_interval(), triadic_cantor(),
+                                       harmonic_sequence()],
+                             ids=lambda sp: sp.kind)
+    def test_net_rows_ascending(self, space):
+        # max_packing_greedy passes presorted=True: the window only sees
+        # every conflict if the rows come in ascending order
+        nets = [build_net(space, n) for n in range(1, 8)]
+        if space.kind != harmonic_sequence().kind:
+            nets += [spaces.product_net(build_net(space, n), d, n)
+                     for d in (1, 2) for n in range(1, 5)]
+        for net in nets:
+            rows = net.coord_rows()
+            assert all(a < b for a, b in zip(rows, rows[1:]))
+
     @pytest.mark.parametrize("space, depth", [(triadic_cantor(), 4),
                                               (unit_interval(), 3)],
                              ids=["triadic_cantor", "unit_interval"])

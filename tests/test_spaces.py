@@ -214,6 +214,19 @@ class TestProductNet:
         with pytest.raises(NetDepthError):
             product_net(base, 1, 2)
 
+    def test_coord_rows_joined_from_factors(self):
+        for space in (triadic_cantor(), unit_interval()):
+            for d in (1, 2):
+                net = product_net(build_net(space, 3), d, 2)
+                assert net.coord_rows() == [net.coords(p)
+                                            for p in net.point_list()]
+
+    def test_coord_rows_beyond_limit_refused(self):
+        net = product_net(build_net(unit_interval(), 7), 2, 7)
+        assert net.size() > spaces.MAX_MATERIALIZED_POINTS
+        with pytest.raises(NetDepthError):
+            net.coord_rows()
+
     def test_lazy_product_iteration_matches_size(self):
         base = build_net(unit_interval(), 6)
         net = product_net(base, 2, 6)  # 65 * 65**2 points, lazy

@@ -297,16 +297,6 @@ class TestSaturation:
         ell = cantor_layers[4].ell_n
         assert seen == list(range(ell)) * 2
 
-    def test_value_packing_counter(self):
-        count = witness._value_packing_count
-        assert count([(0.0,), (0.5,), (1.0,)], 0.4, 1) == 3
-        assert count([(0.0,), (0.25,)], 0.25, 1) == 1  # tie excluded
-        assert count([(0.0,)] * 6, 0.1, 1) == 1
-        # 2-d path: unit square corners at delta below the side length
-        pts = [(0.0, 0.0), (0.0, 1.0), (1.0, 0.0), (1.0, 1.0)]
-        assert count(pts, 0.9, 2) == 4
-        assert count(pts, 1.2, 2) == 2  # only a diagonal survives
-
     def test_wilson_bound_monotone(self):
         assert wilson_upper_bound(0, 100) < wilson_upper_bound(1, 100)
         assert wilson_upper_bound(0, 1000) < wilson_upper_bound(0, 100)

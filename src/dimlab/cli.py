@@ -411,8 +411,14 @@ def main(argv=None) -> int:
             # file values enter as flags ahead of the command line's, so
             # they meet the same types and choices and the flags override
             at = argv.index(args.command) + 1
-            args = parser.parse_args(
-                argv[:at] + _config_flags(args.config) + argv[at:])
+            try:
+                args = parser.parse_args(
+                    argv[:at] + _config_flags(args.config) + argv[at:])
+            except SystemExit as exc:
+                if exc.code:
+                    print(f"error: in config file {args.config}",
+                          file=sys.stderr)
+                raise
         table = run(build_config(args))
     except SystemExit as exc:
         return USAGE_ERROR if exc.code else 0

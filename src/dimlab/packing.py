@@ -172,6 +172,10 @@ def max_packing_exact(net: ResolutionNet, n: int | None = None, *,
     conflict graph.  Refuses instances larger than ``limit``.
     """
     n, delta = _resolve_delta(n, delta)
+    # refuse from the size alone, before any point or row is built: a net
+    # too large to expand at all keeps its NetDepthError
+    net._check_expandable()
+    _check_limit(net.size(), limit)
     pts = net.point_list()
     if not pts:
         raise ValueError("empty net")
@@ -184,6 +188,13 @@ def max_packing_exact(net: ResolutionNet, n: int | None = None, *,
                          tuple(pts[i] for i in chosen), "exact")
 
 
+def _check_limit(m: int, limit: int) -> None:
+    if m > limit:
+        raise ExactSearchLimitExceeded(
+            f"{m} points exceed the exact search limit of {limit}"
+        )
+
+
 def _exact_indices(items, conflicts, limit: int) -> list[int]:
     """Indices of a largest subset of items no two of which conflict.
 
@@ -191,10 +202,7 @@ def _exact_indices(items, conflicts, limit: int) -> list[int]:
     more than ``limit`` items are refused before any pair is compared.
     """
     m = len(items)
-    if m > limit:
-        raise ExactSearchLimitExceeded(
-            f"{m} points exceed the exact search limit of {limit}"
-        )
+    _check_limit(m, limit)
     adj = [0] * m
     for i, j in itertools.combinations(range(m), 2):
         if conflicts(items[i], items[j]):

@@ -142,6 +142,7 @@ class TestCommands:
         err = capsys.readouterr().err
         assert f"argument {flag}: invalid" in err
         assert line.split("= ")[1] in err
+        assert f"error: in config file {cfgfile}" in err
 
     def test_config_file_values_under_flags(self, tmp_path):
         # the command line overrides the file; a value may start with '-'

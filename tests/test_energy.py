@@ -1,6 +1,11 @@
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
+import numpy as np
 import pytest
 
 from dimlab import cantor_pair, energy, estimators
@@ -221,6 +226,32 @@ class TestKernelBound:
                                  qmc_points=1 << 14)
         assert rep.passed
         assert rep.error_estimate > 0
+
+
+class TestHalton:
+    # 2**14 is the CLI's d = 2 sampling size, 2**20 the default
+    @pytest.mark.parametrize("n", [1, 7, 1 << 14, 1 << 20])
+    def test_matches_scipy_bit_for_bit(self, n):
+        from scipy.stats import qmc
+        want = qmc.Halton(d=2, scramble=False).random(n)
+        assert np.array_equal(energy._halton_2d(n), want)
+
+    def test_cached_and_read_only(self):
+        pts = energy._halton_2d(1 << 10)
+        assert energy._halton_2d(1 << 10) is pts
+        assert not pts.flags.writeable
+        with pytest.raises(ValueError):
+            pts[0, 0] = 0.5
+
+    def test_cli_import_loads_no_scipy_stats(self):
+        src = Path(__file__).resolve().parents[1] / "src"
+        code = ("import sys, dimlab.cli; "
+                "print(sorted(m for m in sys.modules "
+                "if m.startswith('scipy.stats')))")
+        env = dict(os.environ, PYTHONPATH=str(src))
+        out = subprocess.run([sys.executable, "-c", code], env=env,
+                             capture_output=True, text=True, check=True)
+        assert out.stdout.strip() == "[]"
 
 
 class TestPairExpectation:

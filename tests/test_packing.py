@@ -254,6 +254,24 @@ class TestExact:
         with pytest.raises(ExactSearchLimitExceeded):
             max_packing_exact(net, 3)
 
+    @pytest.mark.parametrize("make_net", [
+        lambda: build_net(harmonic_sequence(), 20),
+        lambda: spaces.product_net(build_net(unit_interval(), 6), 2, 6),
+    ], ids=["harmonic-20", "interval-product-6"])
+    def test_limit_refused_before_expansion(self, make_net, monkeypatch):
+        net = make_net()
+
+        def fail(self):
+            raise AssertionError("net expanded before the limit check")
+
+        monkeypatch.setattr(ResolutionNet, "point_list", fail)
+        monkeypatch.setattr(ResolutionNet, "coord_rows", fail)
+        limit = packing.EXACT_SEARCH_LIMIT
+        with pytest.raises(ExactSearchLimitExceeded,
+                           match=f"^{net.size()} points exceed the exact "
+                                 f"search limit of {limit}$"):
+            max_packing_exact(net, 6)
+
     def test_matches_brute_force_random(self):
         rnd = random.Random(17)
         for _ in range(80):

@@ -180,22 +180,29 @@ class RandomFieldSample:
     d: int = 1
     tail_levels: int = DEFAULT_TAIL_LEVELS
 
+    def node_bits(self, level: int, path: tuple[int, ...]) -> list[int]:
+        """The level's draws on the piece at ``path``, one bit per coordinate."""
+        return [stable_index(2, self.seed, "node", level, path, c)
+                for c in range(self.d)]
+
+    def tail_bits(self, key: tuple[int, int], level: int) -> list[int]:
+        """The tail draws at ``level`` of the point whose value is ``key``."""
+        return [stable_index(2, self.seed, "tail", level, key, c)
+                for c in range(self.d)]
+
     def node_value(self, level: int, path: tuple[int, ...]) -> tuple[Fraction, ...]:
-        return tuple(
-            Fraction(stable_index(2, self.seed, "node", level, path, c),
-                     2 ** level)
-            for c in range(self.d)
-        )
+        return tuple(Fraction(b, 2 ** level)
+                     for b in self.node_bits(level, path))
 
     def tail_value(self, x: DigitVector, j: int) -> tuple[Fraction, ...]:
         level = self.family.depth + j
-        value = x.value
-        key = (value.numerator, value.denominator)
-        return tuple(
-            Fraction(stable_index(2, self.seed, "tail", level, key, c),
-                     2 ** level)
-            for c in range(self.d)
-        )
+        return tuple(Fraction(b, 2 ** level)
+                     for b in self.tail_bits(_tail_key(x), level))
+
+
+def _tail_key(x: DigitVector) -> tuple[int, int]:
+    value = x.value
+    return (value.numerator, value.denominator)
 
 
 def sample_field(family: NestedFamily, seed, d: int = 1,
@@ -204,18 +211,22 @@ def sample_field(family: NestedFamily, seed, d: int = 1,
 
 
 def eval_field(sample: RandomFieldSample, x: DigitVector) -> tuple[Fraction, ...]:
-    """f(x): sum of the containing pieces' values and the point's tails."""
+    """f(x): sum of the containing pieces' values and the point's tails.
+
+    Level l adds one bit over 2**l per coordinate, so each coordinate is
+    summed as one integer numerator over 2**(depth + tail_levels).
+    """
     path = sample.family.locate(x)
-    total = [Fraction(0)] * sample.d
+    top = sample.family.depth + sample.tail_levels
+    nums = [0] * sample.d
     for level in range(1, len(path) + 1):
-        v = sample.node_value(level, path[:level])
-        for c in range(sample.d):
-            total[c] += v[c]
-    for j in range(1, sample.tail_levels + 1):
-        v = sample.tail_value(x, j)
-        for c in range(sample.d):
-            total[c] += v[c]
-    return tuple(total)
+        for c, b in enumerate(sample.node_bits(level, path[:level])):
+            nums[c] += b << (top - level)
+    key = _tail_key(x)
+    for level in range(sample.family.depth + 1, top + 1):
+        for c, b in enumerate(sample.tail_bits(key, level)):
+            nums[c] += b << (top - level)
+    return tuple(Fraction(u, 1 << top) for u in nums)
 
 
 def natural_leaf_measure(family: NestedFamily) -> DiscreteMeasure:

@@ -43,6 +43,10 @@ from .spaces import (
 )
 
 SATELLITE_DEPTH_CAP = 64
+# Largest k_n * ell_n a layer may place.  Layer cost grows about 5x per n
+# (Cantor d = 1: 1 056 satellites at n = 7, 7 680 at n = 8, 36 288 at
+# n = 9), and the event check then packs one 2-D row per satellite.
+MAX_LAYER_SATELLITES = 10_000
 
 
 @dataclass(frozen=True)
@@ -185,6 +189,12 @@ def build_layer(space: SpaceDescriptor, n: int, d: int,
     k_n = base.count
     m_n = replication_exponent(s_n, k_n, n)
     ell_n = s_n * m_n
+    if k_n * ell_n > MAX_LAYER_SATELLITES:
+        raise NetDepthError(
+            f"layer {n} of the {space.kind} (d = {d}) needs k_n * ell_n = "
+            f"{k_n} * {ell_n} = {k_n * ell_n} satellites, above the limit "
+            f"of {MAX_LAYER_SATELLITES}"
+        )
 
     delta = Fraction(1, 2 ** n)
     centers = sorted(base.witness, key=lambda p: _point_value(space, p))

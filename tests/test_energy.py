@@ -147,6 +147,30 @@ class TestRandomField:
             (v,) = eval_field(sample, fam.anchor(leaf))
             assert 0 <= v < 1  # sum of 2**-n grids never reaches 1
 
+    @pytest.mark.parametrize("seed", [0, "abc", ("t", 3)])
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_integer_sum_equals_fraction_sum(self, nested_family_depth3,
+                                             seed, d):
+        # the reference adds every node and tail value as a Fraction
+        fam = nested_family_depth3
+        sample = sample_field(fam, seed=seed, d=d)
+        off_tree = DigitVector((0, 1, 1) + (0,) * (fam.point_depth - 3))
+        assert len(fam.locate(off_tree)) == 1
+        points = [fam.anchor(leaf) for leaf in fam.leaves()]
+        points += [fam.piece_point(fam.leaves()[3], (1, 0, 1)), off_tree]
+        for x in points:
+            path = fam.locate(x)
+            values = [sample.node_value(lv, path[:lv])
+                      for lv in range(1, len(path) + 1)]
+            values += [sample.tail_value(x, j)
+                       for j in range(1, sample.tail_levels + 1)]
+            want = tuple(sum((v[c] for v in values), Fraction(0))
+                         for c in range(d))
+            got = eval_field(sample, x)
+            assert got == want
+            assert [(v.numerator, v.denominator) for v in got] == [
+                (v.numerator, v.denominator) for v in want]
+
 
 class TestGraphMeasure:
     def test_mass_conserved_and_atoms_distinct(self, nested_family_depth3):

@@ -1,5 +1,8 @@
+import json
 import math
+import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -16,7 +19,10 @@ from dimlab.estimators import (
     localized_upper_box,
     packing_count_series,
 )
+from dimlab.energy import build_nested_family, natural_leaf_measure
 from dimlab.spaces import build_net, harmonic_sequence, triadic_cantor, unit_interval
+
+from conftest import cantor_endpoint_measure
 
 LOG2_3 = math.log(2) / math.log(3)
 
@@ -164,6 +170,29 @@ class TestHausdorffContent:
             assert diam == max(vals) - min(vals)
 
 
+def _ordered_pair_fsum(measure, s):
+    xs = [tuple(float(c) for c in row) for row in measure.coords]
+    ws = [float(w) for w in measure.weights]
+    return math.fsum(wa * wb * d ** -s
+                     for a, wa in zip(xs, ws) for b, wb in zip(xs, ws)
+                     if (d := math.dist(a, b)) > 0)
+
+
+def _lattice_unequal():
+    # 40 of the 101 points j / 100, weights proportional to 1 .. 40
+    picks = sorted(random.Random(3).sample(range(101), 40))
+    total = sum(range(1, 41))
+    return measure_on_values([Fraction(j, 100) for j in picks],
+                             [Fraction(i, total) for i in range(1, 41)])
+
+
+def _heavy_interval():
+    # weight numerators near 2**20: sum(N_i**2) is about 2**44
+    nums = [2 ** 20 + i for i in range(17)]
+    return measure_on_values([Fraction(j, 16) for j in range(17)],
+                             [Fraction(u, sum(nums)) for u in nums])
+
+
 class TestDiscreteEnergy:
     def test_two_atoms_distance_one(self):
         m = measure_on_values([0, 1])
@@ -196,18 +225,16 @@ class TestDiscreteEnergy:
         # distinct atoms whose float coordinates coincide are skipped
         measure_on_values([0, Fraction(1, 3 ** 40),
                            Fraction(1, 3 ** 40) + Fraction(1, 10 ** 40), 1]),
-    ], ids=["planar-unequal", "harmonic-513", "interval-1025", "coincident"])
+        cantor_endpoint_measure(10),
+        _lattice_unequal(),
+        _heavy_interval(),
+    ], ids=["planar-unequal", "harmonic-513", "interval-1025", "coincident",
+            "cantor-1024", "lattice-unequal", "heavy-weights"])
     def test_matches_ordered_pair_fsum(self, measure):
-        xs = [tuple(float(c) for c in row) for row in measure.coords]
-        ws = [float(w) for w in measure.weights]
         s_list = [0.3, 0.75, 1.6]
         for s, got in zip(s_list, estimators._energy_grid(measure, s_list)):
-            expected = math.fsum(
-                wa * wb * d ** -s
-                for a, wa in zip(xs, ws) for b, wb in zip(xs, ws)
-                if (d := math.dist(a, b)) > 0
-            )
-            assert got == pytest.approx(expected, rel=1e-12)
+            assert got == pytest.approx(_ordered_pair_fsum(measure, s),
+                                        rel=1e-12)
 
     def test_monotone_in_s_when_distances_below_one(self):
         m = measure_on_values([0, Fraction(1, 8), Fraction(1, 3),
@@ -241,6 +268,89 @@ class TestDiscreteEnergy:
         # divergent: increments keep growing geometrically
         inc = [b - a for a, b in zip(hi, hi[1:])]
         assert all(b / a > 1.05 for a, b in zip(inc[-4:], inc[-3:]))
+
+
+class TestLatticeEnergies:
+    S_LIST = [0.3, 0.75, 1.6]
+
+    @pytest.mark.parametrize("measure", [
+        DiscreteMeasure.uniform_on_net(build_net(unit_interval(), 10)),
+        cantor_endpoint_measure(10),
+        _lattice_unequal(),
+    ], ids=["interval-1025", "cantor-1024", "lattice-unequal"])
+    def test_matches_pairwise(self, measure):
+        got = estimators._lattice_energies(measure, self.S_LIST)
+        assert got is not None
+        assert got == estimators._energy_grid(measure, self.S_LIST)
+        pairwise = estimators._pairwise_energies(measure, self.S_LIST)
+        assert got == pytest.approx(pairwise, rel=1e-12)
+
+    def test_natural_leaf_measure(self, monkeypatch):
+        # 8 atoms over a span of 271 steps of 3**-6: only a looser gate
+        # than the default takes the lattice path here
+        measure = natural_leaf_measure(build_nested_family((2, 2, 2)))
+        assert estimators._lattice_energies(measure, self.S_LIST) is None
+        monkeypatch.setattr(estimators, "LATTICE_SPAN_DIVISOR",
+                            Fraction(1, 8))
+        got = estimators._lattice_energies(measure, self.S_LIST)
+        pairwise = estimators._pairwise_energies(measure, self.S_LIST)
+        assert got == pytest.approx(pairwise, rel=1e-12)
+        assert got == pytest.approx(
+            [_ordered_pair_fsum(measure, s) for s in self.S_LIST], rel=1e-12)
+
+    @pytest.mark.parametrize("measure", [
+        DiscreteMeasure.uniform_on_net(build_net(harmonic_sequence(), 9)),
+        DiscreteMeasure(
+            tuple(range(6)),
+            tuple(Fraction(k, 21) for k in range(1, 7)),
+            tuple((Fraction(k, 7), Fraction(k * k % 5, 9)) for k in range(6)),
+        ),
+        measure_on_values([0, Fraction(1, 3 ** 40),
+                           Fraction(1, 3 ** 40) + Fraction(1, 10 ** 40), 1]),
+        _heavy_interval(),
+    ], ids=["harmonic-513", "planar-unequal", "coincident", "heavy-weights"])
+    def test_falls_back_to_pairwise(self, measure):
+        assert estimators._lattice_energies(measure, self.S_LIST) is None
+        assert (estimators._energy_grid(measure, self.S_LIST)
+                == estimators._pairwise_energies(measure, self.S_LIST))
+
+    def test_weight_gate_alone_refuses_heavy_weights(self):
+        # the same atoms with light weights pass the span gate
+        heavy = _heavy_interval()
+        light = DiscreteMeasure(heavy.points, (Fraction(1, 17),) * 17,
+                                heavy.coords)
+        assert estimators._lattice_energies(light, self.S_LIST) is not None
+        assert (sum(w.numerator ** 2 for w in heavy.weights)
+                > estimators.MAX_LATTICE_SQUARED_MASS)
+
+    @pytest.mark.parametrize("n, length", [
+        (1, 1), (5, 6), (7, 8), (13, 16), (531441, 531441),
+        (1062881, 1062882), (1048577, 1062882),
+    ])
+    def test_fft_length(self, n, length):
+        assert estimators._fft_length(n) == length
+
+    PROFILE_GRIDS = {
+        "interval": (0.5, 0.6, 0.7, 0.8, 0.9, 1.0),
+        "harmonic": (0.3, 0.4, 0.5, 0.6, 0.7),
+        "cantor": (0.45, 0.50, 0.55, 0.60, 0.65, 0.70, 0.75, 0.80),
+    }
+
+    @pytest.mark.parametrize("space", ["interval", "harmonic", "cantor"])
+    def test_profiles_match_pinned(self, space):
+        pinned_path = (Path(__file__).resolve().parents[1] / "perfbench"
+                       / "pinned.json")
+        pin = json.loads(pinned_path.read_text())["profile"][space]
+        if space == "cantor":
+            measures = [cantor_endpoint_measure(m) for m in range(4, 13)]
+        else:
+            descr = (unit_interval() if space == "interval"
+                     else harmonic_sequence())
+            measures = [DiscreteMeasure.uniform_on_net(build_net(descr, m))
+                        for m in range(4, 13)]
+        prof = energy_dimension_profile(measures, self.PROFILE_GRIDS[space])
+        assert list(prof.verdicts) == pin["verdicts"]
+        assert prof.critical == pin["critical"]
 
 
 class TestEnergyProfile:

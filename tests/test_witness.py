@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from dimlab import cantor_pair, packing, witness
-from dimlab.spaces import triadic_cantor, unit_interval
+from dimlab.spaces import NetDepthError, triadic_cantor, unit_interval
 from dimlab.witness import (
     build_layer,
     build_layers,
@@ -143,6 +143,32 @@ class TestLayerConstruction:
         with pytest.raises(NetDepthError) as err:
             build_layers(triadic_cantor(), 1, 5)
         assert "deeper" in str(err.value)
+
+
+    @pytest.mark.parametrize("space, n, d, size", [
+        (triadic_cantor(), 9, 1, 36288),
+        (triadic_cantor(), 7, 2, 12096),
+        (unit_interval(), 8, 1, 47880),
+    ], ids=["cantor-9", "cantor-d2-7", "interval-8"])
+    def test_oversized_layer_refused_before_satellites(self, monkeypatch,
+                                                       space, n, d, size):
+        def placed(*args):
+            raise AssertionError("satellites placed before the size check")
+        monkeypatch.setattr(witness, "_cantor_satellites", placed)
+        monkeypatch.setattr(witness, "_interval_satellites", placed)
+        with pytest.raises(NetDepthError) as err:
+            build_layer(space, n, d)
+        assert str(size) in str(err.value)
+        assert str(witness.MAX_LAYER_SATELLITES) in str(err.value)
+
+    def test_layer_size_limit_is_inclusive(self, monkeypatch):
+        # Cantor d = 1 layer 5 places k_5 * ell_5 = 144 satellites
+        monkeypatch.setattr(witness, "MAX_LAYER_SATELLITES", 144)
+        lay = build_layer(triadic_cantor(), 5, 1)
+        assert lay.k_n * lay.ell_n == 144
+        monkeypatch.setattr(witness, "MAX_LAYER_SATELLITES", 143)
+        with pytest.raises(NetDepthError, match="144"):
+            build_layer(triadic_cantor(), 5, 1)
 
 
 class TestWitnessSampling:

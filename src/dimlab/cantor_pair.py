@@ -22,6 +22,7 @@ bits (:func:`_weights`).
 from __future__ import annotations
 
 import enum
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -74,6 +75,7 @@ _READS = {
 }
 
 
+@functools.lru_cache
 def _weights(fn: DigitFunction | None, depth: int) -> tuple[int, ...]:
     """Per-digit numerators of depth-``depth`` bit patterns, lowest bit first.
 
@@ -81,7 +83,8 @@ def _weights(fn: DigitFunction | None, depth: int) -> tuple[int, ...]:
     these are the abscissa weights 3**k at denominator 3**depth; with a
     digit function, its value weights at denominator 3**half, half =
     (depth+1)//2: 3**(half - (i+1)//2) at the positions it reads (odd i
-    for f, even i for g, both for the sum) and 0 elsewhere.
+    for f, even i for g, both for the sum) and 0 elsewhere.  Cached, since
+    :func:`evaluate` asks for the same few (fn, depth) on every point.
     """
     if fn is None:
         return tuple(3 ** k for k in range(depth))

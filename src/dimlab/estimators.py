@@ -28,6 +28,9 @@ LATTICE_SPAN_DIVISOR = 16
 # error on it, of order eps * log2(n) * sum(N_i**2), is then about 1e-3
 # for lengths n up to 2**40, far below the 1/2 that rounding tolerates.
 MAX_LATTICE_SQUARED_MASS = 2 ** 36
+# Elements (rows x columns) of one block of the pairwise energy sum: each
+# of its float64 work arrays stays near 1 MB whatever the number of atoms.
+_PAIR_BLOCK_ELEMENTS = 1 << 17
 
 
 @dataclass(frozen=True)
@@ -346,13 +349,18 @@ def _pairwise_energies(measure: DiscreteMeasure,
     """Energies summed over each unordered pair once, then doubled.
 
     Each pair adds w_x * w_y * exp(-s/2 * log d2), with the logarithm of
-    the squared float distance taken once for all exponents.
+    the squared float distance taken once for all exponents.  Rows go in
+    blocks against every later column; the block height is
+    ``_PAIR_BLOCK_ELEMENTS // k``, at most 512 and at least 1, so the work
+    arrays stay about 1 MB each.  Up to k = 256 atoms the height is 512,
+    so such sums are one block; above that the row order of the float
+    sum, and so its last bits, depend on the height.
     """
     xs = measure.float_coords()
     w = measure.float_weights()
     k = len(w)
     totals = [0.0] * len(s_list)
-    block = 512
+    block = max(1, min(512, _PAIR_BLOCK_ELEMENTS // k))
     lower = np.tri(min(block, k), dtype=bool)
     for start in range(0, k, block):
         stop = min(start + block, k)

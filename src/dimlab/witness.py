@@ -167,17 +167,11 @@ def _interval_satellites(center: Fraction, eps: Fraction, need: int,
     return out
 
 
-def build_layer(space: SpaceDescriptor, n: int, d: int,
-                earlier: Sequence[LayerSpec] = ()) -> LayerSpec:
-    """Construct layer n over a perfect base family.
+def _size_layer(space: SpaceDescriptor, n: int, d: int):
+    """Value grid, base packing and m_n of layer n, or NetDepthError.
 
-    k_n and the ball centres come from one greedy 2**-n packing of the
-    base net at scale n + 1.  The base is one-dimensional, where the
-    ascending sweep is a maximum packing, so k_n is the net's packing
-    number N_n(K) and ``k_n_method`` is always "exact".
-
-    ``earlier`` must contain the already-built lower layers so the new
-    satellites avoid every previous satellite set exactly.
+    Sizing a layer places no satellite: it packs the base net once and
+    refuses the layer when k_n * ell_n exceeds ``MAX_LAYER_SATELLITES``.
     """
     if space.kind not in (TRIADIC_CANTOR, UNIT_INTERVAL):
         raise ValueError("layers are built over the Cantor set or the interval")
@@ -195,7 +189,30 @@ def build_layer(space: SpaceDescriptor, n: int, d: int,
             f"{k_n} * {ell_n} = {k_n * ell_n} satellites, above the limit "
             f"of {MAX_LAYER_SATELLITES}"
         )
+    return grid, base, m_n
 
+
+def build_layer(space: SpaceDescriptor, n: int, d: int,
+                earlier: Sequence[LayerSpec] = ()) -> LayerSpec:
+    """Construct layer n over a perfect base family.
+
+    k_n and the ball centres come from one greedy 2**-n packing of the
+    base net at scale n + 1.  The base is one-dimensional, where the
+    ascending sweep is a maximum packing, so k_n is the net's packing
+    number N_n(K) and ``k_n_method`` is always "exact".
+
+    ``earlier`` must contain the already-built lower layers so the new
+    satellites avoid every previous satellite set exactly.
+    """
+    return _place_layer(space, n, d, _size_layer(space, n, d), earlier)
+
+
+def _place_layer(space: SpaceDescriptor, n: int, d: int, size,
+                 earlier: Sequence[LayerSpec]) -> LayerSpec:
+    """Place the satellites of a layer sized by :func:`_size_layer`."""
+    grid, base, m_n = size
+    s_n, k_n = len(grid), base.count
+    ell_n = s_n * m_n
     delta = Fraction(1, 2 ** n)
     centers = sorted(base.witness, key=lambda p: _point_value(space, p))
     vals = [_point_value(space, p) for p in centers]
@@ -250,9 +267,12 @@ def build_layer(space: SpaceDescriptor, n: int, d: int,
 
 
 def build_layers(space: SpaceDescriptor, d: int, n_max: int) -> tuple[LayerSpec, ...]:
+    """Layers 1..n_max.  Every layer is sized first, so an oversized one
+    is refused before any satellite is placed."""
+    sizes = [_size_layer(space, n, d) for n in range(1, n_max + 1)]
     layers: list[LayerSpec] = []
-    for n in range(1, n_max + 1):
-        layers.append(build_layer(space, n, d, layers))
+    for n, size in enumerate(sizes, 1):
+        layers.append(_place_layer(space, n, d, size, layers))
     return tuple(layers)
 
 
@@ -321,11 +341,14 @@ class EventChecker:
 
     A layer-l grid value is ``Fraction(8, 2**l) * j`` for an integer
     vector j, so a graph row is (x, drift) plus bump coefficients
-    ``step * weight`` times integers.  The constructor puts x, drift,
-    every coefficient and delta over one common denominator and keeps
-    the integer numerators, with a table from each grid value to its j;
-    a check adds integer products and packs rows that pack exactly like
-    the rational ones.
+    ``step * weight`` times integers.  The x values and every layer's
+    satellite keys share one integer denominator q, so the nearest bump
+    (the one :func:`_bump_terms` finds) is a bisect on integers and each
+    coefficient is an integer fraction.  The constructor then puts x,
+    drift, every coefficient and delta over one common denominator and
+    keeps the integer numerators, with a table from each grid value to
+    its j; a check adds integer products and packs rows that pack
+    exactly like the rational ones.
     """
 
     def __init__(self, layers: Sequence[LayerSpec], n: int,
@@ -340,21 +363,45 @@ class EventChecker:
         self.points = list(self.layer.all_satellites())
         space = self.layer.space
         steps = [Fraction(8, 2 ** lay.n) for lay in self.layers]
+        q = math.lcm(*(v.denominator for lay in self.layers
+                       for v, _ in lay.sat_values))
+        keyed = [([v.numerator * (q // v.denominator) for v, _ in lay.sat_values],
+                  [i for _, i in lay.sat_values],
+                  lay.bump_radius.numerator * q,  # r_num
+                  lay.bump_radius.denominator,    # r_den
+                  2 ** lay.n)
+                 for lay in self.layers]
         base, terms = [], []
         for p in self.points:
             x = _point_value(space, p)
             g = tuple(map(Fraction, drift(p))) if drift else (0,) * self.d
             base.append((x, *g))
-            terms.append([(li, term[0], steps[li] * term[1])
-                          for li, lay in enumerate(self.layers)
-                          if (term := _bump_terms(lay, x)) is not None])
-        delta = Fraction(1, 2 ** n)
-        denom = math.lcm(delta.denominator,
+            xk = x.numerator * (q // x.denominator)
+            row = []
+            for li, (keys, idx, r_num, r_den, scale) in enumerate(keyed):
+                # the first nearest key, the satellite _bump_terms picks
+                pos = bisect_left(keys, xk)
+                best = None
+                for j in (pos - 1, pos, pos + 1):
+                    if 0 <= j < len(keys):
+                        dist = abs(keys[j] - xk)
+                        if best is None or dist < best:
+                            best, nearest = dist, j
+                # the bump reaches x iff dist / q < r, the radius, and then
+                # step * weight = 8 / 2**l * (1 - dist / (q r))
+                #               = 8 (r_num - dist r_den) / (2**l r_num)
+                if best is not None and best * r_den < r_num:
+                    num, den = 8 * (r_num - best * r_den), scale * r_num
+                    common = math.gcd(num, den)
+                    row.append((li, idx[nearest], num // common, den // common))
+            terms.append(row)
+        denom = math.lcm(2 ** n,
                          *(v.denominator for row in base for v in row),
-                         *(w.denominator for row in terms for *_, w in row))
-        self.delta = int(delta * denom)
-        self.base = [tuple(int(v * denom) for v in row) for row in base]
-        self.terms = [[(li, i, int(w * denom)) for li, i, w in row]
+                         *(den for row in terms for *_, den in row))
+        self.delta = denom >> n
+        self.base = [tuple(v.numerator * (denom // v.denominator) for v in row)
+                     for row in base]
+        self.terms = [[(li, i, num * (denom // den)) for li, i, num, den in row]
                       for row in terms]
         self.grid_index = [
             {g: tuple(int(c / step) for c in g) for g in lay.grid}

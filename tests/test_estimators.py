@@ -19,7 +19,12 @@ from dimlab.estimators import (
     localized_upper_box,
     packing_count_series,
 )
-from dimlab.energy import build_nested_family, natural_leaf_measure
+from dimlab.energy import (
+    build_nested_family,
+    graph_measure,
+    natural_leaf_measure,
+    sample_field,
+)
 from dimlab.spaces import build_net, harmonic_sequence, triadic_cantor, unit_interval
 
 from conftest import cantor_endpoint_measure
@@ -193,6 +198,13 @@ def _heavy_interval():
                              [Fraction(u, sum(nums)) for u in nums])
 
 
+def _graph_2d():
+    # 32 atoms of a drift-free 2-D sample graph over a nested family
+    family = build_nested_family((2, 4, 4))
+    return graph_measure(natural_leaf_measure(family),
+                         sample_field(family, seed=2))
+
+
 class TestDiscreteEnergy:
     def test_two_atoms_distance_one(self):
         m = measure_on_values([0, 1])
@@ -235,6 +247,20 @@ class TestDiscreteEnergy:
         for s, got in zip(s_list, estimators._energy_grid(measure, s_list)):
             assert got == pytest.approx(_ordered_pair_fsum(measure, s),
                                         rel=1e-12)
+
+    @pytest.mark.parametrize("height", [1, 7, 512])
+    @pytest.mark.parametrize("measure", [
+        DiscreteMeasure.uniform_on_net(build_net(harmonic_sequence(), 7)),
+        _graph_2d(),
+    ], ids=["harmonic-129", "graph-2d-32"])
+    def test_pairwise_block_height(self, monkeypatch, measure, height):
+        # the block height is _PAIR_BLOCK_ELEMENTS // k, capped at 512
+        monkeypatch.setattr(estimators, "_PAIR_BLOCK_ELEMENTS",
+                            height * len(measure.weights))
+        s_list = [0.3, 0.75, 1.6]
+        got = estimators._pairwise_energies(measure, s_list)
+        assert got == pytest.approx(
+            [_ordered_pair_fsum(measure, s) for s in s_list], rel=1e-12)
 
     def test_monotone_in_s_when_distances_below_one(self):
         m = measure_on_values([0, Fraction(1, 8), Fraction(1, 3),

@@ -161,6 +161,19 @@ class TestLayerConstruction:
         assert str(size) in str(err.value)
         assert str(witness.MAX_LAYER_SATELLITES) in str(err.value)
 
+    def test_build_layers_sizes_every_layer_first(self, monkeypatch):
+        placed = []
+        place = witness._cantor_satellites
+        monkeypatch.setattr(witness, "_cantor_satellites",
+                            lambda *args: placed.append(args) or place(*args))
+        build_layers(triadic_cantor(), 1, 2)
+        assert len(placed) == 1 + 2  # one ball per packing point: k_1 + k_2
+        placed.clear()
+        with pytest.raises(NetDepthError,
+                           match=r"layer 9 of the triadic_cantor .* 36288"):
+            build_layers(triadic_cantor(), 1, 9)
+        assert placed == []
+
     def test_layer_size_limit_is_inclusive(self, monkeypatch):
         # Cantor d = 1 layer 5 places k_5 * ell_5 = 144 satellites
         monkeypatch.setattr(witness, "MAX_LAYER_SATELLITES", 144)
@@ -235,6 +248,26 @@ class TestEvalWitness:
             1 / n ** 2 for n in range(1, 11))) - 1e-3
 
 
+def _rational_checker_rows(layers, n, drift):
+    """delta, base rows and bump terms of the event check, from the
+    rational bumps of _bump_terms over one LCM denominator."""
+    base, terms = [], []
+    for p in layers[n - 1].all_satellites():
+        x = p if isinstance(p, Fraction) else p.value
+        g = tuple(map(Fraction, drift(p))) if drift else (0,) * layers[0].d
+        base.append((x, *g))
+        terms.append([(li, t[0], Fraction(8, 2 ** lay.n) * t[1])
+                      for li, lay in enumerate(layers[:n])
+                      if (t := witness._bump_terms(lay, x)) is not None])
+    delta = Fraction(1, 2 ** n)
+    denom = math.lcm(delta.denominator,
+                     *(v.denominator for row in base for v in row),
+                     *(w.denominator for row in terms for *_, w in row))
+    return (int(delta * denom),
+            [tuple(int(v * denom) for v in row) for row in base],
+            [[(li, i, int(w * denom)) for li, i, w in row] for row in terms])
+
+
 class TestEventCheck:
     def test_threshold_formula(self, cantor_layers):
         lay1 = cantor_layers[0]
@@ -263,17 +296,21 @@ class TestEventCheck:
         (triadic_cantor(), 1, 7, "cantor-f"),
         (triadic_cantor(), 2, 5, None),
         (unit_interval(), 1, 5, None),
+        (unit_interval(), 2, 4, None),
     ], ids=["cantor-d1-zero", "cantor-d1-cantor-f", "cantor-d2-zero",
-            "interval-d1-zero"])
+            "interval-d1-zero", "interval-d2-zero"])
     def test_integer_rows_match_fraction_rows(self, space, d, n_max, drift):
-        # the checker's integer rows over one common denominator pack
-        # exactly like the rational graph rows built from eval_witness
+        # the checker's integer rows over one common denominator equal
+        # those of the rational construction and pack exactly like the
+        # rational graph rows built from eval_witness
         if drift == "cantor-f":
             drift = lambda p: (cantor_pair.evaluate(
                 cantor_pair.DigitFunction.ODD_DIGITS, p),)
         layers = build_layers(space, d, n_max)
         for n in range(1, n_max + 1):
             checker = witness.EventChecker(layers, n, drift)
+            assert ((checker.delta, checker.base, checker.terms)
+                    == _rational_checker_rows(layers, n, drift))
             points = layers[n - 1].all_satellites()
             delta = Fraction(1, 2 ** n)
             for seed in range(4):

@@ -11,12 +11,13 @@ of f + g occupies 2**(2n) * (3**n + 1): the sum is strictly rougher than
 either summand.  This module reproduces those counts by explicit
 enumeration and carries the closed forms.
 
-Digit bookkeeping convention: all counting is done in exact integers at
-denominators 3**depth (abscissa) and 3**((depth+1)//2) (ordinate), so a
-point can never be misclassified across a half-open mesh boundary.  A
-depth-``depth`` digit string is a bit pattern whose highest bit is the
-first digit; every numerator is a sum of per-digit weights over the set
-bits (:func:`_weights`).
+Digit bookkeeping convention: a point is its exact value, whose digits
+the :mod:`spaces` codec reads off.  All counting is done in exact
+integers at denominators 3**depth (abscissa) and 3**((depth+1)//2)
+(ordinate), so a point can never be misclassified across a half-open
+mesh boundary.  A depth-``depth`` digit string is a bit pattern whose
+highest bit is the first digit; value numerators are sums of per-digit
+weights over the set bits (:func:`_weights`).
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ import functools
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .spaces import DigitVector
+from .spaces import cantor_digits, cantor_numerators
 
 ENUMERATION_DEPTH_LIMIT = 24
 
@@ -41,11 +42,16 @@ class DigitFunction(enum.Enum):
     SUM = "sum"
 
 
-def evaluate(fn: DigitFunction, digits: DigitVector) -> Fraction:
-    """Exact value of the digit function, truncated at the available digits."""
-    depth = digits.depth
+def evaluate(fn: DigitFunction, x: Fraction) -> Fraction:
+    """Exact value of the digit function at the Cantor point x.
+
+    Reads the D digits of x's numerator over its denominator 3**D; more
+    trailing zero digits would change neither f, g nor f + g.
+    """
+    digits = cantor_digits(x)
+    depth = len(digits)
     weights = _weights(fn, depth)  # lowest bit first: the last digit
-    num = sum(w for w, a in zip(reversed(weights), digits.digits) if a)
+    num = sum(w for w, a in zip(reversed(weights), digits) if a)
     return Fraction(num, 3 ** ((depth + 1) // 2))
 
 
@@ -76,18 +82,15 @@ _READS = {
 
 
 @functools.lru_cache
-def _weights(fn: DigitFunction | None, depth: int) -> tuple[int, ...]:
-    """Per-digit numerators of depth-``depth`` bit patterns, lowest bit first.
+def _weights(fn: DigitFunction, depth: int) -> tuple[int, ...]:
+    """Per-digit value numerators of depth-``depth`` bit patterns.
 
-    Bit k holds the digit at position i = depth - k.  With ``fn`` None
-    these are the abscissa weights 3**k at denominator 3**depth; with a
-    digit function, its value weights at denominator 3**half, half =
-    (depth+1)//2: 3**(half - (i+1)//2) at the positions it reads (odd i
-    for f, even i for g, both for the sum) and 0 elsewhere.  Cached, since
+    Lowest bit first: bit k holds the digit at position i = depth - k.
+    The weights are at denominator 3**half, half = (depth+1)//2:
+    3**(half - (i+1)//2) at the positions ``fn`` reads (odd i for f, even
+    i for g, both for the sum) and 0 elsewhere.  Cached, since
     :func:`evaluate` asks for the same few (fn, depth) on every point.
     """
-    if fn is None:
-        return tuple(3 ** k for k in range(depth))
     half = (depth + 1) // 2
     reads = _READS[fn]
     return tuple(3 ** (half - (i + 1) // 2) if i % 2 in reads else 0
@@ -104,7 +107,7 @@ def _sums(weights) -> list[int]:
 
 def enumerate_graph(fn: DigitFunction, depth: int,
                     limit: int = ENUMERATION_DEPTH_LIMIT) -> GraphEnumeration:
-    """Evaluate the function on every depth-limited digit vector.
+    """Evaluate the function on every Cantor point with ``depth`` digits.
 
     Points come out in ascending x order (digit-lexicographic equals
     numeric order).
@@ -115,7 +118,7 @@ def enumerate_graph(fn: DigitFunction, depth: int,
         raise EnumerationLimitExceeded(
             f"depth {depth} exceeds the enumeration limit {limit}"
         )
-    xs, vs = _sums(_weights(None, depth)), _sums(_weights(fn, depth))
+    xs, vs = cantor_numerators(depth), _sums(_weights(fn, depth))
     xden, vden = 3 ** depth, 3 ** ((depth + 1) // 2)
     points = tuple((Fraction(x, xden), Fraction(v, vden))
                    for x, v in zip(xs, vs))
@@ -151,10 +154,9 @@ def brute_force_mesh_count(fn: DigitFunction, n: int,
     half = 2 * n
     weights = _weights(fn, depth)
     v_low, v_high = _sums(weights[:half]), _sums(weights[half:])
-    # the x numerator at 3**-4n falls in cell x // 3**2n; the low half of
-    # the digits adds less than 3**2n, so the high half alone decides it
-    x_div = 3 ** half
-    columns = [x // x_div for x in _sums(_weights(None, depth)[half:])]
+    # x falls in the 3**-2n cell numbered by its first 2n digits: the low
+    # half of the digits adds less than one cell
+    columns = cantor_numerators(half)
     # value numerators at denominator 3**2n are exact integers
     cells = {(cx, vh + vl) for cx, vh in zip(columns, v_high) for vl in v_low}
     if fn is DigitFunction.SUM:

@@ -21,7 +21,7 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
 from . import __version__, cantor_pair, energy, estimators, spaces, witness
@@ -42,7 +42,7 @@ class ExperimentConfig:
     command: str
     space: str = "cantor"
     n_min: int = 4
-    n_max: int = 12
+    n_max: int | None = None  # None: 12, or the largest layer witness builds
     stride: int = 1
     depth: int = 3
     trials: int = 200
@@ -329,6 +329,10 @@ def run(cfg: ExperimentConfig) -> ResultTable:
         raise ValueError(f"unknown command {cfg.command!r}")
     if cfg.trials < 1:
         raise ValueError("trials must be >= 1")
+    if cfg.n_max is None:
+        layered = cfg.command in ("prevalence", "saturation")
+        cfg = replace(cfg, n_max=witness.largest_layer(
+            SPACES[cfg.space](), cfg.d) if layered else 12)
     table = ResultTable()
     RUNNERS[cfg.command](cfg, table)
     if cfg.out:

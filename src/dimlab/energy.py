@@ -7,7 +7,9 @@ piece an independent value uniform on {0, 2**-n}**d and sums the levels;
 beyond the explicit tree the construction continues with singleton
 pieces, realized as independent per-point dyadic tails, so the value
 difference of two points separating at level n is uniform on a full
-2**-n window rather than on a coarse grid.
+2**-n window rather than on a coarse grid.  A point is the exact
+``Fraction`` equal to its value on the {0,1}-digit Cantor set; only a
+piece's cylinder prefix is kept as a :class:`spaces.DigitVector`.
 
 The analytic side bounds the kernel double integral
 
@@ -33,7 +35,7 @@ from scipy.special import gammaln
 
 from .estimators import DiscreteMeasure, _least_squares, discrete_energy
 from .rng import stable_digest, stable_index
-from .spaces import DigitVector, NetDepthError
+from .spaces import DigitVector, NetDepthError, cantor_digits, cantor_numerators
 
 MAX_FAMILY_DEPTH = 4
 DEFAULT_TAIL_LEVELS = 22
@@ -65,17 +67,17 @@ class NestedFamily:
     def leaves(self) -> tuple[NestedPiece, ...]:
         return self.levels[-1]
 
-    def anchor(self, piece: NestedPiece) -> DigitVector:
-        return piece.prefix.extend((0,) * (self.point_depth - piece.prefix.depth))
+    def anchor(self, piece: NestedPiece) -> Fraction:
+        return piece.prefix.value
 
-    def piece_point(self, piece: NestedPiece, offset_digits: tuple[int, ...]) -> DigitVector:
+    def piece_point(self, piece: NestedPiece, offset_digits: tuple[int, ...]) -> Fraction:
         """A point of the piece: prefix extended by the given digits."""
-        ext = offset_digits + (0,) * (self.point_depth - piece.prefix.depth
-                                      - len(offset_digits))
-        return piece.prefix.extend(ext)
+        return piece.prefix.extend(offset_digits).value
 
-    def locate(self, x: DigitVector) -> tuple[int, ...]:
+    def locate(self, x: Fraction) -> tuple[int, ...]:
         """Path of the deepest piece containing x (may be shorter than depth)."""
+        digits = cantor_digits(x)
+        digits += (0,) * (self.level_depths[-1] - len(digits))
         path: tuple[int, ...] = ()
         for level in self.levels:
             hit = None
@@ -83,7 +85,7 @@ class NestedFamily:
                 if piece.path[:-1] != path:
                     continue
                 pfx = piece.prefix.digits
-                if x.digits[:len(pfx)] == pfx:
+                if digits[:len(pfx)] == pfx:
                     hit = piece
                     break
             if hit is None:
@@ -143,23 +145,20 @@ def build_nested_family(
         raise ValueError("point depth must exceed the deepest level")
 
     levels: list[tuple[NestedPiece, ...]] = []
-    parents: list[tuple[tuple[int, ...], DigitVector | None]] = [((), None)]
+    parents: list[tuple[tuple[int, ...], Fraction]] = [((), Fraction(0))]
     for n in range(1, depth + 1):
-        t = level_depths[n - 1]
-        pieces = []
-        for path, prefix in parents:
-            base_depth = 0 if prefix is None else prefix.depth
-            ext_bits = t - base_depth
-            for child in range(branching[n - 1]):
-                ext = tuple((child >> (ext_bits - 1 - j)) & 1
-                            for j in range(ext_bits))
-                new_prefix = (DigitVector(ext) if prefix is None
-                              else prefix.extend(ext))
-                # exact spread of the cylinder's depth-limited point set
-                diam = (Fraction(1, 3 ** t) - Fraction(1, 3 ** point_depth)) / 2
-                pieces.append(NestedPiece(path + (child,), new_prefix, diam))
-        levels.append(tuple(pieces))
-        parents = [(p.path, p.prefix) for p in pieces]
+        t, a = level_depths[n - 1], branching[n - 1]
+        # child c extends its parent's prefix by the bits of c as digits,
+        # whose numerator over 3**t is the codec's entry c
+        ext = cantor_numerators((a - 1).bit_length())[:a]
+        children = [(path + (c,), value + Fraction(m, 3 ** t))
+                    for path, value in parents for c, m in enumerate(ext)]
+        # exact spread of the cylinder's depth-limited point set
+        diam = (Fraction(1, 3 ** t) - Fraction(1, 3 ** point_depth)) / 2
+        levels.append(tuple(
+            NestedPiece(path, DigitVector.from_value(value, t), diam)
+            for path, value in children))
+        parents = children
     return NestedFamily(branching, depth, level_depths, point_depth,
                         tuple(levels))
 
@@ -194,15 +193,11 @@ class RandomFieldSample:
         return tuple(Fraction(b, 2 ** level)
                      for b in self.node_bits(level, path))
 
-    def tail_value(self, x: DigitVector, j: int) -> tuple[Fraction, ...]:
+    def tail_value(self, x: Fraction, j: int) -> tuple[Fraction, ...]:
         level = self.family.depth + j
         return tuple(Fraction(b, 2 ** level)
-                     for b in self.tail_bits(_tail_key(x), level))
-
-
-def _tail_key(x: DigitVector) -> tuple[int, int]:
-    value = x.value
-    return (value.numerator, value.denominator)
+                     for b in self.tail_bits((x.numerator, x.denominator),
+                                             level))
 
 
 def sample_field(family: NestedFamily, seed, d: int = 1,
@@ -210,7 +205,7 @@ def sample_field(family: NestedFamily, seed, d: int = 1,
     return RandomFieldSample(family, seed, d, tail_levels)
 
 
-def eval_field(sample: RandomFieldSample, x: DigitVector) -> tuple[Fraction, ...]:
+def eval_field(sample: RandomFieldSample, x: Fraction) -> tuple[Fraction, ...]:
     """f(x): sum of the containing pieces' values and the point's tails.
 
     Level l adds one bit over 2**l per coordinate, so each coordinate is
@@ -222,7 +217,7 @@ def eval_field(sample: RandomFieldSample, x: DigitVector) -> tuple[Fraction, ...
     for level in range(1, len(path) + 1):
         for c, b in enumerate(sample.node_bits(level, path[:level])):
             nums[c] += b << (top - level)
-    key = _tail_key(x)
+    key = (x.numerator, x.denominator)
     for level in range(sample.family.depth + 1, top + 1):
         for c, b in enumerate(sample.tail_bits(key, level)):
             nums[c] += b << (top - level)
@@ -230,19 +225,11 @@ def eval_field(sample: RandomFieldSample, x: DigitVector) -> tuple[Fraction, ...
 
 
 def natural_leaf_measure(family: NestedFamily) -> DiscreteMeasure:
-    """One atom per leaf anchor, weights following the branching tree."""
-    leaves = family.leaves()
-    weights = []
-    for leaf in leaves:
-        w = Fraction(1)
-        for a in family.branching:
-            w /= a
-        weights.append(w)
-    total = sum(weights, Fraction(0))
-    weights = [w / total for w in weights]
-    anchors = [family.anchor(leaf) for leaf in leaves]
-    return DiscreteMeasure(tuple(anchors), tuple(weights),
-                           tuple((a.value,) for a in anchors))
+    """One atom per leaf anchor, each leaf weighing 1 / #leaves."""
+    anchors = tuple(family.anchor(leaf) for leaf in family.leaves())
+    w = Fraction(1, len(anchors))
+    return DiscreteMeasure(anchors, (w,) * len(anchors),
+                           tuple((a,) for a in anchors))
 
 
 def graph_measure(measure: DiscreteMeasure, sample: RandomFieldSample,
@@ -447,8 +434,7 @@ def anchor_pairs(family: NestedFamily):
     return [(a, b) for i, a in enumerate(anchors) for b in anchors[i + 1:]]
 
 
-def _separating_level(family: NestedFamily, x: DigitVector,
-                      y: DigitVector) -> int:
+def _separating_level(family: NestedFamily, x: Fraction, y: Fraction) -> int:
     px = family.locate(x)
     py = family.locate(y)
     n = 0
@@ -459,7 +445,7 @@ def _separating_level(family: NestedFamily, x: DigitVector,
     return n
 
 
-def _pair_mean(family: NestedFamily, x: DigitVector, y: DigitVector,
+def _pair_mean(family: NestedFamily, x: Fraction, y: Fraction,
                theta: float, t: float, s: float, d: int, trials: int,
                tail_levels: int, seed) -> float:
     """Monte Carlo mean of (rho^2 + |(f+g)(x)-(f+g)(y)|^2)^(-(t+d)/2).
@@ -473,10 +459,9 @@ def _pair_mean(family: NestedFamily, x: DigitVector, y: DigitVector,
     depth = family.depth
     window_bits = (depth - n) + tail_levels
     den = 2 ** (depth + tail_levels)
-    rho = abs(float(x.value) - float(y.value))
-    key = stable_digest(seed, "pair",
-                        (x.value.numerator, x.value.denominator),
-                        (y.value.numerator, y.value.denominator))
+    rho = abs(float(x) - float(y))
+    key = stable_digest(seed, "pair", (x.numerator, x.denominator),
+                        (y.numerator, y.denominator))
     rng = np.random.Generator(np.random.Philox(key=key % (1 << 64)))
     exponent = -(t + d) / 2.0
     acc = np.zeros(trials)
@@ -512,16 +497,16 @@ def pair_expectation_check(
         pairs = ladder_pairs(family)
     reports = []
     for x, y in pairs:
-        if x.value == y.value:
+        if x == y:
             raise ValueError("pair points must be distinct")
         theta = 0.0
         if drift is not None:
             dx, dy = drift(x), drift(y)
             theta = float(Fraction(dx[0]) - Fraction(dy[0]))
-        rho = abs(float(x.value) - float(y.value))
+        rho = abs(float(x) - float(y))
         mean = _pair_mean(family, x, y, theta, t, s, d, trials,
                           tail_levels, seed)
-        reports.append(PairReport(x.value, y.value, rho, mean,
+        reports.append(PairReport(x, y, rho, mean,
                                   mean * rho ** s,
                                   _separating_level(family, x, y)))
     decades: dict[int, float] = {}

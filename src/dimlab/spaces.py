@@ -6,6 +6,11 @@ set, the harmonic sequence {0} u {1/k : k >= 1}, products of a base
 space with a euclidean cube, and explicit finite point clouds given by
 a distance table.
 
+A point of a one-dimensional family, the Cantor set included, is the
+exact ``Fraction`` equal to its value; :class:`DigitVector`,
+:func:`cantor_numerators` and :func:`cantor_digits` are only the codec
+between a Cantor point's digits and its value.
+
 All order comparisons between distances reduce to exact Fraction
 arithmetic on squared distances.  A numeric square root only appears
 when a caller asks for the distance value itself on a product space and
@@ -63,13 +68,41 @@ def cantor_net_depth(scale_index: int) -> int:
     return _ceil_log3_pow2(scale_index) + 2
 
 
+def cantor_numerators(depth: int) -> list[int]:
+    """Numerators over 3**depth of all depth-``depth`` Cantor points.
+
+    Entry i is the point whose digits are the bits of i, the highest bit
+    first, so the list ascends: digit order is value order.
+    """
+    nums = [0]
+    for k in range(depth):
+        step = 3 ** k
+        nums += [m + step for m in nums]
+    return nums
+
+
+def cantor_digits(x: Fraction) -> tuple[int, ...]:
+    """The {0,1} digits of a Cantor point, one per factor 3 of its denominator.
+
+    So 0 has none.  A value off the Cantor set raises ValueError.
+    """
+    num, den, digits = x.numerator, x.denominator, []
+    while den % 3 == 0:
+        den //= 3
+        num, digit = divmod(num, 3)
+        digits.append(digit)
+    if den != 1 or num or 2 in digits:
+        raise ValueError(f"{x} is not a point of the Cantor set")
+    return tuple(reversed(digits))
+
+
 @dataclass(frozen=True)
 class DigitVector:
-    """Finite {0,1} digit sequence encoding x = sum(a_i * 3**-i).
+    """Finite {0,1} digit sequence encoding the Cantor point sum(a_i * 3**-i).
 
-    The encoded value lies in [0, 1/2], the {0,1}-digit (scaled) triadic
-    Cantor set.  For a fixed depth the map digits -> value is injective,
-    and lexicographic order on the digits equals numeric order of values.
+    The value lies in [0, 1/2], the {0,1}-digit (scaled) triadic Cantor
+    set.  For a fixed depth the map digits -> value is injective, and
+    lexicographic order on the digits equals numeric order of values.
     """
 
     digits: tuple[int, ...]
@@ -86,27 +119,15 @@ class DigitVector:
 
     @property
     def value(self) -> Fraction:
-        num = 0
-        for d in self.digits:
-            num = num * 3 + d
-        return Fraction(num, 3 ** self.depth)
+        return Fraction(int("".join(map(str, self.digits)), 3), 3 ** self.depth)
 
     @classmethod
     def from_value(cls, value: Fraction, depth: int) -> "DigitVector":
         """Recover the digit sequence of an exactly representable value."""
-        digits = []
-        rest = Fraction(value)
-        for i in range(1, depth + 1):
-            p = Fraction(1, 3 ** i)
-            # with a_i = 0 the remaining tail is at most p/2, strictly below p
-            if rest >= p:
-                digits.append(1)
-                rest -= p
-            else:
-                digits.append(0)
-        if rest != 0:
+        digits = cantor_digits(Fraction(value))
+        if len(digits) > depth:
             raise ValueError(f"{value} is not a depth-{depth} digit value")
-        return cls(tuple(digits))
+        return cls(digits + (0,) * (depth - len(digits)))
 
     def extend(self, extra: tuple[int, ...]) -> "DigitVector":
         return DigitVector(self.digits + extra)
@@ -182,8 +203,6 @@ def finite_point_cloud(points: Iterable, table: Iterable[Iterable]) -> SpaceDesc
 
 
 def _as_fraction_point(x) -> Fraction:
-    if isinstance(x, DigitVector):
-        raise MixedRepresentationError("digit vector where a rational was expected")
     if isinstance(x, Fraction):
         return x
     if isinstance(x, int):
@@ -196,11 +215,7 @@ def coords_of(space: SpaceDescriptor, point) -> tuple[Fraction, ...]:
 
     Point clouds have no coordinates; callers fall back to the table.
     """
-    if space.kind in (UNIT_INTERVAL, HARMONIC_SEQUENCE):
-        return (_as_fraction_point(point),)
-    if space.kind == TRIADIC_CANTOR:
-        if isinstance(point, DigitVector):
-            return (point.value,)
+    if space.kind in (UNIT_INTERVAL, TRIADIC_CANTOR, HARMONIC_SEQUENCE):
         return (_as_fraction_point(point),)
     if space.kind == PRODUCT_WITH_CUBE:
         base_pt, cube = point
@@ -216,13 +231,6 @@ def dist_sq(space: SpaceDescriptor, x, y) -> Fraction:
     """Exact squared distance between two points of the space."""
     if space.kind == FINITE_POINT_CLOUD:
         return space.cloud_table[x][y] ** 2
-    if space.kind == TRIADIC_CANTOR:
-        xs_dv = isinstance(x, DigitVector)
-        ys_dv = isinstance(y, DigitVector)
-        if xs_dv != ys_dv:
-            raise MixedRepresentationError(
-                "cannot mix digit vectors and rationals on the Cantor set"
-            )
     cx = coords_of(space, x)
     cy = coords_of(space, y)
     if len(cx) != len(cy):
@@ -316,12 +324,6 @@ class ResolutionNet:
         ticks = list(itertools.product(axis, repeat=d))
         return [row + z for row in base_net.coord_rows() for z in ticks]
 
-    def metric(self, x, y) -> Fraction | float:
-        return metric(self.space, x, y)
-
-    def dist_sq(self, x, y) -> Fraction:
-        return dist_sq(self.space, x, y)
-
 
 def build_net(space: SpaceDescriptor, n: int) -> ResolutionNet:
     """Build the canonical 2**-n net of a space.
@@ -330,7 +332,7 @@ def build_net(space: SpaceDescriptor, n: int) -> ResolutionNet:
     (lexicographically for products).  Construction rules:
 
     * unit interval: the dyadic grid {k * 2**-n : 0 <= k <= 2**n};
-    * triadic Cantor: all digit vectors at ``cantor_net_depth(n)``;
+    * triadic Cantor: every point with ``cantor_net_depth(n)`` digits;
     * harmonic sequence: {0} and every 1/k with k <= 2**n, so the
       omitted tail lies within one 2**-n ball around 0;
     * products: delegated to :func:`product_net` at the same scale.
@@ -355,10 +357,8 @@ def build_net(space: SpaceDescriptor, n: int) -> ResolutionNet:
         return ResolutionNet(space, n, pts)
     if kind == TRIADIC_CANTOR:
         depth = cantor_net_depth(n)
-        pts = tuple(
-            DigitVector(tuple((i >> (depth - 1 - j)) & 1 for j in range(depth)))
-            for i in range(1 << depth)
-        )
+        den = 3 ** depth
+        pts = tuple(Fraction(m, den) for m in cantor_numerators(depth))
         return ResolutionNet(space, n, pts)
     if kind == HARMONIC_SEQUENCE:
         ks = range(2 ** n, 0, -1)

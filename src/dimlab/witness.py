@@ -34,12 +34,13 @@ from typing import Callable, Sequence
 from . import packing
 from .rng import stable_index
 from .spaces import (
-    DigitVector,
     NetDepthError,
     SpaceDescriptor,
     TRIADIC_CANTOR,
     UNIT_INTERVAL,
     build_net,
+    cantor_net_depth,
+    cantor_numerators,
 )
 
 SATELLITE_DEPTH_CAP = 64
@@ -111,28 +112,20 @@ def replication_exponent(s_n: int, k_n: int, n: int) -> int:
     return m
 
 
-def _point_value(space: SpaceDescriptor, point) -> Fraction:
-    if isinstance(point, DigitVector):
-        return point.value
-    return Fraction(point)
-
-
-def _cantor_satellites(center: DigitVector, eps: Fraction, need: int,
-                       excluded: set[Fraction]) -> list[DigitVector]:
-    # cylinder depth t with tail spread 3**-t / 2 <= eps
-    t = center.depth
+def _cantor_satellites(center: Fraction, t: int, eps: Fraction, need: int,
+                       excluded: set[Fraction]) -> list[Fraction]:
+    # t, the center's net depth, grows until the tail spread 3**-t / 2 <= eps
     while Fraction(1, 3 ** t) > 2 * eps:
         t += 1
-    pad = center.extend((0,) * (t - center.depth))
     depth = t + max(1, (need + len(excluded) + 1).bit_length())
     while depth <= SATELLITE_DEPTH_CAP:
-        ext_bits = depth - t
+        # the center's cylinder points, extended by depth - t digits
+        den = 3 ** depth
+        base = center.numerator * (den // center.denominator)
         out = []
-        for bits in range(1 << ext_bits):
-            cand = pad.extend(
-                tuple((bits >> (ext_bits - 1 - j)) & 1 for j in range(ext_bits))
-            )
-            if cand.value not in excluded:
+        for m in cantor_numerators(depth - t):
+            cand = Fraction(base + m, den)
+            if cand not in excluded:
                 out.append(cand)
                 if len(out) == need:
                     return out
@@ -214,33 +207,31 @@ def _place_layer(space: SpaceDescriptor, n: int, d: int, size,
     s_n, k_n = len(grid), base.count
     ell_n = s_n * m_n
     delta = Fraction(1, 2 ** n)
-    centers = sorted(base.witness, key=lambda p: _point_value(space, p))
-    vals = [_point_value(space, p) for p in centers]
+    centers = sorted(base.witness)
     if k_n == 1:
         eps = delta  # no separation constraint with a single ball
     else:
-        gap = min(b - a for a, b in zip(vals, vals[1:]))
+        gap = min(b - a for a, b in zip(centers, centers[1:]))
         eps = (gap - delta) / 3
         if eps <= 0:
             raise NetDepthError("packing witness has no separation slack")
 
     excluded: set[Fraction] = set()
     for lay in earlier:
-        for p in lay.all_satellites():
-            excluded.add(_point_value(space, p))
+        excluded.update(lay.all_satellites())
 
     satellites = []
     for center in centers:
         if space.kind == TRIADIC_CANTOR:
-            ball = _cantor_satellites(center, eps, ell_n, excluded)
+            ball = _cantor_satellites(center, cantor_net_depth(n + 1), eps,
+                                      ell_n, excluded)
         else:
             ball = _interval_satellites(center, eps, ell_n, excluded)
         satellites.append(tuple(ball))
-        excluded.update(_point_value(space, p) for p in ball)
+        excluded.update(ball)
 
     # satellite values are distinct, so the index never breaks a tie
-    sat_values = tuple(sorted((_point_value(space, p), i)
-                              for ball in satellites
+    sat_values = tuple(sorted((p, i) for ball in satellites
                               for i, p in enumerate(ball)))
 
     sorted_vals = [v for v, _ in sat_values]
@@ -274,6 +265,21 @@ def build_layers(space: SpaceDescriptor, d: int, n_max: int) -> tuple[LayerSpec,
     for n, size in enumerate(sizes, 1):
         layers.append(_place_layer(space, n, d, size, layers))
     return tuple(layers)
+
+
+def largest_layer(space: SpaceDescriptor, d: int) -> int:
+    """Largest n_max that :func:`build_layers` accepts for the space and d.
+
+    Layers are only sized, so no satellite is placed.  A refused layer 1
+    raises its ``NetDepthError``.
+    """
+    for n in itertools.count(1):
+        try:
+            _size_layer(space, n, d)
+        except NetDepthError:
+            if n == 1:
+                raise
+            return n - 1
 
 
 def sample_witness(layers: Sequence[LayerSpec], seed) -> WitnessSample:
@@ -320,9 +326,8 @@ def eval_witness(sample: WitnessSample, x, depth: int) -> tuple[Fraction, ...]:
         raise ValueError("sample has fewer layers than requested depth")
     d = sample.layers[0].d if sample.layers else 0
     total = [Fraction(0)] * d
-    xv = _point_value(sample.layers[0].space, x) if sample.layers else None
     for lay, vals in zip(sample.layers[:depth], sample.values):
-        term = _bump_terms(lay, xv)
+        term = _bump_terms(lay, x)
         if term is None:
             continue
         i, weight = term
@@ -361,7 +366,6 @@ class EventChecker:
         self.d = self.layer.d
         self.threshold = event_threshold(self.layer)
         self.points = list(self.layer.all_satellites())
-        space = self.layer.space
         steps = [Fraction(8, 2 ** lay.n) for lay in self.layers]
         q = math.lcm(*(v.denominator for lay in self.layers
                        for v, _ in lay.sat_values))
@@ -372,9 +376,8 @@ class EventChecker:
                   2 ** lay.n)
                  for lay in self.layers]
         base, terms = [], []
-        for p in self.points:
-            x = _point_value(space, p)
-            g = tuple(map(Fraction, drift(p))) if drift else (0,) * self.d
+        for x in self.points:
+            g = tuple(map(Fraction, drift(x))) if drift else (0,) * self.d
             base.append((x, *g))
             xk = x.numerator * (q // x.denominator)
             row = []
@@ -444,11 +447,14 @@ def check_event(sample: WitnessSample, drift: Callable | None,
 
 def event_fraction(layers: Sequence[LayerSpec], n: int,
                    drift: Callable | None, trials: int, seed) -> float:
-    """Fraction of sampled witnesses for which the event holds."""
+    """Fraction of sampled witnesses for which the event holds.
+
+    A trial samples only layers 1..n, the ones the check reads.
+    """
     checker = EventChecker(layers, n, drift)
     holds = 0
     for t in range(trials):
-        sample = sample_witness(layers, (seed, t))
+        sample = sample_witness(layers[:n], (seed, t))
         if checker.check(sample).holds:
             holds += 1
     return holds / trials

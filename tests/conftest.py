@@ -6,14 +6,12 @@ from dimlab import energy, estimators, spaces, witness
 
 
 def cantor_endpoint_measure(depth: int) -> estimators.DiscreteMeasure:
-    """Uniform measure on the 2**depth digit endpoints at the given depth."""
-    pts = tuple(
-        spaces.DigitVector(tuple((i >> (depth - 1 - j)) & 1 for j in range(depth)))
-        for i in range(1 << depth)
-    )
+    """Uniform measure on the 2**depth Cantor points with ``depth`` digits."""
+    pts = tuple(Fraction(m, 3 ** depth)
+                for m in spaces.cantor_numerators(depth))
     w = Fraction(1, len(pts))
     return estimators.DiscreteMeasure(pts, (w,) * len(pts),
-                                      tuple((p.value,) for p in pts))
+                                      tuple((p,) for p in pts))
 
 
 @pytest.fixture(scope="session")

@@ -10,6 +10,8 @@ and resolve every name they list.
 
 import ast
 import importlib.util
+import sys
+from fractions import Fraction
 from pathlib import Path
 
 from dimlab import cantor_pair, packing, spaces, witness
@@ -21,6 +23,18 @@ def _load_spans():
     spec = importlib.util.spec_from_file_location(
         "perfbench_spans", PERFBENCH / "spans.py")
     module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _load_workloads(monkeypatch):
+    # workloads.py imports spans by its bare name, as perfbench/run.py runs
+    # it, and its dataclasses look their own module up in sys.modules
+    monkeypatch.setitem(sys.modules, "spans", _load_spans())
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_workloads", PERFBENCH / "workloads.py")
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, module)
     spec.loader.exec_module(module)
     return module
 
@@ -74,3 +88,29 @@ def test_workload_marks_resolve():
         owner, name = spans.resolve(module, attr)
         assert callable(getattr(owner, name)), f"{module}.{attr}"
         spans.Marks(module, attr).close()
+
+
+def _odd_digit_reader(x):
+    """f(x) from the digits the DigitVector codec reads off x."""
+    digits = spaces.DigitVector.from_value(x, 64).digits
+    return sum(Fraction(a, 3 ** ((i + 1) // 2))
+               for i, a in enumerate(digits, 1) if i % 2)
+
+
+def test_geometry_cantor_measure_is_the_codec_values(monkeypatch, tmp_path):
+    geometry = _load_workloads(monkeypatch).Geometry(0, str(tmp_path))
+    for depth in (1, 4, 7):
+        measure = geometry._measure("cantor", depth)
+        want = [Fraction(m, 3 ** depth)
+                for m in spaces.cantor_numerators(depth)]
+        assert measure.coords == tuple((x,) for x in want)
+        assert measure.weights == (Fraction(1, 2 ** depth),) * 2 ** depth
+
+
+def test_montecarlo_drift_reads_satellite_values(monkeypatch, tmp_path,
+                                                 cantor_layers):
+    montecarlo = _load_workloads(monkeypatch).MonteCarlo(0, str(tmp_path))
+    assert montecarlo.layers == cantor_layers
+    drift = montecarlo.drifts["cantor-f"]
+    for p in [p for lay in cantor_layers for p in lay.all_satellites()]:
+        assert drift(p) == (_odd_digit_reader(p),)

@@ -4,7 +4,7 @@ import time
 
 import pytest
 
-from dimlab import cli, spaces
+from dimlab import cli, spaces, witness
 from dimlab.cli import (
     ExperimentConfig,
     ResultRow,
@@ -187,3 +187,38 @@ class TestCommands:
         assert {"cantor-count", "estimate", "saturation",
                 "prevalence-event", "kernel-spot", "energy-chat"} <= kinds
         assert out.exists()
+
+
+class TestLayerDefaults:
+    # without --n-max, saturation and prevalence build up to the largest
+    # layer that witness accepts; the other commands keep 12
+
+    @pytest.mark.parametrize("space, d, n", [
+        ("cantor", 1, 8), ("interval", 1, 7), ("cantor", 2, 6),
+        ("interval", 2, 6),
+    ])
+    def test_saturation_builds_up_to_the_layer_limit(self, space, d, n):
+        table = run(ExperimentConfig("saturation", space=space, d=d,
+                                     trials=1))
+        assert table.rows[0].params["n"] == n
+        with pytest.raises(spaces.NetDepthError):
+            witness.build_layers(cli.SPACES[space](), d, n + 1)
+
+    def test_prevalence_builds_up_to_the_layer_limit(self):
+        table = run(ExperimentConfig("prevalence", space="cantor", d=2,
+                                     trials=1))
+        assert [r.params["n"] for r in table.rows] == [4, 5, 6]
+
+    def test_default_runs_from_the_command_line(self):
+        assert main(["saturation", "--trials", "1"]) != 2
+
+    @pytest.mark.parametrize("command", ["saturation", "prevalence"])
+    def test_n_max_above_the_limit_exits_2(self, command, capsys):
+        assert main([command, "--n-max", "9", "--trials", "1"]) == 2
+        assert ("layer 9 of the triadic_cantor (d = 1) needs"
+                in capsys.readouterr().err)
+
+    @pytest.mark.parametrize("command", ["estimate", "cantor"])
+    def test_other_commands_keep_n_max_12(self, command):
+        table = run(ExperimentConfig(command, space="harmonic"))
+        assert table.rows[-1].params["n_max"] == 12

@@ -80,7 +80,7 @@ class TestNestedFamily:
         leaf = fam.leaves()[3]
         x = fam.anchor(leaf)
         assert fam.locate(x) == leaf.path
-        outside = DigitVector((0, 1, 1) + (0,) * (fam.point_depth - 3))
+        outside = DigitVector((0, 1, 1)).value
         assert len(fam.locate(outside)) < fam.depth
 
 
@@ -154,7 +154,7 @@ class TestRandomField:
         # the reference adds every node and tail value as a Fraction
         fam = nested_family_depth3
         sample = sample_field(fam, seed=seed, d=d)
-        off_tree = DigitVector((0, 1, 1) + (0,) * (fam.point_depth - 3))
+        off_tree = DigitVector((0, 1, 1)).value
         assert len(fam.locate(off_tree)) == 1
         points = [fam.anchor(leaf) for leaf in fam.leaves()]
         points += [fam.piece_point(fam.leaves()[3], (1, 0, 1)), off_tree]
@@ -302,7 +302,7 @@ class TestPairExpectation:
         # rho**-(t+d), so the mean respects the deterministic floor
         fam = nested_family_depth3
         (x, y) = ladder_pairs(fam, rungs=[7])[0]
-        rho = abs(float(x.value) - float(y.value))
+        rho = abs(float(x) - float(y))
         rep = pair_expectation_check(fam, t=0.5, s=0.6, trials=1 << 16,
                                      seed=2, pairs=[(x, y)])
         assert rep.pairs[0].mean > 0
@@ -336,13 +336,12 @@ class TestExpectedEnergy:
         # atoms a unit apart: the integrand never exceeds 1, so the
         # average energy stays below twice the weight product
         fam = build_nested_family((2,))
-        x = DigitVector((0,) + (0,) * (fam.point_depth - 1))
-        y = DigitVector((1,) + (1,) * (fam.point_depth - 1))
+        x = Fraction(0)
+        y = DigitVector((1,) * fam.point_depth).value
         nu = estimators.DiscreteMeasure(
-            (x, y), (Fraction(1, 2), Fraction(1, 2)),
-            ((x.value,), (y.value,)))
+            (x, y), (Fraction(1, 2), Fraction(1, 2)), ((x,), (y,)))
         # rescale: these two atoms are 1/2 apart; bound is 2*(1/4)*rho**-1.5
-        rho = float(y.value - x.value)
+        rho = float(y - x)
         check = expected_energy_check(fam, t=0.5, s=0.6, trials=64, seed=0,
                                       c_hat=10.0, measure=nu)
         assert check.empirical <= 0.5 * rho ** -1.5

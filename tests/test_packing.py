@@ -69,7 +69,7 @@ class TestGreedy:
         net = build_net(triadic_cantor(), 5)
         res = max_packing_greedy(net, 5)
         delta = Fraction(1, 32)
-        vals = [p.value for p in res.witness]
+        vals = list(res.witness)
         assert all(abs(a - b) > delta
                    for a, b in itertools.combinations(vals, 2))
         assert res.count == len(res.witness)
@@ -374,12 +374,12 @@ class TestPackingInvariants:
     def test_projection_graph_dominates_base(self):
         net = build_net(triadic_cantor(), 4)
         rnd = random.Random(4)
-        rows = [(p.value, Fraction(rnd.randrange(0, 32), 32))
+        rows = [(p, Fraction(rnd.randrange(0, 32), 32))
                 for p in net.point_list()]
         for n in (2, 3):
             delta = Fraction(1, 2 ** n)
             base = packing.greedy_packing_coords(
-                [(p.value,) for p in net.point_list()], delta, presorted=True)
+                [(p,) for p in net.point_list()], delta, presorted=True)
             graph = packing.greedy_packing_coords(sorted(rows), delta,
                                                   presorted=True)
             assert len(graph) >= len(base)

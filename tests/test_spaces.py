@@ -33,9 +33,11 @@ class TestBuildNet:
 
     def test_cantor_n2_depth_and_size(self):
         net = build_net(triadic_cantor(), 2)
-        assert net.points[0].depth >= 2
+        depth = cantor_net_depth(2)
+        assert depth >= 2
         assert net.size() >= 4
-        assert net.size() == 2 ** net.points[0].depth
+        assert net.size() == 2 ** depth
+        assert all(len(spaces.cantor_digits(p)) <= depth for p in net.points)
 
     def test_harmonic_n4_truncation(self):
         # smallest K with 1/K <= 1/16 is K = 16
@@ -102,8 +104,8 @@ class TestBuildNet:
 
 class TestMetric:
     def test_cantor_digit_example(self):
-        a = DigitVector((1, 0))
-        b = DigitVector((0, 1))
+        a = DigitVector((1, 0)).value
+        b = DigitVector((0, 1)).value
         assert metric(triadic_cantor(), a, b) == Fraction(2, 9)
 
     def test_product_vertical_distance(self):
@@ -117,8 +119,8 @@ class TestMetric:
 
     def test_symmetry_and_zero(self):
         space = triadic_cantor()
-        a = DigitVector((1, 0, 1))
-        b = DigitVector((0, 1, 1))
+        a = DigitVector((1, 0, 1)).value
+        b = DigitVector((0, 1, 1)).value
         assert metric(space, a, b) == metric(space, b, a) > 0
         assert metric(space, a, a) == 0
 
@@ -137,7 +139,7 @@ class TestMetric:
 
     def test_triangle_inequality_exhaustive_small_net(self):
         net = build_net(triadic_cantor(), 3)  # 32 points
-        vals = np.array([float(p.value) for p in net.point_list()])
+        vals = np.array([float(p) for p in net.point_list()])
         d = np.abs(vals[:, None] - vals[None, :])
         assert np.all(d[:, :, None] <= d[:, None, :] + d[None, :, :] + 1e-15)
 
@@ -173,6 +175,29 @@ class TestDigitVector:
     def test_from_value_rejects_unrepresentable(self):
         with pytest.raises(ValueError):
             DigitVector.from_value(Fraction(1, 2), 4)
+        with pytest.raises(ValueError):
+            DigitVector.from_value(Fraction(1, 27), 2)
+
+    def test_integer_codec(self):
+        # entry i of the numerator table is the point whose digits are the
+        # bits of i, highest first; its digits read back without trailing 0s
+        for depth in range(9):
+            for i, m in enumerate(spaces.cantor_numerators(depth)):
+                digits = tuple((i >> (depth - 1 - j)) & 1
+                               for j in range(depth))
+                x = Fraction(m, 3 ** depth)
+                if depth:
+                    assert x == DigitVector(digits).value
+                got = spaces.cantor_digits(x)
+                assert got + (0,) * (depth - len(got)) == digits
+                assert not got or got[-1] == 1
+
+    @pytest.mark.parametrize("x", [Fraction(1, 2), Fraction(2, 9),
+                                   Fraction(1), Fraction(-1, 3),
+                                   Fraction(4, 3)])
+    def test_cantor_digits_rejects_points_off_the_set(self, x):
+        with pytest.raises(ValueError):
+            spaces.cantor_digits(x)
 
     def test_bad_digits_rejected(self):
         with pytest.raises(ValueError):

@@ -83,7 +83,7 @@ class TestLayerConstruction:
             if lay.k_n == 1:
                 continue
             need = Fraction(1, 2 ** lay.n) + 3 * lay.eps_n
-            vals = sorted(p.value for p in lay.packing_points)
+            vals = sorted(lay.packing_points)
             assert all(b - a >= need for a, b in zip(vals, vals[1:]))
 
     def test_satellites_inside_ball(self, cantor_layers):
@@ -92,7 +92,7 @@ class TestLayerConstruction:
                 assert len(ball) == lay.ell_n
                 assert len(set(ball)) == lay.ell_n
                 for p in ball:
-                    assert abs(p.value - center.value) <= lay.eps_n
+                    assert abs(p - center) <= lay.eps_n
 
     def test_cross_ball_separation_chain(self, cantor_layers):
         # satellites of distinct packing points keep 2**-n + eps distance;
@@ -100,7 +100,7 @@ class TestLayerConstruction:
         for lay in cantor_layers:
             floor = Fraction(1, 2 ** lay.n) + lay.eps_n
             tagged = sorted(
-                (p.value, k)
+                (p, k)
                 for k, ball in enumerate(lay.satellites) for p in ball
             )
             for (va, ka), (vb, kb) in zip(tagged, tagged[1:]):
@@ -108,8 +108,7 @@ class TestLayerConstruction:
                     assert vb - va >= floor
 
     def test_layer_disjointness(self, cantor_layers):
-        sets = [set(p.value for p in lay.all_satellites())
-                for lay in cantor_layers]
+        sets = [set(lay.all_satellites()) for lay in cantor_layers]
         for a, b in itertools.combinations(sets, 2):
             assert not a & b
 
@@ -252,9 +251,8 @@ def _rational_checker_rows(layers, n, drift):
     """delta, base rows and bump terms of the event check, from the
     rational bumps of _bump_terms over one LCM denominator."""
     base, terms = [], []
-    for p in layers[n - 1].all_satellites():
-        x = p if isinstance(p, Fraction) else p.value
-        g = tuple(map(Fraction, drift(p))) if drift else (0,) * layers[0].d
+    for x in layers[n - 1].all_satellites():
+        g = tuple(map(Fraction, drift(x))) if drift else (0,) * layers[0].d
         base.append((x, *g))
         terms.append([(li, t[0], Fraction(8, 2 ** lay.n) * t[1])
                       for li, lay in enumerate(layers[:n])
@@ -284,6 +282,22 @@ class TestEventCheck:
     def test_event_fraction_meets_bound(self, cantor_layers):
         frac = witness.event_fraction(cantor_layers, 5, None, 60, "evt")
         assert frac >= 1 - 2 * 0.5 ** 5
+
+    @pytest.mark.parametrize("n", [4, 5, 6, 7])
+    def test_event_fraction_samples_only_layers_up_to_n(self, cantor_layers,
+                                                         monkeypatch, n):
+        want = witness.event_fraction(cantor_layers[:n], n, None, 4, "upto")
+        draws = []
+        real = witness.stable_index
+
+        def counting(*args):
+            draws.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(witness, "stable_index", counting)
+        got = witness.event_fraction(cantor_layers, n, None, 4, "upto")
+        assert got == want
+        assert len(draws) == 4 * sum(lay.ell_n for lay in cantor_layers[:n])
 
     def test_drifted_event(self, cantor_layers):
         drift = lambda p: (cantor_pair.evaluate(
@@ -319,8 +333,7 @@ class TestEventCheck:
                 for p in points:
                     h = eval_witness(sample, p, n)
                     g = drift(p) if drift else (0,) * d
-                    x = p if space == unit_interval() else p.value
-                    rows.append((x, *(a + b for a, b in zip(h, g))))
+                    rows.append((p, *(a + b for a, b in zip(h, g))))
                 if len(rows) <= packing.EXACT_SEARCH_LIMIT:
                     count = len(packing.exact_packing_coords(rows, delta))
                     method = "exact"

@@ -97,6 +97,14 @@ def _weights(fn: DigitFunction, depth: int) -> tuple[int, ...]:
                  for i in range(depth, 0, -1))
 
 
+def _check_depth(depth: int) -> None:
+    if depth > ENUMERATION_DEPTH_LIMIT:
+        raise EnumerationLimitExceeded(
+            f"depth {depth} exceeds the enumeration limit "
+            f"{ENUMERATION_DEPTH_LIMIT}"
+        )
+
+
 def _sums(weights) -> list[int]:
     """Weight sum over the set bits of every pattern, indexed by pattern."""
     sums = [0]
@@ -105,8 +113,7 @@ def _sums(weights) -> list[int]:
     return sums
 
 
-def enumerate_graph(fn: DigitFunction, depth: int,
-                    limit: int = ENUMERATION_DEPTH_LIMIT) -> GraphEnumeration:
+def enumerate_graph(fn: DigitFunction, depth: int) -> GraphEnumeration:
     """Evaluate the function on every Cantor point with ``depth`` digits.
 
     Points come out in ascending x order (digit-lexicographic equals
@@ -114,10 +121,7 @@ def enumerate_graph(fn: DigitFunction, depth: int,
     """
     if depth < 1:
         raise ValueError("depth must be >= 1")
-    if depth > limit:
-        raise EnumerationLimitExceeded(
-            f"depth {depth} exceeds the enumeration limit {limit}"
-        )
+    _check_depth(depth)
     xs, vs = cantor_numerators(depth), _sums(_weights(fn, depth))
     xden, vden = 3 ** depth, 3 ** ((depth + 1) // 2)
     points = tuple((Fraction(x, xden), Fraction(v, vden))
@@ -132,8 +136,7 @@ def closed_form_counts(n: int) -> tuple[int, int, int]:
     return (8 ** n, 8 ** n, 4 ** n * (3 ** n + 1))
 
 
-def brute_force_mesh_count(fn: DigitFunction, n: int,
-                           limit: int = ENUMERATION_DEPTH_LIMIT) -> int:
+def brute_force_mesh_count(fn: DigitFunction, n: int) -> int:
     """Mesh count of the graph at scale 9**-n by depth-4n enumeration.
 
     Depth 4n resolves x to 3**-4n < 9**-n and the value to exactly
@@ -147,10 +150,7 @@ def brute_force_mesh_count(fn: DigitFunction, n: int,
     if n < 1:
         raise ValueError("n must be >= 1")
     depth = 4 * n
-    if depth > limit:
-        raise EnumerationLimitExceeded(
-            f"depth {depth} exceeds the enumeration limit {limit}"
-        )
+    _check_depth(depth)
     half = 2 * n
     weights = _weights(fn, depth)
     v_low, v_high = _sums(weights[:half]), _sums(weights[half:])
@@ -165,8 +165,7 @@ def brute_force_mesh_count(fn: DigitFunction, n: int,
     return len(cells)
 
 
-def surjectivity_check(n: int,
-                       limit: int = ENUMERATION_DEPTH_LIMIT) -> bool:
+def surjectivity_check(n: int) -> bool:
     """Finite-resolution witness that f+g maps each cylinder onto a full band.
 
     For every depth-2n prefix h, the depth-4n extensions of h must hit
@@ -176,10 +175,7 @@ def surjectivity_check(n: int,
     if n == 0:
         return True
     depth = 4 * n
-    if depth > limit:
-        raise EnumerationLimitExceeded(
-            f"depth {depth} exceeds the enumeration limit {limit}"
-        )
+    _check_depth(depth)
     half = 2 * n
     values = _weights(DigitFunction.SUM, depth)
     # value(h | ext) = value(h) + value(ext) for a prefix h in the high

@@ -21,7 +21,7 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from fractions import Fraction
 
 from . import __version__, cantor_pair, energy, estimators, spaces, witness
@@ -217,12 +217,11 @@ def _run_prevalence(cfg: ExperimentConfig, table: ResultTable) -> None:
 
 
 def _run_saturation(cfg: ExperimentConfig, table: ResultTable) -> None:
-    space = SPACES[cfg.space]()
-    layers = witness.build_layers(space, cfg.d, cfg.n_max)
-    lay = layers[cfg.n_max - 1]
+    # the check reads only the layer's sizes, so no satellite is placed
+    size = witness._size_layer(SPACES[cfg.space](), cfg.n_max, cfg.d)
     adv = (witness.zero_adversary(cfg.d) if cfg.adversary == "zero"
            else witness.colliding_adversary(cfg.d))
-    rep = witness.simulate_saturation_failure(lay, adv, cfg.trials, cfg.seed)
+    rep = witness.simulate_saturation_failure(size, adv, cfg.trials, cfg.seed)
     table.add(ResultRow(
         "saturation",
         {"space": cfg.space, "n": cfg.n_max, "d": cfg.d,
@@ -237,18 +236,21 @@ def _run_energy(cfg: ExperimentConfig, table: ResultTable) -> None:
     branching = (2,) * cfg.depth
     fam = energy.build_nested_family(branching)
     rep = energy.pair_expectation_check(
-        fam, t=0.5, s=0.6, trials=max(cfg.trials, 1) * 1024, seed=cfg.seed)
+        fam, t=0.5, s=0.6, trials=max(cfg.trials, 1) * 1024, seed=cfg.seed,
+        d=cfg.d)
     table.add(ResultRow(
         "energy-chat",
-        {"depth": cfg.depth, "t": 0.5, "s": 0.6,
+        {"depth": cfg.depth, "d": cfg.d, "t": 0.5, "s": 0.6,
          "stability": rep.stability_ratio},
         rep.c_hat, 2.0, rep.passed, cfg.seed,
     ))
     echeck = energy.expected_energy_check(
-        fam, t=0.5, s=0.6, trials=cfg.trials, seed=cfg.seed, c_hat=rep.c_hat)
+        fam, t=0.5, s=0.6, trials=cfg.trials, seed=cfg.seed, c_hat=rep.c_hat,
+        d=cfg.d)
     table.add(ResultRow(
         "energy-expected",
-        {"depth": cfg.depth, "t": 0.5, "s": 0.6, "i_s": echeck.i_s},
+        {"depth": cfg.depth, "d": cfg.d, "t": 0.5, "s": 0.6,
+         "i_s": echeck.i_s},
         echeck.empirical, echeck.reference, echeck.passed, cfg.seed,
     ))
 
@@ -329,6 +331,8 @@ def run(cfg: ExperimentConfig) -> ResultTable:
         raise ValueError(f"unknown command {cfg.command!r}")
     if cfg.trials < 1:
         raise ValueError("trials must be >= 1")
+    if cfg.d < 1:
+        raise ValueError("d must be >= 1")
     if cfg.n_max is None:
         layered = cfg.command in ("prevalence", "saturation")
         cfg = replace(cfg, n_max=witness.largest_layer(
@@ -346,9 +350,8 @@ def run(cfg: ExperimentConfig) -> ResultTable:
 # argument handling
 
 
-OPTIONS = ("space", "n_min", "n_max", "stride", "depth", "trials", "seed",
-           "variant", "drift", "adversary", "d", "expect", "tol", "out",
-           "plot_out")
+# every config field but the command is an option
+OPTIONS = tuple(f.name for f in fields(ExperimentConfig))[1:]
 
 
 def _config_flags(path: str) -> list[str]:

@@ -35,10 +35,11 @@ from scipy.special import gammaln
 
 from .estimators import DiscreteMeasure, _least_squares, discrete_energy
 from .rng import stable_digest, stable_index
-from .spaces import DigitVector, NetDepthError, cantor_digits, cantor_numerators
+from .spaces import DigitVector, cantor_digits, cantor_numerators
 
 MAX_FAMILY_DEPTH = 4
-DEFAULT_TAIL_LEVELS = 22
+# dyadic tail levels that continue the construction below the explicit tree
+TAIL_LEVELS = 22
 
 
 def minimal_level_depth(n: int) -> int:
@@ -94,23 +95,18 @@ class NestedFamily:
         return path
 
 
-def build_nested_family(
-    branching: Sequence[int] = (2, 2, 2),
-    depth: int | None = None,
-    level_depths: Sequence[int] | None = None,
-    point_depth: int | None = None,
-) -> NestedFamily:
+def build_nested_family(branching: Sequence[int]) -> NestedFamily:
     """Nested triadic cylinder pieces with the level-n diameter condition.
 
-    Children of a piece are the lexicographically first ``a_n`` digit
-    extensions, so sibling separations are exact powers of three.
-    ``level_depths`` may deepen levels beyond the minimum (the diameter
-    condition only improves); it can never fall short of it.
+    Level n has ``branching[n-1]`` children per piece, at the smallest
+    triadic depth that meets the 2**(-n*n) diameter condition
+    (:func:`minimal_level_depth`); points are resolved 7 digits below
+    the deepest level.  Children of a piece are the lexicographically
+    first ``a_n`` digit extensions, so sibling separations are exact
+    powers of three.
     """
     branching = tuple(int(a) for a in branching)
-    depth = len(branching) if depth is None else depth
-    if depth != len(branching):
-        raise ValueError("branching schedule must list one factor per level")
+    depth = len(branching)
     if not 1 <= depth <= MAX_FAMILY_DEPTH:
         raise ValueError(
             f"depth must be between 1 and {MAX_FAMILY_DEPTH}: the 2**(-n*n) "
@@ -118,31 +114,15 @@ def build_nested_family(
         )
     if any(a < 1 for a in branching):
         raise ValueError("branching factors must be positive")
-    if level_depths is None:
-        level_depths = tuple(minimal_level_depth(n) for n in range(1, depth + 1))
-    else:
-        level_depths = tuple(int(t) for t in level_depths)
-        for n, t in enumerate(level_depths, start=1):
-            need = minimal_level_depth(n)
-            if t < need:
-                raise NetDepthError(
-                    f"level {n} needs triadic depth >= {need} for the "
-                    f"2**-{n * n} diameter condition, got {t}"
-                )
-    if any(b <= a for a, b in zip(level_depths, level_depths[1:])):
-        raise ValueError("level depths must strictly increase")
-    for n in range(1, depth):
-        avail = 2 ** (level_depths[n] - level_depths[n - 1])
-        if branching[n] > avail:
+    level_depths = tuple(minimal_level_depth(n) for n in range(1, depth + 1))
+    for n, (a, lo, hi) in enumerate(
+            zip(branching, (0,) + level_depths, level_depths), start=1):
+        if a > 2 ** (hi - lo):
             raise ValueError(
-                f"level {n + 1} branching {branching[n]} exceeds the "
-                f"{avail} available cylinder extensions"
+                f"level {n} branching {a} exceeds the {2 ** (hi - lo)} "
+                "available cylinder extensions"
             )
-    if branching[0] > 2 ** level_depths[0]:
-        raise ValueError("first-level branching exceeds available cylinders")
-    point_depth = (level_depths[-1] + 7) if point_depth is None else point_depth
-    if point_depth <= level_depths[-1]:
-        raise ValueError("point depth must exceed the deepest level")
+    point_depth = level_depths[-1] + 7
 
     levels: list[tuple[NestedPiece, ...]] = []
     parents: list[tuple[tuple[int, ...], Fraction]] = [((), Fraction(0))]
@@ -168,7 +148,7 @@ class RandomFieldSample:
     """One realization of the level values, plus per-point tails.
 
     The value of level n on its piece is uniform on {0, 2**-n}**d; the
-    tail levels depth+1 .. depth+tail_levels continue the construction
+    tail levels depth+1 .. depth+TAIL_LEVELS continue the construction
     with singleton pieces and are keyed by the evaluated point itself.
     Everything is a pure function of (seed, key), so evaluation order
     does not matter.
@@ -177,7 +157,6 @@ class RandomFieldSample:
     family: NestedFamily
     seed: object
     d: int = 1
-    tail_levels: int = DEFAULT_TAIL_LEVELS
 
     def node_bits(self, level: int, path: tuple[int, ...]) -> list[int]:
         """The level's draws on the piece at ``path``, one bit per coordinate."""
@@ -200,19 +179,14 @@ class RandomFieldSample:
                                              level))
 
 
-def sample_field(family: NestedFamily, seed, d: int = 1,
-                 tail_levels: int = DEFAULT_TAIL_LEVELS) -> RandomFieldSample:
-    return RandomFieldSample(family, seed, d, tail_levels)
-
-
 def eval_field(sample: RandomFieldSample, x: Fraction) -> tuple[Fraction, ...]:
     """f(x): sum of the containing pieces' values and the point's tails.
 
     Level l adds one bit over 2**l per coordinate, so each coordinate is
-    summed as one integer numerator over 2**(depth + tail_levels).
+    summed as one integer numerator over 2**(depth + TAIL_LEVELS).
     """
     path = sample.family.locate(x)
-    top = sample.family.depth + sample.tail_levels
+    top = sample.family.depth + TAIL_LEVELS
     nums = [0] * sample.d
     for level in range(1, len(path) + 1):
         for c, b in enumerate(sample.node_bits(level, path[:level])):
@@ -371,13 +345,14 @@ def kernel_centered_bound(p: float, q: float, u: float) -> float:
 
 
 def kernel_q_slope(d: int, u: float, p: float, qs: Sequence[float],
-                   theta=0.0, qmc_points: int = 1 << 20) -> float:
-    """Least-squares slope of log ratio vs log q over the trailing half.
+                   qmc_points: int = 1 << 20) -> float:
+    """Least-squares slope of log ratio vs log q at zero translation,
+    over the trailing half of ``qs``.
 
     The trailing half is where the ratio has settled; a slope near zero
     certifies the q**(d-2u) scaling is the right power law.
     """
-    ratios = [kernel_bound_check(p, q, theta, u, d, qmc_points).ratio
+    ratios = [kernel_bound_check(p, q, 0.0, u, d, qmc_points).ratio
               for q in qs]
     xs = [math.log(q) for q in qs]
     ys = [math.log(r) for r in ratios]
@@ -408,25 +383,19 @@ class PairExpectationReport:
     passed: bool
 
 
-def ladder_pairs(family: NestedFamily, rungs: Sequence[int] | None = None):
+def ladder_pairs(family: NestedFamily):
     """Same-leaf pairs whose separations sweep a geometric ladder.
 
-    Rung j pairs the first leaf's anchor with the point offset by 3**-j;
-    both lie in that leaf piece, so their value difference is carried
-    entirely by the singleton-continuation tails.
+    Rung j, for every j strictly between the deepest level's triadic
+    depth t and the point depth, pairs the first leaf's anchor with the
+    point offset by 3**-j; both lie in that leaf piece, so their value
+    difference is carried entirely by the singleton-continuation tails.
     """
     leaf = family.leaves()[0]
     t = family.level_depths[-1]
-    if rungs is None:
-        rungs = range(t + 1, family.point_depth)
     anchor = family.anchor(leaf)
-    pairs = []
-    for j in rungs:
-        if not (t < j <= family.point_depth):
-            raise ValueError(f"rung {j} outside ({t}, {family.point_depth}]")
-        offset = (0,) * (j - t - 1) + (1,)
-        pairs.append((anchor, family.piece_point(leaf, offset)))
-    return pairs
+    return [(anchor, family.piece_point(leaf, (0,) * (j - t - 1) + (1,)))
+            for j in range(t + 1, family.point_depth)]
 
 
 def anchor_pairs(family: NestedFamily):
@@ -446,8 +415,7 @@ def _separating_level(family: NestedFamily, x: Fraction, y: Fraction) -> int:
 
 
 def _pair_mean(family: NestedFamily, x: Fraction, y: Fraction,
-               theta: float, t: float, s: float, d: int, trials: int,
-               tail_levels: int, seed) -> float:
+               theta: float, t: float, d: int, trials: int, seed) -> float:
     """Monte Carlo mean of (rho^2 + |(f+g)(x)-(f+g)(y)|^2)^(-(t+d)/2).
 
     The level values beyond the separating level plus the tails add up,
@@ -457,8 +425,8 @@ def _pair_mean(family: NestedFamily, x: Fraction, y: Fraction,
     """
     n = _separating_level(family, x, y)
     depth = family.depth
-    window_bits = (depth - n) + tail_levels
-    den = 2 ** (depth + tail_levels)
+    window_bits = (depth - n) + TAIL_LEVELS
+    den = 2 ** (depth + TAIL_LEVELS)
     rho = abs(float(x) - float(y))
     key = stable_digest(seed, "pair", (x.numerator, x.denominator),
                         (y.numerator, y.denominator))
@@ -482,7 +450,6 @@ def pair_expectation_check(
     d: int = 1,
     drift: Callable | None = None,
     pairs=None,
-    tail_levels: int = DEFAULT_TAIL_LEVELS,
 ) -> PairExpectationReport:
     """Empirical check that E[...] <= c * rho**-s with a stable constant.
 
@@ -504,8 +471,7 @@ def pair_expectation_check(
             dx, dy = drift(x), drift(y)
             theta = float(Fraction(dx[0]) - Fraction(dy[0]))
         rho = abs(float(x) - float(y))
-        mean = _pair_mean(family, x, y, theta, t, s, d, trials,
-                          tail_levels, seed)
+        mean = _pair_mean(family, x, y, theta, t, d, trials, seed)
         reports.append(PairReport(x, y, rho, mean,
                                   mean * rho ** s,
                                   _separating_level(family, x, y)))
@@ -540,7 +506,6 @@ def expected_energy_check(
     measure: DiscreteMeasure | None = None,
     drift: Callable | None = None,
     d: int = 1,
-    tail_levels: int = DEFAULT_TAIL_LEVELS,
 ) -> EnergyCheckReport:
     """Average graph energy against the c * I_s(nu) reference.
 
@@ -554,7 +519,7 @@ def expected_energy_check(
     i_s = discrete_energy(measure, s)
     total = 0.0
     for trial in range(trials):
-        sample = sample_field(family, (seed, trial), d, tail_levels)
+        sample = RandomFieldSample(family, (seed, trial), d)
         gm = graph_measure(measure, sample, drift)
         total += discrete_energy(gm, t + d)
     empirical = total / trials

@@ -16,9 +16,13 @@ The two probabilistic checks:
 * ``simulate_saturation_failure``: how often do ell_n grid draws,
   shifted by an adversary that sees only the past, fail to contain a
   full-size 2**-n packing of values;
-* ``check_event`` / ``event_fraction``: how often does the graph of the
+* ``EventChecker`` / ``event_fraction``: how often does the graph of the
   summed layers plus a drift carry at least N_n(K) * 2**(n d) * n**-2d
   packing points at scale 2**-n.
+
+A layer is sized (grid, k_n, m_n, ell_n and the ball centres, a
+:class:`LayerSize`) before its satellites are placed; the saturation
+check reads only the sizes.
 """
 
 from __future__ import annotations
@@ -48,11 +52,13 @@ SATELLITE_DEPTH_CAP = 64
 # (Cantor d = 1: 1 056 satellites at n = 7, 7 680 at n = 8, 36 288 at
 # n = 9), and the event check then packs one 2-D row per satellite.
 MAX_LAYER_SATELLITES = 10_000
+WILSON_Z = 1.959963984540054  # two-sided 95% normal quantile
+TAIL_SUM_TERMS = 4000
 
 
 @dataclass(frozen=True)
-class LayerSpec:
-    """Geometry and sizes of one randomization layer."""
+class LayerSize:
+    """The sizes of layer n, fixed before any satellite is placed."""
 
     space: SpaceDescriptor
     n: int
@@ -60,10 +66,16 @@ class LayerSpec:
     grid: tuple[tuple[Fraction, ...], ...]
     s_n: int
     k_n: int
-    k_n_method: str
     m_n: int
     ell_n: int
-    packing_points: tuple
+    packing_points: tuple  # the ball centres, ascending
+
+
+@dataclass(frozen=True)
+class LayerSpec(LayerSize):
+    """One randomization layer: its sizes, satellites and bump radius."""
+
+    k_n_method: str
     eps_n: Fraction
     satellites: tuple[tuple, ...]          # [k][i] -> point
     bump_radius: Fraction
@@ -78,7 +90,6 @@ class WitnessSample:
     """One sampled assignment of grid values to all layers."""
 
     layers: tuple[LayerSpec, ...]
-    rng_seed: object
     values: tuple[tuple[tuple[Fraction, ...], ...], ...]  # [layer][i] -> grid pt
 
 
@@ -160,8 +171,8 @@ def _interval_satellites(center: Fraction, eps: Fraction, need: int,
     return out
 
 
-def _size_layer(space: SpaceDescriptor, n: int, d: int):
-    """Value grid, base packing and m_n of layer n, or NetDepthError.
+def _size_layer(space: SpaceDescriptor, n: int, d: int) -> LayerSize:
+    """The sizes and ball centres of layer n, or NetDepthError.
 
     Sizing a layer places no satellite: it packs the base net once and
     refuses the layer when k_n * ell_n exceeds ``MAX_LAYER_SATELLITES``.
@@ -182,7 +193,8 @@ def _size_layer(space: SpaceDescriptor, n: int, d: int):
             f"{k_n} * {ell_n} = {k_n * ell_n} satellites, above the limit "
             f"of {MAX_LAYER_SATELLITES}"
         )
-    return grid, base, m_n
+    return LayerSize(space, n, d, grid, s_n, k_n, m_n, ell_n,
+                     tuple(sorted(base.witness)))
 
 
 def build_layer(space: SpaceDescriptor, n: int, d: int,
@@ -197,18 +209,15 @@ def build_layer(space: SpaceDescriptor, n: int, d: int,
     ``earlier`` must contain the already-built lower layers so the new
     satellites avoid every previous satellite set exactly.
     """
-    return _place_layer(space, n, d, _size_layer(space, n, d), earlier)
+    return _place_layer(_size_layer(space, n, d), earlier)
 
 
-def _place_layer(space: SpaceDescriptor, n: int, d: int, size,
-                 earlier: Sequence[LayerSpec]) -> LayerSpec:
+def _place_layer(size: LayerSize, earlier: Sequence[LayerSpec]) -> LayerSpec:
     """Place the satellites of a layer sized by :func:`_size_layer`."""
-    grid, base, m_n = size
-    s_n, k_n = len(grid), base.count
-    ell_n = s_n * m_n
+    space, n, ell_n = size.space, size.n, size.ell_n
+    centers = size.packing_points
     delta = Fraction(1, 2 ** n)
-    centers = sorted(base.witness)
-    if k_n == 1:
+    if size.k_n == 1:
         eps = delta  # no separation constraint with a single ball
     else:
         gap = min(b - a for a, b in zip(centers, centers[1:]))
@@ -252,9 +261,9 @@ def _place_layer(space: SpaceDescriptor, n: int, d: int, size,
             r_candidates.append(best)
     bump_radius = min(r_candidates) / 4
 
-    return LayerSpec(space, n, d, grid, s_n, k_n, "exact", m_n, ell_n,
-                     tuple(centers), eps, tuple(satellites), bump_radius,
-                     sat_values)
+    return LayerSpec(**vars(size), k_n_method="exact", eps_n=eps,
+                     satellites=tuple(satellites), bump_radius=bump_radius,
+                     sat_values=sat_values)
 
 
 def build_layers(space: SpaceDescriptor, d: int, n_max: int) -> tuple[LayerSpec, ...]:
@@ -262,8 +271,8 @@ def build_layers(space: SpaceDescriptor, d: int, n_max: int) -> tuple[LayerSpec,
     is refused before any satellite is placed."""
     sizes = [_size_layer(space, n, d) for n in range(1, n_max + 1)]
     layers: list[LayerSpec] = []
-    for n, size in enumerate(sizes, 1):
-        layers.append(_place_layer(space, n, d, size, layers))
+    for size in sizes:
+        layers.append(_place_layer(size, layers))
     return tuple(layers)
 
 
@@ -297,7 +306,7 @@ def sample_witness(layers: Sequence[LayerSpec], seed) -> WitnessSample:
         )
         for lay in layers
     )
-    return WitnessSample(tuple(layers), seed, values)
+    return WitnessSample(tuple(layers), values)
 
 
 def _bump_terms(layer: LayerSpec, x_value: Fraction):
@@ -412,6 +421,12 @@ class EventChecker:
         ]
 
     def check(self, sample: WitnessSample) -> EventReport:
+        """Does the drifted sample graph reach the layer-n packing threshold?
+
+        Evaluation runs over the layer's satellite set, where the layer
+        values live exactly; more evaluation points could only increase
+        the count, so this is the conservative side of the event.
+        """
         if sample.layers[:self.n] != self.layers:
             raise ValueError("sample was drawn over different layers")
         js = [[index[g] for g in vals]
@@ -432,17 +447,6 @@ class EventChecker:
         count = len(chosen)
         return EventReport(self.n, count, self.threshold,
                            count >= self.threshold, method)
-
-
-def check_event(sample: WitnessSample, drift: Callable | None,
-                n: int) -> EventReport:
-    """Does the drifted sample graph reach the layer-n packing threshold?
-
-    Evaluation runs over the layer's satellite set, where the layer
-    values live exactly; more evaluation points could only increase the
-    count, so this is the conservative side of the event.
-    """
-    return EventChecker(sample.layers, n, drift).check(sample)
 
 
 def event_fraction(layers: Sequence[LayerSpec], n: int,
@@ -475,11 +479,11 @@ class SaturationReport:
     passed: bool
 
 
-def wilson_upper_bound(failures: int, trials: int,
-                       z: float = 1.959963984540054) -> float:
+def wilson_upper_bound(failures: int, trials: int) -> float:
     """Upper end of the Wilson 95% score interval for a proportion."""
     if trials < 1:
         raise ValueError("need at least one trial")
+    z = WILSON_Z
     p = failures / trials
     denom = 1 + z * z / trials
     center = p + z * z / (2 * trials)
@@ -500,7 +504,7 @@ def colliding_adversary(d: int) -> Callable:
     return strategy
 
 
-def simulate_saturation_failure(layer: LayerSpec, adversary: Callable,
+def simulate_saturation_failure(layer: LayerSize, adversary: Callable,
                                 trials: int, seed) -> SaturationReport:
     """Monte Carlo for the adversarially translated grid saturation event.
 
@@ -513,7 +517,8 @@ def simulate_saturation_failure(layer: LayerSpec, adversary: Callable,
     maximum packing) and greedy otherwise.
 
     Pass condition: the Wilson 95% upper bound on the failure rate stays
-    within 1.5x of 1 / (k_n * 2**n).
+    within 1.5x of 1 / (k_n * 2**n).  Only the layer's sizes are read,
+    so a sized layer serves as well as a built one.
     """
     grid = [tuple(float(c) for c in g) for g in layer.grid]
     delta = 0.5 ** layer.n
@@ -535,12 +540,14 @@ def simulate_saturation_failure(layer: LayerSpec, adversary: Callable,
                             upper, bound, upper <= 1.5 * bound)
 
 
-def tail_sup_bound(depth: int, d: int, terms: int = 4000) -> float:
+def tail_sup_bound(depth: int, d: int) -> float:
     """Upper bound for the sup norm of the layers beyond ``depth``.
 
     Each coordinate of layer n is at most 8 / n**2, so the euclidean
-    tail is below 8 * sqrt(d) * sum(n**-2, n > depth); the integral
-    remainder bounds the unsummed part.
+    tail is below 8 * sqrt(d) * sum(n**-2, n > depth); the first
+    ``TAIL_SUM_TERMS`` terms are summed and the integral remainder
+    bounds the rest.
     """
-    partial = sum(1.0 / (n * n) for n in range(depth + 1, depth + 1 + terms))
-    return 8.0 * math.sqrt(d) * (partial + 1.0 / (depth + terms))
+    top = depth + TAIL_SUM_TERMS
+    partial = sum(1.0 / (n * n) for n in range(depth + 1, top + 1))
+    return 8.0 * math.sqrt(d) * (partial + 1.0 / top)

@@ -14,7 +14,7 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
-from dimlab import cantor_pair, packing, spaces, witness
+from dimlab import cantor_pair, energy, packing, spaces, witness
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -78,6 +78,27 @@ def test_tracer_wraps_every_span_and_restores_it():
     assert counts["witness.event_check.calls"] == 1
     assert counts["witness.event_check.rows"] == len(checker.points) > 64
     assert counts["packing.greedy.rows"] == len(checker.points)
+
+
+def test_energy_counters_read_the_pair_mean_arguments():
+    # the pair_mean counter reads _pair_mean's d and trials by name
+    spans = _load_spans()
+    family = energy.build_nested_family((2, 2))
+    pairs = energy.ladder_pairs(family)
+    measure = energy.natural_leaf_measure(family)
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        rep = energy.pair_expectation_check(family, t=0.5, s=0.6, trials=16,
+                                            seed=0, d=2)
+        energy.expected_energy_check(family, t=0.5, s=0.6, trials=3, seed=0,
+                                     c_hat=rep.c_hat, d=2)
+    finally:
+        tracer.uninstall()
+    counts = tracer.per_pass()[0]
+    assert counts["energy.pair_mean.calls"] == len(pairs) > 1
+    assert counts["energy.pair_mean.draws"] == 2 * 2 * 16 * len(pairs)
+    assert counts["energy.eval_field.calls"] == 3 * len(measure.points)
 
 
 def test_workload_marks_resolve():

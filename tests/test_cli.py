@@ -1,10 +1,12 @@
+import csv
 import json
 import math
 import time
+from pathlib import Path
 
 import pytest
 
-from dimlab import cli, spaces, witness
+from dimlab import cli, energy, spaces, witness
 from dimlab.cli import (
     ExperimentConfig,
     ResultRow,
@@ -173,6 +175,23 @@ class TestCommands:
         assert all(",xyz," in line for line in body)
         assert all("'version': '0.1.0'" in line for line in body)
 
+    def test_energy_rows_carry_d(self):
+        table = run(ExperimentConfig("energy", depth=2, d=2, trials=4,
+                                     seed="d2"))
+        fam = energy.build_nested_family((2, 2))
+        pair = energy.pair_expectation_check(fam, t=0.5, s=0.6,
+                                             trials=4 * 1024, seed="d2", d=2)
+        check = energy.expected_energy_check(fam, t=0.5, s=0.6, trials=4,
+                                             seed="d2", c_hat=pair.c_hat, d=2)
+        chat, expected = table.rows
+        assert chat.params["d"] == expected.params["d"] == 2
+        assert (chat.value, chat.params["stability"], chat.passed) == (
+            pair.c_hat, pair.stability_ratio, pair.passed)
+        assert (expected.value, expected.reference, expected.params["i_s"],
+                expected.passed) == (check.empirical, check.reference,
+                                     check.i_s, check.passed)
+        assert main(["energy", "--d", "0", "--trials", "1"]) == 2
+
     def test_kernel_command(self):
         table = run(ExperimentConfig("kernel", d=1))
         spots = [r for r in table.rows if r.experiment == "kernel-spot"]
@@ -212,6 +231,28 @@ class TestLayerDefaults:
     def test_default_runs_from_the_command_line(self):
         assert main(["saturation", "--trials", "1"]) != 2
 
+    @pytest.mark.parametrize("space, d, n, adversary", [
+        ("cantor", 1, 6, "zero"), ("interval", 2, 5, "collide"),
+    ])
+    def test_saturation_places_no_satellites(self, monkeypatch, space, d, n,
+                                             adversary):
+        # the row equals the one computed on the fully built layer
+        lay = witness.build_layers(cli.SPACES[space](), d, n)[-1]
+        adv = (witness.zero_adversary(d) if adversary == "zero"
+               else witness.colliding_adversary(d))
+        want = witness.simulate_saturation_failure(lay, adv, 50, "np")
+
+        def refuse(*args):
+            raise AssertionError("saturation placed satellites")
+
+        monkeypatch.setattr(witness, "_place_layer", refuse)
+        (row,) = run(ExperimentConfig("saturation", space=space, d=d,
+                                      n_max=n, adversary=adversary,
+                                      trials=50, seed="np")).rows
+        assert row.params["failures"] == want.failures
+        assert (row.value, row.reference, row.passed, row.ci_high) == (
+            want.failure_rate, want.bound, want.passed, want.wilson_upper)
+
     @pytest.mark.parametrize("command", ["saturation", "prevalence"])
     def test_n_max_above_the_limit_exits_2(self, command, capsys):
         assert main([command, "--n-max", "9", "--trials", "1"]) == 2
@@ -222,3 +263,47 @@ class TestLayerDefaults:
     def test_other_commands_keep_n_max_12(self, command):
         table = run(ExperimentConfig(command, space="harmonic"))
         assert table.rows[-1].params["n_max"] == 12
+
+
+GOLDEN_REPORT = Path(__file__).resolve().parent / "golden" / "report_seed42.csv"
+
+
+def _cell(column, text):
+    if column == "param_json":
+        return json.loads(text.replace("'", '"'))
+    for kind in (int, float):
+        try:
+            return kind(text)
+        except ValueError:
+            pass
+    return text
+
+
+def _assert_same(got, want, where):
+    """Text and integers exactly; floats to quad's epsrel of 1e-9."""
+    if isinstance(want, float):
+        assert isinstance(got, float), where
+        assert math.isclose(got, want, rel_tol=1e-9), (where, got, want)
+    elif isinstance(want, (dict, list)):
+        assert type(got) is type(want) and len(got) == len(want), where
+        keys = want if isinstance(want, dict) else range(len(want))
+        for key in keys:
+            _assert_same(got[key], want[key], f"{where}[{key!r}]")
+    else:
+        assert got == want, (where, got, want)
+
+
+def test_report_seed_42_matches_the_golden_csv(tmp_path):
+    out = tmp_path / "report.csv"
+    run(ExperimentConfig("report", seed="42", out=str(out)))
+    with open(out, newline="", encoding="utf-8") as fh:
+        got = list(csv.reader(fh))
+    with open(GOLDEN_REPORT, newline="", encoding="utf-8") as fh:
+        want = list(csv.reader(fh))
+    assert got[0] == want[0] == list(cli.CSV_COLUMNS)
+    assert len(got) == len(want)
+    for i, (g, w) in enumerate(zip(got[1:], want[1:]), 1):
+        assert len(g) == len(w), f"row {i}"
+        for column, gc, wc in zip(want[0], g, w):
+            _assert_same(_cell(column, gc), _cell(column, wc),
+                         f"row {i} {column}")

@@ -10,6 +10,8 @@ import pytest
 
 from dimlab import cantor_pair, energy, estimators
 from dimlab.energy import (
+    TAIL_LEVELS,
+    RandomFieldSample,
     anchor_pairs,
     build_nested_family,
     eval_field,
@@ -24,9 +26,8 @@ from dimlab.energy import (
     minimal_level_depth,
     natural_leaf_measure,
     pair_expectation_check,
-    sample_field,
 )
-from dimlab.spaces import DigitVector, NetDepthError
+from dimlab.spaces import DigitVector
 
 
 class TestNestedFamily:
@@ -60,19 +61,14 @@ class TestNestedFamily:
                 d = parent.prefix.depth
                 assert child.prefix.digits[:d] == parent.prefix.digits
 
-    def test_shallow_level_depths_rejected(self):
-        with pytest.raises(NetDepthError) as err:
-            build_nested_family((2, 2), level_depths=(1, 2))
-        assert "depth >= 3" in str(err.value)
-
     def test_depth_cap(self):
         with pytest.raises(ValueError):
             build_nested_family((2,) * 5)
 
     def test_branching_capacity_validated(self):
         with pytest.raises(ValueError):
-            build_nested_family((2, 5), level_depths=(1, 3))
-        fam = build_nested_family((2, 4), level_depths=(1, 3))
+            build_nested_family((2, 5))
+        fam = build_nested_family((2, 4))
         assert len(fam.leaves()) == 8
 
     def test_locate(self, nested_family_depth3):
@@ -87,7 +83,7 @@ class TestNestedFamily:
 class TestRandomField:
     def test_values_on_level_grid(self, nested_family_depth3):
         fam = nested_family_depth3
-        sample = sample_field(fam, seed=1)
+        sample = RandomFieldSample(fam, seed=1)
         for level in (1, 2, 3):
             for piece in fam.levels[level - 1]:
                 (v,) = sample.node_value(level, piece.path)
@@ -97,22 +93,23 @@ class TestRandomField:
         fam = nested_family_depth3
         piece = fam.levels[1][2]
         hits = sum(
-            sample_field(fam, seed=("u", t)).node_value(2, piece.path)[0] == 0
+            RandomFieldSample(fam, seed=("u", t)).node_value(
+                2, piece.path)[0] == 0
             for t in range(4000)
         )
         assert abs(hits / 4000 - 0.5) <= 0.03
 
     def test_same_seed_same_field(self, nested_family_depth3):
         fam = nested_family_depth3
-        a = sample_field(fam, seed="s")
-        b = sample_field(fam, seed="s")
+        a = RandomFieldSample(fam, seed="s")
+        b = RandomFieldSample(fam, seed="s")
         x = fam.anchor(fam.leaves()[2])
         assert eval_field(a, x) == eval_field(b, x)
 
     def test_same_piece_shares_coarse_levels(self, nested_family_depth3):
         # two points of one leaf differ only in tail contributions
         fam = nested_family_depth3
-        sample = sample_field(fam, seed=3)
+        sample = RandomFieldSample(fam, seed=3)
         leaf = fam.leaves()[0]
         x = fam.anchor(leaf)
         y = fam.piece_point(leaf, (1,))
@@ -120,7 +117,7 @@ class TestRandomField:
             sample.node_value(lv, leaf.path[:lv])[0] for lv in (1, 2, 3))
         tail = lambda p: sum(
             sample.tail_value(p, j)[0]
-            for j in range(1, sample.tail_levels + 1))
+            for j in range(1, TAIL_LEVELS + 1))
         assert eval_field(sample, x)[0] - tail(x) == tree_x
         assert eval_field(sample, y)[0] - tail(y) == tree_x
 
@@ -129,7 +126,7 @@ class TestRandomField:
         # same level-2 piece, different level-3 children: the level-1
         # and level-2 contributions coincide, everything deeper differs
         fam = nested_family_depth3
-        sample = sample_field(fam, seed=12)
+        sample = RandomFieldSample(fam, seed=12)
         a, b = fam.leaves()[0], fam.leaves()[1]
         assert a.path[:2] == b.path[:2] and a.path != b.path
         shared = sum(sample.node_value(lv, a.path[:lv])[0] for lv in (1, 2))
@@ -137,12 +134,12 @@ class TestRandomField:
             x = fam.anchor(leaf)
             rest = (sample.node_value(3, leaf.path)[0]
                     + sum(sample.tail_value(x, j)[0]
-                          for j in range(1, sample.tail_levels + 1)))
+                          for j in range(1, TAIL_LEVELS + 1)))
             assert eval_field(sample, x)[0] == shared + rest
 
     def test_field_bounded(self, nested_family_depth3):
         fam = nested_family_depth3
-        sample = sample_field(fam, seed=8)
+        sample = RandomFieldSample(fam, seed=8)
         for leaf in fam.leaves():
             (v,) = eval_field(sample, fam.anchor(leaf))
             assert 0 <= v < 1  # sum of 2**-n grids never reaches 1
@@ -153,7 +150,7 @@ class TestRandomField:
                                              seed, d):
         # the reference adds every node and tail value as a Fraction
         fam = nested_family_depth3
-        sample = sample_field(fam, seed=seed, d=d)
+        sample = RandomFieldSample(fam, seed=seed, d=d)
         off_tree = DigitVector((0, 1, 1)).value
         assert len(fam.locate(off_tree)) == 1
         points = [fam.anchor(leaf) for leaf in fam.leaves()]
@@ -163,7 +160,7 @@ class TestRandomField:
             values = [sample.node_value(lv, path[:lv])
                       for lv in range(1, len(path) + 1)]
             values += [sample.tail_value(x, j)
-                       for j in range(1, sample.tail_levels + 1)]
+                       for j in range(1, TAIL_LEVELS + 1)]
             want = tuple(sum((v[c] for v in values), Fraction(0))
                          for c in range(d))
             assert eval_field(sample, x) == want
@@ -173,7 +170,7 @@ class TestGraphMeasure:
     def test_mass_conserved_and_atoms_distinct(self, nested_family_depth3):
         fam = nested_family_depth3
         nu = natural_leaf_measure(fam)
-        gm = graph_measure(nu, sample_field(fam, seed=2))
+        gm = graph_measure(nu, RandomFieldSample(fam, seed=2))
         assert sum(gm.weights, Fraction(0)) == 1
         assert gm.weights == nu.weights
         assert len(set(gm.coords)) == len(gm.coords)
@@ -182,7 +179,7 @@ class TestGraphMeasure:
         # graph distances dominate base distances, so the energy drops
         fam = nested_family_depth3
         nu = natural_leaf_measure(fam)
-        gm = graph_measure(nu, sample_field(fam, seed=2))
+        gm = graph_measure(nu, RandomFieldSample(fam, seed=2))
         for s in (0.6, 1.5):
             assert (estimators.discrete_energy(gm, s)
                     <= estimators.discrete_energy(nu, s) + 1e-12)
@@ -301,7 +298,7 @@ class TestPairExpectation:
         # every sampled value is at least the zero-difference mass times
         # rho**-(t+d), so the mean respects the deterministic floor
         fam = nested_family_depth3
-        (x, y) = ladder_pairs(fam, rungs=[7])[0]
+        (x, y) = ladder_pairs(fam)[0]
         rho = abs(float(x) - float(y))
         rep = pair_expectation_check(fam, t=0.5, s=0.6, trials=1 << 16,
                                      seed=2, pairs=[(x, y)])

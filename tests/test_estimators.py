@@ -20,10 +20,10 @@ from dimlab.estimators import (
     packing_count_series,
 )
 from dimlab.energy import (
+    RandomFieldSample,
     build_nested_family,
     graph_measure,
     natural_leaf_measure,
-    sample_field,
 )
 from dimlab.spaces import build_net, harmonic_sequence, triadic_cantor, unit_interval
 
@@ -202,7 +202,7 @@ def _graph_2d():
     # 32 atoms of a drift-free 2-D sample graph over a nested family
     family = build_nested_family((2, 4, 4))
     return graph_measure(natural_leaf_measure(family),
-                         sample_field(family, seed=2))
+                         RandomFieldSample(family, seed=2))
 
 
 class TestDiscreteEnergy:

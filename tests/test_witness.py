@@ -9,7 +9,6 @@ from dimlab.spaces import NetDepthError, triadic_cantor, unit_interval
 from dimlab.witness import (
     build_layer,
     build_layers,
-    check_event,
     colliding_adversary,
     event_threshold,
     eval_witness,
@@ -118,7 +117,7 @@ class TestLayerConstruction:
         assert lay.s_n == 4 and len(lay.grid[0]) == 2
         sample = witness.sample_witness(layers, 3)
         assert len(eval_witness(sample, lay.satellites[0][1], 5)) == 2
-        rep = check_event(sample, None, 5)
+        rep = witness.EventChecker(layers, 5).check(sample)
         assert rep.holds
         assert rep.threshold == Fraction(lay.k_n * 2 ** 10, 5 ** 4)
         sat = simulate_saturation_failure(lay, colliding_adversary(2), 200, 1)
@@ -275,7 +274,7 @@ class TestEventCheck:
 
     def test_event_holds_for_typical_sample(self, cantor_layers):
         s = sample_witness(cantor_layers, seed=31)
-        rep = check_event(s, None, 5)
+        rep = witness.EventChecker(cantor_layers, 5).check(s)
         assert rep.holds
         assert rep.graph_count >= rep.threshold
 
@@ -302,7 +301,8 @@ class TestEventCheck:
     def test_drifted_event(self, cantor_layers):
         drift = lambda p: (cantor_pair.evaluate(
             cantor_pair.DigitFunction.ODD_DIGITS, p),)
-        rep = check_event(sample_witness(cantor_layers, seed=4), drift, 6)
+        checker = witness.EventChecker(cantor_layers, 6, drift)
+        rep = checker.check(sample_witness(cantor_layers, seed=4))
         assert rep.holds
 
     @pytest.mark.parametrize("space, d, n_max, drift", [

@@ -9,7 +9,8 @@ delta.  Two counters are provided:
   sorted window sweep that compares a candidate only with the chosen
   points whose first coordinate lies within delta below its own.  On
   one-dimensional point sets that window is the last chosen point, and
-  the sweep is in fact optimal;
+  the sweep is in fact optimal.  It can stop once a given number of
+  points is kept, which decides whether a count reaches a threshold;
 * an exact branch-and-bound counter for instances up to a configured
   size, used both directly and as the correctness oracle for greedy.
 
@@ -71,14 +72,15 @@ def _sorted_order(rows):
     return sorted(range(len(rows)), key=rows.__getitem__)
 
 
-def _greedy_indices(rows, order, delta) -> list[int]:
+def _greedy_indices(rows, order, delta, stop=None) -> list[int]:
     """Greedy maximal packing of rows inserted in ascending ``order``.
 
     ``reach`` holds each chosen row's first coordinate plus delta and is
     non-decreasing, so a conflicting chosen row (distance <= delta) is
     among the trailing ones whose reach is at least the candidate's
     first coordinate; only those are compared.  On 1-D rows reaching is
-    conflicting, so no distance is computed there.
+    conflicting, so no distance is computed there.  The sweep returns
+    once ``stop`` rows are chosen.
     """
     d2 = delta * delta
     flat = len(rows[order[0]]) == 1
@@ -99,22 +101,30 @@ def _greedy_indices(rows, order, delta) -> list[int]:
                 break
         else:
             chosen.append(idx)
+            if len(chosen) == stop:
+                break
             reach.append(x + delta)
     return chosen
 
 
-def greedy_packing_coords(rows, delta, presorted: bool = False) -> list[int]:
+def greedy_packing_coords(rows, delta, presorted: bool = False,
+                          stop: int | None = None) -> list[int]:
     """Indices of a greedy maximal delta-packing of the coordinate rows.
 
     Rows and delta are ``int``, ``Fraction`` or ``float`` and are
     compared as given.  ``presorted`` declares the rows already in
     ascending order, which the kernel's window relies on.
+
+    With a positive ``stop`` the sweep returns as soon as ``stop`` rows
+    are kept.  Rows are kept in the same ascending order either way, so
+    the result is the first ``min(stop, count)`` indices of the full
+    packing: enough to decide whether the count reaches ``stop``.
     """
     if not rows:
         raise ValueError("empty point set")
     _positive(delta)
     order = list(range(len(rows))) if presorted else _sorted_order(rows)
-    return _greedy_indices(rows, order, delta)
+    return _greedy_indices(rows, order, delta, stop)
 
 
 def max_packing_greedy(net: ResolutionNet, n: int | None = None, *,

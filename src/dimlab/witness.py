@@ -18,7 +18,10 @@ The two probabilistic checks:
   full-size 2**-n packing of values;
 * ``EventChecker`` / ``event_fraction``: how often does the graph of the
   summed layers plus a drift carry at least N_n(K) * 2**(n d) * n**-2d
-  packing points at scale 2**-n.
+  packing points at scale 2**-n.  A check builds its integer rows with
+  one numpy gather per layer (int64 while the checker's row bound is
+  below 2**62) and stops counting at ceil(threshold); small instances
+  fall back to exact search only when greedy falls short.
 
 A layer is sized (grid, k_n, m_n, ell_n and the ball centres, a
 :class:`LayerSize`) before its satellites are placed; the saturation
@@ -34,6 +37,8 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Sequence
+
+import numpy as np
 
 from . import packing
 from .rng import stable_index
@@ -75,7 +80,6 @@ class LayerSize:
 class LayerSpec(LayerSize):
     """One randomization layer: its sizes, satellites and bump radius."""
 
-    k_n_method: str
     eps_n: Fraction
     satellites: tuple[tuple, ...]          # [k][i] -> point
     bump_radius: Fraction
@@ -95,6 +99,16 @@ class WitnessSample:
 
 @dataclass(frozen=True)
 class EventReport:
+    """The verdict of one event check at layer n.
+
+    ``graph_count`` is the graph's packing count capped at
+    ceil(threshold): the check stops counting once the verdict is
+    decided, so ``holds`` is ``graph_count >= threshold`` either way.
+    ``method`` is "exact" for instances of at most
+    ``packing.EXACT_SEARCH_LIMIT`` rows, whose capped count is that of a
+    maximum packing, and "greedy" above.
+    """
+
     n: int
     graph_count: int
     threshold: Fraction
@@ -203,8 +217,8 @@ def build_layer(space: SpaceDescriptor, n: int, d: int,
 
     k_n and the ball centres come from one greedy 2**-n packing of the
     base net at scale n + 1.  The base is one-dimensional, where the
-    ascending sweep is a maximum packing, so k_n is the net's packing
-    number N_n(K) and ``k_n_method`` is always "exact".
+    ascending sweep is a maximum packing, so k_n is exactly the net's
+    packing number N_n(K).
 
     ``earlier`` must contain the already-built lower layers so the new
     satellites avoid every previous satellite set exactly.
@@ -261,7 +275,7 @@ def _place_layer(size: LayerSize, earlier: Sequence[LayerSpec]) -> LayerSpec:
             r_candidates.append(best)
     bump_radius = min(r_candidates) / 4
 
-    return LayerSpec(**vars(size), k_n_method="exact", eps_n=eps,
+    return LayerSpec(**vars(size), eps_n=eps,
                      satellites=tuple(satellites), bump_radius=bump_radius,
                      sat_values=sat_values)
 
@@ -354,14 +368,26 @@ class EventChecker:
     """Reusable graph-packing event check for one layer and drift.
 
     A layer-l grid value is ``Fraction(8, 2**l) * j`` for an integer
-    vector j, so a graph row is (x, drift) plus bump coefficients
-    ``step * weight`` times integers.  The x values and every layer's
-    satellite keys share one integer denominator q, so the nearest bump
-    (the one :func:`_bump_terms` finds) is a bisect on integers and each
-    coefficient is an integer fraction.  The constructor then puts x,
-    drift, every coefficient and delta over one common denominator and
-    keeps the integer numerators, with a table from each grid value to
-    its j; a check adds integer products and packs rows that pack
+    vector j with entries in 0..floor(2**l / l**2), so a graph row is
+    (x, drift) plus bump coefficients ``step * weight`` times integers.
+    The x values and every layer's satellite keys share one integer
+    denominator q, so the nearest bump (the one :func:`_bump_terms`
+    finds) is a bisect on integers and each coefficient is an integer
+    fraction.  The constructor then puts x, drift, every coefficient and
+    delta over one common denominator and keeps the integer numerators:
+
+    * ``points``: the layer's satellites in ascending x, the row order;
+    * ``base``: the (x, drift) rows, one array row per point;
+    * ``coef[l]`` and ``sat[l]``: per point, the coefficient of its
+      layer-l bump (0 if none reaches it) and that bump's satellite
+      index, as array columns;
+    * ``grid_index[l]``: each layer-l grid value's j.
+
+    Row entries are bounded by max|base| + sum over l of
+    max(coef[l]) * floor(2**l / l**2), coefficients being positive; the
+    arrays are ``int64`` when
+    that bound is below 2**62 and ``object`` (Python ints) otherwise, as
+    when the drift brings a large denominator.  Integer rows pack
     exactly like the rational ones.
     """
 
@@ -374,7 +400,8 @@ class EventChecker:
         self.n = n
         self.d = self.layer.d
         self.threshold = event_threshold(self.layer)
-        self.points = list(self.layer.all_satellites())
+        # x values are distinct, so ascending x is ascending row order
+        self.points = sorted(self.layer.all_satellites())
         steps = [Fraction(8, 2 ** lay.n) for lay in self.layers]
         q = math.lcm(*(v.denominator for lay in self.layers
                        for v, _ in lay.sat_values))
@@ -411,10 +438,21 @@ class EventChecker:
                          *(v.denominator for row in base for v in row),
                          *(den for row in terms for *_, den in row))
         self.delta = denom >> n
-        self.base = [tuple(v.numerator * (denom // v.denominator) for v in row)
-                     for row in base]
-        self.terms = [[(li, i, num * (denom // den)) for li, i, num, den in row]
-                      for row in terms]
+        base = [[v.numerator * (denom // v.denominator) for v in row]
+                for row in base]
+        coef = [[0] * len(base) for _ in self.layers]
+        sat = [[0] * len(base) for _ in self.layers]
+        for r, row in enumerate(terms):
+            for li, i, num, den in row:
+                coef[li][r] = num * (denom // den)
+                sat[li][r] = i
+        bound = (max(abs(v) for row in base for v in row)
+                 + sum(max(col) * (2 ** lay.n // lay.n ** 2)
+                       for col, lay in zip(coef, self.layers)))
+        self.dtype = np.dtype(np.int64 if bound < 2 ** 62 else object)
+        self.base = np.array(base, dtype=self.dtype)
+        self.coef = [np.array(col, dtype=self.dtype)[:, None] for col in coef]
+        self.sat = [np.array(col) for col in sat]
         self.grid_index = [
             {g: tuple(int(c / step) for c in g) for g in lay.grid}
             for lay, step in zip(self.layers, steps)
@@ -426,25 +464,32 @@ class EventChecker:
         Evaluation runs over the layer's satellite set, where the layer
         values live exactly; more evaluation points could only increase
         the count, so this is the conservative side of the event.
+
+        The rows are ``base`` plus, per layer, the coefficient column
+        times the sampled j of each point's satellite.  Greedy counts
+        them in ascending order and stops at ceil(threshold); on at most
+        ``packing.EXACT_SEARCH_LIMIT`` rows exact search runs only when
+        greedy falls short, since a greedy count never exceeds the
+        maximum.  The reported count is capped at ceil(threshold).
         """
         if sample.layers[:self.n] != self.layers:
             raise ValueError("sample was drawn over different layers")
-        js = [[index[g] for g in vals]
-              for index, vals in zip(self.grid_index, sample.values)]
-        rows = []
-        for base, terms in zip(self.base, self.terms):
-            row = list(base)
-            for li, i, coeff in terms:
-                for c, jc in enumerate(js[li][i], 1):
-                    row[c] += coeff * jc
-            rows.append(tuple(row))
+        rows = self.base.copy()
+        for index, vals, coef, sat in zip(self.grid_index, sample.values,
+                                          self.coef, self.sat):
+            js = np.array([index[g] for g in vals], dtype=self.dtype)
+            rows[:, 1:] += coef * js[sat]
+        rows = rows.tolist()
+        need = math.ceil(self.threshold)
+        chosen = packing.greedy_packing_coords(rows, self.delta,
+                                               presorted=True, stop=need)
         if len(rows) <= packing.EXACT_SEARCH_LIMIT:
-            chosen = packing.exact_packing_coords(rows, self.delta)
             method = "exact"
+            if len(chosen) < need:
+                chosen = packing.exact_packing_coords(rows, self.delta)
         else:
-            chosen = packing.greedy_packing_coords(rows, self.delta)
             method = "greedy"
-        count = len(chosen)
+        count = min(len(chosen), need)
         return EventReport(self.n, count, self.threshold,
                            count >= self.threshold, method)
 

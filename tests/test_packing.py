@@ -186,6 +186,10 @@ class TestWindowKernel:
             delta = make(rnd.randrange(1, 16))
             got = packing.greedy_packing_coords(rows, delta)
             assert got == _all_pairs_greedy(rows, delta)
+            # a stopped sweep keeps exactly the prefix of the full one
+            for stop in (1, (len(got) + 1) // 2, len(got), len(got) + 1):
+                assert (packing.greedy_packing_coords(rows, delta, stop=stop)
+                        == got[:stop])
             order = sorted(range(len(rows)), key=rows.__getitem__)
             ordered = [rows[i] for i in order]
             assert got == [order[i] for i in packing.greedy_packing_coords(

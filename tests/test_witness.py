@@ -2,6 +2,7 @@ import itertools
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from dimlab import cantor_pair, packing, witness
@@ -67,11 +68,10 @@ class TestLayerConstruction:
     def test_k_n_pinned_and_exact(self, space, k_n):
         layers = build_layers(space, 1, len(k_n))
         assert [(lay.n, lay.k_n) for lay in layers] == list(enumerate(k_n, 1))
-        assert all(lay.k_n_method == "exact" for lay in layers)
 
     def test_k5_exact_and_m5(self, cantor_layers):
         lay = cantor_layers[4]
-        assert lay.k_n == 8 and lay.k_n_method == "exact"
+        assert lay.k_n == 8
         m = 1
         while Fraction(1, 2) ** m > Fraction(1, 2 * lay.k_n * 32):
             m += 1
@@ -247,10 +247,11 @@ class TestEvalWitness:
 
 
 def _rational_checker_rows(layers, n, drift):
-    """delta, base rows and bump terms of the event check, from the
-    rational bumps of _bump_terms over one LCM denominator."""
+    """delta, base rows and per-layer coefficient and satellite-index
+    columns of the event check, in ascending x, from the rational bumps
+    of _bump_terms over one LCM denominator."""
     base, terms = [], []
-    for x in layers[n - 1].all_satellites():
+    for x in sorted(layers[n - 1].all_satellites()):
         g = tuple(map(Fraction, drift(x))) if drift else (0,) * layers[0].d
         base.append((x, *g))
         terms.append([(li, t[0], Fraction(8, 2 ** lay.n) * t[1])
@@ -260,9 +261,13 @@ def _rational_checker_rows(layers, n, drift):
     denom = math.lcm(delta.denominator,
                      *(v.denominator for row in base for v in row),
                      *(w.denominator for row in terms for *_, w in row))
+    coef = [[0] * len(base) for _ in range(n)]
+    sat = [[0] * len(base) for _ in range(n)]
+    for r, row in enumerate(terms):
+        for li, i, w in row:
+            coef[li][r], sat[li][r] = int(w * denom), i
     return (int(delta * denom),
-            [tuple(int(v * denom) for v in row) for row in base],
-            [[(li, i, int(w * denom)) for li, i, w in row] for row in terms])
+            [[int(v * denom) for v in row] for row in base], coef, sat)
 
 
 class TestEventCheck:
@@ -308,22 +313,31 @@ class TestEventCheck:
     @pytest.mark.parametrize("space, d, n_max, drift", [
         (triadic_cantor(), 1, 7, None),
         (triadic_cantor(), 1, 7, "cantor-f"),
+        (triadic_cantor(), 1, 7, "wide-drift"),
         (triadic_cantor(), 2, 5, None),
         (unit_interval(), 1, 5, None),
         (unit_interval(), 2, 4, None),
-    ], ids=["cantor-d1-zero", "cantor-d1-cantor-f", "cantor-d2-zero",
-            "interval-d1-zero", "interval-d2-zero"])
+    ], ids=["cantor-d1-zero", "cantor-d1-cantor-f", "cantor-d1-wide-drift",
+            "cantor-d2-zero", "interval-d1-zero", "interval-d2-zero"])
     def test_integer_rows_match_fraction_rows(self, space, d, n_max, drift):
         # the checker's integer rows over one common denominator equal
         # those of the rational construction and pack exactly like the
-        # rational graph rows built from eval_witness
+        # rational graph rows built from eval_witness; a drift with a
+        # large denominator pushes the row bound past 2**62, and the rows
+        # are then Python ints in an object array
+        dtype = np.dtype(object if drift == "wide-drift" else np.int64)
         if drift == "cantor-f":
             drift = lambda p: (cantor_pair.evaluate(
                 cantor_pair.DigitFunction.ODD_DIGITS, p),)
+        elif drift == "wide-drift":
+            drift = lambda p: (Fraction(1, 7 ** 25),)
         layers = build_layers(space, d, n_max)
         for n in range(1, n_max + 1):
             checker = witness.EventChecker(layers, n, drift)
-            assert ((checker.delta, checker.base, checker.terms)
+            assert checker.dtype == dtype
+            assert ((checker.delta, checker.base.tolist(),
+                     [col[:, 0].tolist() for col in checker.coef],
+                     [col.tolist() for col in checker.sat])
                     == _rational_checker_rows(layers, n, drift))
             points = layers[n - 1].all_satellites()
             delta = Fraction(1, 2 ** n)
@@ -341,8 +355,39 @@ class TestEventCheck:
                     count = len(packing.greedy_packing_coords(rows, delta))
                     method = "greedy"
                 rep = checker.check(sample)
-                assert (rep.graph_count, rep.method) == (count, method)
+                need = math.ceil(event_threshold(layers[n - 1]))
+                assert (rep.graph_count, rep.method) == (min(count, need),
+                                                         method)
                 assert rep.holds == (count >= event_threshold(layers[n - 1]))
+
+    def test_exact_search_only_when_greedy_falls_short(self, cantor_layers,
+                                                       monkeypatch):
+        # no sample makes greedy fall short of n = 4's need of 4, so the
+        # threshold is raised to the exact maximum and one above it
+        checker = witness.EventChecker(cantor_layers, 4)
+        assert len(checker.points) <= packing.EXACT_SEARCH_LIMIT
+        delta = Fraction(1, 2 ** 4)
+        exact = packing.exact_packing_coords
+        calls = []
+
+        def spy(*args, **kwargs):
+            calls.append(args)
+            return exact(*args, **kwargs)
+
+        monkeypatch.setattr(packing, "exact_packing_coords", spy)
+        for seed in range(4):
+            sample = sample_witness(cantor_layers[:4], ("fallback", seed))
+            rows = [(p, *eval_witness(sample, p, 4)) for p in checker.points]
+            best = len(exact(rows, delta))
+            greedy = len(packing.greedy_packing_coords(rows, delta))
+            for threshold in (best, best + 1):
+                checker.threshold = threshold
+                calls.clear()
+                rep = checker.check(sample)
+                assert len(calls) == (greedy < threshold)
+                assert rep.holds == (best >= threshold)
+                assert rep.graph_count == min(best, threshold)
+                assert rep.method == "exact"
 
 
 class TestSaturation:

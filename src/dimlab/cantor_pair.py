@@ -8,8 +8,9 @@ For x = sum(a_i * 3**-i) with digits a_i in {0,1}, define
 so f reads the odd-position digits and g the even-position ones.  Both
 graphs occupy exactly 2**(3n) of the 9**-n mesh squares, while the graph
 of f + g occupies 2**(2n) * (3**n + 1): the sum is strictly rougher than
-either summand.  This module reproduces those counts by explicit
-enumeration and carries the closed forms.
+either summand.  This module evaluates the three functions exactly,
+reproduces those counts by enumerating digit patterns in integers, and
+carries the closed forms.
 
 Digit bookkeeping convention: a point is its exact value, whose digits
 the :mod:`spaces` codec reads off.  All counting is done in exact
@@ -24,7 +25,6 @@ from __future__ import annotations
 
 import enum
 import functools
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .spaces import cantor_digits, cantor_numerators
@@ -53,24 +53,6 @@ def evaluate(fn: DigitFunction, x: Fraction) -> Fraction:
     weights = _weights(fn, depth)  # lowest bit first: the last digit
     num = sum(w for w, a in zip(reversed(weights), digits) if a)
     return Fraction(num, 3 ** ((depth + 1) // 2))
-
-
-def to_middle_thirds(x: Fraction) -> Fraction:
-    """Digit-doubling map onto the standard middle-thirds Cantor set.
-
-    Doubling every {0,1} digit gives a {0,2} digit expansion, so the
-    image of the scaled set is exactly the classical Cantor set.
-    """
-    return 2 * Fraction(x)
-
-
-@dataclass(frozen=True)
-class GraphEnumeration:
-    """All 2**depth graph points (x, h(x)) over depth-limited digits."""
-
-    fn: DigitFunction
-    depth: int
-    points: tuple[tuple[Fraction, Fraction], ...]
 
 
 # the positions each function reads, as i % 2 for digit position i
@@ -113,22 +95,6 @@ def _sums(weights) -> list[int]:
     return sums
 
 
-def enumerate_graph(fn: DigitFunction, depth: int) -> GraphEnumeration:
-    """Evaluate the function on every Cantor point with ``depth`` digits.
-
-    Points come out in ascending x order (digit-lexicographic equals
-    numeric order).
-    """
-    if depth < 1:
-        raise ValueError("depth must be >= 1")
-    _check_depth(depth)
-    xs, vs = cantor_numerators(depth), _sums(_weights(fn, depth))
-    xden, vden = 3 ** depth, 3 ** ((depth + 1) // 2)
-    points = tuple((Fraction(x, xden), Fraction(v, vden))
-                   for x, v in zip(xs, vs))
-    return GraphEnumeration(fn, depth, points)
-
-
 def closed_form_counts(n: int) -> tuple[int, int, int]:
     """Exact 9**-n mesh counts (graph f, graph g, graph f+g)."""
     if n < 1:
@@ -163,22 +129,3 @@ def brute_force_mesh_count(fn: DigitFunction, n: int) -> int:
         # completion points: value + 3**-2n lands on the next cell edge
         cells |= {(cx, v + 1) for cx, v in cells}
     return len(cells)
-
-
-def surjectivity_check(n: int) -> bool:
-    """Finite-resolution witness that f+g maps each cylinder onto a full band.
-
-    For every depth-2n prefix h, the depth-4n extensions of h must hit
-    every 3**-2n cell of the half-open band starting at (f+g)(x_h).
-    Vacuously true at n = 0.
-    """
-    if n == 0:
-        return True
-    depth = 4 * n
-    _check_depth(depth)
-    half = 2 * n
-    values = _weights(DigitFunction.SUM, depth)
-    # value(h | ext) = value(h) + value(ext) for a prefix h in the high
-    # half of the bits and an extension ext in the low half, so every
-    # prefix sees the same band offsets and one table of them decides all
-    return set(range(3 ** n)) <= set(_sums(values[:half]))

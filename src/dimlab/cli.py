@@ -337,6 +337,10 @@ def run(cfg: ExperimentConfig) -> ResultTable:
         layered = cfg.command in ("prevalence", "saturation")
         cfg = replace(cfg, n_max=witness.largest_layer(
             SPACES[cfg.space](), cfg.d) if layered else 12)
+    if cfg.n_max < 1:
+        raise ValueError(f"--n-max must be >= 1, got {cfg.n_max}")
+    if cfg.stride < 1:
+        raise ValueError(f"--stride must be >= 1, got {cfg.stride}")
     table = ResultTable()
     RUNNERS[cfg.command](cfg, table)
     if cfg.out:

@@ -168,16 +168,6 @@ class RandomFieldSample:
         return [stable_index(2, self.seed, "tail", level, key, c)
                 for c in range(self.d)]
 
-    def node_value(self, level: int, path: tuple[int, ...]) -> tuple[Fraction, ...]:
-        return tuple(Fraction(b, 2 ** level)
-                     for b in self.node_bits(level, path))
-
-    def tail_value(self, x: Fraction, j: int) -> tuple[Fraction, ...]:
-        level = self.family.depth + j
-        return tuple(Fraction(b, 2 ** level)
-                     for b in self.tail_bits((x.numerator, x.denominator),
-                                             level))
-
 
 def eval_field(sample: RandomFieldSample, x: Fraction) -> tuple[Fraction, ...]:
     """f(x): sum of the containing pieces' values and the point's tails.
@@ -331,19 +321,6 @@ def kernel_bound_check(p: float, q: float, theta, u: float, d: int,
                              const, ratio <= const * (1 + 1e-9), err)
 
 
-def kernel_centered_bound(p: float, q: float, u: float) -> float:
-    """p**2 * integral over [-1,1] of (q**2 + p**2 a**2)**-u, for d = 1.
-
-    Dominates the kernel integral for every translation: clamping the
-    shift inside [-1, 0] only moves the integrand pointwise upward.
-    """
-    val, _ = integrate.quad(
-        lambda a: (q * q + p * p * a * a) ** -u, -1.0, 1.0,
-        epsabs=1e-12, epsrel=1e-9,
-    )
-    return p * p * val
-
-
 def kernel_q_slope(d: int, u: float, p: float, qs: Sequence[float],
                    qmc_points: int = 1 << 20) -> float:
     """Least-squares slope of log ratio vs log q at zero translation,
@@ -396,11 +373,6 @@ def ladder_pairs(family: NestedFamily):
     anchor = family.anchor(leaf)
     return [(anchor, family.piece_point(leaf, (0,) * (j - t - 1) + (1,)))
             for j in range(t + 1, family.point_depth)]
-
-
-def anchor_pairs(family: NestedFamily):
-    anchors = [family.anchor(leaf) for leaf in family.leaves()]
-    return [(a, b) for i, a in enumerate(anchors) for b in anchors[i + 1:]]
 
 
 def _separating_level(family: NestedFamily, x: Fraction, y: Fraction) -> int:

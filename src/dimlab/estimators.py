@@ -1,4 +1,4 @@
-"""Box-dimension regression, Hausdorff content bounds and discrete energies.
+"""Box-dimension regression and discrete energies.
 
 Counting is exact (see :mod:`dimlab.packing`); everything in this module
 that touches logarithms, least squares or energy sums is deliberately
@@ -15,7 +15,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import packing
-from .spaces import ResolutionNet, SpaceDescriptor, build_net, fraction_sqrt
+from .spaces import ResolutionNet, SpaceDescriptor, build_net
 
 DIVERGENCE_RATIO = 1.05
 DIVERGENCE_LOOKBACK = 3
@@ -137,95 +137,6 @@ def cell_count_series(space: SpaceDescriptor,
         net = build_net(space, n)
         entries.append((n, packing.occupied_cell_count(net, n)))
     return ScaleSeries(tuple(entries), log_base=2)
-
-
-# ---------------------------------------------------------------------------
-# covers and Hausdorff content
-
-
-@dataclass(frozen=True)
-class CoverFamily:
-    """Point-set pieces with their exact recorded diameters."""
-
-    pieces: tuple[tuple, ...]
-    coords: tuple[tuple[tuple[Fraction, ...], ...], ...]
-    diameters: tuple
-
-    @classmethod
-    def from_pieces(cls, net: ResolutionNet, pieces) -> "CoverFamily":
-        pieces = tuple(tuple(p) for p in pieces)
-        coords = tuple(
-            tuple(net.coords(pt) for pt in piece) for piece in pieces
-        )
-        diameters = tuple(_exact_diameter(c) for c in coords)
-        return cls(pieces, coords, diameters)
-
-    @classmethod
-    def split_net(cls, net: ResolutionNet, key: Callable) -> "CoverFamily":
-        groups: dict = {}
-        for pt in net.point_list():
-            groups.setdefault(key(pt), []).append(pt)
-        return cls.from_pieces(net, [groups[k] for k in sorted(groups)])
-
-
-def _exact_diameter(coord_rows) -> Fraction | float:
-    if not coord_rows:
-        return Fraction(0)
-    if len(coord_rows[0]) == 1:
-        vals = [r[0] for r in coord_rows]
-        return max(vals) - min(vals)
-    best = Fraction(0)
-    for i, a in enumerate(coord_rows):
-        for b in coord_rows[i + 1:]:
-            d2 = sum(((u - v) ** 2 for u, v in zip(a, b)), Fraction(0))
-            if d2 > best:
-                best = d2
-    root = fraction_sqrt(best)
-    return root if root is not None else math.sqrt(best)
-
-
-def hausdorff_content_upper(cover: CoverFamily, s) -> float:
-    """sum(diam(A_i)**s) for the given cover, an upper content bound."""
-    if s < 0:
-        raise ValueError("exponent must be nonnegative")
-    if not cover.pieces:
-        raise ValueError("empty cover")
-    return float(sum(float(d) ** float(s) for d in cover.diameters))
-
-
-@dataclass(frozen=True)
-class LocalizedBoxResult:
-    value: float
-    per_piece: tuple[float, ...]
-    skipped_empty: int
-
-
-def localized_upper_box(
-    net: ResolutionNet,
-    cover: CoverFamily,
-    scales: Sequence[int],
-) -> LocalizedBoxResult:
-    """Minimum over cover pieces of the piece's full-fit box estimate.
-
-    A small value certifies that some open patch of the net scales with
-    a low exponent; on a self-similar net all pieces should agree.
-    Empty pieces are skipped and counted in the result.
-    """
-    per_piece = []
-    skipped = 0
-    for rows in cover.coords:
-        if not rows:
-            skipped += 1
-            continue
-        entries = []
-        for n in scales:
-            chosen = packing.greedy_packing_coords(rows, Fraction(1, 2 ** n))
-            entries.append((n, len(chosen)))
-        est = box_dim_estimate(ScaleSeries(tuple(entries)), "full-fit")
-        per_piece.append(est.slope)
-    if not per_piece:
-        raise ValueError("cover has no nonempty pieces")
-    return LocalizedBoxResult(min(per_piece), tuple(per_piece), skipped)
 
 
 # ---------------------------------------------------------------------------

@@ -29,7 +29,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .spaces import FINITE_POINT_CLOUD, ResolutionNet
+from .spaces import ResolutionNet
 
 EXACT_SEARCH_LIMIT = 64
 
@@ -138,22 +138,9 @@ def max_packing_greedy(net: ResolutionNet, n: int | None = None, *,
     pts = net.point_list()
     if not pts:
         raise ValueError("empty net")
-    if net.space.kind == FINITE_POINT_CLOUD:
-        chosen = _cloud_greedy(net, delta)
-    else:
-        rows = net.coord_rows()
-        chosen = greedy_packing_coords(rows, delta, presorted=True)
+    chosen = greedy_packing_coords(net.coord_rows(), delta, presorted=True)
     return PackingResult(n, delta, len(chosen),
                          tuple(pts[i] for i in chosen), "greedy")
-
-
-def _cloud_greedy(net: ResolutionNet, delta: Fraction) -> list[int]:
-    table = net.space.cloud_table
-    chosen = []
-    for i in net.point_list():
-        if all(table[i][j] > delta for j in chosen):
-            chosen.append(i)
-    return chosen
 
 
 def exact_packing_coords(rows, delta,
@@ -161,15 +148,22 @@ def exact_packing_coords(rows, delta,
     """Indices of a true maximum delta-packing of the coordinate rows.
 
     Rows and delta are ``int`` or ``Fraction``, compared exactly as given.
+    Two rows conflict when their distance is <= delta, and a packing is
+    an independent set of that conflict graph.  More than ``limit`` rows
+    are refused before any pair is compared.
     """
     if not rows:
         raise ValueError("empty point set")
     d2 = _positive(delta) * delta
-    return _exact_indices(
-        rows,
-        lambda r1, r2: sum((a - b) * (a - b) for a, b in zip(r1, r2)) <= d2,
-        limit,
-    )
+    m = len(rows)
+    _check_limit(m, limit)
+    adj = [0] * m
+    for i, j in itertools.combinations(range(m), 2):
+        if sum((a - b) * (a - b) for a, b in zip(rows[i], rows[j])) <= d2:
+            adj[i] |= 1 << j
+            adj[j] |= 1 << i
+    best_mask = _max_independent_set(adj, m)
+    return [i for i in range(m) if best_mask >> i & 1]
 
 
 def max_packing_exact(net: ResolutionNet, n: int | None = None, *,
@@ -177,9 +171,8 @@ def max_packing_exact(net: ResolutionNet, n: int | None = None, *,
                       limit: int = EXACT_SEARCH_LIMIT) -> PackingResult:
     """True maximum 2**-n packing via branch and bound.
 
-    Works on the compatibility graph where two points conflict when
-    their distance is <= delta; a packing is an independent set of the
-    conflict graph.  Refuses instances larger than ``limit``.
+    Searches the net's coordinate rows with :func:`exact_packing_coords`.
+    Refuses instances larger than ``limit``.
     """
     n, delta = _resolve_delta(n, delta)
     # refuse from the size alone, before any point or row is built: a net
@@ -189,11 +182,7 @@ def max_packing_exact(net: ResolutionNet, n: int | None = None, *,
     pts = net.point_list()
     if not pts:
         raise ValueError("empty net")
-    if net.space.kind == FINITE_POINT_CLOUD:
-        table = net.space.cloud_table
-        chosen = _exact_indices(pts, lambda a, b: table[a][b] <= delta, limit)
-    else:
-        chosen = exact_packing_coords(net.coord_rows(), delta, limit)
+    chosen = exact_packing_coords(net.coord_rows(), delta, limit)
     return PackingResult(n, delta, len(chosen),
                          tuple(pts[i] for i in chosen), "exact")
 
@@ -203,23 +192,6 @@ def _check_limit(m: int, limit: int) -> None:
         raise ExactSearchLimitExceeded(
             f"{m} points exceed the exact search limit of {limit}"
         )
-
-
-def _exact_indices(items, conflicts, limit: int) -> list[int]:
-    """Indices of a largest subset of items no two of which conflict.
-
-    ``conflicts(a, b)`` is symmetric and asked once per unordered pair;
-    more than ``limit`` items are refused before any pair is compared.
-    """
-    m = len(items)
-    _check_limit(m, limit)
-    adj = [0] * m
-    for i, j in itertools.combinations(range(m), 2):
-        if conflicts(items[i], items[j]):
-            adj[i] |= 1 << j
-            adj[j] |= 1 << i
-    best_mask = _max_independent_set(adj, m)
-    return [i for i in range(m) if best_mask >> i & 1]
 
 
 def _max_independent_set(adj: list[int], m: int) -> int:
@@ -293,18 +265,6 @@ def _max_independent_set(adj: list[int], m: int) -> int:
 
     recurse(full, 0, 0)
     return best[0]
-
-
-def mesh_count_2d(points, n: int) -> int:
-    """Number of half-open 9**-n mesh squares meeting a planar point set.
-
-    The squares are [k*9**-n, (k+1)*9**-n) x [m*9**-n, (m+1)*9**-n); the
-    cell of a point is found by exact rational floor division.
-    """
-    if not points:
-        raise ValueError("empty point set")
-    width = Fraction(1, 9 ** n)
-    return len({_cell((Fraction(x), Fraction(y)), width) for x, y in points})
 
 
 def occupied_cell_count(net: ResolutionNet, n: int) -> int:

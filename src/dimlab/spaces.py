@@ -2,34 +2,30 @@
 
 Every space family here is small enough to carry exact rational
 coordinates: the closed unit interval, the {0,1}-digit triadic Cantor
-set, the harmonic sequence {0} u {1/k : k >= 1}, products of a base
-space with a euclidean cube, and explicit finite point clouds given by
-a distance table.
+set, the harmonic sequence {0} u {1/k : k >= 1}, and products of a base
+space with a euclidean cube.
 
 A point of a one-dimensional family, the Cantor set included, is the
 exact ``Fraction`` equal to its value; :class:`DigitVector`,
 :func:`cantor_numerators` and :func:`cantor_digits` are only the codec
 between a Cantor point's digits and its value.
 
-All order comparisons between distances reduce to exact Fraction
-arithmetic on squared distances.  A numeric square root only appears
-when a caller asks for the distance value itself on a product space and
-the squared distance is not a perfect rational square.
+No distance is computed here: a net hands its points to the counters as
+exact coordinate rows (:func:`coords_of`), and the packing kernels
+compare squared distances on those rows.
 """
 
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Iterator
+from typing import Iterator
 
 UNIT_INTERVAL = "unit_interval"
 TRIADIC_CANTOR = "triadic_cantor"
 HARMONIC_SEQUENCE = "harmonic_sequence"
 PRODUCT_WITH_CUBE = "product_with_cube"
-FINITE_POINT_CLOUD = "finite_point_cloud"
 
 # Largest point tuple a net is ever expanded into: the 1-D nets are
 # refused above it before allocation, product nets on ``point_list`` and
@@ -42,7 +38,7 @@ class UnsupportedSpaceError(ValueError):
 
 
 class MixedRepresentationError(TypeError):
-    """Raised when two points of incompatible representations are compared."""
+    """Raised for a point not given as the exact rational its space uses."""
 
 
 class NetDepthError(ValueError):
@@ -143,39 +139,13 @@ class SpaceDescriptor:
     kind: str
     base: "SpaceDescriptor | None" = None
     cube_dim: int = 0
-    cloud_points: tuple = ()
-    cloud_table: tuple = ()
 
     def __post_init__(self):
         if self.kind == PRODUCT_WITH_CUBE:
             if self.base is None or self.cube_dim < 1:
                 raise ValueError("product space needs a base and cube_dim >= 1")
-        elif self.kind == FINITE_POINT_CLOUD:
-            _validate_cloud_table(self.cloud_table)
         elif self.kind not in (UNIT_INTERVAL, TRIADIC_CANTOR, HARMONIC_SEQUENCE):
             raise UnsupportedSpaceError(f"unknown space kind: {self.kind!r}")
-
-
-def _validate_cloud_table(table: tuple) -> None:
-    m = len(table)
-    for row in table:
-        if len(row) != m:
-            raise ValueError("distance table must be square")
-    for i in range(m):
-        if table[i][i] != 0:
-            raise ValueError("distance table diagonal must be zero")
-        for j in range(i + 1, m):
-            if table[i][j] != table[j][i]:
-                raise ValueError("distance table must be symmetric")
-            if table[i][j] <= 0:
-                raise ValueError("off-diagonal distances must be positive")
-    for i in range(m):
-        for j in range(m):
-            for k in range(m):
-                if table[i][j] > table[i][k] + table[k][j]:
-                    raise ValueError(
-                        f"triangle inequality fails at indices ({i},{j},{k})"
-                    )
 
 
 def unit_interval() -> SpaceDescriptor:
@@ -194,14 +164,6 @@ def product_with_cube(base: SpaceDescriptor, d: int) -> SpaceDescriptor:
     return SpaceDescriptor(PRODUCT_WITH_CUBE, base=base, cube_dim=d)
 
 
-def finite_point_cloud(points: Iterable, table: Iterable[Iterable]) -> SpaceDescriptor:
-    pts = tuple(points)
-    tbl = tuple(tuple(Fraction(x) for x in row) for row in table)
-    if len(pts) != len(tbl):
-        raise ValueError("points and table size mismatch")
-    return SpaceDescriptor(FINITE_POINT_CLOUD, cloud_points=pts, cloud_table=tbl)
-
-
 def _as_fraction_point(x) -> Fraction:
     if isinstance(x, Fraction):
         return x
@@ -213,7 +175,7 @@ def _as_fraction_point(x) -> Fraction:
 def coords_of(space: SpaceDescriptor, point) -> tuple[Fraction, ...]:
     """Exact euclidean embedding of a point, used by packing and meshing.
 
-    Point clouds have no coordinates; callers fall back to the table.
+    A point that is not an exact rational raises MixedRepresentationError.
     """
     if space.kind in (UNIT_INTERVAL, TRIADIC_CANTOR, HARMONIC_SEQUENCE):
         return (_as_fraction_point(point),)
@@ -225,44 +187,6 @@ def coords_of(space: SpaceDescriptor, point) -> tuple[Fraction, ...]:
             z if isinstance(z, Fraction) else Fraction(z) for z in cube
         )
     raise UnsupportedSpaceError(f"no coordinates for space kind {space.kind!r}")
-
-
-def dist_sq(space: SpaceDescriptor, x, y) -> Fraction:
-    """Exact squared distance between two points of the space."""
-    if space.kind == FINITE_POINT_CLOUD:
-        return space.cloud_table[x][y] ** 2
-    cx = coords_of(space, x)
-    cy = coords_of(space, y)
-    if len(cx) != len(cy):
-        raise MixedRepresentationError("points of different arity")
-    return sum(((a - b) ** 2 for a, b in zip(cx, cy)), Fraction(0))
-
-
-def fraction_sqrt(q: Fraction) -> Fraction | None:
-    """Exact square root of a nonnegative rational, or None."""
-    if q < 0:
-        return None
-    rn = math.isqrt(q.numerator)
-    rd = math.isqrt(q.denominator)
-    if rn * rn == q.numerator and rd * rd == q.denominator:
-        return Fraction(rn, rd)
-    return None
-
-
-def metric(space: SpaceDescriptor, x, y) -> Fraction | float:
-    """Distance between two points.
-
-    Returns an exact Fraction whenever the distance is rational (always
-    the case on the one-dimensional families and on point clouds), a
-    float square root of the exact squared distance otherwise.
-    """
-    if space.kind == FINITE_POINT_CLOUD:
-        return space.cloud_table[x][y]
-    d2 = dist_sq(space, x, y)
-    root = fraction_sqrt(d2)
-    if root is not None:
-        return root
-    return math.sqrt(d2)
 
 
 @dataclass(frozen=True)
@@ -315,8 +239,6 @@ class ResolutionNet:
         return coords_of(self.space, point)
 
     def coord_rows(self) -> list[tuple[Fraction, ...]]:
-        if self.space.kind == FINITE_POINT_CLOUD:
-            raise UnsupportedSpaceError("point clouds have no coordinate rows")
         if self.points is not None:
             return [self.coords(p) for p in self.points]
         self._check_expandable()
@@ -366,8 +288,6 @@ def build_net(space: SpaceDescriptor, n: int) -> ResolutionNet:
         return ResolutionNet(space, n, pts)
     if kind == PRODUCT_WITH_CUBE:
         return product_net(build_net(space.base, n), space.cube_dim, n)
-    if kind == FINITE_POINT_CLOUD:
-        return ResolutionNet(space, n, tuple(range(len(space.cloud_points))))
     raise UnsupportedSpaceError(f"cannot build a net for kind {space.kind!r}")
 
 

@@ -58,7 +58,6 @@ SATELLITE_DEPTH_CAP = 64
 # n = 9), and the event check then packs one 2-D row per satellite.
 MAX_LAYER_SATELLITES = 10_000
 WILSON_Z = 1.959963984540054  # two-sided 95% normal quantile
-TAIL_SUM_TERMS = 4000
 
 
 @dataclass(frozen=True)
@@ -188,7 +187,10 @@ def _interval_satellites(center: Fraction, eps: Fraction, need: int,
 def _size_layer(space: SpaceDescriptor, n: int, d: int) -> LayerSize:
     """The sizes and ball centres of layer n, or NetDepthError.
 
-    Sizing a layer places no satellite: it packs the base net once and
+    k_n and the ball centres come from one greedy 2**-n packing of the
+    base net at scale n + 1.  The base is one-dimensional, where the
+    ascending sweep is a maximum packing, so k_n is exactly the net's
+    packing number N_n(K).  Sizing a layer places no satellite, and it
     refuses the layer when k_n * ell_n exceeds ``MAX_LAYER_SATELLITES``.
     """
     if space.kind not in (TRIADIC_CANTOR, UNIT_INTERVAL):
@@ -211,23 +213,12 @@ def _size_layer(space: SpaceDescriptor, n: int, d: int) -> LayerSize:
                      tuple(sorted(base.witness)))
 
 
-def build_layer(space: SpaceDescriptor, n: int, d: int,
-                earlier: Sequence[LayerSpec] = ()) -> LayerSpec:
-    """Construct layer n over a perfect base family.
+def _place_layer(size: LayerSize, earlier: Sequence[LayerSpec]) -> LayerSpec:
+    """Place the satellites of a layer sized by :func:`_size_layer`.
 
-    k_n and the ball centres come from one greedy 2**-n packing of the
-    base net at scale n + 1.  The base is one-dimensional, where the
-    ascending sweep is a maximum packing, so k_n is exactly the net's
-    packing number N_n(K).
-
-    ``earlier`` must contain the already-built lower layers so the new
+    ``earlier`` holds the already-built lower layers, so the new
     satellites avoid every previous satellite set exactly.
     """
-    return _place_layer(_size_layer(space, n, d), earlier)
-
-
-def _place_layer(size: LayerSize, earlier: Sequence[LayerSpec]) -> LayerSpec:
-    """Place the satellites of a layer sized by :func:`_size_layer`."""
     space, n, ell_n = size.space, size.n, size.ell_n
     centers = size.packing_points
     delta = Fraction(1, 2 ** n)
@@ -323,42 +314,6 @@ def sample_witness(layers: Sequence[LayerSpec], seed) -> WitnessSample:
     return WitnessSample(tuple(layers), values)
 
 
-def _bump_terms(layer: LayerSpec, x_value: Fraction):
-    """(i, weight) of the at most one layer bump reaching x."""
-    vals = layer.sat_values
-    pos = bisect_left(vals, (x_value, -1))
-    best = None
-    for q in (pos - 1, pos, pos + 1):
-        if 0 <= q < len(vals):
-            dist = abs(vals[q][0] - x_value)
-            if best is None or dist < best[0]:
-                best = (dist, vals[q][1])
-    if best is None or best[0] >= layer.bump_radius:
-        return None
-    weight = 1 - best[0] / layer.bump_radius
-    return best[1], weight
-
-
-def eval_witness(sample: WitnessSample, x, depth: int) -> tuple[Fraction, ...]:
-    """Sum of the first ``depth`` layer functions at a base point.
-
-    Bump radii never overlap inside a layer, and never reach an earlier
-    layer's satellites, so at most one satellite per layer contributes.
-    """
-    if depth > len(sample.layers):
-        raise ValueError("sample has fewer layers than requested depth")
-    d = sample.layers[0].d if sample.layers else 0
-    total = [Fraction(0)] * d
-    for lay, vals in zip(sample.layers[:depth], sample.values):
-        term = _bump_terms(lay, x)
-        if term is None:
-            continue
-        i, weight = term
-        for c in range(d):
-            total[c] += vals[i][c] * weight
-    return tuple(total)
-
-
 def event_threshold(layer: LayerSpec) -> Fraction:
     return Fraction(layer.k_n * 2 ** (layer.n * layer.d),
                     layer.n ** (2 * layer.d))
@@ -371,10 +326,11 @@ class EventChecker:
     vector j with entries in 0..floor(2**l / l**2), so a graph row is
     (x, drift) plus bump coefficients ``step * weight`` times integers.
     The x values and every layer's satellite keys share one integer
-    denominator q, so the nearest bump (the one :func:`_bump_terms`
-    finds) is a bisect on integers and each coefficient is an integer
-    fraction.  The constructor then puts x, drift, every coefficient and
-    delta over one common denominator and keeps the integer numerators:
+    denominator q, so the nearest bump (the one ``_bump_terms`` in
+    ``tests/oracles.py`` finds) is a bisect on integers and each
+    coefficient is an integer fraction.  The constructor then puts x,
+    drift, every coefficient and delta over one common denominator and
+    keeps the integer numerators:
 
     * ``points``: the layer's satellites in ascending x, the row order;
     * ``base``: the (x, drift) rows, one array row per point;
@@ -418,7 +374,7 @@ class EventChecker:
             xk = x.numerator * (q // x.denominator)
             row = []
             for li, (keys, idx, r_num, r_den, scale) in enumerate(keyed):
-                # the first nearest key, the satellite _bump_terms picks
+                # the first nearest key: of two at equal distance, the lower
                 pos = bisect_left(keys, xk)
                 best = None
                 for j in (pos - 1, pos, pos + 1):
@@ -583,16 +539,3 @@ def simulate_saturation_failure(layer: LayerSize, adversary: Callable,
     upper = wilson_upper_bound(failures, trials)
     return SaturationReport(layer.n, trials, failures, failures / trials,
                             upper, bound, upper <= 1.5 * bound)
-
-
-def tail_sup_bound(depth: int, d: int) -> float:
-    """Upper bound for the sup norm of the layers beyond ``depth``.
-
-    Each coordinate of layer n is at most 8 / n**2, so the euclidean
-    tail is below 8 * sqrt(d) * sum(n**-2, n > depth); the first
-    ``TAIL_SUM_TERMS`` terms are summed and the integral remainder
-    bounds the rest.
-    """
-    top = depth + TAIL_SUM_TERMS
-    partial = sum(1.0 / (n * n) for n in range(depth + 1, top + 1))
-    return 8.0 * math.sqrt(d) * (partial + 1.0 / top)

@@ -1,0 +1,142 @@
+"""Reference implementations that the unit tests compare dimlab against.
+
+Each one is the direct, unoptimised form of something the library
+computes another way: rational witness evaluation for the event
+checker's integer rows, graph enumeration and mesh counting for the
+integer mesh counter, per-level field values for ``eval_field``'s
+integer sum, and a centred kernel bound for ``kernel_integral``.
+"""
+
+from bisect import bisect_left
+from dataclasses import dataclass
+from fractions import Fraction
+
+from scipy import integrate
+
+from dimlab.cantor_pair import DigitFunction, _check_depth, _sums, _weights
+from dimlab.spaces import cantor_numerators
+from dimlab.witness import _place_layer, _size_layer
+
+
+# ---------------------------------------------------------------------------
+# witness layers
+
+
+def build_layer(space, n, d, earlier=()):
+    """Layer n alone, placed clear of the ``earlier`` layers' satellites."""
+    return _place_layer(_size_layer(space, n, d), earlier)
+
+
+def _bump_terms(layer, x_value):
+    """(i, weight) of the at most one layer bump reaching x."""
+    vals = layer.sat_values
+    pos = bisect_left(vals, (x_value, -1))
+    best = None
+    for q in (pos - 1, pos, pos + 1):
+        if 0 <= q < len(vals):
+            dist = abs(vals[q][0] - x_value)
+            if best is None or dist < best[0]:
+                best = (dist, vals[q][1])
+    if best is None or best[0] >= layer.bump_radius:
+        return None
+    weight = 1 - best[0] / layer.bump_radius
+    return best[1], weight
+
+
+def eval_witness(sample, x, depth):
+    """Sum of the first ``depth`` layer functions at a base point.
+
+    Bump radii never overlap inside a layer, and never reach an earlier
+    layer's satellites, so at most one satellite per layer contributes.
+    """
+    if depth > len(sample.layers):
+        raise ValueError("sample has fewer layers than requested depth")
+    d = sample.layers[0].d if sample.layers else 0
+    total = [Fraction(0)] * d
+    for lay, vals in zip(sample.layers[:depth], sample.values):
+        term = _bump_terms(lay, x)
+        if term is None:
+            continue
+        i, weight = term
+        for c in range(d):
+            total[c] += vals[i][c] * weight
+    return tuple(total)
+
+
+# ---------------------------------------------------------------------------
+# digit-split graphs and mesh counts
+
+
+@dataclass(frozen=True)
+class GraphEnumeration:
+    """All 2**depth graph points (x, h(x)) over depth-limited digits."""
+
+    fn: DigitFunction
+    depth: int
+    points: tuple
+
+
+def enumerate_graph(fn, depth):
+    """Evaluate the function on every Cantor point with ``depth`` digits.
+
+    Points come out in ascending x order (digit-lexicographic equals
+    numeric order).
+    """
+    if depth < 1:
+        raise ValueError("depth must be >= 1")
+    _check_depth(depth)
+    xs, vs = cantor_numerators(depth), _sums(_weights(fn, depth))
+    xden, vden = 3 ** depth, 3 ** ((depth + 1) // 2)
+    points = tuple((Fraction(x, xden), Fraction(v, vden))
+                   for x, v in zip(xs, vs))
+    return GraphEnumeration(fn, depth, points)
+
+
+def mesh_count_2d(points, n):
+    """Number of half-open 9**-n mesh squares meeting a planar point set.
+
+    The squares are [k*9**-n, (k+1)*9**-n) x [m*9**-n, (m+1)*9**-n); the
+    cell of a point is found by exact rational floor division.
+    """
+    if not points:
+        raise ValueError("empty point set")
+    width = Fraction(1, 9 ** n)
+    return len({(Fraction(x) // width, Fraction(y) // width)
+                for x, y in points})
+
+
+# ---------------------------------------------------------------------------
+# random field and kernel
+
+
+def node_value(sample, level, path):
+    """The level's value on the piece at ``path``, as Fractions."""
+    return tuple(Fraction(b, 2 ** level)
+                 for b in sample.node_bits(level, path))
+
+
+def tail_value(sample, x, j):
+    """The j-th tail level's value at the point x, as Fractions."""
+    level = sample.family.depth + j
+    return tuple(Fraction(b, 2 ** level)
+                 for b in sample.tail_bits((x.numerator, x.denominator),
+                                           level))
+
+
+def anchor_pairs(family):
+    """Every unordered pair of leaf anchors."""
+    anchors = [family.anchor(leaf) for leaf in family.leaves()]
+    return [(a, b) for i, a in enumerate(anchors) for b in anchors[i + 1:]]
+
+
+def kernel_centered_bound(p, q, u):
+    """p**2 * integral over [-1,1] of (q**2 + p**2 a**2)**-u, for d = 1.
+
+    Dominates the kernel integral for every translation: clamping the
+    shift inside [-1, 0] only moves the integrand pointwise upward.
+    """
+    val, _ = integrate.quad(
+        lambda a: (q * q + p * p * a * a) ** -u, -1.0, 1.0,
+        epsabs=1e-12, epsrel=1e-9,
+    )
+    return p * p * val

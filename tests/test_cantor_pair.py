@@ -3,18 +3,16 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from dimlab import packing
 from dimlab.cantor_pair import (
     DigitFunction,
     EnumerationLimitExceeded,
     brute_force_mesh_count,
     closed_form_counts,
-    enumerate_graph,
     evaluate,
-    surjectivity_check,
-    to_middle_thirds,
 )
 from dimlab.spaces import DigitVector
+
+from oracles import enumerate_graph, mesh_count_2d
 
 F = DigitFunction.ODD_DIGITS
 G = DigitFunction.EVEN_DIGITS
@@ -44,13 +42,6 @@ class TestEvaluate:
     def test_values_in_unit_interval(self, x):
         for fn in (F, G, S):
             assert 0 <= evaluate(fn, x) <= 1
-
-    def test_middle_thirds_doubling(self):
-        x = DigitVector((1, 0, 1)).value
-        y = to_middle_thirds(x)
-        assert y == 2 * x
-        # doubled digits are {0,2}: the classical Cantor set
-        assert y == Fraction(2, 3) + Fraction(2, 27)
 
 
 class TestEnumerateGraph:
@@ -101,6 +92,9 @@ class TestEnumerateGraph:
     def test_limit_refusal(self):
         with pytest.raises(EnumerationLimitExceeded):
             enumerate_graph(F, 25)
+        # the library's counter enumerates depth 4n: n = 7 is depth 28
+        with pytest.raises(EnumerationLimitExceeded):
+            brute_force_mesh_count(S, 7)
 
 
 class TestMeshCounts:
@@ -139,13 +133,13 @@ class TestMeshCounts:
                 gr = enumerate_graph(fn, 4 * n)
                 pts = list(gr.points)
                 pts += [(x + xtail, v + vtail) for x, v in gr.points]
-                assert (packing.mesh_count_2d(pts, n)
+                assert (mesh_count_2d(pts, n)
                         == brute_force_mesh_count(fn, n))
 
     def test_truncation_alone_undercounts_sum(self):
         # without the tail completions the top cell of each column is missed
         gr = enumerate_graph(S, 4)
-        assert packing.mesh_count_2d(gr.points, 1) == 12
+        assert mesh_count_2d(gr.points, 1) == 12
         assert brute_force_mesh_count(S, 1) == 16
 
     def test_dimension_gap(self):
@@ -156,12 +150,3 @@ class TestMeshCounts:
         s_fit = box_dim_estimate(ScaleSeries(tuple(s_series), 9), "full-fit")
         assert s_fit.slope - f_fit.slope >= 0.15
 
-
-class TestSurjectivity:
-    @pytest.mark.parametrize("n", [0, 1, 2])
-    def test_bands_filled(self, n):
-        assert surjectivity_check(n) is True
-
-    def test_limit_refusal(self):
-        with pytest.raises(EnumerationLimitExceeded):
-            surjectivity_check(7)

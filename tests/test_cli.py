@@ -86,6 +86,24 @@ class TestCommands:
         assert main(["estimate", "--space", "klein-bottle"]) == 2
         assert main(["estimate", "--n-min", "9", "--n-max", "4"]) == 2
 
+    @pytest.mark.parametrize("argv", [
+        ["prevalence", "--n-min", "2", "--n-max", "3", "--stride", "-1"],
+        ["estimate", "--stride", "0"],
+        ["cantor", "--n-max", "0"],
+        ["cantor", "--n-max", "-1"],
+    ], ids=["prevalence-stride-neg", "estimate-stride-0", "cantor-n-max-0",
+            "cantor-n-max-neg"])
+    def test_nonpositive_stride_or_n_max_exits_2(self, argv, monkeypatch,
+                                                  capsys):
+        def refuse(*args):
+            raise AssertionError("the experiment ran")
+
+        monkeypatch.setitem(cli.RUNNERS, argv[0], refuse)
+        assert main(argv) == 2
+        flag = argv[-2]
+        assert f"error: {flag} must be >= 1, got {argv[-1]}" in (
+            capsys.readouterr().err)
+
     def test_oversized_net_refused_at_once(self, capsys):
         # the first scale needs a 2**25 + 1 point harmonic net
         start = time.perf_counter()

@@ -12,13 +12,11 @@ from dimlab import cantor_pair, energy, estimators
 from dimlab.energy import (
     TAIL_LEVELS,
     RandomFieldSample,
-    anchor_pairs,
     build_nested_family,
     eval_field,
     expected_energy_check,
     graph_measure,
     kernel_bound_check,
-    kernel_centered_bound,
     kernel_constant,
     kernel_integral,
     kernel_q_slope,
@@ -28,6 +26,8 @@ from dimlab.energy import (
     pair_expectation_check,
 )
 from dimlab.spaces import DigitVector
+
+from oracles import anchor_pairs, kernel_centered_bound, node_value, tail_value
 
 
 class TestNestedFamily:
@@ -86,15 +86,15 @@ class TestRandomField:
         sample = RandomFieldSample(fam, seed=1)
         for level in (1, 2, 3):
             for piece in fam.levels[level - 1]:
-                (v,) = sample.node_value(level, piece.path)
+                (v,) = node_value(sample, level, piece.path)
                 assert v in (Fraction(0), Fraction(1, 2 ** level))
 
     def test_node_values_uniform(self, nested_family_depth3):
         fam = nested_family_depth3
         piece = fam.levels[1][2]
         hits = sum(
-            RandomFieldSample(fam, seed=("u", t)).node_value(
-                2, piece.path)[0] == 0
+            node_value(RandomFieldSample(fam, seed=("u", t)), 2,
+                       piece.path)[0] == 0
             for t in range(4000)
         )
         assert abs(hits / 4000 - 0.5) <= 0.03
@@ -114,9 +114,9 @@ class TestRandomField:
         x = fam.anchor(leaf)
         y = fam.piece_point(leaf, (1,))
         tree_x = sum(
-            sample.node_value(lv, leaf.path[:lv])[0] for lv in (1, 2, 3))
+            node_value(sample, lv, leaf.path[:lv])[0] for lv in (1, 2, 3))
         tail = lambda p: sum(
-            sample.tail_value(p, j)[0]
+            tail_value(sample, p, j)[0]
             for j in range(1, TAIL_LEVELS + 1))
         assert eval_field(sample, x)[0] - tail(x) == tree_x
         assert eval_field(sample, y)[0] - tail(y) == tree_x
@@ -129,11 +129,11 @@ class TestRandomField:
         sample = RandomFieldSample(fam, seed=12)
         a, b = fam.leaves()[0], fam.leaves()[1]
         assert a.path[:2] == b.path[:2] and a.path != b.path
-        shared = sum(sample.node_value(lv, a.path[:lv])[0] for lv in (1, 2))
+        shared = sum(node_value(sample, lv, a.path[:lv])[0] for lv in (1, 2))
         for leaf in (a, b):
             x = fam.anchor(leaf)
-            rest = (sample.node_value(3, leaf.path)[0]
-                    + sum(sample.tail_value(x, j)[0]
+            rest = (node_value(sample, 3, leaf.path)[0]
+                    + sum(tail_value(sample, x, j)[0]
                           for j in range(1, TAIL_LEVELS + 1)))
             assert eval_field(sample, x)[0] == shared + rest
 
@@ -157,9 +157,9 @@ class TestRandomField:
         points += [fam.piece_point(fam.leaves()[3], (1, 0, 1)), off_tree]
         for x in points:
             path = fam.locate(x)
-            values = [sample.node_value(lv, path[:lv])
+            values = [node_value(sample, lv, path[:lv])
                       for lv in range(1, len(path) + 1)]
-            values += [sample.tail_value(x, j)
+            values += [tail_value(sample, x, j)
                        for j in range(1, TAIL_LEVELS + 1)]
             want = tuple(sum((v[c] for v in values), Fraction(0))
                          for c in range(d))

@@ -8,15 +8,12 @@ import pytest
 
 from dimlab import estimators, spaces
 from dimlab.estimators import (
-    CoverFamily,
     DiscreteMeasure,
     ScaleSeries,
     box_dim_estimate,
     cell_count_series,
     discrete_energy,
     energy_dimension_profile,
-    hausdorff_content_upper,
-    localized_upper_box,
     packing_count_series,
 )
 from dimlab.energy import (
@@ -100,79 +97,6 @@ class TestSpaceSeries:
         for variant in ("liminf", "limsup", "full-fit"):
             est = box_dim_estimate(series, variant)
             assert abs(est.slope - 1.0) <= 0.05
-
-
-class TestLocalizedUpperBox:
-    def test_single_piece_equals_whole(self):
-        net = build_net(triadic_cantor(), 11)
-        cover = CoverFamily.from_pieces(net, [net.point_list()])
-        res = localized_upper_box(net, cover, [4, 7, 10])
-        series = packing_count_series(triadic_cantor(), [4, 7, 10],
-                                      net_scale=lambda n: 11)
-        whole = box_dim_estimate(series, "full-fit")
-        assert res.value == pytest.approx(whole.slope, abs=1e-9)
-        assert res.skipped_empty == 0
-
-    def test_interval_halves(self):
-        net = build_net(unit_interval(), 10)
-        cover = CoverFamily.split_net(
-            net, lambda p: 0 if p <= Fraction(1, 2) else 1)
-        res = localized_upper_box(net, cover, [2, 4, 6, 8])
-        assert abs(res.value - 1.0) <= 0.05
-
-    def test_cantor_first_digit_split(self):
-        net = build_net(triadic_cantor(), 13)
-        # the points with first digit 1 are those from 1/3 on
-        cover = CoverFamily.split_net(net, lambda p: p >= Fraction(1, 3))
-        res = localized_upper_box(net, cover, [4, 7, 10])
-        assert abs(res.value - LOG2_3) <= 0.05
-
-    def test_empty_pieces_skipped(self):
-        net = build_net(unit_interval(), 4)
-        cover = CoverFamily(
-            pieces=(tuple(net.point_list()), ()),
-            coords=(tuple(net.coord_rows()), ()),
-            diameters=(Fraction(1), Fraction(0)),
-        )
-        res = localized_upper_box(net, cover, [1, 2, 3])
-        assert res.skipped_empty == 1
-
-
-class TestHausdorffContent:
-    def test_single_unit_piece(self):
-        net = build_net(unit_interval(), 2)
-        cover = CoverFamily.from_pieces(net, [net.point_list()])
-        assert hausdorff_content_upper(cover, 0.5) == pytest.approx(1.0)
-
-    def test_triadic_cover_critical_exponent(self):
-        # 2**m pieces of diameter 3**-m at s = log 2 / log 3: exactly 1
-        for m in (2, 4, 6):
-            diams = (Fraction(1, 3 ** m),) * (2 ** m)
-            cover = CoverFamily(pieces=((),) * 2 ** m,
-                                coords=((),) * 2 ** m, diameters=diams)
-            assert hausdorff_content_upper(cover, LOG2_3) == pytest.approx(
-                1.0, abs=1e-9)
-
-    def test_supercritical_exponent_decays(self):
-        values = []
-        for m in (2, 4, 6, 8):
-            diams = (Fraction(1, 3 ** m),) * (2 ** m)
-            cover = CoverFamily(pieces=((),) * 2 ** m,
-                                coords=((),) * 2 ** m, diameters=diams)
-            values.append(hausdorff_content_upper(cover, 0.7))
-        assert all(b < a for a, b in zip(values, values[1:]))
-
-    def test_negative_exponent_rejected(self):
-        cover = CoverFamily(pieces=((),), coords=((),),
-                            diameters=(Fraction(1),))
-        with pytest.raises(ValueError):
-            hausdorff_content_upper(cover, -0.5)
-
-    def test_recorded_diameter_is_exact_spread(self):
-        net = build_net(triadic_cantor(), 2)
-        cover = CoverFamily.split_net(net, lambda p: p >= Fraction(1, 3))
-        for piece, diam in zip(cover.pieces, cover.diameters):
-            assert diam == max(piece) - min(piece)
 
 
 def _ordered_pair_fsum(measure, s):

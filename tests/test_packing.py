@@ -10,7 +10,6 @@ from dimlab.packing import (
     ExactSearchLimitExceeded,
     max_packing_exact,
     max_packing_greedy,
-    mesh_count_2d,
     occupied_cell_count,
 )
 from dimlab.spaces import (
@@ -20,6 +19,8 @@ from dimlab.spaces import (
     triadic_cantor,
     unit_interval,
 )
+
+from oracles import mesh_count_2d
 
 
 def _net_from_values(values):
@@ -57,7 +58,7 @@ class TestGreedy:
             "harmonic_sequence-5"])
     def test_greedy_matches_exact_on_1d_net(self, space, scale):
         # the ascending sweep is a maximum packing on 1-D nets, which is
-        # what lets witness.build_layer label every k_n "exact"
+        # what makes every witness layer's k_n exact
         net = build_net(space, scale)
         assert net.size() <= packing.EXACT_SEARCH_LIMIT
         for n in range(scale + 1):
@@ -257,6 +258,11 @@ class TestExact:
         net = build_net(unit_interval(), 7)
         with pytest.raises(ExactSearchLimitExceeded):
             max_packing_exact(net, 3)
+        # the row kernel refuses before comparing any pair: these rows
+        # would raise TypeError on the first subtraction
+        rows = [(object(),)] * (packing.EXACT_SEARCH_LIMIT + 1)
+        with pytest.raises(ExactSearchLimitExceeded):
+            packing.exact_packing_coords(rows, 1)
 
     @pytest.mark.parametrize("make_net", [
         lambda: build_net(harmonic_sequence(), 20),
@@ -341,15 +347,6 @@ class TestExact:
                 if best:
                     break
             assert exact.count == best
-
-    def test_point_cloud_instance(self):
-        cloud = spaces.finite_point_cloud(
-            "abcd",
-            [[0, 3, 4, 5], [3, 0, 3, 4], [4, 3, 0, 3], [5, 4, 3, 0]],
-        )
-        net = build_net(cloud, 0)
-        assert max_packing_exact(net, delta=Fraction(3)).count == 2
-        assert max_packing_greedy(net, delta=Fraction(2)).count == 4
 
 
 class TestPackingInvariants:

@@ -4,14 +4,18 @@ Each one is the direct, unoptimised form of something the library
 computes another way: rational witness evaluation for the event
 checker's integer rows, graph enumeration and mesh counting for the
 integer mesh counter, per-level field values for ``eval_field``'s
-integer sum, and a centred kernel bound for ``kernel_integral``.
+integer sum, and for ``kernel_integral`` and ``kernel_constant``
+scipy's adaptive quadrature and log-gamma, a closed form at u = 1 and
+a centred bound.
 """
 
+import math
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 
 from scipy import integrate
+from scipy.special import gammaln
 
 from dimlab.cantor_pair import DigitFunction, _check_depth, _sums, _weights
 from dimlab.spaces import cantor_numerators
@@ -140,3 +144,32 @@ def kernel_centered_bound(p, q, u):
         epsabs=1e-12, epsrel=1e-9,
     )
     return p * p * val
+
+
+def kernel_quad(p, q, theta, u):
+    """The d = 1 kernel integral by adaptive quadrature over [-p, p]."""
+    val, _ = integrate.quad(
+        lambda w: (p - abs(w)) / (q * q + (w + theta) ** 2) ** u, -p, p,
+        epsabs=1e-12, epsrel=1e-9, limit=200,
+    )
+    return val
+
+
+def kernel_constant_gammaln(u):
+    """sqrt(pi) * Gamma(u - 1/2) / Gamma(u), the d = 1 kernel constant."""
+    return math.sqrt(math.pi) * math.exp(gammaln(u - 0.5) - gammaln(u))
+
+
+def kernel_closed_form_u1(p, q, theta):
+    """The d = 1 kernel integral at u = 1 from its antiderivatives.
+
+    With s = w + theta, each half of the tent split at w = 0 is
+    (a + sign * s) / (q**2 + s**2), whose antiderivative is
+    (a / q) * atan(s / q) + sign * log(q**2 + s**2) / 2.
+    """
+    def prim(s, a, sign):
+        return a / q * math.atan(s / q) + sign * 0.5 * math.log(q * q + s * s)
+
+    left = prim(theta, p - theta, 1) - prim(theta - p, p - theta, 1)
+    right = prim(theta + p, p + theta, -1) - prim(theta, p + theta, -1)
+    return left + right

@@ -104,6 +104,14 @@ class TestCommands:
         assert f"error: {flag} must be >= 1, got {argv[-1]}" in (
             capsys.readouterr().err)
 
+    def test_negative_n_min_exits_2(self, monkeypatch, capsys):
+        def refuse(*args):
+            raise AssertionError("the experiment ran")
+
+        monkeypatch.setitem(cli.RUNNERS, "estimate", refuse)
+        assert main(["estimate", "--n-min", "-1", "--n-max", "5"]) == 2
+        assert "error: --n-min must be >= 0, got -1" in capsys.readouterr().err
+
     def test_oversized_net_refused_at_once(self, capsys):
         # the first scale needs a 2**25 + 1 point harmonic net
         start = time.perf_counter()

@@ -52,7 +52,7 @@ class ExperimentConfig:
     adversary: str = "zero"
     d: int = 1
     expect: float | None = None
-    tol: float | None = None
+    tol: float = 0.05
     out: str | None = None
     plot_out: str | None = None
 
@@ -137,10 +137,6 @@ def emit_plotdata(table: ResultTable, path: str) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
-def _within(value, expect, tol) -> bool:
-    return abs(value - expect) <= tol
-
-
 # ---------------------------------------------------------------------------
 # experiment runners
 
@@ -151,7 +147,7 @@ def _run_estimate(cfg: ExperimentConfig, table: ResultTable) -> None:
     est = estimators.box_dim_estimate(series, cfg.variant)
     passed = None
     if cfg.expect is not None:
-        passed = _within(est.slope, cfg.expect, cfg.tol or 0.05)
+        passed = abs(est.slope - cfg.expect) <= cfg.tol
     table.add(ResultRow(
         "estimate",
         {"space": cfg.space, "variant": cfg.variant,
@@ -188,7 +184,7 @@ def _run_cantor(cfg: ExperimentConfig, table: ResultTable) -> None:
             "cantor-slope",
             {"fn": fn.value, "n_min": 3, "n_max": n_hi,
              "series": list(entries), "log_base": 9},
-            est.slope, ref, _within(est.slope, ref, 0.02), cfg.seed,
+            est.slope, ref, abs(est.slope - ref) <= 0.02, cfg.seed,
         ))
 
 
@@ -301,7 +297,7 @@ def _run_report(cfg: ExperimentConfig, table: ResultTable) -> None:
     _run_cantor(ExperimentConfig("cantor", n_max=7, seed=cfg.seed), table)
     _run_estimate(ExperimentConfig(
         "estimate", space="harmonic", variant="liminf", n_min=4, n_max=12,
-        seed=cfg.seed, expect=0.5, tol=0.05), table)
+        seed=cfg.seed, expect=0.5), table)
     # the Wilson upper bound cannot clear 1.5x the n=5 target with fewer
     # than ~700 trials, so the battery floors the saturation sample size
     _run_saturation(ExperimentConfig(
@@ -343,6 +339,8 @@ def run(cfg: ExperimentConfig) -> ResultTable:
         raise ValueError(f"--n-max must be >= 1, got {cfg.n_max}")
     if cfg.stride < 1:
         raise ValueError(f"--stride must be >= 1, got {cfg.stride}")
+    if not cfg.tol >= 0:  # NaN fails every comparison
+        raise ValueError(f"--tol must be >= 0, got {cfg.tol}")
     table = ResultTable()
     RUNNERS[cfg.command](cfg, table)
     if cfg.out:

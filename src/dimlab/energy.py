@@ -221,6 +221,13 @@ def graph_measure(measure: DiscreteMeasure, sample: RandomFieldSample,
 # kernel integral bound
 
 
+def _check_kernel_args(d: int, u: float) -> None:
+    if d not in (1, 2):
+        raise ValueError(f"kernel checks support d in {{1, 2}}, got d = {d}")
+    if u <= d / 2:
+        raise ValueError("need u > d/2, the bound is divergent otherwise")
+
+
 def kernel_constant(d: int, u: float) -> float:
     """Exact sup of ratio = integral / (p**d q**(d-2u)) over all p, q, theta.
 
@@ -228,14 +235,11 @@ def kernel_constant(d: int, u: float) -> float:
     d = 1 gives sqrt(pi) * Gamma(u - 1/2) / Gamma(u); d = 2 gives
     pi / (u - 1).
     """
-    if u <= d / 2:
-        raise ValueError("need u > d/2, the bound is divergent otherwise")
+    _check_kernel_args(d, u)
     if d == 1:
         return math.sqrt(math.pi) * math.exp(math.lgamma(u - 0.5)
                                              - math.lgamma(u))
-    if d == 2:
-        return math.pi / (u - 1.0)
-    raise ValueError("kernel checks support d in {1, 2}")
+    return math.pi / (u - 1.0)
 
 
 @dataclass(frozen=True)
@@ -335,8 +339,7 @@ def kernel_integral(p: float, q: float, theta, u: float, d: int,
     """
     if not (0 < p <= 1 and 0 < q <= 1):
         raise ValueError("need p, q in (0, 1]")
-    if u <= d / 2:
-        raise ValueError("need u > d/2")
+    _check_kernel_args(d, u)
     th = _theta_tuple(theta, d)
     if d == 1:
         return _convolution_integral(p, q, th[0], u)

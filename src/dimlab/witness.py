@@ -90,10 +90,10 @@ class LayerSpec(LayerSize):
 
 @dataclass(frozen=True)
 class WitnessSample:
-    """One sampled assignment of grid values to all layers."""
+    """One sampled assignment of grid values to all layers, by grid index."""
 
     layers: tuple[LayerSpec, ...]
-    values: tuple[tuple[tuple[Fraction, ...], ...], ...]  # [layer][i] -> grid pt
+    indices: tuple[tuple[int, ...], ...]  # [layer][i] -> index into its grid
 
 
 @dataclass(frozen=True)
@@ -299,19 +299,16 @@ def largest_layer(space: SpaceDescriptor, d: int) -> int:
 def sample_witness(layers: Sequence[LayerSpec], seed) -> WitnessSample:
     """Draw the shared grid values X_i for every layer, uniformly on S_n.
 
-    The value at index (n, i) is a pure function of (seed, n, i), so two
-    samples with the same seed agree entry for entry.
+    The sample keeps the grid index drawn at (n, i), a pure function of
+    (seed, n, i), so two samples with the same seed agree entry for entry.
     """
     if len({l.space for l in layers}) > 1 or len({l.d for l in layers}) > 1:
         raise ValueError("layers must share one space and one dimension")
-    values = tuple(
-        tuple(
-            lay.grid[stable_index(lay.s_n, seed, "witness", lay.n, i)]
-            for i in range(lay.ell_n)
-        )
+    return WitnessSample(tuple(layers), tuple(
+        tuple(stable_index(lay.s_n, seed, "witness", lay.n, i)
+              for i in range(lay.ell_n))
         for lay in layers
-    )
-    return WitnessSample(tuple(layers), values)
+    ))
 
 
 def event_threshold(layer: LayerSpec) -> Fraction:
@@ -337,7 +334,8 @@ class EventChecker:
     * ``coef[l]`` and ``sat[l]``: per point, the coefficient of its
       layer-l bump (0 if none reaches it) and that bump's satellite
       index, as array columns;
-    * ``grid_index[l]``: each layer-l grid value's j.
+    * ``grid_j[l]``: an integer table whose row k is the j of layer l's
+      ``grid[k]``, so a sample's drawn indices select j directly.
 
     Row entries are bounded by max|base| + sum over l of
     max(coef[l]) * floor(2**l / l**2), coefficients being positive; the
@@ -350,15 +348,15 @@ class EventChecker:
     def __init__(self, layers: Sequence[LayerSpec], n: int,
                  drift: Callable | None = None):
         if n < 1 or n > len(layers):
-            raise ValueError("layer n not built")
+            raise ValueError(
+                f"layer {n} not built: layers 1..{len(layers)} are")
         self.layers = tuple(layers[:n])
         self.layer = self.layers[-1]
         self.n = n
         self.d = self.layer.d
         self.threshold = event_threshold(self.layer)
-        # x values are distinct, so ascending x is ascending row order
-        self.points = sorted(self.layer.all_satellites())
-        steps = [Fraction(8, 2 ** lay.n) for lay in self.layers]
+        # sat_values ascends in x, and x values are distinct: the row order
+        self.points = [v for v, _ in self.layer.sat_values]
         q = math.lcm(*(v.denominator for lay in self.layers
                        for v, _ in lay.sat_values))
         keyed = [([v.numerator * (q // v.denominator) for v, _ in lay.sat_values],
@@ -409,10 +407,10 @@ class EventChecker:
         self.base = np.array(base, dtype=self.dtype)
         self.coef = [np.array(col, dtype=self.dtype)[:, None] for col in coef]
         self.sat = [np.array(col) for col in sat]
-        self.grid_index = [
-            {g: tuple(int(c / step) for c in g) for g in lay.grid}
-            for lay, step in zip(self.layers, steps)
-        ]
+        # a layer-l grid coordinate c is 8 j / 2**l
+        self.grid_j = [np.array([[int(c * 2 ** lay.n) // 8 for c in g]
+                                 for g in lay.grid], dtype=self.dtype)
+                       for lay in self.layers]
 
     def check(self, sample: WitnessSample) -> EventReport:
         """Does the drifted sample graph reach the layer-n packing threshold?
@@ -422,19 +420,18 @@ class EventChecker:
         the count, so this is the conservative side of the event.
 
         The rows are ``base`` plus, per layer, the coefficient column
-        times the sampled j of each point's satellite.  Greedy counts
-        them in ascending order and stops at ceil(threshold); on at most
-        ``packing.EXACT_SEARCH_LIMIT`` rows exact search runs only when
-        greedy falls short, since a greedy count never exceeds the
-        maximum.  The reported count is capped at ceil(threshold).
+        times ``grid_j`` at each point's satellite's drawn index.  Greedy
+        counts them in ascending order and stops at ceil(threshold); on
+        at most ``packing.EXACT_SEARCH_LIMIT`` rows exact search runs
+        only when greedy falls short, since a greedy count never exceeds
+        the maximum.  The reported count is capped at ceil(threshold).
         """
         if sample.layers[:self.n] != self.layers:
             raise ValueError("sample was drawn over different layers")
         rows = self.base.copy()
-        for index, vals, coef, sat in zip(self.grid_index, sample.values,
+        for grid_j, idx, coef, sat in zip(self.grid_j, sample.indices,
                                           self.coef, self.sat):
-            js = np.array([index[g] for g in vals], dtype=self.dtype)
-            rows[:, 1:] += coef * js[sat]
+            rows[:, 1:] += coef * grid_j[np.asarray(idx)[sat]]
         rows = rows.tolist()
         need = math.ceil(self.threshold)
         chosen = packing.greedy_packing_coords(rows, self.delta,

@@ -57,13 +57,14 @@ def eval_witness(sample, x, depth):
         raise ValueError("sample has fewer layers than requested depth")
     d = sample.layers[0].d if sample.layers else 0
     total = [Fraction(0)] * d
-    for lay, vals in zip(sample.layers[:depth], sample.values):
+    for lay, idx in zip(sample.layers[:depth], sample.indices):
         term = _bump_terms(lay, x)
         if term is None:
             continue
         i, weight = term
+        value = lay.grid[idx[i]]
         for c in range(d):
-            total[c] += vals[i][c] * weight
+            total[c] += value[c] * weight
     return tuple(total)
 
 

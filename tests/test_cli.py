@@ -112,6 +112,33 @@ class TestCommands:
         assert main(["estimate", "--n-min", "-1", "--n-max", "5"]) == 2
         assert "error: --n-min must be >= 0, got -1" in capsys.readouterr().err
 
+    def test_tol_zero_is_kept(self, capsys):
+        # the slope is 0.4903, within the default 0.05 of 0.53 but not 0
+        rc = main(["estimate", "--space", "harmonic", "--variant", "liminf",
+                   "--n-min", "4", "--n-max", "12",
+                   "--expect", "0.53", "--tol", "0"])
+        assert rc == 1
+        assert "FAIL" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("tol", ["-1", "nan"])
+    def test_bad_tol_exits_2(self, tol, monkeypatch, capsys):
+        def refuse(*args):
+            raise AssertionError("the experiment ran")
+
+        monkeypatch.setitem(cli.RUNNERS, "estimate", refuse)
+        assert main(["estimate", "--expect", "0.5", "--tol", tol]) == 2
+        assert f"error: --tol must be >= 0, got {float(tol)}" in (
+            capsys.readouterr().err)
+
+    def test_unbuilt_prevalence_layer_named(self, capsys):
+        assert main(["prevalence", "--n-min", "0", "--n-max", "3",
+                     "--trials", "1"]) == 2
+        assert "layer 0 not built: layers 1..3 are" in capsys.readouterr().err
+
+    def test_kernel_d3_refused(self, capsys):
+        assert main(["kernel", "--d", "3"]) == 2
+        assert "kernel checks support d in {1, 2}" in capsys.readouterr().err
+
     def test_oversized_net_refused_at_once(self, capsys):
         # the first scale needs a 2**25 + 1 point harmonic net
         start = time.perf_counter()

@@ -262,6 +262,13 @@ class TestKernelBound:
         with pytest.raises(ValueError):
             kernel_constant(2, 1.0)
 
+    def test_unsupported_dimension_rejected(self):
+        # refused before the u check, which d = 3 with u = 2 would pass
+        with pytest.raises(ValueError, match=r"d in \{1, 2\}, got d = 3"):
+            kernel_integral(0.5, 0.5, 0.0, 2.0, 3)
+        with pytest.raises(ValueError, match=r"d in \{1, 2\}, got d = 3"):
+            kernel_constant(3, 1.0)
+
     def test_q_slope_settles(self):
         qs = [0.5 ** k for k in range(1, 13)]
         assert abs(kernel_q_slope(1, 1.0, 0.5, qs)) <= 0.1

@@ -184,24 +184,26 @@ class TestLayerConstruction:
 class TestWitnessSampling:
     def test_trivial_grid_layer_deterministic(self, cantor_layers):
         s = sample_witness(cantor_layers[:3], seed=123)
-        assert s.values[2] == ((Fraction(0),),)
+        grid = cantor_layers[2].grid
+        assert tuple(grid[k] for k in s.indices[2]) == ((Fraction(0),),)
 
     def test_same_seed_identical(self, cantor_layers):
         a = sample_witness(cantor_layers, seed="abc")
         b = sample_witness(cantor_layers, seed="abc")
-        assert a.values == b.values
+        assert a.indices == b.indices
 
     def test_different_seed_differs(self, cantor_layers):
         a = sample_witness(cantor_layers, seed="abc")
         b = sample_witness(cantor_layers, seed="abd")
-        assert a.values != b.values
+        assert a.indices != b.indices
 
     def test_uniform_frequency(self, cantor_layers):
         # empirical frequency of grid value 0 at a fixed index, n = 5
         lay5 = [cantor_layers[4]]
         zero = (Fraction(0),)
         hits = sum(
-            sample_witness(lay5, seed=("freq", t)).values[0][2] == zero
+            lay5[0].grid[sample_witness(lay5, seed=("freq", t)).indices[0][2]]
+            == zero
             for t in range(10_000)
         )
         assert abs(hits / 10_000 - 0.5) <= 0.02
@@ -217,7 +219,7 @@ class TestEvalWitness:
                 got = eval_witness(s, x, 5)
                 upper = tuple(
                     a + b for a, b in zip(
-                        eval_witness(s, x, 4), s.values[4][i])
+                        eval_witness(s, x, 4), lay.grid[s.indices[4][i]])
                 )
                 assert got == upper
 
@@ -295,6 +297,24 @@ class TestEventCheck:
         got = witness.event_fraction(cantor_layers, n, None, 4, "upto")
         assert got == want
         assert len(draws) == 4 * sum(lay.ell_n for lay in cantor_layers[:n])
+
+    @pytest.mark.parametrize("drift", ["zero", "cantor-f"])
+    def test_check_hashes_no_fraction(self, cantor_layers, monkeypatch,
+                                      drift):
+        # a sample is its drawn grid indices, so a check gathers integer
+        # j vectors and never looks a grid value up by its Fractions
+        drift = None if drift == "zero" else lambda p: (cantor_pair.evaluate(
+            cantor_pair.DigitFunction.ODD_DIGITS, p),)
+        checker = witness.EventChecker(cantor_layers, 5, drift)
+        samples = [sample_witness(cantor_layers[:5], ("hash", t))
+                   for t in range(4)]
+        want = [checker.check(s) for s in samples]
+
+        def refuse(self):
+            raise AssertionError("a Fraction was hashed")
+
+        monkeypatch.setattr(Fraction, "__hash__", refuse)
+        assert [checker.check(s) for s in samples] == want
 
     def test_drifted_event(self, cantor_layers):
         drift = lambda p: (cantor_pair.evaluate(

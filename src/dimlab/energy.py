@@ -18,14 +18,14 @@ The analytic side bounds the kernel double integral
 
 by const * p**d * q**(d - 2u); the constant used here is the exact
 full-space comparison integral (Beta/Gamma closed form), which
-dominates the ratio for every p, q, theta.  Both integrals are computed
-in numpy (a fixed composite Gauss-Legendre rule for d = 1, a Halton
-average for d = 2), so the module imports no scipy.
+dominates the ratio for every p, q, theta.  The integral is one fixed
+composite Gauss-Legendre rule in numpy, its panels cut per axis around
+the kernel's peak (a tensor product of two axis rules for d = 2), so the
+module imports no scipy.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -265,45 +265,24 @@ def _theta_tuple(theta, d: int) -> tuple[float, ...]:
     return theta
 
 
-@functools.lru_cache(maxsize=1)
-def _halton_2d(n: int) -> np.ndarray:
-    """First n points of the unscrambled Halton sequence in bases 2 and 3.
-
-    Each column is the radical inverse of 0 .. n-1, summed digit by digit
-    from the least significant one, which reproduces
-    ``scipy.stats.qmc.Halton(d=2, scramble=False).random(n)`` bit for bit.
-    The array is shared between calls, so it is read-only.
-    """
-    pts = np.zeros((n, 2))
-    for col, base in enumerate((2, 3)):
-        idx = np.arange(n, dtype=np.int64)
-        f = 1.0 / base
-        while idx.any():
-            pts[:, col] += f * (idx % base)
-            idx //= base
-            f /= base
-    pts.flags.writeable = False
-    return pts
-
-
 # Gauss-Legendre nodes on [-1, 1]: the 16-point rule, then the 8-point
 # rule whose difference from it is the error estimate
 _G16, _G8 = leggauss(16), leggauss(8)
 _GAUSS_NODES = np.concatenate((_G16[0], _G8[0]))
 
 
-def _convolution_integral(p: float, q: float, t0: float,
-                          u: float) -> tuple[float, float]:
-    """Composite Gauss-Legendre rule for the d = 1 convolution integral.
+def _axis_panels(p: float, q: float,
+                 t0: float) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss nodes and half-lengths of one axis's panels.
 
-    In the offset s = w + t0 from the peak the integrand is
-    (p - |s - t0|) / (q**2 + s**2)**u on [t0 - p, t0 + p], analytic but
-    for the kink at s = t0 and the branch points s = +-iq.  The panels
-    break at the ends, the kink, the peak s = 0 and the mesh s = +-q*2**k,
-    so every panel lies at least its own length from +-iq and 16 nodes
-    bring each one to machine precision.  Nodes are placed in s, so those
-    next to a narrow peak carry no rounding from t0.  The error estimate
-    sums |G16 - G8| over the panels.
+    In the offset s = w + t0 from the peak the axis's tent is
+    p - |s - t0| on [t0 - p, t0 + p], and the kernel is analytic but for
+    the branch points s = +-iq.  The panels break at the ends, the kink
+    s = t0, the peak s = 0 and the mesh s = +-q*2**k, so every panel lies
+    at least its own length from +-iq and 16 nodes bring each one to
+    machine precision.  Row k holds panel k's 16-point nodes, then its
+    8-point nodes, placed in s so that those next to a narrow peak carry
+    no rounding from t0.
     """
     lo, hi = t0 - p, t0 + p
     cuts = {lo, t0, hi}
@@ -318,60 +297,65 @@ def _convolution_integral(p: float, q: float, t0: float,
     cuts = np.array(sorted(cuts))
     mid = 0.5 * (cuts[1:] + cuts[:-1])
     half = 0.5 * (cuts[1:] - cuts[:-1])
-    s = mid[:, None] + half[:, None] * _GAUSS_NODES
-    f = (p - np.abs(s - t0)) * (q * q + s * s) ** -u
-    g16 = f[:, :16] @ _G16[1] * half
-    g8 = f[:, 16:] @ _G8[1] * half
-    return float(g16.sum()), float(np.abs(g16 - g8).sum())
+    return mid[:, None] + half[:, None] * _GAUSS_NODES, half
 
 
-def kernel_integral(p: float, q: float, theta, u: float, d: int,
-                    qmc_points: int = 1 << 20) -> tuple[float, float]:
+def kernel_integral(p: float, q: float, theta, u: float,
+                    d: int) -> tuple[float, float]:
     """(value, error estimate) of the kernel double integral.
 
-    d = 1 reduces the double integral to a single convolution integral
-    and integrates it by a fixed composite Gauss-Legendre rule whose
-    panels resolve the peak at any q (:func:`_convolution_integral`);
-    d = 2 reduces to a two-dimensional convolution weighted by the tent
-    kernel and averages it over the first ``qmc_points`` points of an
-    unscrambled Halton sequence in bases 2 and 3 (computed once per
-    size), with a reported standard error.
+    Over the difference w = a - b the integral is the kernel weighted by
+    the tent p - |w_i| in each coordinate, integrated over [-p, p]**d.
+    d = 1 integrates that by a fixed composite Gauss-Legendre rule on the
+    panels of :func:`_axis_panels`.  d = 2 takes the tensor product of
+    the two axis rules, 16 x 16 nodes per panel pair, with each axis's
+    tent folded into its weights: for fixed real s_2 the branch points in
+    s_1 sit at +-i*sqrt(q**2 + s_2**2), no nearer the real axis than +-iq,
+    so each axis's mesh still resolves the peak.  The error estimate sums
+    |G16 - G8| (in d = 2, |G16xG16 - G8xG8|) over the panels.
     """
     if not (0 < p <= 1 and 0 < q <= 1):
         raise ValueError("need p, q in (0, 1]")
     _check_kernel_args(d, u)
     th = _theta_tuple(theta, d)
     if d == 1:
-        return _convolution_integral(p, q, th[0], u)
-    w = (2.0 * p) * _halton_2d(qmc_points) - p
-    tent = (p - np.abs(w[:, 0])) * (p - np.abs(w[:, 1]))
-    shift = w + np.array(th)
-    vals = tent / (q * q + (shift * shift).sum(axis=1)) ** u
-    scale = (2.0 * p) ** 2
-    mean = float(vals.mean())
-    err = float(vals.std() / math.sqrt(len(vals)))
-    return scale * mean, scale * err
+        s, half = _axis_panels(p, q, th[0])
+        f = (p - np.abs(s - th[0])) * (q * q + s * s) ** -u
+        g16 = f[:, :16] @ _G16[1] * half
+        g8 = f[:, 16:] @ _G8[1] * half
+        return float(g16.sum()), float(np.abs(g16 - g8).sum())
+    axes = []
+    for t0 in th:
+        s, half = _axis_panels(p, q, t0)
+        axes.append((s, (p - np.abs(s - t0)) * half[:, None]))
+    (s1, w1), (s2, w2) = axes
+    sums = []
+    for k, gw in ((slice(16), _G16[1]), (slice(16, None), _G8[1])):
+        kern = (q * q + s1[:, k, None, None] ** 2
+                + s2[None, None, :, k] ** 2) ** -u
+        sums.append(np.einsum("ai,aibj,bj->ab", w1[:, k] * gw, kern,
+                              w2[:, k] * gw))
+    g16, g8 = sums
+    return float(g16.sum()), float(np.abs(g16 - g8).sum())
 
 
-def kernel_bound_check(p: float, q: float, theta, u: float, d: int,
-                       qmc_points: int = 1 << 20) -> KernelCheckReport:
-    value, err = kernel_integral(p, q, theta, u, d, qmc_points)
+def kernel_bound_check(p: float, q: float, theta, u: float,
+                       d: int) -> KernelCheckReport:
+    value, err = kernel_integral(p, q, theta, u, d)
     ratio = value / (p ** d * q ** (d - 2 * u))
     const = kernel_constant(d, u)
     return KernelCheckReport(d, u, p, q, _theta_tuple(theta, d), value, ratio,
                              const, ratio <= const * (1 + 1e-9), err)
 
 
-def kernel_q_slope(d: int, u: float, p: float, qs: Sequence[float],
-                   qmc_points: int = 1 << 20) -> float:
+def kernel_q_slope(d: int, u: float, p: float, qs: Sequence[float]) -> float:
     """Least-squares slope of log ratio vs log q at zero translation,
     over the trailing half of ``qs``.
 
     The trailing half is where the ratio has settled; a slope near zero
     certifies the q**(d-2u) scaling is the right power law.
     """
-    ratios = [kernel_bound_check(p, q, 0.0, u, d, qmc_points).ratio
-              for q in qs]
+    ratios = [kernel_bound_check(p, q, 0.0, u, d).ratio for q in qs]
     xs = [math.log(q) for q in qs]
     ys = [math.log(r) for r in ratios]
     half = len(xs) // 2

@@ -5,8 +5,9 @@ computes another way: rational witness evaluation for the event
 checker's integer rows, graph enumeration and mesh counting for the
 integer mesh counter, per-level field values for ``eval_field``'s
 integer sum, and for ``kernel_integral`` and ``kernel_constant``
-scipy's adaptive quadrature and log-gamma, a closed form at u = 1 and
-a centred bound.
+scipy's adaptive quadrature (``quad`` for d = 1, ``dblquad`` for d = 2)
+and log-gamma, a closed form at u = 1, a centred bound and a refined
+d = 2 panel rule.
 """
 
 import math
@@ -14,6 +15,8 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 
+import numpy as np
+from numpy.polynomial.legendre import leggauss
 from scipy import integrate
 from scipy.special import gammaln
 
@@ -174,3 +177,40 @@ def kernel_closed_form_u1(p, q, theta):
     left = prim(theta, p - theta, 1) - prim(theta - p, p - theta, 1)
     right = prim(theta + p, p + theta, -1) - prim(theta, p + theta, -1)
     return left + right
+
+
+def kernel_dblquad(p, q, theta, u):
+    """The d = 2 kernel integral by adaptive quadrature over [-p, p]**2."""
+    t1, t2 = (theta, theta) if isinstance(theta, float) else theta
+    val, _ = integrate.dblquad(
+        lambda w2, w1: ((p - abs(w1)) * (p - abs(w2))
+                        / (q * q + (w1 + t1) ** 2 + (w2 + t2) ** 2) ** u),
+        -p, p, -p, p, epsabs=0.0, epsrel=1e-13,
+    )
+    return val
+
+
+def _refined_axis(p, q, t0):
+    """Nodes and tent-folded weights of one axis, in the offset s = w + t0.
+
+    The cuts are the ends, the kink, the peak and the mesh +-q*2**k
+    inside [t0 - p, t0 + p]; every panel between them is halved and
+    carries 24 Gauss-Legendre nodes.
+    """
+    lo, hi = t0 - p, t0 + p
+    mesh = {sign * q * 2.0 ** k for k in range(64) for sign in (-1, 1)}
+    cuts = np.array(sorted(c for c in {lo, t0, hi, 0.0} | mesh
+                           if lo <= c <= hi))
+    cuts = np.sort(np.concatenate((cuts, 0.5 * (cuts[1:] + cuts[:-1]))))
+    x, w = leggauss(24)
+    mid = 0.5 * (cuts[1:] + cuts[:-1])
+    half = 0.5 * (cuts[1:] - cuts[:-1])
+    s = mid[:, None] + half[:, None] * x
+    return s.ravel(), ((p - np.abs(s - t0)) * half[:, None] * w).ravel()
+
+
+def kernel_refined_2d(p, q, theta, u):
+    """The d = 2 kernel integral by a tensor rule finer than the library's."""
+    t1, t2 = (theta, theta) if isinstance(theta, float) else theta
+    (s1, w1), (s2, w2) = _refined_axis(p, q, t1), _refined_axis(p, q, t2)
+    return float(w1 @ (q * q + s1[:, None] ** 2 + s2 ** 2) ** -u @ w2)

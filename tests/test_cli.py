@@ -246,10 +246,15 @@ class TestCommands:
         assert main(["energy", "--d", "0", "--trials", "1"]) == 2
 
     def test_kernel_command(self):
-        table = run(ExperimentConfig("kernel", d=1))
-        spots = [r for r in table.rows if r.experiment == "kernel-spot"]
-        assert spots and spots[0].passed
-        assert table.all_pass()
+        # both dimensions run one quadrature, so every row has a verdict
+        for d in (1, 2):
+            table = run(ExperimentConfig("kernel", d=d))
+            spots = [r for r in table.rows if r.experiment == "kernel-spot"]
+            assert spots and spots[0].passed
+            assert [r.params["d"] for r in table.rows
+                    if r.experiment == "kernel-slope"] == [d] * 3
+            assert all(r.passed is not None for r in table.rows), d
+            assert table.all_pass()
 
     def test_report_command_smoke(self, tmp_path):
         out = tmp_path / "report.csv"

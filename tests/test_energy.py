@@ -5,10 +5,9 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
-import numpy as np
 import pytest
 
-from dimlab import cantor_pair, energy, estimators
+from dimlab import cantor_pair, estimators
 from dimlab.energy import (
     TAIL_LEVELS,
     RandomFieldSample,
@@ -32,7 +31,9 @@ from oracles import (
     kernel_centered_bound,
     kernel_closed_form_u1,
     kernel_constant_gammaln,
+    kernel_dblquad,
     kernel_quad,
+    kernel_refined_2d,
     node_value,
     tail_value,
 )
@@ -283,27 +284,46 @@ class TestKernelBound:
         assert ratios[-1] / ratios[-2] <= 1.02
 
     def test_two_dimensional_path(self):
-        rep = kernel_bound_check(0.5, 0.5, (0.1, 0.0), 1.5, 2,
-                                 qmc_points=1 << 14)
+        rep = kernel_bound_check(0.5, 0.5, (0.1, 0.0), 1.5, 2)
         assert rep.passed
-        assert rep.error_estimate > 0
+        assert rep.error_estimate < 1e-9 * rep.integral
+
+    def test_two_dimensional_matches_dblquad(self):
+        # p, q >= 2**-4, where adaptive quadrature resolves the peak
+        for u in (1.25, 1.5, 2.0):
+            for p in (0.5, 0.0625):
+                for q in (0.5, 0.0625):
+                    for theta in (0.0, 0.3, (0.1, 0.0)):
+                        val, _ = kernel_integral(p, q, theta, u, 2)
+                        want = kernel_dblquad(p, q, theta, u)
+                        assert math.isclose(val, want, rel_tol=1e-12), (
+                            u, p, q, theta, val, want)
+
+    def test_two_dimensional_matches_refined_rule(self):
+        # the grid `dimlab kernel --d 2` sweeps, against 24 nodes on
+        # every panel halved
+        qs = [0.5 ** k for k in range(1, 9)]
+        for u in (1.25, 1.5, 2.0):
+            for p in qs:
+                for q in qs:
+                    for theta in (0.0, 0.3, 2.0):
+                        val, _ = kernel_integral(p, q, theta, u, 2)
+                        want = kernel_refined_2d(p, q, theta, u)
+                        assert math.isclose(val, want, rel_tol=1e-13), (
+                            u, p, q, theta, val, want)
+
+    def test_two_dimensional_symmetry(self):
+        # I(t1, t2) = I(t2, t1) = I(-t1, t2): swapping or reflecting a
+        # coordinate of the translation leaves the integral unchanged
+        for p, q in ((0.5, 0.25), (0.125, 2 ** -8)):
+            for t1, t2 in ((0.3, 0.1), (2.0, -0.3), (1e-3, 0.0)):
+                val, _ = kernel_integral(p, q, (t1, t2), 1.5, 2)
+                for theta in ((t2, t1), (-t1, t2)):
+                    other, _ = kernel_integral(p, q, theta, 1.5, 2)
+                    assert math.isclose(other, val, rel_tol=1e-14)
 
 
 class TestHalton:
-    # 2**14 is the CLI's d = 2 sampling size, 2**20 the default
-    @pytest.mark.parametrize("n", [1, 7, 1 << 14, 1 << 20])
-    def test_matches_scipy_bit_for_bit(self, n):
-        from scipy.stats import qmc
-        want = qmc.Halton(d=2, scramble=False).random(n)
-        assert np.array_equal(energy._halton_2d(n), want)
-
-    def test_cached_and_read_only(self):
-        pts = energy._halton_2d(1 << 10)
-        assert energy._halton_2d(1 << 10) is pts
-        assert not pts.flags.writeable
-        with pytest.raises(ValueError):
-            pts[0, 0] = 0.5
-
     def test_cli_import_loads_no_scipy_stats(self):
         src = Path(__file__).resolve().parents[1] / "src"
         code = ("import sys, dimlab.cli; "

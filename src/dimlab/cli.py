@@ -328,6 +328,10 @@ def run(cfg: ExperimentConfig) -> ResultTable:
         raise ValueError(f"--stride must be >= 1, got {cfg.stride}")
     if not cfg.tol >= 0:  # NaN fails every comparison
         raise ValueError(f"--tol must be >= 0, got {cfg.tol}")
+    if cfg.expect is not None and not math.isfinite(cfg.expect):
+        raise ValueError(f"--expect must be finite, got {cfg.expect}")
+    if cfg.plot_out and cfg.command not in ("estimate", "cantor", "report"):
+        raise ValueError(f"--plot-out: {cfg.command} writes no series rows")
     table = ResultTable()
     RUNNERS[cfg.command](cfg, table)
     if cfg.out:

@@ -5,7 +5,8 @@ K_path, disjoint across siblings, nested along paths, with level-n
 diameters at most 2**(-n**2).  The random side assigns every level-n
 piece an independent value uniform on {0, 2**-n}**d and sums the levels;
 beyond the explicit tree the construction continues with singleton
-pieces, realized as independent per-point dyadic tails, so the value
+pieces, whose TAIL_LEVELS fair bits per coordinate sum to one uniform
+integer below 2**TAIL_LEVELS, drawn once per point.  So the value
 difference of two points separating at level n is uniform on a full
 2**-n window rather than on a coarse grid.  A point is the exact
 ``Fraction`` equal to its value on the {0,1}-digit Cantor set; only a
@@ -32,13 +33,10 @@ from fractions import Fraction
 from typing import Callable, Sequence
 
 import numpy as np
-# numpy loads numpy.random lazily; _pair_mean's generators need it, so
-# load it with the module rather than inside the first pass
-import numpy.random  # noqa: F401
 from numpy.polynomial.legendre import leggauss
 
 from .estimators import DiscreteMeasure, _least_squares, discrete_energy
-from .rng import stable_digest, stable_index
+from .rng import stable_generator, stable_index
 from .spaces import DigitVector, cantor_digits, cantor_numerators
 
 MAX_FAMILY_DEPTH = 4
@@ -153,9 +151,9 @@ class RandomFieldSample:
 
     The value of level n on its piece is uniform on {0, 2**-n}**d; the
     tail levels depth+1 .. depth+TAIL_LEVELS continue the construction
-    with singleton pieces and are keyed by the evaluated point itself.
-    Everything is a pure function of (seed, key), so evaluation order
-    does not matter.
+    with singleton pieces, drawn together as one integer per coordinate
+    and keyed by the evaluated point itself.  Everything is a pure
+    function of (seed, key), so evaluation order does not matter.
     """
 
     family: NestedFamily
@@ -167,27 +165,24 @@ class RandomFieldSample:
         return [stable_index(2, self.seed, "node", level, path, c)
                 for c in range(self.d)]
 
-    def tail_bits(self, key: tuple[int, int], level: int) -> list[int]:
-        """The tail draws at ``level`` of the point whose value is ``key``."""
-        return [stable_index(2, self.seed, "tail", level, key, c)
+    def tail(self, key: tuple[int, int]) -> list[int]:
+        """Per coordinate, the numerator over 2**(depth + TAIL_LEVELS)
+        of the tail of the point whose value is ``key``."""
+        return [stable_index(1 << TAIL_LEVELS, self.seed, "tail", key, c)
                 for c in range(self.d)]
 
 
 def eval_field(sample: RandomFieldSample, x: Fraction) -> tuple[Fraction, ...]:
-    """f(x): sum of the containing pieces' values and the point's tails.
+    """f(x): sum of the containing pieces' values and the point's tail.
 
-    Level l adds one bit over 2**l per coordinate, so each coordinate is
-    summed as one integer numerator over 2**(depth + TAIL_LEVELS).
+    Level l adds one bit over 2**l and the tail the last TAIL_LEVELS
+    bits, so each coordinate is one numerator over 2**(depth + TAIL_LEVELS).
     """
     path = sample.family.locate(x)
     top = sample.family.depth + TAIL_LEVELS
-    nums = [0] * sample.d
+    nums = sample.tail((x.numerator, x.denominator))
     for level in range(1, len(path) + 1):
         for c, b in enumerate(sample.node_bits(level, path[:level])):
-            nums[c] += b << (top - level)
-    key = (x.numerator, x.denominator)
-    for level in range(sample.family.depth + 1, top + 1):
-        for c, b in enumerate(sample.tail_bits(key, level)):
             nums[c] += b << (top - level)
     return tuple(Fraction(u, 1 << top) for u in nums)
 
@@ -415,19 +410,17 @@ def _pair_mean(family: NestedFamily, x: Fraction, y: Fraction,
                theta: float, t: float, d: int, trials: int, seed) -> float:
     """Monte Carlo mean of (rho^2 + |(f+g)(x)-(f+g)(y)|^2)^(-(t+d)/2).
 
-    The level values beyond the separating level plus the tails add up,
+    The level values beyond the separating level plus the tail add up,
     per coordinate, to an exactly uniform dyadic variable on a 2**-n
     window (binary digits with independent fair bits), which is what is
-    sampled here in vectorized form.
+    drawn here as arrays from the pair's ``stable_generator`` stream.
     """
     n = _separating_level(family, x, y)
-    depth = family.depth
-    window_bits = (depth - n) + TAIL_LEVELS
-    den = 2 ** (depth + TAIL_LEVELS)
+    window_bits = (family.depth - n) + TAIL_LEVELS
+    den = 2 ** (family.depth + TAIL_LEVELS)
     rho = abs(float(x) - float(y))
-    key = stable_digest(seed, "pair", (x.numerator, x.denominator),
-                        (y.numerator, y.denominator))
-    rng = np.random.Generator(np.random.Philox(key=key % (1 << 64)))
+    rng = stable_generator(seed, "pair", (x.numerator, x.denominator),
+                           (y.numerator, y.denominator))
     exponent = -(t + d) / 2.0
     acc = np.zeros(trials)
     for _ in range(d):

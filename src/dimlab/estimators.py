@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -111,22 +111,16 @@ def box_dim_estimate(series: ScaleSeries, variant: str) -> DimensionEstimate:
     return DimensionEstimate(value, intercept, r2, (n_min, n_max), variant)
 
 
-def packing_count_series(
-    space: SpaceDescriptor,
-    scales: Sequence[int],
-    net_scale: Callable[[int], int] | None = None,
-) -> ScaleSeries:
+def packing_count_series(space: SpaceDescriptor,
+                         scales: Sequence[int]) -> ScaleSeries:
     """Greedy packing counts of a space over the given scale indices.
 
-    Each count is taken on the canonical net one scale index finer than
-    the packing scale (overridable), so the net resolves the packing.
+    Each count is taken on the canonical net of scale n + 1, one index
+    finer than the packing scale n, so the net resolves the packing.
     """
-    net_scale = net_scale or (lambda n: n + 1)
-    entries = []
-    for n in scales:
-        net = build_net(space, net_scale(n))
-        entries.append((n, packing.max_packing_greedy(net, n).count))
-    return ScaleSeries(tuple(entries), log_base=2)
+    return ScaleSeries(tuple(
+        (n, packing.max_packing_greedy(build_net(space, n + 1), n).count)
+        for n in scales), log_base=2)
 
 
 def cell_count_series(space: SpaceDescriptor,

@@ -1,18 +1,20 @@
 """Stateless derived randomness.
 
 Every stochastic quantity in the package is a pure function of a seed
-and a structural key.  Draws are therefore reproducible across runs and
-independent of evaluation order, which keeps trial loops trivially
-parallelizable.  This module derives them through sha256: one digest
-per scalar draw (:func:`stable_index`), or one digest keying a numpy
-Philox generator (``energy._pair_mean``).  The saturation Monte Carlo
-is the exception: ``witness.simulate_saturation_failure`` seeds one
-``random.Random(f"{seed}:{t}")`` per trial.
+and a structural key, so draws repeat across runs in any order.  One
+sha256 digest of (seed, structural key) is read one of two ways: as an
+index mod m for a scalar draw (:func:`stable_index`: witness values,
+field nodes and tails), or as the key of a numpy Philox stream for
+array draws (:func:`stable_generator`: pair means, and one stream per
+saturation run, read in trial order).
 """
 
 from __future__ import annotations
 
 import hashlib
+
+# numpy loads numpy.random lazily; this loads it with the module
+from numpy.random import Generator, Philox
 
 
 def stable_digest(*key) -> int:
@@ -21,7 +23,12 @@ def stable_digest(*key) -> int:
 
 
 def stable_index(modulus: int, *key) -> int:
-    """Uniform index in [0, modulus); modulo bias is ~2**-250."""
+    """Uniform index in [0, modulus); bias ~2**-250, none for a power of 2."""
     if modulus < 1:
         raise ValueError("modulus must be positive")
     return stable_digest(*key) % modulus
+
+
+def stable_generator(*key) -> Generator:
+    """A Philox stream keyed by the low 64 bits of the key's digest."""
+    return Generator(Philox(key=stable_digest(*key) % (1 << 64)))

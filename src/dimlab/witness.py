@@ -15,7 +15,8 @@ The two probabilistic checks:
 
 * ``simulate_saturation_failure``: how often do ell_n grid draws,
   shifted by an adversary that sees only the past, fail to contain a
-  full-size 2**-n packing of values;
+  full-size 2**-n packing of values, drawn from one
+  ``rng.stable_generator`` stream in trial order;
 * ``EventChecker`` / ``event_fraction``: how often does the graph of the
   summed layers plus a drift carry at least N_n(K) * 2**(n d) * n**-2d
   packing points at scale 2**-n.  A check builds its integer rows with
@@ -32,7 +33,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import random
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
@@ -41,7 +41,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import packing
-from .rng import stable_index
+from .rng import stable_generator, stable_index
 from .spaces import (
     NetDepthError,
     SpaceDescriptor,
@@ -509,10 +509,12 @@ def simulate_saturation_failure(layer: LayerSize, adversary: Callable,
     Per trial, ell_n values are drawn uniformly from the layer grid; the
     adversary produces each shift y_i from the history X_1..X_{i-1} only
     (it is handed nothing else, which enforces the measurability
-    contract structurally).  A trial fails when the translated points
-    contain no s_n-element 2**-n packing.  The points are counted by the
-    greedy packing kernel on float rows, which is exact for d = 1 (a
-    maximum packing) and greedy otherwise.
+    contract structurally).  The draws come in trial order from one
+    stream, so a run's first T trials repeat a T-trial run.  A trial
+    fails when the translated points contain no s_n-element 2**-n
+    packing.  The points are counted by the greedy packing kernel on
+    float rows, which is exact for d = 1 (a maximum packing) and greedy
+    otherwise.
 
     Pass condition: the Wilson 95% upper bound on the failure rate stays
     within 1.5x of 1 / (k_n * 2**n).  Only the layer's sizes are read,
@@ -520,16 +522,14 @@ def simulate_saturation_failure(layer: LayerSize, adversary: Callable,
     """
     grid = [tuple(float(c) for c in g) for g in layer.grid]
     delta = 0.5 ** layer.n
+    rng = stable_generator(seed, "saturation")
     failures = 0
-    for t in range(trials):
-        rng = random.Random(f"{seed}:{t}")
-        history: list[tuple[float, ...]] = []
-        points = []
-        for _ in range(layer.ell_n):
+    for _ in range(trials):
+        history, points = [], []
+        for i in rng.integers(layer.s_n, size=layer.ell_n).tolist():
             y = adversary(tuple(history))
-            x = grid[rng.randrange(layer.s_n)]
-            history.append(x)
-            points.append(tuple(a + b for a, b in zip(x, y)))
+            history.append(grid[i])
+            points.append(tuple(a + b for a, b in zip(grid[i], y)))
         if len(packing.greedy_packing_coords(points, delta)) < layer.s_n:
             failures += 1
     bound = 1.0 / (layer.k_n * 2 ** layer.n)

@@ -3,11 +3,11 @@
 Each one is the direct, unoptimised form of something the library
 computes another way: rational witness evaluation for the event
 checker's integer rows, graph enumeration and mesh counting for the
-integer mesh counter, per-level field values for ``eval_field``'s
-integer sum, and for ``kernel_integral`` and ``kernel_constant``
-scipy's adaptive quadrature (``quad`` for d = 1, ``dblquad`` for d = 2)
-and log-gamma, a closed form at u = 1, a centred bound and a refined
-d = 2 panel rule.
+integer mesh counter, per-level node values and the per-point tail for
+``eval_field``'s integer sum, and for ``kernel_integral`` and
+``kernel_constant`` scipy's adaptive quadrature (``quad`` for d = 1,
+``dblquad`` for d = 2) and log-gamma, a closed form at u = 1, a centred
+bound and a refined d = 2 panel rule.
 """
 
 import math
@@ -21,6 +21,8 @@ from scipy import integrate
 from scipy.special import gammaln
 
 from dimlab.cantor_pair import DigitFunction, _check_depth, _sums, _weights
+from dimlab.energy import TAIL_LEVELS
+from dimlab.rng import stable_index
 from dimlab.spaces import cantor_numerators
 from dimlab.witness import _place_layer, _size_layer
 
@@ -123,12 +125,16 @@ def node_value(sample, level, path):
                  for b in sample.node_bits(level, path))
 
 
-def tail_value(sample, x, j):
-    """The j-th tail level's value at the point x, as Fractions."""
-    level = sample.family.depth + j
-    return tuple(Fraction(b, 2 ** level)
-                 for b in sample.tail_bits((x.numerator, x.denominator),
-                                           level))
+def tail_value(sample, x):
+    """The tail levels' summed value at the point x, as Fractions: per
+    coordinate, one draw below 2**TAIL_LEVELS over 2**(depth +
+    TAIL_LEVELS)."""
+    top = sample.family.depth + TAIL_LEVELS
+    key = (x.numerator, x.denominator)
+    return tuple(
+        Fraction(stable_index(1 << TAIL_LEVELS, sample.seed, "tail", key, c),
+                 2 ** top)
+        for c in range(sample.d))
 
 
 def anchor_pairs(family):

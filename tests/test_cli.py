@@ -130,6 +130,32 @@ class TestCommands:
         assert f"error: --tol must be >= 0, got {float(tol)}" in (
             capsys.readouterr().err)
 
+    @pytest.mark.parametrize("expect", ["nan", "inf", "-inf"])
+    def test_nonfinite_expect_exits_2(self, expect, monkeypatch, capsys):
+        def refuse(*args):
+            raise AssertionError("the experiment ran")
+
+        monkeypatch.setitem(cli.RUNNERS, "estimate", refuse)
+        assert main(["estimate", "--space", "harmonic",
+                     f"--expect={expect}"]) == 2
+        assert f"error: --expect must be finite, got {float(expect)}" in (
+            capsys.readouterr().err)
+
+    @pytest.mark.parametrize("command",
+                             ["kernel", "energy", "prevalence", "saturation"])
+    def test_plot_out_without_series_exits_2(self, command, tmp_path,
+                                             monkeypatch, capsys):
+        def refuse(*args):
+            raise AssertionError("the experiment ran")
+
+        monkeypatch.setitem(cli.RUNNERS, command, refuse)
+        out, plot = tmp_path / "k.csv", tmp_path / "k.txt"
+        assert main([command, "--plot-out", str(plot),
+                     "--out", str(out)]) == 2
+        assert not out.exists() and not plot.exists()
+        assert f"--plot-out: {command} writes no series rows" in (
+            capsys.readouterr().err)
+
     def test_unbuilt_prevalence_layer_named(self, capsys):
         assert main(["prevalence", "--n-min", "0", "--n-max", "3",
                      "--trials", "1"]) == 2

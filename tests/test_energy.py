@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from dimlab import cantor_pair, estimators
+from dimlab import cantor_pair, energy, estimators
 from dimlab.energy import (
     TAIL_LEVELS,
     RandomFieldSample,
@@ -124,9 +124,7 @@ class TestRandomField:
         y = fam.piece_point(leaf, (1,))
         tree_x = sum(
             node_value(sample, lv, leaf.path[:lv])[0] for lv in (1, 2, 3))
-        tail = lambda p: sum(
-            tail_value(sample, p, j)[0]
-            for j in range(1, TAIL_LEVELS + 1))
+        tail = lambda p: tail_value(sample, p)[0]
         assert eval_field(sample, x)[0] - tail(x) == tree_x
         assert eval_field(sample, y)[0] - tail(y) == tree_x
 
@@ -142,8 +140,7 @@ class TestRandomField:
         for leaf in (a, b):
             x = fam.anchor(leaf)
             rest = (node_value(sample, 3, leaf.path)[0]
-                    + sum(tail_value(sample, x, j)[0]
-                          for j in range(1, TAIL_LEVELS + 1)))
+                    + tail_value(sample, x)[0])
             assert eval_field(sample, x)[0] == shared + rest
 
     def test_field_bounded(self, nested_family_depth3):
@@ -168,11 +165,42 @@ class TestRandomField:
             path = fam.locate(x)
             values = [node_value(sample, lv, path[:lv])
                       for lv in range(1, len(path) + 1)]
-            values += [tail_value(sample, x, j)
-                       for j in range(1, TAIL_LEVELS + 1)]
+            values.append(tail_value(sample, x))
             want = tuple(sum((v[c] for v in values), Fraction(0))
                          for c in range(d))
             assert eval_field(sample, x) == want
+
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_tail_is_one_draw_per_coordinate(self, nested_family_depth3,
+                                             monkeypatch, d):
+        # the tail levels' 22 fair bits are one uniform integer below
+        # 2**22, drawn once per coordinate beside one draw per node level
+        fam = nested_family_depth3
+        sample = RandomFieldSample(fam, seed=5, d=d)
+        top = fam.depth + TAIL_LEVELS
+        draws = []
+        real = energy.stable_index
+
+        def counting(*args):
+            draws.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(energy, "stable_index", counting)
+        points = [fam.anchor(leaf) for leaf in fam.leaves()]
+        points += [fam.piece_point(fam.leaves()[5], (1, 1)),
+                   DigitVector((0, 1, 1)).value]
+        for x in points:
+            path = fam.locate(x)
+            del draws[:]
+            value = eval_field(sample, x)
+            assert len(draws) == d * (len(path) + 1)
+            nodes = [node_value(sample, lv, path[:lv])
+                     for lv in range(1, len(path) + 1)]
+            for c in range(d):
+                u = real(1 << TAIL_LEVELS, 5, "tail",
+                         (x.numerator, x.denominator), c)
+                assert value[c] - sum(v[c] for v in nodes) == Fraction(
+                    u, 2 ** top)
 
 
 class TestGraphMeasure:

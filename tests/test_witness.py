@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from dimlab import cantor_pair, packing, witness
+from dimlab.rng import stable_generator
 from dimlab.spaces import NetDepthError, triadic_cantor, unit_interval
 from dimlab.witness import (
     build_layers,
@@ -430,6 +431,27 @@ class TestSaturation:
         simulate_saturation_failure(cantor_layers[4], spy, 2, 0)
         ell = cantor_layers[4].ell_n
         assert seen == list(range(ell)) * 2
+
+    def test_histories_are_the_stream_in_trial_order(self, cantor_layers):
+        # one stream per run, ell_n indices per trial: a spy sees each
+        # trial's draws as they come, and a longer run extends a shorter
+        lay = cantor_layers[4]
+        grid = [tuple(float(c) for c in g) for g in lay.grid]
+
+        def histories(trials):
+            seen = []
+            simulate_saturation_failure(
+                lay, lambda h: seen.append(h) or (0.0,), trials, "spy")
+            return seen
+
+        short, long = histories(3), histories(6)
+        assert long[:len(short)] == short
+        stream = stable_generator("spy", "saturation")
+        want = []
+        for _ in range(6):
+            xs = [grid[i] for i in stream.integers(lay.s_n, size=lay.ell_n)]
+            want += [tuple(xs[:i]) for i in range(lay.ell_n)]
+        assert long == want
 
     def test_wilson_bound_monotone(self):
         assert wilson_upper_bound(0, 100) < wilson_upper_bound(1, 100)

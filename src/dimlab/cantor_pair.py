@@ -18,7 +18,8 @@ integers at denominators 3**depth (abscissa) and 3**((depth+1)//2)
 (ordinate), so a point can never be misclassified across a half-open
 mesh boundary.  A depth-``depth`` digit string is a bit pattern whose
 highest bit is the first digit; value numerators are sums of per-digit
-weights over the set bits (:func:`_weights`).
+weights over the set bits (:func:`_weights`), tabulated for every
+pattern at once by :func:`spaces.subset_sums`.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ import enum
 import functools
 from fractions import Fraction
 
-from .spaces import cantor_digits, cantor_numerators
+from .spaces import cantor_digits, cantor_numerators, subset_sums
 
 ENUMERATION_DEPTH_LIMIT = 24
 
@@ -87,14 +88,6 @@ def _check_depth(depth: int) -> None:
         )
 
 
-def _sums(weights) -> list[int]:
-    """Weight sum over the set bits of every pattern, indexed by pattern."""
-    sums = [0]
-    for w in weights:
-        sums += [s + w for s in sums]
-    return sums
-
-
 def closed_form_counts(n: int) -> tuple[int, int, int]:
     """Exact 9**-n mesh counts (graph f, graph g, graph f+g)."""
     if n < 1:
@@ -119,7 +112,7 @@ def brute_force_mesh_count(fn: DigitFunction, n: int) -> int:
     _check_depth(depth)
     half = 2 * n
     weights = _weights(fn, depth)
-    v_low, v_high = _sums(weights[:half]), _sums(weights[half:])
+    v_low, v_high = subset_sums(weights[:half]), subset_sums(weights[half:])
     # x falls in the 3**-2n cell numbered by its first 2n digits: the low
     # half of the digits adds less than one cell
     columns = cantor_numerators(half)

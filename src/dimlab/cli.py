@@ -57,8 +57,6 @@ class ExperimentConfig:
     plot_out: str | None = None
 
     def scales(self):
-        if self.n_min > self.n_max:
-            raise ValueError("need n_min <= n_max")
         return range(self.n_min, self.n_max + 1, self.stride)
 
 
@@ -326,6 +324,10 @@ def run(cfg: ExperimentConfig) -> ResultTable:
         raise ValueError(f"--n-max must be >= 1, got {cfg.n_max}")
     if cfg.stride < 1:
         raise ValueError(f"--stride must be >= 1, got {cfg.stride}")
+    if cfg.command in ("estimate", "prevalence") and cfg.n_min > cfg.n_max:
+        raise ValueError(f"--n-min {cfg.n_min} is above --n-max {cfg.n_max}")
+    if cfg.drift == "cantor-f" and cfg.d != 1:
+        raise ValueError(f"--drift cantor-f is 1-D: need --d 1, got {cfg.d}")
     if not cfg.tol >= 0:  # NaN fails every comparison
         raise ValueError(f"--tol must be >= 0, got {cfg.tol}")
     if cfg.expect is not None and not math.isfinite(cfg.expect):

@@ -9,8 +9,8 @@ pieces, whose TAIL_LEVELS fair bits per coordinate sum to one uniform
 integer below 2**TAIL_LEVELS, drawn once per point.  So the value
 difference of two points separating at level n is uniform on a full
 2**-n window rather than on a coarse grid.  A point is the exact
-``Fraction`` equal to its value on the {0,1}-digit Cantor set; only a
-piece's cylinder prefix is kept as a :class:`spaces.DigitVector`.
+``Fraction`` equal to its value on the {0,1}-digit Cantor set, and a
+piece is kept as its anchor, the least point of its cylinder.
 
 The analytic side bounds the kernel double integral
 
@@ -37,7 +37,8 @@ from numpy.polynomial.legendre import leggauss
 
 from .estimators import DiscreteMeasure, _least_squares, discrete_energy
 from .rng import stable_generator, stable_index
-from .spaces import DigitVector, cantor_digits, cantor_numerators
+from .spaces import (cantor_digits, cantor_numerators, ceil_log3_pow2,
+                     drift_at)
 
 MAX_FAMILY_DEPTH = 4
 # dyadic tail levels that continue the construction below the explicit tree
@@ -46,16 +47,13 @@ TAIL_LEVELS = 22
 
 def minimal_level_depth(n: int) -> int:
     """Smallest triadic depth t with 3**-t <= 2**(-n*n)."""
-    t = 0
-    while 3 ** t < 2 ** (n * n):
-        t += 1
-    return t
+    return ceil_log3_pow2(n * n)
 
 
 @dataclass(frozen=True)
 class NestedPiece:
     path: tuple[int, ...]
-    prefix: DigitVector
+    anchor: Fraction  # the least point of the piece's cylinder
     diameter: Fraction
 
 
@@ -70,30 +68,31 @@ class NestedFamily:
     def leaves(self) -> tuple[NestedPiece, ...]:
         return self.levels[-1]
 
-    def anchor(self, piece: NestedPiece) -> Fraction:
-        return piece.prefix.value
-
-    def piece_point(self, piece: NestedPiece, offset_digits: tuple[int, ...]) -> Fraction:
-        """A point of the piece: prefix extended by the given digits."""
-        return piece.prefix.extend(offset_digits).value
-
     def locate(self, x: Fraction) -> tuple[int, ...]:
-        """Path of the deepest piece containing x (may be shorter than depth)."""
-        digits = cantor_digits(x)
-        digits += (0,) * (self.level_depths[-1] - len(digits))
+        """Path of the deepest piece containing x (may be shorter than depth).
+
+        A depth-t piece with anchor a holds a plus any digits below t, so
+        its hull is [a, a + 3**-t / 2].  Distinct depth-t anchors lie
+        3**-t apart or more, so the hulls are disjoint, and a Cantor point
+        x lies in the piece iff a <= x <= a + 3**-t / 2.  A value off the
+        Cantor set raises ValueError.
+        """
+        cantor_digits(x)
+        num, den = x.numerator, x.denominator
         path: tuple[int, ...] = ()
-        for level in self.levels:
-            hit = None
+        for t, level in zip(self.level_depths, self.levels):
+            half = 2 * 3 ** t
             for piece in level:
                 if piece.path[:-1] != path:
                     continue
-                pfx = piece.prefix.digits
-                if digits[:len(pfx)] == pfx:
-                    hit = piece
+                # x - a = gap / (den * a_den), compared in integers
+                a_num, a_den = piece.anchor.as_integer_ratio()
+                gap = num * a_den - a_num * den
+                if 0 <= gap and half * gap <= den * a_den:
+                    path = piece.path
                     break
-            if hit is None:
+            else:
                 break
-            path = hit.path
         return path
 
 
@@ -137,9 +136,8 @@ def build_nested_family(branching: Sequence[int]) -> NestedFamily:
                     for path, value in parents for c, m in enumerate(ext)]
         # exact spread of the cylinder's depth-limited point set
         diam = (Fraction(1, 3 ** t) - Fraction(1, 3 ** point_depth)) / 2
-        levels.append(tuple(
-            NestedPiece(path, DigitVector.from_value(value, t), diam)
-            for path, value in children))
+        levels.append(tuple(NestedPiece(path, value, diam)
+                            for path, value in children))
         parents = children
     return NestedFamily(branching, depth, level_depths, point_depth,
                         tuple(levels))
@@ -189,7 +187,7 @@ def eval_field(sample: RandomFieldSample, x: Fraction) -> tuple[Fraction, ...]:
 
 def natural_leaf_measure(family: NestedFamily) -> DiscreteMeasure:
     """One atom per leaf anchor, each leaf weighing 1 / #leaves."""
-    anchors = tuple(family.anchor(leaf) for leaf in family.leaves())
+    anchors = tuple(leaf.anchor for leaf in family.leaves())
     w = Fraction(1, len(anchors))
     return DiscreteMeasure(anchors, (w,) * len(anchors),
                            tuple((a,) for a in anchors))
@@ -201,13 +199,14 @@ def graph_measure(measure: DiscreteMeasure, sample: RandomFieldSample,
 
     Weights are carried over unchanged, so the total mass stays exactly
     one; atoms never collide because the base coordinates already differ.
+    A drift of another arity than the sample's d raises ValueError.
     """
     coords = []
     for pt, base in zip(measure.points, measure.coords):
         val = eval_field(sample, pt)
         if drift is not None:
-            dv = drift(pt)
-            val = tuple(v + Fraction(c) for v, c in zip(val, dv))
+            val = tuple(v + c for v, c in
+                        zip(val, drift_at(drift, pt, sample.d)))
         coords.append(base + val)
     return DiscreteMeasure(measure.points, measure.weights, tuple(coords))
 
@@ -390,8 +389,7 @@ def ladder_pairs(family: NestedFamily):
     """
     leaf = family.leaves()[0]
     t = family.level_depths[-1]
-    anchor = family.anchor(leaf)
-    return [(anchor, family.piece_point(leaf, (0,) * (j - t - 1) + (1,)))
+    return [(leaf.anchor, leaf.anchor + Fraction(1, 3 ** j))
             for j in range(t + 1, family.point_depth)]
 
 
@@ -407,13 +405,14 @@ def _separating_level(family: NestedFamily, x: Fraction, y: Fraction) -> int:
 
 
 def _pair_mean(family: NestedFamily, x: Fraction, y: Fraction,
-               theta: float, t: float, d: int, trials: int, seed) -> float:
+               theta: tuple, t: float, d: int, trials: int, seed) -> float:
     """Monte Carlo mean of (rho^2 + |(f+g)(x)-(f+g)(y)|^2)^(-(t+d)/2).
 
     The level values beyond the separating level plus the tail add up,
     per coordinate, to an exactly uniform dyadic variable on a 2**-n
     window (binary digits with independent fair bits), which is what is
     drawn here as arrays from the pair's ``stable_generator`` stream.
+    ``theta`` holds the drift difference g(x) - g(y), one per coordinate.
     """
     n = _separating_level(family, x, y)
     window_bits = (family.depth - n) + TAIL_LEVELS
@@ -423,10 +422,10 @@ def _pair_mean(family: NestedFamily, x: Fraction, y: Fraction,
                            (y.numerator, y.denominator))
     exponent = -(t + d) / 2.0
     acc = np.zeros(trials)
-    for _ in range(d):
+    for c in range(d):
         ux = rng.integers(0, 1 << window_bits, size=trials, dtype=np.int64)
         uy = rng.integers(0, 1 << window_bits, size=trials, dtype=np.int64)
-        delta = (ux - uy) / den + theta
+        delta = (ux - uy) / den + theta[c]
         acc += delta * delta
     return float(np.mean((rho * rho + acc) ** exponent))
 
@@ -446,7 +445,8 @@ def pair_expectation_check(
     Reports c_hat = max over pairs of mean * rho**s, grouped by the
     decade of the pair separation; the check passes when the per-decade
     maxima stay within a factor two of each other while the separations
-    sweep at least two orders of magnitude.
+    sweep at least two orders of magnitude.  A drift of another arity
+    than d raises ValueError.
     """
     if not 0 < t < s:
         raise ValueError("need 0 < t < s")
@@ -456,10 +456,10 @@ def pair_expectation_check(
     for x, y in pairs:
         if x == y:
             raise ValueError("pair points must be distinct")
-        theta = 0.0
+        theta = (0.0,) * d
         if drift is not None:
-            dx, dy = drift(x), drift(y)
-            theta = float(Fraction(dx[0]) - Fraction(dy[0]))
+            theta = tuple(float(a - b) for a, b in zip(
+                drift_at(drift, x, d), drift_at(drift, y, d)))
         rho = abs(float(x) - float(y))
         mean = _pair_mean(family, x, y, theta, t, d, trials, seed)
         reports.append(PairReport(x, y, rho, mean,

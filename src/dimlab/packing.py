@@ -42,19 +42,16 @@ class ExactSearchLimitExceeded(RuntimeError):
 class PackingResult:
     """A packing witness: pairwise distances all strictly exceed delta."""
 
-    scale_index: int | None
-    delta: Fraction
     count: int
     witness: tuple
-    method: str
 
 
-def _resolve_delta(n, delta) -> tuple[int | None, Fraction]:
+def _resolve_delta(n, delta) -> Fraction:
     if delta is None:
         if n is None:
             raise ValueError("need a scale index n or an explicit delta")
-        return n, Fraction(1, 2 ** n)
-    return n, _positive(Fraction(delta))
+        return Fraction(1, 2 ** n)
+    return _positive(Fraction(delta))
 
 
 def _positive(delta):
@@ -134,13 +131,12 @@ def max_packing_greedy(net: ResolutionNet, n: int | None = None, *,
     The result is maximal (no net point can be added), hence at least
     the 2**-n covering number of the net and at most the true maximum.
     """
-    n, delta = _resolve_delta(n, delta)
+    delta = _resolve_delta(n, delta)
     pts = net.point_list()
     if not pts:
         raise ValueError("empty net")
     chosen = greedy_packing_coords(net.coord_rows(), delta, presorted=True)
-    return PackingResult(n, delta, len(chosen),
-                         tuple(pts[i] for i in chosen), "greedy")
+    return PackingResult(len(chosen), tuple(pts[i] for i in chosen))
 
 
 def exact_packing_coords(rows, delta,
@@ -174,7 +170,7 @@ def max_packing_exact(net: ResolutionNet, n: int | None = None, *,
     Searches the net's coordinate rows with :func:`exact_packing_coords`.
     Refuses instances larger than ``limit``.
     """
-    n, delta = _resolve_delta(n, delta)
+    delta = _resolve_delta(n, delta)
     # refuse from the size alone, before any point or row is built: a net
     # too large to expand at all keeps its NetDepthError
     net._check_expandable()
@@ -183,8 +179,7 @@ def max_packing_exact(net: ResolutionNet, n: int | None = None, *,
     if not pts:
         raise ValueError("empty net")
     chosen = exact_packing_coords(net.coord_rows(), delta, limit)
-    return PackingResult(n, delta, len(chosen),
-                         tuple(pts[i] for i in chosen), "exact")
+    return PackingResult(len(chosen), tuple(pts[i] for i in chosen))
 
 
 def _check_limit(m: int, limit: int) -> None:

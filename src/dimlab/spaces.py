@@ -6,9 +6,9 @@ set, the harmonic sequence {0} u {1/k : k >= 1}, and products of a base
 space with a euclidean cube.
 
 A point of a one-dimensional family, the Cantor set included, is the
-exact ``Fraction`` equal to its value; :class:`DigitVector`,
-:func:`cantor_numerators` and :func:`cantor_digits` are only the codec
-between a Cantor point's digits and its value.
+exact ``Fraction`` equal to its value.  The codec between a Cantor
+point's digits and its value lives here alone: :class:`DigitVector`,
+:func:`cantor_digits` and the :func:`subset_sums` tables.
 
 No distance is computed here: a net hands its points to the counters as
 exact coordinate rows (:func:`coords_of`), and the packing kernels
@@ -45,7 +45,7 @@ class NetDepthError(ValueError):
     """Raised when a net is too shallow for the requested construction."""
 
 
-def _ceil_log3_pow2(n: int) -> int:
+def ceil_log3_pow2(n: int) -> int:
     """Smallest t with 3**t >= 2**n, computed in exact integers."""
     target = 1 << n
     t, p = 0, 1
@@ -61,7 +61,16 @@ def cantor_net_depth(scale_index: int) -> int:
     Guarantees 3**-depth <= 2**-n with two extra digits of margin, so the
     omitted cylinder tails cannot spoil the net property.
     """
-    return _ceil_log3_pow2(scale_index) + 2
+    return ceil_log3_pow2(scale_index) + 2
+
+
+def subset_sums(weights) -> list[int]:
+    """Weight sum over the set bits of every pattern, indexed by pattern;
+    ``weights[k]`` is the weight of bit k, the lowest bit first."""
+    sums = [0]
+    for w in weights:
+        sums += [s + w for s in sums]
+    return sums
 
 
 def cantor_numerators(depth: int) -> list[int]:
@@ -70,11 +79,7 @@ def cantor_numerators(depth: int) -> list[int]:
     Entry i is the point whose digits are the bits of i, the highest bit
     first, so the list ascends: digit order is value order.
     """
-    nums = [0]
-    for k in range(depth):
-        step = 3 ** k
-        nums += [m + step for m in nums]
-    return nums
+    return subset_sums([3 ** k for k in range(depth)])
 
 
 def cantor_digits(x: Fraction) -> tuple[int, ...]:
@@ -110,23 +115,9 @@ class DigitVector:
             raise ValueError("digits must be 0 or 1")
 
     @property
-    def depth(self) -> int:
-        return len(self.digits)
-
-    @property
     def value(self) -> Fraction:
-        return Fraction(int("".join(map(str, self.digits)), 3), 3 ** self.depth)
-
-    @classmethod
-    def from_value(cls, value: Fraction, depth: int) -> "DigitVector":
-        """Recover the digit sequence of an exactly representable value."""
-        digits = cantor_digits(Fraction(value))
-        if len(digits) > depth:
-            raise ValueError(f"{value} is not a depth-{depth} digit value")
-        return cls(digits + (0,) * (depth - len(digits)))
-
-    def extend(self, extra: tuple[int, ...]) -> "DigitVector":
-        return DigitVector(self.digits + extra)
+        return Fraction(int("".join(map(str, self.digits)), 3),
+                        3 ** len(self.digits))
 
     def __repr__(self):
         return f"DigitVector({''.join(map(str, self.digits))})"
@@ -187,6 +178,15 @@ def coords_of(space: SpaceDescriptor, point) -> tuple[Fraction, ...]:
             z if isinstance(z, Fraction) else Fraction(z) for z in cube
         )
     raise UnsupportedSpaceError(f"no coordinates for space kind {space.kind!r}")
+
+
+def drift_at(drift, x, d: int) -> tuple[Fraction, ...]:
+    """The drift's value at x as d exact coordinates; a drift of another
+    arity raises ValueError, so no coordinate is dropped or broadcast."""
+    value = tuple(map(Fraction, drift(x)))
+    if len(value) != d:
+        raise ValueError(f"the drift has {len(value)} coordinate(s), d = {d}")
+    return value
 
 
 @dataclass(frozen=True)

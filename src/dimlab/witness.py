@@ -50,6 +50,7 @@ from .spaces import (
     build_net,
     cantor_net_depth,
     cantor_numerators,
+    drift_at,
 )
 
 SATELLITE_DEPTH_CAP = 64
@@ -248,23 +249,12 @@ def _place_layer(size: LayerSize, earlier: Sequence[LayerSpec]) -> LayerSpec:
     sat_values = tuple(sorted((p, i) for ball in satellites
                               for i, p in enumerate(ball)))
 
-    sorted_vals = [v for v, _ in sat_values]
-    gaps = [b - a for a, b in zip(sorted_vals, sorted_vals[1:])]
-    r_candidates = [eps] + ([min(gaps)] if gaps else [])
-    if earlier:
-        prev = sorted(excluded - {v for v, _ in sat_values})
-        # min distance from the new satellites to every earlier satellite
-        best = None
-        for v in sorted_vals:
-            pos = bisect_left(prev, v)
-            for q in (pos - 1, pos):
-                if 0 <= q < len(prev):
-                    dist = abs(v - prev[q])
-                    if best is None or dist < best:
-                        best = dist
-        if best is not None:
-            r_candidates.append(best)
-    bump_radius = min(r_candidates) / 4
+    # a new satellite's nearest other satellite, of any layer, is its
+    # neighbour in the sorted union, which ``excluded`` now holds
+    new = {v for v, _ in sat_values}
+    union = sorted(excluded)
+    bump_radius = min([eps] + [b - a for a, b in zip(union, union[1:])
+                               if a in new or b in new]) / 4
 
     return LayerSpec(**vars(size), eps_n=eps,
                      satellites=tuple(satellites), bump_radius=bump_radius,
@@ -342,7 +332,8 @@ class EventChecker:
     arrays are ``int64`` when
     that bound is below 2**62 and ``object`` (Python ints) otherwise, as
     when the drift brings a large denominator.  Integer rows pack
-    exactly like the rational ones.
+    exactly like the rational ones.  A drift of another arity than the
+    layers' d raises ValueError.
     """
 
     def __init__(self, layers: Sequence[LayerSpec], n: int,
@@ -367,7 +358,7 @@ class EventChecker:
                  for lay in self.layers]
         base, terms = [], []
         for x in self.points:
-            g = tuple(map(Fraction, drift(x))) if drift else (0,) * self.d
+            g = drift_at(drift, x, self.d) if drift else (0,) * self.d
             base.append((x, *g))
             xk = x.numerator * (q // x.denominator)
             row = []

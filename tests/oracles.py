@@ -20,10 +20,10 @@ from numpy.polynomial.legendre import leggauss
 from scipy import integrate
 from scipy.special import gammaln
 
-from dimlab.cantor_pair import DigitFunction, _check_depth, _sums, _weights
+from dimlab.cantor_pair import DigitFunction, _check_depth, _weights
 from dimlab.energy import TAIL_LEVELS
 from dimlab.rng import stable_index
-from dimlab.spaces import cantor_numerators
+from dimlab.spaces import cantor_numerators, subset_sums
 from dimlab.witness import _place_layer, _size_layer
 
 
@@ -95,7 +95,7 @@ def enumerate_graph(fn, depth):
     if depth < 1:
         raise ValueError("depth must be >= 1")
     _check_depth(depth)
-    xs, vs = cantor_numerators(depth), _sums(_weights(fn, depth))
+    xs, vs = cantor_numerators(depth), subset_sums(_weights(fn, depth))
     xden, vden = 3 ** depth, 3 ** ((depth + 1) // 2)
     points = tuple((Fraction(x, xden), Fraction(v, vden))
                    for x, v in zip(xs, vs))
@@ -139,7 +139,7 @@ def tail_value(sample, x):
 
 def anchor_pairs(family):
     """Every unordered pair of leaf anchors."""
-    anchors = [family.anchor(leaf) for leaf in family.leaves()]
+    anchors = [leaf.anchor for leaf in family.leaves()]
     return [(a, b) for i, a in enumerate(anchors) for b in anchors[i + 1:]]
 
 

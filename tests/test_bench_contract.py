@@ -112,8 +112,8 @@ def test_workload_marks_resolve():
 
 
 def _odd_digit_reader(x):
-    """f(x) from the digits the DigitVector codec reads off x."""
-    digits = spaces.DigitVector.from_value(x, 64).digits
+    """f(x) from the digits the spaces codec reads off x."""
+    digits = spaces.cantor_digits(x)
     return sum(Fraction(a, 3 ** ((i + 1) // 2))
                for i, a in enumerate(digits, 1) if i % 2)
 

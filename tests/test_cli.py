@@ -104,6 +104,27 @@ class TestCommands:
         assert f"error: {flag} must be >= 1, got {argv[-1]}" in (
             capsys.readouterr().err)
 
+    @pytest.mark.parametrize("command", ["estimate", "prevalence"])
+    def test_n_min_above_n_max_exits_2(self, command, monkeypatch, capsys):
+        def refuse(*args):
+            raise AssertionError("the experiment ran")
+
+        monkeypatch.setitem(cli.RUNNERS, command, refuse)
+        assert main([command, "--n-min", "9", "--n-max", "8"]) == 2
+        assert "error: --n-min 9 is above --n-max 8" in (
+            capsys.readouterr().err)
+
+    @pytest.mark.parametrize("d", ["2", "3"])
+    def test_cantor_f_drift_needs_d_1(self, d, monkeypatch, capsys):
+        def refuse(*args):
+            raise AssertionError("the experiment ran")
+
+        monkeypatch.setitem(cli.RUNNERS, "prevalence", refuse)
+        assert main(["prevalence", "--n-max", "4", "--d", d,
+                     "--drift", "cantor-f"]) == 2
+        assert f"error: --drift cantor-f is 1-D: need --d 1, got {d}" in (
+            capsys.readouterr().err)
+
     def test_negative_n_min_exits_2(self, monkeypatch, capsys):
         def refuse(*args):
             raise AssertionError("the experiment ran")

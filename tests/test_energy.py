@@ -24,7 +24,7 @@ from dimlab.energy import (
     natural_leaf_measure,
     pair_expectation_check,
 )
-from dimlab.spaces import DigitVector
+from dimlab.spaces import DigitVector, cantor_digits, cantor_numerators
 
 from oracles import (
     anchor_pairs,
@@ -37,6 +37,18 @@ from oracles import (
     node_value,
     tail_value,
 )
+
+
+def _prefix(piece, t):
+    """The depth-t digit prefix of a piece's cylinder, read off its anchor."""
+    digits = cantor_digits(piece.anchor)
+    return digits + (0,) * (t - len(digits))
+
+
+def _piece_point(fam, piece, offset_digits):
+    """The point of a leaf whose digits extend its prefix by the given ones."""
+    t = fam.level_depths[len(piece.path) - 1]
+    return piece.anchor + DigitVector(offset_digits).value / 3 ** t
 
 
 class TestNestedFamily:
@@ -57,18 +69,18 @@ class TestNestedFamily:
 
     def test_disjoint_and_nested(self, nested_family_depth3):
         fam = nested_family_depth3
-        for level in fam.levels:
+        for t, level in zip(fam.level_depths, fam.levels):
             for i, a in enumerate(level):
                 for b in level[i + 1:]:
                     # distinct same-level cylinders never share a prefix
-                    k = min(a.prefix.depth, b.prefix.depth)
-                    assert a.prefix.digits[:k] != b.prefix.digits[:k]
-        for child_level, parent_level in zip(fam.levels[1:], fam.levels):
+                    assert _prefix(a, t) != _prefix(b, t)
+        for t, d, child_level, parent_level in zip(
+                fam.level_depths[1:], fam.level_depths, fam.levels[1:],
+                fam.levels):
             for child in child_level:
                 parent = next(p for p in parent_level
                               if p.path == child.path[:-1])
-                d = parent.prefix.depth
-                assert child.prefix.digits[:d] == parent.prefix.digits
+                assert _prefix(child, t)[:d] == _prefix(parent, d)
 
     def test_depth_cap(self):
         with pytest.raises(ValueError):
@@ -83,10 +95,27 @@ class TestNestedFamily:
     def test_locate(self, nested_family_depth3):
         fam = nested_family_depth3
         leaf = fam.leaves()[3]
-        x = fam.anchor(leaf)
+        x = leaf.anchor
         assert fam.locate(x) == leaf.path
         outside = DigitVector((0, 1, 1)).value
         assert len(fam.locate(outside)) < fam.depth
+
+    def test_locate_matches_digit_prefixes(self, nested_family_depth3):
+        # the hull test places every Cantor point with two digits past the
+        # deepest level where its digits meet the pieces' prefixes
+        fam = nested_family_depth3
+        depth = fam.level_depths[-1] + 2
+        for m in cantor_numerators(depth):
+            x = Fraction(m, 3 ** depth)
+            digits = cantor_digits(x)
+            digits += (0,) * (depth - len(digits))
+            path = ()
+            for t, level in zip(fam.level_depths, fam.levels):
+                hits = [p.path for p in level if _prefix(p, t) == digits[:t]]
+                if not hits:
+                    break
+                path = hits[0]
+            assert fam.locate(x) == path
 
 
 class TestRandomField:
@@ -112,7 +141,7 @@ class TestRandomField:
         fam = nested_family_depth3
         a = RandomFieldSample(fam, seed="s")
         b = RandomFieldSample(fam, seed="s")
-        x = fam.anchor(fam.leaves()[2])
+        x = fam.leaves()[2].anchor
         assert eval_field(a, x) == eval_field(b, x)
 
     def test_same_piece_shares_coarse_levels(self, nested_family_depth3):
@@ -120,8 +149,8 @@ class TestRandomField:
         fam = nested_family_depth3
         sample = RandomFieldSample(fam, seed=3)
         leaf = fam.leaves()[0]
-        x = fam.anchor(leaf)
-        y = fam.piece_point(leaf, (1,))
+        x = leaf.anchor
+        y = _piece_point(fam, leaf, (1,))
         tree_x = sum(
             node_value(sample, lv, leaf.path[:lv])[0] for lv in (1, 2, 3))
         tail = lambda p: tail_value(sample, p)[0]
@@ -138,7 +167,7 @@ class TestRandomField:
         assert a.path[:2] == b.path[:2] and a.path != b.path
         shared = sum(node_value(sample, lv, a.path[:lv])[0] for lv in (1, 2))
         for leaf in (a, b):
-            x = fam.anchor(leaf)
+            x = leaf.anchor
             rest = (node_value(sample, 3, leaf.path)[0]
                     + tail_value(sample, x)[0])
             assert eval_field(sample, x)[0] == shared + rest
@@ -147,7 +176,7 @@ class TestRandomField:
         fam = nested_family_depth3
         sample = RandomFieldSample(fam, seed=8)
         for leaf in fam.leaves():
-            (v,) = eval_field(sample, fam.anchor(leaf))
+            (v,) = eval_field(sample, leaf.anchor)
             assert 0 <= v < 1  # sum of 2**-n grids never reaches 1
 
     @pytest.mark.parametrize("seed", [0, "abc", ("t", 3)])
@@ -159,8 +188,8 @@ class TestRandomField:
         sample = RandomFieldSample(fam, seed=seed, d=d)
         off_tree = DigitVector((0, 1, 1)).value
         assert len(fam.locate(off_tree)) == 1
-        points = [fam.anchor(leaf) for leaf in fam.leaves()]
-        points += [fam.piece_point(fam.leaves()[3], (1, 0, 1)), off_tree]
+        points = [leaf.anchor for leaf in fam.leaves()]
+        points += [_piece_point(fam, fam.leaves()[3], (1, 0, 1)), off_tree]
         for x in points:
             path = fam.locate(x)
             values = [node_value(sample, lv, path[:lv])
@@ -186,8 +215,8 @@ class TestRandomField:
             return real(*args)
 
         monkeypatch.setattr(energy, "stable_index", counting)
-        points = [fam.anchor(leaf) for leaf in fam.leaves()]
-        points += [fam.piece_point(fam.leaves()[5], (1, 1)),
+        points = [leaf.anchor for leaf in fam.leaves()]
+        points += [_piece_point(fam, fam.leaves()[5], (1, 1)),
                    DigitVector((0, 1, 1)).value]
         for x in points:
             path = fam.locate(x)
@@ -211,6 +240,22 @@ class TestGraphMeasure:
         assert sum(gm.weights, Fraction(0)) == 1
         assert gm.weights == nu.weights
         assert len(set(gm.coords)) == len(gm.coords)
+
+    def test_drift_arity_must_match_d(self, nested_family_depth3):
+        # a one-coordinate drift on a d = 2 field is refused everywhere,
+        # not truncated by zip or applied to both coordinates
+        fam = nested_family_depth3
+        one = lambda p: (p,)
+        arity = r"drift has 1 coordinate\(s\), d = 2"
+        with pytest.raises(ValueError, match=arity):
+            graph_measure(natural_leaf_measure(fam),
+                          RandomFieldSample(fam, 0, 2), one)
+        with pytest.raises(ValueError, match=arity):
+            expected_energy_check(fam, t=0.5, s=0.6, trials=1, seed=0,
+                                  c_hat=1.0, drift=one, d=2)
+        with pytest.raises(ValueError, match=arity):
+            pair_expectation_check(fam, t=0.5, s=0.6, trials=16, seed=0,
+                                   d=2, drift=one)
 
     def test_graph_energy_dominates_base(self, nested_family_depth3):
         # graph distances dominate base distances, so the energy drops
@@ -398,7 +443,7 @@ class TestPairExpectation:
 
     def test_coincident_pair_rejected(self, nested_family_depth3):
         fam = nested_family_depth3
-        x = fam.anchor(fam.leaves()[0])
+        x = fam.leaves()[0].anchor
         with pytest.raises(ValueError):
             pair_expectation_check(fam, t=0.5, s=0.6, trials=16, seed=0,
                                    pairs=[(x, x)])
@@ -407,6 +452,18 @@ class TestPairExpectation:
         with pytest.raises(ValueError):
             pair_expectation_check(nested_family_depth3, t=0.7, s=0.6,
                                    trials=16, seed=0)
+
+    def test_drift_moves_every_coordinate(self, nested_family_depth3):
+        # a drift in the second coordinate alone pushes the d = 2 value
+        # differences apart, so the kernel mean drops
+        fam = nested_family_depth3
+        leaves = fam.leaves()
+        kw = dict(t=0.5, s=0.6, trials=4096, seed=9, d=2,
+                  pairs=[(leaves[0].anchor, leaves[-1].anchor)])
+        plain = pair_expectation_check(fam, **kw)
+        drifted = pair_expectation_check(
+            fam, drift=lambda p: (0, 4 * p), **kw)
+        assert drifted.pairs[0].mean < plain.pairs[0].mean
 
     def test_drift_keeps_constant_comparable(self, nested_family_depth3):
         drift = lambda p: (cantor_pair.evaluate(

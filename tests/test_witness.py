@@ -324,6 +324,12 @@ class TestEventCheck:
         rep = checker.check(sample_witness(cantor_layers, seed=4))
         assert rep.holds
 
+    def test_drift_arity_checked_at_construction(self):
+        layers = build_layers(triadic_cantor(), 2, 2)
+        with pytest.raises(ValueError,
+                           match=r"drift has 1 coordinate\(s\), d = 2"):
+            witness.EventChecker(layers, 2, lambda p: (p,))
+
     @pytest.mark.parametrize("space, d, n_max, drift", [
         (triadic_cantor(), 1, 7, None),
         (triadic_cantor(), 1, 7, "cantor-f"),

@@ -27,6 +27,9 @@ from fractions import Fraction
 from . import __version__, cantor_pair, energy, estimators, spaces, witness
 
 USAGE_ERROR = 2
+# energy holds trials * 1024 pair draws at once, about 46 bytes each, so
+# 4096 trials (2**22 draws, the most criterion 9 uses) peak near 230 MB
+MAX_ENERGY_TRIALS = 4096
 
 LOG2_3 = math.log(2) / math.log(3)
 
@@ -326,8 +329,18 @@ def run(cfg: ExperimentConfig) -> ResultTable:
         raise ValueError(f"--stride must be >= 1, got {cfg.stride}")
     if cfg.command in ("estimate", "prevalence") and cfg.n_min > cfg.n_max:
         raise ValueError(f"--n-min {cfg.n_min} is above --n-max {cfg.n_max}")
+    if cfg.command == "estimate" and len(cfg.scales()) < 3:
+        raise ValueError("estimate fits a slope to at least 3 scales: "
+                         "--n-min, --n-max and --stride give "
+                         f"{len(cfg.scales())}")
     if cfg.drift == "cantor-f" and cfg.d != 1:
         raise ValueError(f"--drift cantor-f is 1-D: need --d 1, got {cfg.d}")
+    if cfg.drift == "cantor-f" and cfg.space != "cantor":
+        raise ValueError("--drift cantor-f is defined on the Cantor set: "
+                         f"need --space cantor, got {cfg.space}")
+    if cfg.command == "energy" and cfg.trials > MAX_ENERGY_TRIALS:
+        raise ValueError(f"energy --trials must be <= {MAX_ENERGY_TRIALS}, "
+                         f"got {cfg.trials}")
     if not cfg.tol >= 0:  # NaN fails every comparison
         raise ValueError(f"--tol must be >= 0, got {cfg.tol}")
     if cfg.expect is not None and not math.isfinite(cfg.expect):

@@ -19,10 +19,11 @@ The two probabilistic checks:
   ``rng.stable_generator`` stream in trial order;
 * ``EventChecker`` / ``event_fraction``: how often does the graph of the
   summed layers plus a drift carry at least N_n(K) * 2**(n d) * n**-2d
-  packing points at scale 2**-n.  A check builds its integer rows with
-  one numpy gather per layer (int64 while the checker's row bound is
-  below 2**62) and stops counting at ceil(threshold); small instances
-  fall back to exact search only when greedy falls short.
+  packing points at scale 2**-n.  The checker puts its rows over one
+  denominator, an LCM of one denominator per layer; a check builds its
+  integer rows with one numpy gather per layer (int64 while the row
+  bound is below 2**62) and stops counting at ceil(threshold); small
+  instances fall back to exact search only when greedy falls short.
 
 A layer is sized (grid, k_n, m_n, ell_n and the ball centres, a
 :class:`LayerSize`) before its satellites are placed; the saturation
@@ -309,31 +310,30 @@ def event_threshold(layer: LayerSpec) -> Fraction:
 class EventChecker:
     """Reusable graph-packing event check for one layer and drift.
 
-    A layer-l grid value is ``Fraction(8, 2**l) * j`` for an integer
-    vector j with entries in 0..floor(2**l / l**2), so a graph row is
-    (x, drift) plus bump coefficients ``step * weight`` times integers.
-    The x values and every layer's satellite keys share one integer
-    denominator q, so the nearest bump (the one ``_bump_terms`` in
-    ``tests/oracles.py`` finds) is a bisect on integers and each
-    coefficient is an integer fraction.  The constructor then puts x,
-    drift, every coefficient and delta over one common denominator and
+    A graph row is (x, drift(x) + the layers' bump values at x).  x and
+    every layer's satellites are integers over one denominator q, so the
+    nearest layer-l satellite (as ``_bump_terms`` in ``tests/oracles.py``
+    finds it) is a bisect on integers.  With layer l's bump radius a/b,
+    the bump at distance dist/q reaches x iff b dist < a q, and its
+    weight times the grid step 8 / 2**l is 8 (a q - b dist) / (2**l a q):
+    all of layer l's coefficients share the denominator 2**l a q.  One
+    LCM of 2**n, the (x, drift) denominators and these n layer
+    denominators puts every row over one denominator, and the checker
     keeps the integer numerators:
 
     * ``points``: the layer's satellites in ascending x, the row order;
-    * ``base``: the (x, drift) rows, one array row per point;
+    * ``base``: the (x, drift) rows, and ``delta``: 2**-n;
     * ``coef[l]`` and ``sat[l]``: per point, the coefficient of its
       layer-l bump (0 if none reaches it) and that bump's satellite
       index, as array columns;
-    * ``grid_j[l]``: an integer table whose row k is the j of layer l's
-      ``grid[k]``, so a sample's drawn indices select j directly.
+    * ``grid_j[l]``: row k is the integer vector j of layer l's
+      ``grid[k]`` (a coordinate is 8 j / 2**l), so drawn indices select j.
 
-    Row entries are bounded by max|base| + sum over l of
-    max(coef[l]) * floor(2**l / l**2), coefficients being positive; the
-    arrays are ``int64`` when
-    that bound is below 2**62 and ``object`` (Python ints) otherwise, as
-    when the drift brings a large denominator.  Integer rows pack
-    exactly like the rational ones.  A drift of another arity than the
-    layers' d raises ValueError.
+    Integer rows pack exactly like the rational ones.  The arrays are
+    ``int64`` when max|base| + sum over l of max(coef[l]) *
+    floor(2**l / l**2) is below 2**62, and ``object`` (Python ints)
+    otherwise, as when the drift brings a large denominator.  A drift of
+    another arity than the layers' d raises ValueError.
     """
 
     def __init__(self, layers: Sequence[LayerSpec], n: int,
@@ -350,47 +350,33 @@ class EventChecker:
         self.points = [v for v, _ in self.layer.sat_values]
         q = math.lcm(*(v.denominator for lay in self.layers
                        for v, _ in lay.sat_values))
-        keyed = [([v.numerator * (q // v.denominator) for v, _ in lay.sat_values],
-                  [i for _, i in lay.sat_values],
-                  lay.bump_radius.numerator * q,  # r_num
-                  lay.bump_radius.denominator,    # r_den
-                  2 ** lay.n)
-                 for lay in self.layers]
-        base, terms = [], []
-        for x in self.points:
-            g = drift_at(drift, x, self.d) if drift else (0,) * self.d
-            base.append((x, *g))
-            xk = x.numerator * (q // x.denominator)
-            row = []
-            for li, (keys, idx, r_num, r_den, scale) in enumerate(keyed):
-                # the first nearest key: of two at equal distance, the lower
-                pos = bisect_left(keys, xk)
-                best = None
-                for j in (pos - 1, pos, pos + 1):
-                    if 0 <= j < len(keys):
-                        dist = abs(keys[j] - xk)
-                        if best is None or dist < best:
-                            best, nearest = dist, j
-                # the bump reaches x iff dist / q < r, the radius, and then
-                # step * weight = 8 / 2**l * (1 - dist / (q r))
-                #               = 8 (r_num - dist r_den) / (2**l r_num)
-                if best is not None and best * r_den < r_num:
-                    num, den = 8 * (r_num - best * r_den), scale * r_num
-                    common = math.gcd(num, den)
-                    row.append((li, idx[nearest], num // common, den // common))
-            terms.append(row)
-        denom = math.lcm(2 ** n,
-                         *(v.denominator for row in base for v in row),
-                         *(den for row in terms for *_, den in row))
+        base = [(x, *(drift_at(drift, x, self.d) if drift else (0,) * self.d))
+                for x in self.points]
+        denom = math.lcm(2 ** n, *(v.denominator for row in base for v in row),
+                         *(2 ** lay.n * lay.bump_radius.numerator * q
+                           for lay in self.layers))
         self.delta = denom >> n
         base = [[v.numerator * (denom // v.denominator) for v in row]
                 for row in base]
-        coef = [[0] * len(base) for _ in self.layers]
-        sat = [[0] * len(base) for _ in self.layers]
-        for r, row in enumerate(terms):
-            for li, i, num, den in row:
-                coef[li][r] = num * (denom // den)
-                sat[li][r] = i
+        xs = [x.numerator * (q // x.denominator) for x in self.points]
+        coef = [[0] * len(xs) for _ in self.layers]
+        sat = [[0] * len(xs) for _ in self.layers]
+        for lay, cs, ss in zip(self.layers, coef, sat):
+            aq, b = lay.bump_radius.numerator * q, lay.bump_radius.denominator
+            unit = 8 * denom // (2 ** lay.n * aq)
+            keys = [v.numerator * (q // v.denominator)
+                    for v, _ in lay.sat_values]
+            for r, xk in enumerate(xs):
+                # keys ascend, so keys[pos - 1] < xk <= keys[pos] are the
+                # only candidates, and a tie goes to the lower key
+                pos = bisect_left(keys, xk)
+                if pos and (pos == len(keys)
+                            or xk - keys[pos - 1] <= keys[pos] - xk):
+                    pos -= 1
+                dist = abs(keys[pos] - xk)
+                if b * dist < aq:
+                    cs[r] = unit * (aq - b * dist)
+                    ss[r] = lay.sat_values[pos][1]
         bound = (max(abs(v) for row in base for v in row)
                  + sum(max(col) * (2 ** lay.n // lay.n ** 2)
                        for col, lay in zip(coef, self.layers)))
@@ -398,7 +384,6 @@ class EventChecker:
         self.base = np.array(base, dtype=self.dtype)
         self.coef = [np.array(col, dtype=self.dtype)[:, None] for col in coef]
         self.sat = [np.array(col) for col in sat]
-        # a layer-l grid coordinate c is 8 j / 2**l
         self.grid_j = [np.array([[int(c * 2 ** lay.n) // 8 for c in g]
                                  for g in lay.grid], dtype=self.dtype)
                        for lay in self.layers]

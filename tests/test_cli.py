@@ -125,6 +125,59 @@ class TestCommands:
         assert f"error: --drift cantor-f is 1-D: need --d 1, got {d}" in (
             capsys.readouterr().err)
 
+    @pytest.mark.parametrize("argv", [
+        ["--space", "interval"],
+        ["--space", "harmonic", "--n-max", "4"],
+    ], ids=["interval", "harmonic"])
+    def test_cantor_f_drift_needs_cantor_space(self, argv, monkeypatch,
+                                               capsys):
+        def refuse(*args):
+            raise AssertionError("the experiment ran")
+
+        monkeypatch.setitem(cli.RUNNERS, "prevalence", refuse)
+        assert main(["prevalence", *argv, "--drift", "cantor-f",
+                     "--trials", "5"]) == 2
+        assert ("error: --drift cantor-f is defined on the Cantor set: "
+                f"need --space cantor, got {argv[1]}") in (
+            capsys.readouterr().err)
+
+    @pytest.mark.parametrize("scales, count", [
+        (["--n-min", "18", "--n-max", "19"], 2),
+        (["--n-min", "5", "--n-max", "5"], 1),
+        (["--n-min", "4", "--n-max", "12", "--stride", "5"], 2),
+    ])
+    def test_estimate_needs_3_scales(self, scales, count, monkeypatch,
+                                     capsys):
+        def refuse(*args):
+            raise AssertionError("the experiment ran")
+
+        monkeypatch.setitem(cli.RUNNERS, "estimate", refuse)
+        assert main(["estimate", "--space", "interval", *scales]) == 2
+        assert ("error: estimate fits a slope to at least 3 scales: "
+                f"--n-min, --n-max and --stride give {count}") in (
+            capsys.readouterr().err)
+
+    @pytest.mark.parametrize("trials", ["4097", "100000"])
+    def test_energy_trials_bounded(self, trials, monkeypatch, capsys):
+        def refuse(*args):
+            raise AssertionError("the experiment ran")
+
+        monkeypatch.setitem(cli.RUNNERS, "energy", refuse)
+        assert main(["energy", "--trials", trials]) == 2
+        assert f"error: energy --trials must be <= 4096, got {trials}" in (
+            capsys.readouterr().err)
+
+    @pytest.mark.parametrize("argv", [
+        ["estimate", "--n-min", "4", "--n-max", "12", "--stride", "4"],
+        ["energy", "--trials", "4096"],
+    ], ids=["estimate-3-scales", "energy-4096-trials"])
+    def test_limits_are_inclusive(self, argv, monkeypatch):
+        ran = []
+        monkeypatch.setitem(cli.RUNNERS, argv[0],
+                            lambda cfg, table: ran.append(cfg))
+        assert main(argv) == 0
+        assert len(ran) == 1
+
     def test_negative_n_min_exits_2(self, monkeypatch, capsys):
         def refuse(*args):
             raise AssertionError("the experiment ran")

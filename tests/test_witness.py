@@ -340,11 +340,13 @@ class TestEventCheck:
     ], ids=["cantor-d1-zero", "cantor-d1-cantor-f", "cantor-d1-wide-drift",
             "cantor-d2-zero", "interval-d1-zero", "interval-d2-zero"])
     def test_integer_rows_match_fraction_rows(self, space, d, n_max, drift):
-        # the checker's integer rows over one common denominator equal
-        # those of the rational construction and pack exactly like the
-        # rational graph rows built from eval_witness; a drift with a
-        # large denominator pushes the row bound past 2**62, and the rows
-        # are then Python ints in an object array
+        # the checker's integer rows, in units of its delta = 2**-n, equal
+        # those of the rational construction (on the Cantor set its
+        # denominator is the rational one, so the integers are equal too)
+        # and pack exactly like the rational graph rows built from
+        # eval_witness; a drift with a large denominator pushes the row
+        # bound past 2**62, and the rows are then Python ints in an
+        # object array
         dtype = np.dtype(object if drift == "wide-drift" else np.int64)
         if drift == "cantor-f":
             drift = lambda p: (cantor_pair.evaluate(
@@ -352,13 +354,21 @@ class TestEventCheck:
         elif drift == "wide-drift":
             drift = lambda p: (Fraction(1, 7 ** 25),)
         layers = build_layers(space, d, n_max)
+
+        def in_delta(delta, base, coef, sat):
+            return ([[Fraction(v, delta) for v in row] for row in base],
+                    [[Fraction(v, delta) for v in col] for col in coef], sat)
+
         for n in range(1, n_max + 1):
             checker = witness.EventChecker(layers, n, drift)
             assert checker.dtype == dtype
-            assert ((checker.delta, checker.base.tolist(),
-                     [col[:, 0].tolist() for col in checker.coef],
-                     [col.tolist() for col in checker.sat])
-                    == _rational_checker_rows(layers, n, drift))
+            got = (checker.delta, checker.base.tolist(),
+                   [col[:, 0].tolist() for col in checker.coef],
+                   [col.tolist() for col in checker.sat])
+            want = _rational_checker_rows(layers, n, drift)
+            assert in_delta(*got) == in_delta(*want)
+            if space == triadic_cantor():
+                assert got == want
             points = layers[n - 1].all_satellites()
             delta = Fraction(1, 2 ** n)
             for seed in range(4):
@@ -379,6 +389,27 @@ class TestEventCheck:
                 assert (rep.graph_count, rep.method) == (min(count, need),
                                                          method)
                 assert rep.holds == (count >= event_threshold(layers[n - 1]))
+
+    @pytest.mark.parametrize("space, d, n_max, drift", [
+        (triadic_cantor(), 1, 8, None),
+        (triadic_cantor(), 1, 8, "cantor-f"),
+        (unit_interval(), 1, 7, None),
+        (triadic_cantor(), 2, 6, None),
+        (unit_interval(), 2, 6, None),
+    ], ids=["cantor-d1-zero", "cantor-d1-cantor-f", "interval-d1-zero",
+            "cantor-d2-zero", "interval-d2-zero"])
+    def test_cli_layers_pack_int64_rows(self, space, d, n_max, drift):
+        # every layer the CLI builds, up to the largest one accepted,
+        # packs int64 rows, including those above the layers that
+        # test_integer_rows_match_fraction_rows compares
+        if drift == "cantor-f":
+            drift = lambda p: (cantor_pair.evaluate(
+                cantor_pair.DigitFunction.ODD_DIGITS, p),)
+        assert witness.largest_layer(space, d) == n_max
+        layers = build_layers(space, d, n_max)
+        for n in range(1, n_max + 1):
+            checker = witness.EventChecker(layers, n, drift)
+            assert checker.dtype == np.int64
 
     def test_exact_search_only_when_greedy_falls_short(self, cantor_layers,
                                                        monkeypatch):

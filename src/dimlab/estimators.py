@@ -160,7 +160,7 @@ class DiscreteMeasure:
     def uniform_on_net(cls, net: ResolutionNet) -> "DiscreteMeasure":
         pts = net.point_list()
         w = Fraction(1, len(pts))
-        return cls(pts, (w,) * len(pts), tuple(net.coords(p) for p in pts))
+        return cls(pts, (w,) * len(pts), tuple(net.coord_rows()))
 
     def float_coords(self) -> np.ndarray:
         return np.array([[float(c) for c in row] for row in self.coords])

@@ -46,14 +46,6 @@ class PackingResult:
     witness: tuple
 
 
-def _resolve_delta(n, delta) -> Fraction:
-    if delta is None:
-        if n is None:
-            raise ValueError("need a scale index n or an explicit delta")
-        return Fraction(1, 2 ** n)
-    return _positive(Fraction(delta))
-
-
 def _positive(delta):
     if delta <= 0:
         raise ValueError(f"packing scale delta must be positive, got {delta}")
@@ -124,19 +116,17 @@ def greedy_packing_coords(rows, delta, presorted: bool = False,
     return _greedy_indices(rows, order, delta, stop)
 
 
-def max_packing_greedy(net: ResolutionNet, n: int | None = None, *,
-                       delta=None) -> PackingResult:
-    """Greedy maximal 2**-n packing of a net (or explicit delta).
+def max_packing_greedy(net: ResolutionNet, n: int) -> PackingResult:
+    """Greedy maximal 2**-n packing of a 1-D net.
 
     The result is maximal (no net point can be added), hence at least
     the 2**-n covering number of the net and at most the true maximum.
+    A product net raises ``UnsupportedSpaceError``; rows at any other
+    delta go to :func:`greedy_packing_coords`.
     """
-    delta = _resolve_delta(n, delta)
-    pts = net.point_list()
-    if not pts:
-        raise ValueError("empty net")
-    chosen = greedy_packing_coords(net.coord_rows(), delta, presorted=True)
-    return PackingResult(len(chosen), tuple(pts[i] for i in chosen))
+    rows = net.coord_rows()
+    chosen = greedy_packing_coords(rows, Fraction(1, 2 ** n), presorted=True)
+    return PackingResult(len(chosen), tuple(net.points[i] for i in chosen))
 
 
 def exact_packing_coords(rows, delta,
@@ -162,24 +152,18 @@ def exact_packing_coords(rows, delta,
     return [i for i in range(m) if best_mask >> i & 1]
 
 
-def max_packing_exact(net: ResolutionNet, n: int | None = None, *,
-                      delta=None,
+def max_packing_exact(net: ResolutionNet, n: int, *,
                       limit: int = EXACT_SEARCH_LIMIT) -> PackingResult:
-    """True maximum 2**-n packing via branch and bound.
+    """True maximum 2**-n packing of a 1-D net via branch and bound.
 
-    Searches the net's coordinate rows with :func:`exact_packing_coords`.
-    Refuses instances larger than ``limit``.
+    A net of more than ``limit`` points is refused from its size alone,
+    before any row is built; a product net raises ``UnsupportedSpaceError``.
+    Rows at any other delta go to :func:`exact_packing_coords`.
     """
-    delta = _resolve_delta(n, delta)
-    # refuse from the size alone, before any point or row is built: a net
-    # too large to expand at all keeps its NetDepthError
-    net._check_expandable()
     _check_limit(net.size(), limit)
-    pts = net.point_list()
-    if not pts:
-        raise ValueError("empty net")
-    chosen = exact_packing_coords(net.coord_rows(), delta, limit)
-    return PackingResult(len(chosen), tuple(pts[i] for i in chosen))
+    rows = net.coord_rows()
+    chosen = exact_packing_coords(rows, Fraction(1, 2 ** n), limit)
+    return PackingResult(len(chosen), tuple(net.points[i] for i in chosen))
 
 
 def _check_limit(m: int, limit: int) -> None:

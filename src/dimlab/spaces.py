@@ -10,26 +10,24 @@ exact ``Fraction`` equal to its value.  The codec between a Cantor
 point's digits and its value lives here alone: :class:`DigitVector`,
 :func:`cantor_digits` and the :func:`subset_sums` tables.
 
-No distance is computed here: a net hands its points to the counters as
-exact coordinate rows (:func:`coords_of`), and the packing kernels
-compare squared distances on those rows.
+No distance is computed here: a 1-D net hands its points to the
+counters as exact coordinate rows (:meth:`ResolutionNet.coord_rows`),
+and the packing kernels compare squared distances on those rows.  A
+product net is only counted, never expanded into points.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterator
 
 UNIT_INTERVAL = "unit_interval"
 TRIADIC_CANTOR = "triadic_cantor"
 HARMONIC_SEQUENCE = "harmonic_sequence"
 PRODUCT_WITH_CUBE = "product_with_cube"
 
-# Largest point tuple a net is ever expanded into: the 1-D nets are
-# refused above it before allocation, product nets on ``point_list`` and
-# ``coord_rows``.
+# Largest 1-D net that is built: a larger one is refused before any point
+# is allocated.  Product nets are kept factored and never expanded.
 MAX_MATERIALIZED_POINTS = 2_000_000
 
 
@@ -163,23 +161,6 @@ def _as_fraction_point(x) -> Fraction:
     raise MixedRepresentationError(f"not an exact rational point: {x!r}")
 
 
-def coords_of(space: SpaceDescriptor, point) -> tuple[Fraction, ...]:
-    """Exact euclidean embedding of a point, used by packing and meshing.
-
-    A point that is not an exact rational raises MixedRepresentationError.
-    """
-    if space.kind in (UNIT_INTERVAL, TRIADIC_CANTOR, HARMONIC_SEQUENCE):
-        return (_as_fraction_point(point),)
-    if space.kind == PRODUCT_WITH_CUBE:
-        base_pt, cube = point
-        if len(cube) != space.cube_dim:
-            raise ValueError("cube coordinate arity mismatch")
-        return coords_of(space.base, base_pt) + tuple(
-            z if isinstance(z, Fraction) else Fraction(z) for z in cube
-        )
-    raise UnsupportedSpaceError(f"no coordinates for space kind {space.kind!r}")
-
-
 def drift_at(drift, x, d: int) -> tuple[Fraction, ...]:
     """The drift's value at x as d exact coordinates; a drift of another
     arity raises ValueError, so no coordinate is dropped or broadcast."""
@@ -191,15 +172,13 @@ def drift_at(drift, x, d: int) -> tuple[Fraction, ...]:
 
 @dataclass(frozen=True)
 class ResolutionNet:
-    """Finite 2**-n stand-in for a compact space with exact point access.
+    """Finite 2**-n stand-in for a compact space.
 
-    A product net is always kept as its factors ``(base net, axis ticks,
-    d)`` with ``points`` None: it is iterated lazily, counted per factor,
-    expanded only by :meth:`point_list` and given coordinate rows joined
-    from its factors' rows by :meth:`coord_rows`; both refuse more than
-    ``MAX_MATERIALIZED_POINTS``.  Every other net stores its points.
-    Points come in ascending lexicographic coordinate order; all
-    constructions emit them sorted.
+    A 1-D net stores its exact points in ascending order.  A product net
+    is kept as its factors ``(base net, axis ticks, d)`` with ``points``
+    None: it answers :meth:`size` and is counted per factor
+    (``packing.occupied_cell_count``), and it refuses to be expanded
+    into points or rows with :class:`UnsupportedSpaceError`.
     """
 
     space: SpaceDescriptor
@@ -213,45 +192,24 @@ class ResolutionNet:
         base_net, axis, d = self.factors
         return base_net.size() * len(axis) ** d
 
-    def iter_points(self) -> Iterator:
-        if self.points is not None:
-            return iter(self.points)
-        base_net, axis, d = self.factors
-        return (
-            (b, z)
-            for b in base_net.iter_points()
-            for z in itertools.product(axis, repeat=d)
-        )
-
     def point_list(self) -> tuple:
-        if self.points is not None:
-            return self.points
-        self._check_expandable()
-        return tuple(self.iter_points())
-
-    def _check_expandable(self) -> None:
-        if self.size() > MAX_MATERIALIZED_POINTS:
-            raise NetDepthError(
-                f"refusing to materialize {self.size()} product points"
+        if self.points is None:
+            raise UnsupportedSpaceError(
+                f"a {self.space.kind} net is counted, not expanded into "
+                f"its {self.size()} points"
             )
+        return self.points
 
-    def coords(self, point) -> tuple[Fraction, ...]:
-        return coords_of(self.space, point)
-
-    def coord_rows(self) -> list[tuple[Fraction, ...]]:
-        if self.points is not None:
-            return [self.coords(p) for p in self.points]
-        self._check_expandable()
-        base_net, axis, d = self.factors
-        ticks = list(itertools.product(axis, repeat=d))
-        return [row + z for row in base_net.coord_rows() for z in ticks]
+    def coord_rows(self) -> list[tuple[Fraction]]:
+        """The points as exact 1-tuples, else MixedRepresentationError."""
+        return [(_as_fraction_point(p),) for p in self.point_list()]
 
 
 def build_net(space: SpaceDescriptor, n: int) -> ResolutionNet:
     """Build the canonical 2**-n net of a space.
 
-    Deterministic for fixed inputs; points come out sorted by value
-    (lexicographically for products).  Construction rules:
+    Deterministic for fixed inputs; a 1-D net's points come out sorted
+    by value.  Construction rules:
 
     * unit interval: the dyadic grid {k * 2**-n : 0 <= k <= 2**n};
     * triadic Cantor: every point with ``cantor_net_depth(n)`` digits;
@@ -259,7 +217,7 @@ def build_net(space: SpaceDescriptor, n: int) -> ResolutionNet:
       omitted tail lies within one 2**-n ball around 0;
     * products: delegated to :func:`product_net` at the same scale.
 
-    A net of more than ``MAX_MATERIALIZED_POINTS`` points is refused
+    A 1-D net of more than ``MAX_MATERIALIZED_POINTS`` points is refused
     with :class:`NetDepthError` before any point is allocated.
     """
     if n < 0:
@@ -296,8 +254,8 @@ def product_net(base: ResolutionNet, d: int, n: int) -> ResolutionNet:
 
     The cube factor carries the closed 2**-n grid with 2**n + 1 ticks per
     axis.  The net is kept factored whatever its size (see
-    :class:`ResolutionNet`), so cell counts factorize and nothing is
-    expanded unless a caller asks for :meth:`ResolutionNet.point_list`.
+    :class:`ResolutionNet`): cell counts factorize, and no point is
+    ever expanded.
     """
     if d < 1:
         raise ValueError("cube dimension must be positive")

@@ -126,15 +126,17 @@ def value_grid(n: int, d: int) -> tuple[tuple[Fraction, ...], ...]:
 
 
 def replication_exponent(s_n: int, k_n: int, n: int) -> int:
-    """Minimal m >= 1 with (1 - 1/s_n)**m <= 1 / (s_n * k_n * 2**n)."""
+    """Minimal m >= 1 with (1 - 1/s_n)**m <= 1 / (s_n * k_n * 2**n), that
+    is (s_n - 1)**m * c <= s_n**m with c = s_n * k_n * 2**n, decided in
+    integers a few steps from a float estimate of m."""
     if s_n == 1:
         return 1
-    base = 1 - Fraction(1, s_n)
-    bound = Fraction(1, s_n * k_n * 2 ** n)
-    m, power = 1, base
-    while power > bound:
+    c = s_n * k_n * 2 ** n
+    m = max(1, math.ceil(math.log(c) / -math.log1p(-1 / s_n)))
+    while m > 1 and (s_n - 1) ** (m - 1) * c <= s_n ** (m - 1):
+        m -= 1
+    while (s_n - 1) ** m * c > s_n ** m:
         m += 1
-        power *= base
     return m
 
 
@@ -193,26 +195,36 @@ def _size_layer(space: SpaceDescriptor, n: int, d: int) -> LayerSize:
     base net at scale n + 1.  The base is one-dimensional, where the
     ascending sweep is a maximum packing, so k_n is exactly the net's
     packing number N_n(K).  Sizing a layer places no satellite, and it
-    refuses the layer when k_n * ell_n exceeds ``MAX_LAYER_SATELLITES``.
+    refuses the layer when k_n * ell_n exceeds ``MAX_LAYER_SATELLITES``:
+    first on k_n * s_n, a lower bound, so an oversized d is refused
+    before m_n is found or the value grid is built.
     """
     if space.kind not in (TRIADIC_CANTOR, UNIT_INTERVAL):
         raise ValueError("layers are built over the Cantor set or the interval")
     if n < 1 or d < 1:
         raise ValueError("need n >= 1 and d >= 1")
-    grid = value_grid(n, d)
-    s_n = len(grid)
+    s_n = (2 ** n // (n * n) + 1) ** d
     base = packing.max_packing_greedy(build_net(space, n + 1), n)
     k_n = base.count
+    # m_n >= 1, so k_n * s_n alone can refuse the layer before m_n is
+    # found and before the s_n-point grid is built
+    if k_n * s_n > MAX_LAYER_SATELLITES:
+        raise _oversized(space, n, d, f"k_n * ell_n >= k_n * s_n = "
+                                      f"{k_n} * {s_n} = {k_n * s_n}")
     m_n = replication_exponent(s_n, k_n, n)
     ell_n = s_n * m_n
     if k_n * ell_n > MAX_LAYER_SATELLITES:
-        raise NetDepthError(
-            f"layer {n} of the {space.kind} (d = {d}) needs k_n * ell_n = "
-            f"{k_n} * {ell_n} = {k_n * ell_n} satellites, above the limit "
-            f"of {MAX_LAYER_SATELLITES}"
-        )
-    return LayerSize(space, n, d, grid, s_n, k_n, m_n, ell_n,
+        raise _oversized(space, n, d, f"k_n * ell_n = "
+                                      f"{k_n} * {ell_n} = {k_n * ell_n}")
+    return LayerSize(space, n, d, value_grid(n, d), s_n, k_n, m_n, ell_n,
                      tuple(sorted(base.witness)))
+
+
+def _oversized(space, n, d, count) -> NetDepthError:
+    return NetDepthError(
+        f"layer {n} of the {space.kind} (d = {d}) needs {count} "
+        f"satellites, above the limit of {MAX_LAYER_SATELLITES}"
+    )
 
 
 def _place_layer(size: LayerSize, earlier: Sequence[LayerSpec]) -> LayerSpec:

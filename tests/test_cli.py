@@ -417,6 +417,19 @@ class TestLayerDefaults:
         assert ("layer 9 of the triadic_cantor (d = 1) needs"
                 in capsys.readouterr().err)
 
+    @pytest.mark.parametrize("d", ["8", "9", "50"])
+    @pytest.mark.parametrize("command", ["saturation", "prevalence"])
+    def test_oversized_d_exits_2(self, command, d, monkeypatch, capsys):
+        # refused from the layer sizes alone: at d = 50 the grid has 3**50
+        # points
+        def refuse(*args):
+            raise AssertionError("the value grid was built")
+
+        monkeypatch.setattr(witness, "value_grid", refuse)
+        assert main([command, "--d", d, "--trials", "1"]) == 2
+        assert (f"layer 1 of the triadic_cantor (d = {d}) needs"
+                in capsys.readouterr().err)
+
     @pytest.mark.parametrize("command", ["estimate", "cantor"])
     def test_other_commands_keep_n_max_12(self, command):
         table = run(ExperimentConfig(command, space="harmonic"))

@@ -20,7 +20,7 @@ from dimlab.spaces import (
     unit_interval,
 )
 
-from oracles import mesh_count_2d
+from oracles import mesh_count_2d, product_rows
 
 
 def _net_from_values(values):
@@ -37,17 +37,21 @@ def _brute_force_max(points, delta):
     return 0
 
 
+THREE_POINTS = [(Fraction(0),), (Fraction(1, 2),), (Fraction(1),)]
+
+
 class TestGreedy:
     def test_three_points_delta_04(self):
-        net = _net_from_values([0, Fraction(1, 2), 1])
-        res = max_packing_greedy(net, delta=Fraction(2, 5))
-        assert res.count == 3
+        delta = Fraction(2, 5)
+        for kernel in (packing.greedy_packing_coords,
+                       packing.exact_packing_coords):
+            assert kernel(THREE_POINTS, delta) == [0, 1, 2]
 
     def test_three_points_delta_06(self):
-        net = _net_from_values([0, Fraction(1, 2), 1])
-        res = max_packing_greedy(net, delta=Fraction(3, 5))
-        assert res.count == 2
-        assert res.witness == (Fraction(0), Fraction(1))
+        delta = Fraction(3, 5)
+        for kernel in (packing.greedy_packing_coords,
+                       packing.exact_packing_coords):
+            assert kernel(THREE_POINTS, delta) == [0, 2]  # 0 and 1
 
     @pytest.mark.parametrize("space, scale", [
         (triadic_cantor(), 4),    # 32 points
@@ -61,10 +65,14 @@ class TestGreedy:
         # what makes every witness layer's k_n exact
         net = build_net(space, scale)
         assert net.size() <= packing.EXACT_SEARCH_LIMIT
+        rows = net.coord_rows()
         for n in range(scale + 1):
+            assert (max_packing_greedy(net, n).count
+                    == max_packing_exact(net, n).count)
             for delta in (Fraction(1, 2 ** n), Fraction(3, 2 ** (n + 2))):
-                assert (max_packing_greedy(net, delta=delta).count
-                        == max_packing_exact(net, delta=delta).count)
+                assert (len(packing.greedy_packing_coords(rows, delta,
+                                                          presorted=True))
+                        == len(packing.exact_packing_coords(rows, delta)))
 
     def test_witness_is_strict_packing(self):
         net = build_net(triadic_cantor(), 5)
@@ -82,42 +90,32 @@ class TestGreedy:
 
     @pytest.mark.parametrize("delta", [0, -2, Fraction(-1, 3)])
     def test_nonpositive_delta_rejected(self, delta):
-        # no packing scale is defined there, so every counter refuses it
-        net = _net_from_values([0, 1])
-        for count in (max_packing_greedy, max_packing_exact):
-            with pytest.raises(ValueError, match="positive"):
-                count(net, delta=delta)
+        # no packing scale is defined there, so both row kernels refuse it
         for rows in ([(0,), (1,)], [(0, 0), (1, 0)]):
             for kernel in (packing.greedy_packing_coords,
                            packing.exact_packing_coords):
                 with pytest.raises(ValueError, match="positive"):
                     kernel(rows, delta)
 
-    def test_product_net_expanded_once(self, monkeypatch):
-        # the packing counters expand a product net's points once, for
-        # the witness; its rows come from the factors
-        expanded = []
-        iter_points = ResolutionNet.iter_points
-
-        def spy(net):
-            expanded.append(net)
-            return iter_points(net)
-
-        monkeypatch.setattr(ResolutionNet, "iter_points", spy)
+    def test_product_net_counted_not_expanded(self):
+        # a product net refuses to become points or rows, also through
+        # the net packers, even below the exact search limit;
+        # TestOccupiedCells counts the cells of one of 129**3 points
         net = spaces.product_net(build_net(triadic_cantor(), 1), 1, 1)
-        assert net.size() <= packing.EXACT_SEARCH_LIMIT
-        for count in (max_packing_greedy, max_packing_exact):
-            expanded.clear()
-            res = count(net, 1)
-            assert [m for m in expanded if m is net] == [net]
-            assert res.witness[0] == next(iter_points(net))
+        assert net.size() == 8 * 3 <= packing.EXACT_SEARCH_LIMIT
+        for expand in (ResolutionNet.point_list, ResolutionNet.coord_rows,
+                       lambda net: max_packing_greedy(net, 1),
+                       lambda net: max_packing_exact(net, 1)):
+            with pytest.raises(spaces.UnsupportedSpaceError):
+                expand(net)
 
     def test_product_net_beyond_limit_refused(self):
         net = spaces.product_net(build_net(unit_interval(), 7), 2, 7)
         assert net.size() > spaces.MAX_MATERIALIZED_POINTS
-        for count in (max_packing_greedy, max_packing_exact):
-            with pytest.raises(spaces.NetDepthError):
-                count(net, 7)
+        with pytest.raises(spaces.UnsupportedSpaceError):
+            max_packing_greedy(net, 7)
+        with pytest.raises(ExactSearchLimitExceeded):
+            max_packing_exact(net, 7)
 
     def test_maximality(self):
         # no skipped net point can extend the greedy witness
@@ -213,12 +211,8 @@ class TestWindowKernel:
     def test_net_rows_ascending(self, space):
         # max_packing_greedy passes presorted=True: the window only sees
         # every conflict if the rows come in ascending order
-        nets = [build_net(space, n) for n in range(1, 8)]
-        if space.kind != harmonic_sequence().kind:
-            nets += [spaces.product_net(build_net(space, n), d, n)
-                     for d in (1, 2) for n in range(1, 5)]
-        for net in nets:
-            rows = net.coord_rows()
+        for n in range(1, 8):
+            rows = build_net(space, n).coord_rows()
             assert all(a < b for a, b in zip(rows, rows[1:]))
 
     @pytest.mark.parametrize("space, depth", [(triadic_cantor(), 4),
@@ -227,7 +221,8 @@ class TestWindowKernel:
     def test_fraction_rows_match_hand_scaled_integers(self, space, depth):
         # rows compared as given pick the same points as the same rows
         # scaled by hand to integers over their common denominator
-        rows = spaces.product_net(build_net(space, depth), 1, depth).coord_rows()
+        net = spaces.product_net(build_net(space, depth), 1, depth)
+        rows = product_rows(*net.factors)
         scale = math.lcm(2 ** 4, *(c.denominator for r in rows for c in r))
         int_rows = [tuple(int(c * scale) for c in row) for row in rows]
         order = sorted(range(len(rows)), key=rows.__getitem__)
@@ -265,9 +260,9 @@ class TestExact:
             packing.exact_packing_coords(rows, 1)
 
     @pytest.mark.parametrize("make_net", [
-        lambda: build_net(harmonic_sequence(), 20),
+        lambda: build_net(harmonic_sequence(), 7),
         lambda: spaces.product_net(build_net(unit_interval(), 6), 2, 6),
-    ], ids=["harmonic-20", "interval-product-6"])
+    ], ids=["harmonic-7", "interval-product-6"])
     def test_limit_refused_before_expansion(self, make_net, monkeypatch):
         net = make_net()
 
@@ -287,9 +282,9 @@ class TestExact:
         for _ in range(80):
             vals = sorted(set(Fraction(rnd.randrange(0, 128), 128)
                               for _ in range(rnd.randrange(2, 10))))
-            net = _net_from_values(vals)
             delta = Fraction(rnd.randrange(1, 20), 64)
-            assert (max_packing_exact(net, delta=delta).count
+            assert (len(packing.exact_packing_coords([(v,) for v in vals],
+                                                     delta))
                     == _brute_force_max(vals, delta))
 
     def test_independent_set_core_fuzz(self):
@@ -322,23 +317,20 @@ class TestExact:
             assert len(chosen) == brute(adj, m)
 
     def test_exact_on_planar_points(self):
-        # 2-d euclidean instances through the product-space coordinates
+        # 2-d euclidean instances on exact coordinate rows
         rnd = random.Random(31)
-        space = spaces.product_with_cube(unit_interval(), 1)
         for _ in range(25):
-            pts = list({
+            rows = sorted({
                 (Fraction(rnd.randrange(0, 9), 8),
-                 (Fraction(rnd.randrange(0, 9), 8),))
+                 Fraction(rnd.randrange(0, 9), 8))
                 for _ in range(rnd.randrange(2, 8))
             })
-            net = ResolutionNet(space, 3, tuple(sorted(pts)))
             delta = Fraction(rnd.randrange(2, 10), 8)
-            exact = max_packing_exact(net, delta=delta)
-            greedy = max_packing_greedy(net, delta=delta)
-            assert greedy.count <= exact.count
-            rows = [net.coords(p) for p in pts]
+            exact = len(packing.exact_packing_coords(rows, delta))
+            greedy = len(packing.greedy_packing_coords(rows, delta))
+            assert greedy <= exact
             best = 0
-            for r in range(len(pts), 0, -1):
+            for r in range(len(rows), 0, -1):
                 for sub in itertools.combinations(rows, r):
                     if all(sum((u - v) ** 2 for u, v in zip(a, b)) > delta ** 2
                            for i, a in enumerate(sub) for b in sub[i + 1:]):
@@ -346,7 +338,7 @@ class TestExact:
                         break
                 if best:
                     break
-            assert exact.count == best
+            assert exact == best
 
 
 class TestPackingInvariants:
@@ -410,7 +402,7 @@ class TestOccupiedCells:
 
     def test_product_factorization_matches_direct(self):
         # every product net is factored, so the direct count over its
-        # expanded points is an independent check of the factorization
+        # expanded rows is an independent check of the factorization
         for space in (triadic_cantor(), unit_interval()):
             for d in (1, 2):
                 net = spaces.product_net(build_net(space, 3), d, 3)
@@ -418,8 +410,8 @@ class TestOccupiedCells:
                 for n in (1, 2, 3):
                     direct = len({
                         tuple((c.numerator * 2 ** n) // c.denominator
-                              for c in net.coords(p))
-                        for p in net.point_list()
+                              for c in row)
+                        for row in product_rows(*net.factors)
                     })
                     assert occupied_cell_count(net, n) == direct
 
@@ -427,5 +419,5 @@ class TestOccupiedCells:
         net = spaces.product_net(build_net(unit_interval(), 7), 2, 7)
         assert net.size() == 129 ** 3 > spaces.MAX_MATERIALIZED_POINTS
         assert occupied_cell_count(net, 7) == 129 ** 3
-        with pytest.raises(spaces.NetDepthError):
+        with pytest.raises(spaces.UnsupportedSpaceError):
             net.point_list()

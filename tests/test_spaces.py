@@ -11,6 +11,7 @@ from dimlab.spaces import (
     DigitVector,
     MixedRepresentationError,
     NetDepthError,
+    ResolutionNet,
     UnsupportedSpaceError,
     build_net,
     cantor_net_depth,
@@ -19,6 +20,8 @@ from dimlab.spaces import (
     triadic_cantor,
     unit_interval,
 )
+
+from oracles import product_rows
 
 
 class TestBuildNet:
@@ -68,9 +71,7 @@ class TestBuildNet:
             for n in (1, 3, 5):
                 coarse = build_net(space, n)
                 fine = build_net(space, n + 1)
-                cvals = {spaces.coords_of(space, p) for p in coarse.point_list()}
-                fvals = {spaces.coords_of(space, p) for p in fine.point_list()}
-                assert cvals <= fvals
+                assert set(coarse.point_list()) <= set(fine.point_list())
 
     def test_points_sorted(self):
         for space in (unit_interval(), triadic_cantor(), harmonic_sequence()):
@@ -102,8 +103,9 @@ class TestBuildNet:
 class TestMetric:
     def test_mixed_representations_rejected(self):
         for point in (DigitVector((1, 0)), 0.5):
+            net = ResolutionNet(triadic_cantor(), 1, (point,))
             with pytest.raises(MixedRepresentationError):
-                spaces.coords_of(triadic_cantor(), point)
+                net.coord_rows()
 
     def test_triangle_inequality_exhaustive_small_net(self):
         net = build_net(triadic_cantor(), 3)  # 32 points
@@ -182,15 +184,15 @@ class TestProductNet:
         assert net.points is None  # factored whatever its size
         assert net.size() == 25
         z = [Fraction(k, 4) for k in range(5)]
-        assert set(net.point_list()) == {(x, (y,)) for x in base.point_list()
-                                         for y in z}
+        assert set(product_rows(*net.factors)) == {
+            (x, y) for x in base.point_list() for y in z}
 
     def test_singleton_cube_column(self):
         base = build_net(unit_interval(), 1)
         net = product_net(base, 1, 1)
-        column = {p for p in net.point_list() if p[0] == 0}
-        assert {z for _, (z,) in column} == {Fraction(0), Fraction(1, 2),
-                                             Fraction(1)}
+        column = {row for row in product_rows(*net.factors) if row[0] == 0}
+        assert {z for _, z in column} == {Fraction(0), Fraction(1, 2),
+                                          Fraction(1)}
 
     def test_cantor_product_cardinality(self):
         base = build_net(triadic_cantor(), 1)
@@ -202,25 +204,15 @@ class TestProductNet:
         with pytest.raises(NetDepthError):
             product_net(base, 1, 2)
 
-    def test_coord_rows_joined_from_factors(self):
-        for space in (triadic_cantor(), unit_interval()):
-            for d in (1, 2):
-                net = product_net(build_net(space, 3), d, 2)
-                assert net.coord_rows() == [net.coords(p)
-                                            for p in net.point_list()]
-
     def test_coord_rows_beyond_limit_refused(self):
         net = product_net(build_net(unit_interval(), 7), 2, 7)
         assert net.size() > spaces.MAX_MATERIALIZED_POINTS
-        with pytest.raises(NetDepthError):
+        with pytest.raises(UnsupportedSpaceError):
             net.coord_rows()
 
     def test_lazy_product_iteration_matches_size(self):
         base = build_net(unit_interval(), 6)
-        net = product_net(base, 2, 6)  # 65 * 65**2 points, lazy
+        net = product_net(base, 2, 6)  # 65 * 65**2 points, kept factored
         assert net.points is None
-        it = net.iter_points()
-        first = next(it)
-        assert first == (Fraction(0), (Fraction(0), Fraction(0)))
         assert net.size() == 65 ** 3
 

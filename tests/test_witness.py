@@ -1,5 +1,7 @@
+import dataclasses
 import itertools
 import math
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -157,6 +159,20 @@ class TestLayerConstruction:
         with pytest.raises(NetDepthError) as err:
             build_layer(space, n, d)
         assert str(size) in str(err.value)
+        assert str(witness.MAX_LAYER_SATELLITES) in str(err.value)
+
+    @pytest.mark.parametrize("d", [8, 9, 50])
+    def test_oversized_d_refused_before_value_grid(self, monkeypatch, d):
+        # k_n * s_n bounds k_n * ell_n from below and needs no grid: at
+        # d = 50 the grid has 3**50 points, and at d = 8 the Fraction loop
+        # for m_n took seconds
+        def built(*args):
+            raise AssertionError("value grid built before the size check")
+        monkeypatch.setattr(witness, "value_grid", built)
+        start = time.perf_counter()
+        with pytest.raises(NetDepthError) as err:
+            witness._size_layer(triadic_cantor(), 1, d)
+        assert time.perf_counter() - start < 1
         assert str(witness.MAX_LAYER_SATELLITES) in str(err.value)
 
     def test_build_layers_sizes_every_layer_first(self, monkeypatch):
@@ -337,23 +353,35 @@ class TestEventCheck:
         (triadic_cantor(), 2, 5, None),
         (unit_interval(), 1, 5, None),
         (unit_interval(), 2, 4, None),
+        (triadic_cantor(), 1, 5, "coprime-radius"),
     ], ids=["cantor-d1-zero", "cantor-d1-cantor-f", "cantor-d1-wide-drift",
-            "cantor-d2-zero", "interval-d1-zero", "interval-d2-zero"])
+            "cantor-d2-zero", "interval-d1-zero", "interval-d2-zero",
+            "cantor-d1-coprime-radius"])
     def test_integer_rows_match_fraction_rows(self, space, d, n_max, drift):
         # the checker's integer rows, in units of its delta = 2**-n, equal
-        # those of the rational construction (on the Cantor set its
-        # denominator is the rational one, so the integers are equal too)
-        # and pack exactly like the rational graph rows built from
+        # those of the rational construction (on the Cantor set with the
+        # built radii its denominator is the rational one, so the
+        # integers are equal too) and pack exactly like the rational graph rows built from
         # eval_witness; a drift with a large denominator pushes the row
         # bound past 2**62, and the rows are then Python ints in an
-        # object array
+        # object array.  Every built bump radius has numerator 1, so
+        # layer n's denominator 2**n a q is a multiple of every lower
+        # layer's; a layer-1 radius of 5/7 of the built one makes each
+        # layer's term of the LCM count
         dtype = np.dtype(object if drift == "wide-drift" else np.int64)
+        same_denominator = space == triadic_cantor()
+        layers = build_layers(space, d, n_max)
         if drift == "cantor-f":
             drift = lambda p: (cantor_pair.evaluate(
                 cantor_pair.DigitFunction.ODD_DIGITS, p),)
         elif drift == "wide-drift":
             drift = lambda p: (Fraction(1, 7 ** 25),)
-        layers = build_layers(space, d, n_max)
+        elif drift == "coprime-radius":
+            drift, same_denominator = None, False
+            radius = layers[0].bump_radius * Fraction(5, 7)
+            assert radius.numerator > 1
+            layers = (dataclasses.replace(layers[0], bump_radius=radius),
+                      *layers[1:])
 
         def in_delta(delta, base, coef, sat):
             return ([[Fraction(v, delta) for v in row] for row in base],
@@ -367,7 +395,7 @@ class TestEventCheck:
                    [col.tolist() for col in checker.sat])
             want = _rational_checker_rows(layers, n, drift)
             assert in_delta(*got) == in_delta(*want)
-            if space == triadic_cantor():
+            if same_denominator:
                 assert got == want
             points = layers[n - 1].all_satellites()
             delta = Fraction(1, 2 ** n)

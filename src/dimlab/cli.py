@@ -205,11 +205,13 @@ def _run_prevalence(cfg: ExperimentConfig, table: ResultTable) -> None:
     for n in cfg.scales():
         frac = witness.event_fraction(layers, n, drift, cfg.trials, cfg.seed)
         ref = 1.0 - 2.0 * 0.5 ** n
+        low, high = witness.wilson_interval(round(frac * cfg.trials),
+                                            cfg.trials)
         table.add(ResultRow(
             "prevalence-event",
             {"space": cfg.space, "n": n, "d": cfg.d, "drift": cfg.drift,
              "trials": cfg.trials},
-            frac, ref, frac >= ref, cfg.seed,
+            frac, ref, frac >= ref, cfg.seed, ci_low=low, ci_high=high,
         ))
 
 

@@ -119,7 +119,7 @@ def packing_count_series(space: SpaceDescriptor,
     finer than the packing scale n, so the net resolves the packing.
     """
     return ScaleSeries(tuple(
-        (n, packing.max_packing_greedy(build_net(space, n + 1), n).count)
+        (n, len(packing.max_packing_greedy(build_net(space, n + 1), n)))
         for n in scales), log_base=2)
 
 

@@ -26,7 +26,6 @@ values, shifted by the built-in adversaries, they are exact as well.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .spaces import ResolutionNet
@@ -36,14 +35,6 @@ EXACT_SEARCH_LIMIT = 64
 
 class ExactSearchLimitExceeded(RuntimeError):
     """Instance too large for exact search; the caller should use greedy."""
-
-
-@dataclass(frozen=True)
-class PackingResult:
-    """A packing witness: pairwise distances all strictly exceed delta."""
-
-    count: int
-    witness: tuple
 
 
 def _positive(delta):
@@ -116,17 +107,17 @@ def greedy_packing_coords(rows, delta, presorted: bool = False,
     return _greedy_indices(rows, order, delta, stop)
 
 
-def max_packing_greedy(net: ResolutionNet, n: int) -> PackingResult:
-    """Greedy maximal 2**-n packing of a 1-D net.
+def max_packing_greedy(net: ResolutionNet, n: int) -> tuple:
+    """The kept points, ascending, of a greedy 2**-n packing of a 1-D net.
 
-    The result is maximal (no net point can be added), hence at least
+    The packing is maximal (no net point can be added), hence at least
     the 2**-n covering number of the net and at most the true maximum.
     A product net raises ``UnsupportedSpaceError``; rows at any other
     delta go to :func:`greedy_packing_coords`.
     """
     rows = net.coord_rows()
     chosen = greedy_packing_coords(rows, Fraction(1, 2 ** n), presorted=True)
-    return PackingResult(len(chosen), tuple(net.points[i] for i in chosen))
+    return tuple(net.points[i] for i in chosen)
 
 
 def exact_packing_coords(rows, delta,
@@ -153,8 +144,9 @@ def exact_packing_coords(rows, delta,
 
 
 def max_packing_exact(net: ResolutionNet, n: int, *,
-                      limit: int = EXACT_SEARCH_LIMIT) -> PackingResult:
-    """True maximum 2**-n packing of a 1-D net via branch and bound.
+                      limit: int = EXACT_SEARCH_LIMIT) -> tuple:
+    """The kept points, ascending, of a true maximum 2**-n packing of a
+    1-D net, found by branch and bound.
 
     A net of more than ``limit`` points is refused from its size alone,
     before any row is built; a product net raises ``UnsupportedSpaceError``.
@@ -163,7 +155,7 @@ def max_packing_exact(net: ResolutionNet, n: int, *,
     _check_limit(net.size(), limit)
     rows = net.coord_rows()
     chosen = exact_packing_coords(rows, Fraction(1, 2 ** n), limit)
-    return PackingResult(len(chosen), tuple(net.points[i] for i in chosen))
+    return tuple(net.points[i] for i in chosen)
 
 
 def _check_limit(m: int, limit: int) -> None:

@@ -51,6 +51,7 @@ from .spaces import (
     build_net,
     cantor_net_depth,
     cantor_numerators,
+    ceil_log3_pow2,
     drift_at,
 )
 
@@ -145,27 +146,25 @@ def _cantor_satellites(center: Fraction, t: int, eps: Fraction, need: int,
     # t, the center's net depth, grows until the tail spread 3**-t / 2 <= eps
     while Fraction(1, 3 ** t) > 2 * eps:
         t += 1
-    depth = t + max(1, (need + len(excluded) + 1).bit_length())
-    while depth <= SATELLITE_DEPTH_CAP:
-        # the center's cylinder points, extended by depth - t digits
-        den = 3 ** depth
-        base = center.numerator * (den // center.denominator)
-        out = []
-        for m in cantor_numerators(depth - t):
-            cand = Fraction(base + m, den)
-            if cand not in excluded:
-                out.append(cand)
-                if len(out) == need:
-                    return out
-        depth += 1
-    raise NetDepthError(
-        f"cannot place {need} satellites within eps={eps} below depth "
-        f"{SATELLITE_DEPTH_CAP}; a deeper net is required"
-    )
+    # the center's cylinder, extended by depth - t digits, has
+    # 2**(depth - t) > need + len(excluded) points, so one pass keeps need
+    depth = t + (need + len(excluded) + 1).bit_length()
+    if depth > SATELLITE_DEPTH_CAP:
+        raise NetDepthError(
+            f"cannot place {need} satellites within eps={eps} below depth "
+            f"{SATELLITE_DEPTH_CAP}; a deeper net is required"
+        )
+    den = 3 ** depth
+    base = center.numerator * (den // center.denominator)
+    cands = (Fraction(base + m, den) for m in cantor_numerators(depth - t))
+    return list(itertools.islice((c for c in cands if c not in excluded),
+                                 need))
 
 
 def _interval_satellites(center: Fraction, eps: Fraction, need: int,
                          excluded: set[Fraction]) -> list[Fraction]:
+    # the ladder runs away from the nearer end of [0, 1], and its first
+    # need + len(excluded) rungs lie within (need + len(excluded)) h < eps
     sign = 1 if center + eps <= 1 else -1
     t = 1
     while Fraction(1, 2 ** t) * (need + len(excluded) + 1) > eps:
@@ -176,48 +175,47 @@ def _interval_satellites(center: Fraction, eps: Fraction, need: int,
                 "a deeper dyadic net is required"
             )
     h = Fraction(1, 2 ** t)
-    out = []
-    j = 0
-    while len(out) < need:
-        cand = center + sign * j * h
-        j += 1
-        if cand < 0 or cand > 1 or abs(cand - center) > eps:
-            raise NetDepthError("satellite ladder left the eps ball")
-        if cand not in excluded:
-            out.append(cand)
-    return out
+    ladder = (center + sign * j * h for j in itertools.count())
+    return list(itertools.islice((c for c in ladder if c not in excluded),
+                                 need))
 
 
 def _size_layer(space: SpaceDescriptor, n: int, d: int) -> LayerSize:
     """The sizes and ball centres of layer n, or NetDepthError.
 
-    k_n and the ball centres come from one greedy 2**-n packing of the
-    base net at scale n + 1.  The base is one-dimensional, where the
-    ascending sweep is a maximum packing, so k_n is exactly the net's
-    packing number N_n(K).  Sizing a layer places no satellite, and it
-    refuses the layer when k_n * ell_n exceeds ``MAX_LAYER_SATELLITES``:
-    first on k_n * s_n, a lower bound, so an oversized d is refused
-    before m_n is found or the value grid is built.
+    The ball centres are the kept points, ascending, of one greedy 2**-n
+    packing of the base net at scale n + 1, and k_n is their number.  The
+    base is one-dimensional, where the ascending sweep is a maximum
+    packing, so k_n is exactly the net's packing number N_n(K).  Sizing
+    a layer places no satellite.  It refuses the layer when k_n * ell_n
+    exceeds ``MAX_LAYER_SATELLITES``: first on k_floor * s_n, with
+    k_floor a lower bound on k_n from n alone, so an oversized n or d is
+    refused before the base net is built, m_n is found or the value grid
+    is built.
     """
     if space.kind not in (TRIADIC_CANTOR, UNIT_INTERVAL):
         raise ValueError("layers are built over the Cantor set or the interval")
     if n < 1 or d < 1:
         raise ValueError("need n >= 1 and d >= 1")
     s_n = (2 ** n // (n * n) + 1) ** d
-    base = packing.max_packing_greedy(build_net(space, n + 1), n)
-    k_n = base.count
-    # m_n >= 1, so k_n * s_n alone can refuse the layer before m_n is
-    # found and before the s_n-point grid is built
-    if k_n * s_n > MAX_LAYER_SATELLITES:
-        raise _oversized(space, n, d, f"k_n * ell_n >= k_n * s_n = "
-                                      f"{k_n} * {s_n} = {k_n * s_n}")
+    # the sweep keeps every third point of the interval's 2**-(n+1) grid;
+    # on the Cantor set the 2**t depth-t points, for the largest t with
+    # 3**t < 2**n, are net points at least 3**-t > 2**-n apart
+    k_floor = (2 ** (n + 1) // 3 + 1 if space.kind == UNIT_INTERVAL
+               else 2 ** (ceil_log3_pow2(n) - 1))
+    # m_n >= 1, so k_floor * s_n <= k_n * ell_n
+    if k_floor * s_n > MAX_LAYER_SATELLITES:
+        raise _oversized(space, n, d, f"k_n * ell_n >= k_n * s_n >= "
+                                      f"{k_floor} * {s_n} = {k_floor * s_n}")
+    centers = packing.max_packing_greedy(build_net(space, n + 1), n)
+    k_n = len(centers)
     m_n = replication_exponent(s_n, k_n, n)
     ell_n = s_n * m_n
     if k_n * ell_n > MAX_LAYER_SATELLITES:
         raise _oversized(space, n, d, f"k_n * ell_n = "
                                       f"{k_n} * {ell_n} = {k_n * ell_n}")
     return LayerSize(space, n, d, value_grid(n, d), s_n, k_n, m_n, ell_n,
-                     tuple(sorted(base.witness)))
+                     centers)
 
 
 def _oversized(space, n, d, count) -> NetDepthError:
@@ -239,10 +237,8 @@ def _place_layer(size: LayerSize, earlier: Sequence[LayerSpec]) -> LayerSpec:
     if size.k_n == 1:
         eps = delta  # no separation constraint with a single ball
     else:
-        gap = min(b - a for a, b in zip(centers, centers[1:]))
-        eps = (gap - delta) / 3
-        if eps <= 0:
-            raise NetDepthError("packing witness has no separation slack")
+        # the centres are a strict 2**-n packing, so every gap exceeds delta
+        eps = (min(b - a for a, b in zip(centers, centers[1:])) - delta) / 3
 
     excluded: set[Fraction] = set()
     for lay in earlier:
@@ -465,16 +461,22 @@ class SaturationReport:
     passed: bool
 
 
-def wilson_upper_bound(failures: int, trials: int) -> float:
-    """Upper end of the Wilson 95% score interval for a proportion."""
+def wilson_interval(successes: int, trials: int) -> tuple[float, float]:
+    """The Wilson 95% score interval (low, high) for a proportion.
+
+    The low end is exactly 0.0 at 0 successes and the high end exactly
+    1.0 at ``trials`` successes, which the float formula can miss
+    (1.08e-19 for 0 of 2 000).
+    """
     if trials < 1:
         raise ValueError("need at least one trial")
     z = WILSON_Z
-    p = failures / trials
+    p = successes / trials
     denom = 1 + z * z / trials
     center = p + z * z / (2 * trials)
     spread = z * math.sqrt(p * (1 - p) / trials + z * z / (4 * trials ** 2))
-    return (center + spread) / denom
+    return (0.0 if successes == 0 else (center - spread) / denom,
+            1.0 if successes == trials else (center + spread) / denom)
 
 
 def zero_adversary(d: int) -> Callable:
@@ -521,6 +523,6 @@ def simulate_saturation_failure(layer: LayerSize, adversary: Callable,
         if len(packing.greedy_packing_coords(points, delta)) < layer.s_n:
             failures += 1
     bound = 1.0 / (layer.k_n * 2 ** layer.n)
-    upper = wilson_upper_bound(failures, trials)
+    upper = wilson_interval(failures, trials)[1]
     return SaturationReport(layer.n, trials, failures, failures / trials,
                             upper, bound, upper <= 1.5 * bound)

@@ -20,6 +20,19 @@ def cantor_layers():
 
 
 @pytest.fixture(scope="session")
+def accepted_layers():
+    """Every layer set the CLI accepts, keyed "cantor-d1" to "interval-d3":
+    both layer spaces at d = 1, 2, 3, each up to its largest layer."""
+    out = {}
+    for name, space in (("cantor", spaces.triadic_cantor()),
+                        ("interval", spaces.unit_interval())):
+        for d in (1, 2, 3):
+            out[f"{name}-d{d}"] = witness.build_layers(
+                space, d, witness.largest_layer(space, d))
+    return out
+
+
+@pytest.fixture(scope="session")
 def nested_family_depth3():
     return energy.build_nested_family((2, 2, 2))
 

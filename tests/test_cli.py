@@ -417,6 +417,34 @@ class TestLayerDefaults:
         assert ("layer 9 of the triadic_cantor (d = 1) needs"
                 in capsys.readouterr().err)
 
+    @pytest.mark.parametrize("space, n_max, kind", [
+        ("interval", "19", "unit_interval"),
+        ("cantor", "26", "triadic_cantor"),
+    ])
+    def test_oversized_n_max_refused_before_the_base_net(
+            self, monkeypatch, capsys, space, n_max, kind):
+        # k_n is bounded below from n alone, so neither the 2**20 + 1-point
+        # interval net nor the Cantor net at scale 27 is built
+        def refuse(*args):
+            raise AssertionError("the base net was built")
+
+        monkeypatch.setattr(witness, "build_net", refuse)
+        start = time.perf_counter()
+        assert main(["saturation", "--space", space, "--n-max", n_max,
+                     "--trials", "1"]) == 2
+        assert time.perf_counter() - start < 1
+        err = capsys.readouterr().err
+        assert f"layer {n_max} of the {kind} (d = 1) needs" in err
+        assert str(witness.MAX_LAYER_SATELLITES) in err
+
+    def test_prevalence_rows_carry_their_wilson_interval(self):
+        table = run(ExperimentConfig("prevalence", space="cantor", n_min=3,
+                                     n_max=5, trials=40, seed="ci"))
+        for row in table.rows:
+            assert (row.ci_low, row.ci_high) == witness.wilson_interval(
+                round(row.value * 40), 40)
+            assert row.ci_low <= row.value <= row.ci_high
+
     @pytest.mark.parametrize("d", ["8", "9", "50"])
     @pytest.mark.parametrize("command", ["saturation", "prevalence"])
     def test_oversized_d_exits_2(self, command, d, monkeypatch, capsys):

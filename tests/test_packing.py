@@ -67,8 +67,8 @@ class TestGreedy:
         assert net.size() <= packing.EXACT_SEARCH_LIMIT
         rows = net.coord_rows()
         for n in range(scale + 1):
-            assert (max_packing_greedy(net, n).count
-                    == max_packing_exact(net, n).count)
+            assert (len(max_packing_greedy(net, n))
+                    == len(max_packing_exact(net, n)))
             for delta in (Fraction(1, 2 ** n), Fraction(3, 2 ** (n + 2))):
                 assert (len(packing.greedy_packing_coords(rows, delta,
                                                           presorted=True))
@@ -78,10 +78,9 @@ class TestGreedy:
         net = build_net(triadic_cantor(), 5)
         res = max_packing_greedy(net, 5)
         delta = Fraction(1, 32)
-        vals = list(res.witness)
         assert all(abs(a - b) > delta
-                   for a, b in itertools.combinations(vals, 2))
-        assert res.count == len(res.witness)
+                   for a, b in itertools.combinations(res, 2))
+        assert res == tuple(sorted(set(res)))
 
     def test_empty_net_rejected(self):
         net = ResolutionNet(unit_interval(), 3, ())
@@ -123,7 +122,7 @@ class TestGreedy:
         res = max_packing_greedy(net, 4)
         delta = Fraction(1, 16)
         for p in net.point_list():
-            assert any(abs(p - w) <= delta for w in res.witness)
+            assert any(abs(p - w) <= delta for w in res)
 
 
 def _all_pairs_greedy(rows, delta):
@@ -237,17 +236,17 @@ class TestWindowKernel:
 class TestExact:
     def test_single_point(self):
         net = _net_from_values([Fraction(1, 3)])
-        assert max_packing_exact(net, 5).count == 1
+        assert len(max_packing_exact(net, 5)) == 1
 
     def test_interval_power_of_two(self):
         # packing numbers of the interval: strict spacing forces 2**n
         for n in (1, 2, 3):
             net = build_net(unit_interval(), 2 * n)
-            assert max_packing_exact(net, n, limit=70).count == 2 ** n
+            assert len(max_packing_exact(net, n, limit=70)) == 2 ** n
 
     def test_tie_distance_excluded(self):
         net = _net_from_values([0, Fraction(1, 4)])
-        assert max_packing_exact(net, 2).count == 1  # exactly 2**-2 apart
+        assert len(max_packing_exact(net, 2)) == 1  # exactly 2**-2 apart
 
     def test_limit_refusal(self):
         net = build_net(unit_interval(), 7)
@@ -344,24 +343,24 @@ class TestExact:
 class TestPackingInvariants:
     def test_monotone_in_scale(self):
         net = build_net(triadic_cantor(), 6)
-        counts = [max_packing_exact(net, n).count for n in (2, 3, 4, 5)]
+        counts = [len(max_packing_exact(net, n)) for n in (2, 3, 4, 5)]
         assert all(a <= b for a, b in zip(counts, counts[1:]))
 
     def test_subnet_monotone(self):
         net = build_net(triadic_cantor(), 4)
         sub = ResolutionNet(triadic_cantor(), 4, net.points[::3])
         for n in (2, 3):
-            assert (max_packing_exact(sub, n).count
-                    <= max_packing_exact(net, n).count)
+            assert (len(max_packing_exact(sub, n))
+                    <= len(max_packing_exact(net, n)))
 
     def test_sandwich(self):
         # greedy at scale n is maximal, so it covers at 2**-n and any
         # 2**-(n-1) packing injects into it; and greedy <= exact
         for n in (3, 4):
             net = build_net(triadic_cantor(), n + 1)
-            greedy_n = max_packing_greedy(net, n).count
-            exact_prev = max_packing_exact(net, n - 1).count
-            exact_n = max_packing_exact(net, n).count
+            greedy_n = len(max_packing_greedy(net, n))
+            exact_prev = len(max_packing_exact(net, n - 1))
+            exact_n = len(max_packing_exact(net, n))
             assert exact_prev <= greedy_n <= exact_n
 
     def test_projection_graph_dominates_base(self):

@@ -9,7 +9,13 @@ import pytest
 
 from dimlab import cantor_pair, packing, witness
 from dimlab.rng import stable_generator
-from dimlab.spaces import NetDepthError, triadic_cantor, unit_interval
+from dimlab.spaces import (
+    NetDepthError,
+    TRIADIC_CANTOR,
+    cantor_net_depth,
+    triadic_cantor,
+    unit_interval,
+)
 from dimlab.witness import (
     build_layers,
     colliding_adversary,
@@ -18,11 +24,17 @@ from dimlab.witness import (
     sample_witness,
     simulate_saturation_failure,
     value_grid,
-    wilson_upper_bound,
+    wilson_interval,
     zero_adversary,
 )
 
 from oracles import _bump_terms, build_layer, eval_witness
+
+
+@pytest.fixture(scope="module")
+def layer_sets(cantor_layers, accepted_layers):
+    """Cantor d = 1 layers 1..7, then every layer set the CLI accepts."""
+    return [cantor_layers, *accepted_layers.values()]
 
 
 class TestLayerConstruction:
@@ -79,21 +91,40 @@ class TestLayerConstruction:
             m += 1
         assert lay.m_n == m == 9
 
-    def test_packing_points_separated_with_slack(self, cantor_layers):
-        for lay in cantor_layers:
+    def test_packing_points_separated_with_slack(self, layer_sets):
+        for lay in itertools.chain(*layer_sets):
+            assert lay.eps_n > 0
             if lay.k_n == 1:
                 continue
             need = Fraction(1, 2 ** lay.n) + 3 * lay.eps_n
             vals = sorted(lay.packing_points)
             assert all(b - a >= need for a, b in zip(vals, vals[1:]))
 
-    def test_satellites_inside_ball(self, cantor_layers):
-        for lay in cantor_layers:
+    def test_satellites_inside_ball(self, layer_sets):
+        for lay in itertools.chain(*layer_sets):
             for center, ball in zip(lay.packing_points, lay.satellites):
                 assert len(ball) == lay.ell_n
                 assert len(set(ball)) == lay.ell_n
                 for p in ball:
                     assert abs(p - center) <= lay.eps_n
+
+    def test_cantor_satellites_found_in_one_pass(self, layer_sets):
+        # a ball's satellites are points of the center's cylinder at the
+        # first depth tried, whose 2**(depth - t) candidates outnumber the
+        # ball's need plus every satellite placed before it
+        for layers in layer_sets:
+            if layers[0].space.kind != TRIADIC_CANTOR:
+                continue
+            placed = 0
+            for lay in layers:
+                t = cantor_net_depth(lay.n + 1)
+                while Fraction(1, 3 ** t) > 2 * lay.eps_n:
+                    t += 1
+                for ball in lay.satellites:
+                    depth = t + (lay.ell_n + placed + 1).bit_length()
+                    assert depth < witness.SATELLITE_DEPTH_CAP
+                    assert all(3 ** depth % p.denominator == 0 for p in ball)
+                    placed += len(ball)
 
     def test_cross_ball_separation_chain(self, cantor_layers):
         # satellites of distinct packing points keep 2**-n + eps distance;
@@ -108,10 +139,11 @@ class TestLayerConstruction:
                 if ka != kb:
                     assert vb - va >= floor
 
-    def test_layer_disjointness(self, cantor_layers):
-        sets = [set(lay.all_satellites()) for lay in cantor_layers]
-        for a, b in itertools.combinations(sets, 2):
-            assert not a & b
+    def test_layer_disjointness(self, layer_sets):
+        for layers in layer_sets:
+            sets = [set(lay.all_satellites()) for lay in layers]
+            for a, b in itertools.combinations(sets, 2):
+                assert not a & b
 
     def test_vector_valued_layers(self):
         layers = witness.build_layers(triadic_cantor(), 2, 5)
@@ -125,9 +157,11 @@ class TestLayerConstruction:
         sat = simulate_saturation_failure(lay, colliding_adversary(2), 200, 1)
         assert sat.failures == 0
 
-    def test_interval_layers(self):
-        layers = build_layers(unit_interval(), 1, 5)
-        for lay in layers:
+    def test_interval_layers(self, layer_sets):
+        intervals = [layers for layers in layer_sets
+                     if layers[0].space == unit_interval()]
+        for lay in itertools.chain(build_layers(unit_interval(), 1, 5),
+                                   *intervals):
             assert all(0 <= p <= 1 for p in lay.all_satellites())
             for center, ball in zip(lay.packing_points, lay.satellites):
                 assert all(abs(p - center) <= lay.eps_n for p in ball)
@@ -196,6 +230,18 @@ class TestLayerConstruction:
         monkeypatch.setattr(witness, "MAX_LAYER_SATELLITES", 143)
         with pytest.raises(NetDepthError, match="144"):
             build_layer(triadic_cantor(), 5, 1)
+        # the refusal before the base net uses a lower bound on k_n, so
+        # every layer is still refused exactly above its k_n * ell_n
+        for space, n in itertools.product((triadic_cantor(), unit_interval()),
+                                          range(1, 13)):
+            monkeypatch.setattr(witness, "MAX_LAYER_SATELLITES", 10 ** 12)
+            size = witness._size_layer(space, n, 1)
+            placed = size.k_n * size.ell_n
+            monkeypatch.setattr(witness, "MAX_LAYER_SATELLITES", placed)
+            assert witness._size_layer(space, n, 1) == size
+            monkeypatch.setattr(witness, "MAX_LAYER_SATELLITES", placed - 1)
+            with pytest.raises(NetDepthError, match=f"= {placed} satellites"):
+                witness._size_layer(space, n, 1)
 
 
 class TestWitnessSampling:
@@ -426,7 +472,8 @@ class TestEventCheck:
         (unit_interval(), 2, 6, None),
     ], ids=["cantor-d1-zero", "cantor-d1-cantor-f", "interval-d1-zero",
             "cantor-d2-zero", "interval-d2-zero"])
-    def test_cli_layers_pack_int64_rows(self, space, d, n_max, drift):
+    def test_cli_layers_pack_int64_rows(self, accepted_layers, space, d,
+                                        n_max, drift):
         # every layer the CLI builds, up to the largest one accepted,
         # packs int64 rows, including those above the layers that
         # test_integer_rows_match_fraction_rows compares
@@ -434,7 +481,9 @@ class TestEventCheck:
             drift = lambda p: (cantor_pair.evaluate(
                 cantor_pair.DigitFunction.ODD_DIGITS, p),)
         assert witness.largest_layer(space, d) == n_max
-        layers = build_layers(space, d, n_max)
+        name = "cantor" if space == triadic_cantor() else "interval"
+        layers = accepted_layers[f"{name}-d{d}"]
+        assert len(layers) == n_max
         for n in range(1, n_max + 1):
             checker = witness.EventChecker(layers, n, drift)
             assert checker.dtype == np.int64
@@ -519,7 +568,17 @@ class TestSaturation:
         assert long == want
 
     def test_wilson_bound_monotone(self):
-        assert wilson_upper_bound(0, 100) < wilson_upper_bound(1, 100)
-        assert wilson_upper_bound(0, 1000) < wilson_upper_bound(0, 100)
+        assert wilson_interval(0, 100)[1] < wilson_interval(1, 100)[1]
+        assert wilson_interval(0, 1000)[1] < wilson_interval(0, 100)[1]
         with pytest.raises(ValueError):
-            wilson_upper_bound(0, 0)
+            wilson_interval(0, 0)
+
+    @pytest.mark.parametrize("k, trials", [
+        (0, 2000), (1, 100), (37, 50), (99, 100), (100, 100), (200, 200),
+    ])
+    def test_wilson_interval_contains_the_rate(self, k, trials):
+        # the ends are exact where the rate is 0 or 1
+        low, high = wilson_interval(k, trials)
+        assert 0.0 <= low <= k / trials <= high <= 1.0
+        assert (low == 0.0) == (k == 0)
+        assert (high == 1.0) == (k == trials)

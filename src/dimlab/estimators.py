@@ -15,7 +15,8 @@ from typing import Sequence
 import numpy as np
 
 from . import packing
-from .spaces import ResolutionNet, SpaceDescriptor, build_net
+from .spaces import (PRODUCT_WITH_CUBE, ResolutionNet, SpaceDescriptor,
+                     build_net, check_net_size)
 
 DIVERGENCE_RATIO = 1.05
 DIVERGENCE_LOOKBACK = 3
@@ -116,8 +117,11 @@ def packing_count_series(space: SpaceDescriptor,
     """Greedy packing counts of a space over the given scale indices.
 
     Each count is taken on the canonical net of scale n + 1, one index
-    finer than the packing scale n, so the net resolves the packing.
+    finer than the packing scale n, so the net resolves the packing.  The
+    finest net is checked (:func:`~dimlab.spaces.check_net_size`) before
+    the first is built.
     """
+    check_net_size(space, max(scales, default=0) + 1)
     return ScaleSeries(tuple(
         (n, len(packing.max_packing_greedy(build_net(space, n + 1), n)))
         for n in scales), log_base=2)
@@ -125,12 +129,25 @@ def packing_count_series(space: SpaceDescriptor,
 
 def cell_count_series(space: SpaceDescriptor,
                       scales: Sequence[int]) -> ScaleSeries:
-    """Occupied 2**-n grid-cell counts of a space's scale-n nets."""
-    entries = []
-    for n in scales:
-        net = build_net(space, n)
-        entries.append((n, packing.occupied_cell_count(net, n)))
-    return ScaleSeries(tuple(entries), log_base=2)
+    """Occupied 2**-n grid-cell counts of a space's scale-n nets.
+
+    A product K x [0,1]**d is counted from K's net alone, as
+    N_n(K) * (2**n + 1)**d: its net is K's net times the 2**n + 1 grid
+    ticks per axis, each tick k 2**-n lies in a cell of its own, and the
+    cell of (b, z) is (cell(b), cell(z_1), ..., cell(z_d)).  A product of
+    a product adds up the cube dimensions.  The finest base net is
+    checked (:func:`~dimlab.spaces.check_net_size`) before the first is
+    built.
+    """
+    d = 0
+    while space.kind == PRODUCT_WITH_CUBE:
+        d += space.cube_dim
+        space = space.base
+    check_net_size(space, max(scales, default=0))
+    return ScaleSeries(tuple(
+        (n, packing.occupied_cell_count(build_net(space, n), n)
+         * (2 ** n + 1) ** d)
+        for n in scales), log_base=2)
 
 
 # ---------------------------------------------------------------------------
@@ -158,7 +175,7 @@ class DiscreteMeasure:
 
     @classmethod
     def uniform_on_net(cls, net: ResolutionNet) -> "DiscreteMeasure":
-        pts = net.point_list()
+        pts = net.points
         w = Fraction(1, len(pts))
         return cls(pts, (w,) * len(pts), tuple(net.coord_rows()))
 

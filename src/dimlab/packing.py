@@ -1,4 +1,4 @@
-"""Packing counts and mesh-cell counts on exact point sets.
+"""Packing counts and grid-cell counts on exact point sets.
 
 A delta-packing is a point set whose pairwise distances strictly exceed
 delta.  Two counters are provided:
@@ -21,6 +21,9 @@ never misclassified; callers that pack many instances over one common
 denominator (the event check) pass integer rows and an integer delta.
 The saturation Monte Carlo passes ``float`` rows; on its dyadic grid
 values, shifted by the built-in adversaries, they are exact as well.
+
+:func:`occupied_cell_count` counts the 2**-n grid cells a net meets.
+Every net is one-dimensional; a product with a cube has no net.
 """
 
 from __future__ import annotations
@@ -41,11 +44,6 @@ def _positive(delta):
     if delta <= 0:
         raise ValueError(f"packing scale delta must be positive, got {delta}")
     return delta
-
-
-def _cell(row, width) -> tuple[int, ...]:
-    """Index of the half-open grid cell of side ``width`` holding the row."""
-    return tuple(c // width for c in row)
 
 
 def _sorted_order(rows):
@@ -108,12 +106,11 @@ def greedy_packing_coords(rows, delta, presorted: bool = False,
 
 
 def max_packing_greedy(net: ResolutionNet, n: int) -> tuple:
-    """The kept points, ascending, of a greedy 2**-n packing of a 1-D net.
+    """The kept points, ascending, of a greedy 2**-n packing of a net.
 
     The packing is maximal (no net point can be added), hence at least
     the 2**-n covering number of the net and at most the true maximum.
-    A product net raises ``UnsupportedSpaceError``; rows at any other
-    delta go to :func:`greedy_packing_coords`.
+    Rows at any other delta go to :func:`greedy_packing_coords`.
     """
     rows = net.coord_rows()
     chosen = greedy_packing_coords(rows, Fraction(1, 2 ** n), presorted=True)
@@ -146,11 +143,11 @@ def exact_packing_coords(rows, delta,
 def max_packing_exact(net: ResolutionNet, n: int, *,
                       limit: int = EXACT_SEARCH_LIMIT) -> tuple:
     """The kept points, ascending, of a true maximum 2**-n packing of a
-    1-D net, found by branch and bound.
+    net, found by branch and bound.
 
     A net of more than ``limit`` points is refused from its size alone,
-    before any row is built; a product net raises ``UnsupportedSpaceError``.
-    Rows at any other delta go to :func:`exact_packing_coords`.
+    before any row is built.  Rows at any other delta go to
+    :func:`exact_packing_coords`.
     """
     _check_limit(net.size(), limit)
     rows = net.coord_rows()
@@ -239,20 +236,10 @@ def _max_independent_set(adj: list[int], m: int) -> int:
 
 
 def occupied_cell_count(net: ResolutionNet, n: int) -> int:
-    """Number of half-open 2**-n grid cells occupied by the net's points.
-
-    On a product net the count factorizes exactly: the cell of (b, z)
-    is (cell(b), cell(z_1), ..., cell(z_d)) and the point set is a full
-    Cartesian product, so occupied cells are the product of the
-    per-factor occupied cells.
+    """Number of half-open 2**-n grid cells [k 2**-n, (k+1) 2**-n)
+    occupied by the net's points, each cell found by exact floor
+    division.  A product's cells are counted from its base net by
+    ``estimators.cell_count_series``.
     """
-    if net.factors is not None:
-        base_net, axis, d = net.factors
-        axis_cells = _distinct_cells([(z,) for z in axis], n)
-        return occupied_cell_count(base_net, n) * axis_cells ** d
-    return _distinct_cells(net.coord_rows(), n)
-
-
-def _distinct_cells(rows, n: int) -> int:
     width = Fraction(1, 2 ** n)
-    return len({_cell(row, width) for row in rows})
+    return len({x // width for (x,) in net.coord_rows()})

@@ -10,15 +10,16 @@ exact ``Fraction`` equal to its value.  The codec between a Cantor
 point's digits and its value lives here alone: :class:`DigitVector`,
 :func:`cantor_digits` and the :func:`subset_sums` tables.
 
-No distance is computed here: a 1-D net hands its points to the
-counters as exact coordinate rows (:meth:`ResolutionNet.coord_rows`),
-and the packing kernels compare squared distances on those rows.  A
-product net is only counted, never expanded into points.
+No distance is computed here: a net hands its points to the counters
+as exact coordinate rows (:meth:`ResolutionNet.coord_rows`), and the
+packing kernels compare squared distances on those rows.  Every net is
+one-dimensional: a product with a cube has no net, and
+``estimators.cell_count_series`` counts its cells from its base net.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 UNIT_INTERVAL = "unit_interval"
@@ -26,8 +27,8 @@ TRIADIC_CANTOR = "triadic_cantor"
 HARMONIC_SEQUENCE = "harmonic_sequence"
 PRODUCT_WITH_CUBE = "product_with_cube"
 
-# Largest 1-D net that is built: a larger one is refused before any point
-# is allocated.  Product nets are kept factored and never expanded.
+# Largest net that is built: a larger one is refused before any point is
+# allocated.
 MAX_MATERIALIZED_POINTS = 2_000_000
 
 
@@ -172,97 +173,70 @@ def drift_at(drift, x, d: int) -> tuple[Fraction, ...]:
 
 @dataclass(frozen=True)
 class ResolutionNet:
-    """Finite 2**-n stand-in for a compact space.
-
-    A 1-D net stores its exact points in ascending order.  A product net
-    is kept as its factors ``(base net, axis ticks, d)`` with ``points``
-    None: it answers :meth:`size` and is counted per factor
-    (``packing.occupied_cell_count``), and it refuses to be expanded
-    into points or rows with :class:`UnsupportedSpaceError`.
-    """
+    """Finite 2**-n stand-in for a one-dimensional compact space: its
+    exact points in ascending order."""
 
     space: SpaceDescriptor
     scale_index: int
-    points: tuple | None
-    factors: tuple | None = field(default=None, repr=False)
+    points: tuple
 
     def size(self) -> int:
-        if self.points is not None:
-            return len(self.points)
-        base_net, axis, d = self.factors
-        return base_net.size() * len(axis) ** d
-
-    def point_list(self) -> tuple:
-        if self.points is None:
-            raise UnsupportedSpaceError(
-                f"a {self.space.kind} net is counted, not expanded into "
-                f"its {self.size()} points"
-            )
-        return self.points
+        return len(self.points)
 
     def coord_rows(self) -> list[tuple[Fraction]]:
         """The points as exact 1-tuples, else MixedRepresentationError."""
-        return [(_as_fraction_point(p),) for p in self.point_list()]
+        return [(_as_fraction_point(p),) for p in self.points]
 
 
-def build_net(space: SpaceDescriptor, n: int) -> ResolutionNet:
-    """Build the canonical 2**-n net of a space.
+def check_net_size(space: SpaceDescriptor, n: int) -> None:
+    """Refuse a 2**-n net of more than ``MAX_MATERIALIZED_POINTS`` points.
 
-    Deterministic for fixed inputs; a 1-D net's points come out sorted
-    by value.  Construction rules:
-
-    * unit interval: the dyadic grid {k * 2**-n : 0 <= k <= 2**n};
-    * triadic Cantor: every point with ``cantor_net_depth(n)`` digits;
-    * harmonic sequence: {0} and every 1/k with k <= 2**n, so the
-      omitted tail lies within one 2**-n ball around 0;
-    * products: delegated to :func:`product_net` at the same scale.
-
-    A 1-D net of more than ``MAX_MATERIALIZED_POINTS`` points is refused
-    with :class:`NetDepthError` before any point is allocated.
+    The size is read off the space alone: 2**n + 1 points on the interval
+    and the harmonic sequence, 2**cantor_net_depth(n) on the Cantor set.
+    A negative n raises ValueError, a space without a net (a product)
+    :class:`UnsupportedSpaceError` and an oversized net
+    :class:`NetDepthError`.
     """
     if n < 0:
         raise ValueError("scale index must be nonnegative")
     kind = space.kind
-    if kind in (UNIT_INTERVAL, TRIADIC_CANTOR, HARMONIC_SEQUENCE):
-        size = (1 << cantor_net_depth(n) if kind == TRIADIC_CANTOR
-                else 2 ** n + 1)
-        if size > MAX_MATERIALIZED_POINTS:
-            raise NetDepthError(
-                f"the {kind} net at scale {n} has {size} points, above the "
-                f"limit of {MAX_MATERIALIZED_POINTS}"
-            )
-    if kind == UNIT_INTERVAL:
+    if kind == TRIADIC_CANTOR:
+        size = 1 << cantor_net_depth(n)
+    elif kind in (UNIT_INTERVAL, HARMONIC_SEQUENCE):
+        size = 2 ** n + 1
+    else:
+        raise UnsupportedSpaceError(f"cannot build a net for kind {kind!r}")
+    if size > MAX_MATERIALIZED_POINTS:
+        raise NetDepthError(
+            f"the {kind} net at scale {n} has {size} points, above the "
+            f"limit of {MAX_MATERIALIZED_POINTS}"
+        )
+
+
+def build_net(space: SpaceDescriptor, n: int) -> ResolutionNet:
+    """Build the canonical 2**-n net of a one-dimensional space.
+
+    Deterministic for fixed inputs; the points come out sorted by value.
+    Construction rules:
+
+    * unit interval: the dyadic grid {k * 2**-n : 0 <= k <= 2**n};
+    * triadic Cantor: every point with ``cantor_net_depth(n)`` digits;
+    * harmonic sequence: {0} and every 1/k with k <= 2**n, so the
+      omitted tail lies within one 2**-n ball around 0.
+
+    :func:`check_net_size` runs first, so a product descriptor and a net
+    of more than ``MAX_MATERIALIZED_POINTS`` points are refused before
+    any point is allocated.
+    """
+    check_net_size(space, n)
+    if space.kind == UNIT_INTERVAL:
         step = Fraction(1, 2 ** n)
         pts = tuple(k * step for k in range(2 ** n + 1))
-        return ResolutionNet(space, n, pts)
-    if kind == TRIADIC_CANTOR:
+    elif space.kind == TRIADIC_CANTOR:
         depth = cantor_net_depth(n)
         den = 3 ** depth
         pts = tuple(Fraction(m, den) for m in cantor_numerators(depth))
-        return ResolutionNet(space, n, pts)
-    if kind == HARMONIC_SEQUENCE:
+    else:
         ks = range(2 ** n, 0, -1)
         pts = (Fraction(0),) + tuple(Fraction(1, k) for k in ks)
-        return ResolutionNet(space, n, pts)
-    if kind == PRODUCT_WITH_CUBE:
-        return product_net(build_net(space.base, n), space.cube_dim, n)
-    raise UnsupportedSpaceError(f"cannot build a net for kind {space.kind!r}")
-
-
-def product_net(base: ResolutionNet, d: int, n: int) -> ResolutionNet:
-    """Net for base x [0,1]**d under the product metric.
-
-    The cube factor carries the closed 2**-n grid with 2**n + 1 ticks per
-    axis.  The net is kept factored whatever its size (see
-    :class:`ResolutionNet`): cell counts factorize, and no point is
-    ever expanded.
-    """
-    if d < 1:
-        raise ValueError("cube dimension must be positive")
-    if base.scale_index < n:
-        raise NetDepthError(
-            f"base net at scale {base.scale_index} is too coarse for scale {n}"
-        )
-    space = product_with_cube(base.space, d)
-    axis = tuple(Fraction(k, 2 ** n) for k in range(2 ** n + 1))
-    return ResolutionNet(space, n, None, factors=(base, axis, d))
+    return ResolutionNet(space, n, pts)

@@ -3,12 +3,12 @@
 Each one is the direct, unoptimised form of something the library
 computes another way: rational witness evaluation for the event
 checker's integer rows, graph enumeration and mesh counting for the
-integer mesh counter, a product net's expanded coordinate rows for its
-factored cell count, per-level node values and the per-point tail for
-``eval_field``'s integer sum, and for ``kernel_integral`` and
-``kernel_constant`` scipy's adaptive quadrature (``quad`` for d = 1,
-``dblquad`` for d = 2) and log-gamma, a closed form at u = 1, a centred
-bound and a refined d = 2 panel rule.
+integer mesh counter, a product's expanded coordinate rows for the cell
+count ``cell_count_series`` takes from its base net, per-level node
+values and the per-point tail for ``eval_field``'s integer sum, and for
+``kernel_integral`` and ``kernel_constant`` scipy's adaptive quadrature
+(``quad`` for d = 1, ``dblquad`` for d = 2) and log-gamma, a closed form
+at u = 1, a centred bound and a refined d = 2 panel rule.
 """
 
 import itertools
@@ -118,9 +118,9 @@ def mesh_count_2d(points, n):
 
 
 def product_rows(base_net, axis, d):
-    """Coordinate rows (b, z_1, ..., z_d) of the product net with factors
-    ``(base_net, axis, d)``, expanded point by point in ascending order."""
-    return [(b, *z) for b in base_net.point_list()
+    """Coordinate rows (b, z_1, ..., z_d) of base_net x axis**d, expanded
+    point by point in ascending order."""
+    return [(b, *z) for b in base_net.points
             for z in itertools.product(axis, repeat=d)]
 
 

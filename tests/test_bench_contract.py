@@ -63,7 +63,7 @@ def test_tracer_wraps_every_span_and_restores_it():
         # counters read these parameters and attributes by name
         net = spaces.build_net(spaces.triadic_cantor(), 3)
         packing.max_packing_exact(net, 2)
-        packing.occupied_cell_count(spaces.product_net(net, 1, 3), 3)
+        packing.occupied_cell_count(net, 3)
         cantor_pair.brute_force_mesh_count(cantor_pair.DigitFunction.SUM, 1)
         checker = witness.EventChecker(layers, 5)
         checker.check(witness.sample_witness(layers, 0))
@@ -73,7 +73,7 @@ def test_tracer_wraps_every_span_and_restores_it():
         assert getattr(owner, name) is original
     counts = tracer.per_pass()[0]
     assert counts["packing.exact.rows"] == net.size()
-    assert counts["packing.cells.points"] == net.size() * 9
+    assert counts["packing.cells.points"] == net.size()
     assert counts["cantor_pair.mesh.points"] == 16
     assert counts["witness.event_check.calls"] == 1
     assert counts["witness.event_check.rows"] == len(checker.points) > 64

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from dimlab import cli, energy, spaces, witness
+from dimlab import cli, energy, estimators, spaces, witness
 from dimlab.cli import (
     ExperimentConfig,
     ResultRow,
@@ -247,6 +247,27 @@ class TestCommands:
         assert rc == 2
         assert time.perf_counter() - start < 10
         assert str(spaces.MAX_MATERIALIZED_POINTS) in capsys.readouterr().err
+
+    @pytest.mark.parametrize("space, n_max, kind, size", [
+        ("interval", 21, "unit_interval", 2 ** 22 + 1),
+        ("harmonic", 21, "harmonic_sequence", 2 ** 22 + 1),
+        ("cantor", 40, "triadic_cantor", 2 ** spaces.cantor_net_depth(41)),
+    ], ids=["interval-21", "harmonic-21", "cantor-40"])
+    def test_oversized_estimate_refused_before_any_net(
+            self, monkeypatch, capsys, space, n_max, kind, size):
+        # the finest net, at scale n_max + 1, is sized before the coarsest
+        # one is built
+        def refuse(*args):
+            raise AssertionError("a net was built")
+
+        monkeypatch.setattr(estimators, "build_net", refuse)
+        start = time.perf_counter()
+        assert main(["estimate", "--space", space,
+                     "--n-max", str(n_max)]) == 2
+        assert time.perf_counter() - start < 1
+        assert (f"error: the {kind} net at scale {n_max + 1} has {size} "
+                f"points, above the limit of "
+                f"{spaces.MAX_MATERIALIZED_POINTS}") in capsys.readouterr().err
 
     def test_plotdata_slope(self, tmp_path):
         path = tmp_path / "series.txt"

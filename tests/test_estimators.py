@@ -349,3 +349,19 @@ class TestCellSeries:
                 spaces.product_with_cube(triadic_cantor(), d), range(4, 9))
             fit = box_dim_estimate(prod, "full-fit").slope
             assert abs(fit - base_fit - d) <= 0.05
+
+    @pytest.mark.parametrize("space", [
+        unit_interval(), spaces.product_with_cube(unit_interval(), 2),
+    ], ids=["interval", "interval-product"])
+    def test_finest_net_sized_before_the_first_is_built(self, monkeypatch,
+                                                        space):
+        # the finest base net, 2**21 + 1 points at scale 21, is refused
+        # before the scale-4 one is built (tests/test_cli.py checks the
+        # same for packing_count_series through dimlab estimate)
+        def refuse(*args):
+            raise AssertionError("a net was built")
+
+        monkeypatch.setattr(estimators, "build_net", refuse)
+        with pytest.raises(spaces.NetDepthError,
+                           match="^the unit_interval net at scale 21 has "):
+            cell_count_series(space, range(4, 22))

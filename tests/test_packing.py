@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from dimlab import packing, spaces
+from dimlab import estimators, packing, spaces
 from dimlab.packing import (
     ExactSearchLimitExceeded,
     max_packing_exact,
@@ -16,6 +16,7 @@ from dimlab.spaces import (
     ResolutionNet,
     build_net,
     harmonic_sequence,
+    product_with_cube,
     triadic_cantor,
     unit_interval,
 )
@@ -97,31 +98,22 @@ class TestGreedy:
                     kernel(rows, delta)
 
     def test_product_net_counted_not_expanded(self):
-        # a product net refuses to become points or rows, also through
-        # the net packers, even below the exact search limit;
-        # TestOccupiedCells counts the cells of one of 129**3 points
-        net = spaces.product_net(build_net(triadic_cantor(), 1), 1, 1)
-        assert net.size() == 8 * 3 <= packing.EXACT_SEARCH_LIMIT
-        for expand in (ResolutionNet.point_list, ResolutionNet.coord_rows,
-                       lambda net: max_packing_greedy(net, 1),
-                       lambda net: max_packing_exact(net, 1)):
+        # a product, nested or not, has no net, so no packer ever sees
+        # one; TestOccupiedCells counts its cells, also of 129**3 points
+        for space in (product_with_cube(triadic_cantor(), 1),
+                      product_with_cube(
+                          product_with_cube(unit_interval(), 1), 1)):
             with pytest.raises(spaces.UnsupportedSpaceError):
-                expand(net)
-
-    def test_product_net_beyond_limit_refused(self):
-        net = spaces.product_net(build_net(unit_interval(), 7), 2, 7)
-        assert net.size() > spaces.MAX_MATERIALIZED_POINTS
-        with pytest.raises(spaces.UnsupportedSpaceError):
-            max_packing_greedy(net, 7)
-        with pytest.raises(ExactSearchLimitExceeded):
-            max_packing_exact(net, 7)
+                build_net(space, 1)
+            with pytest.raises(spaces.UnsupportedSpaceError):
+                estimators.packing_count_series(space, [0, 1, 2])
 
     def test_maximality(self):
         # no skipped net point can extend the greedy witness
         net = build_net(unit_interval(), 6)
         res = max_packing_greedy(net, 4)
         delta = Fraction(1, 16)
-        for p in net.point_list():
+        for p in net.points:
             assert any(abs(p - w) <= delta for w in res)
 
 
@@ -220,8 +212,8 @@ class TestWindowKernel:
     def test_fraction_rows_match_hand_scaled_integers(self, space, depth):
         # rows compared as given pick the same points as the same rows
         # scaled by hand to integers over their common denominator
-        net = spaces.product_net(build_net(space, depth), 1, depth)
-        rows = product_rows(*net.factors)
+        axis = [Fraction(k, 2 ** depth) for k in range(2 ** depth + 1)]
+        rows = product_rows(build_net(space, depth), axis, 1)
         scale = math.lcm(2 ** 4, *(c.denominator for r in rows for c in r))
         int_rows = [tuple(int(c * scale) for c in row) for row in rows]
         order = sorted(range(len(rows)), key=rows.__getitem__)
@@ -260,15 +252,13 @@ class TestExact:
 
     @pytest.mark.parametrize("make_net", [
         lambda: build_net(harmonic_sequence(), 7),
-        lambda: spaces.product_net(build_net(unit_interval(), 6), 2, 6),
-    ], ids=["harmonic-7", "interval-product-6"])
+    ], ids=["harmonic-7"])
     def test_limit_refused_before_expansion(self, make_net, monkeypatch):
         net = make_net()
 
         def fail(self):
             raise AssertionError("net expanded before the limit check")
 
-        monkeypatch.setattr(ResolutionNet, "point_list", fail)
         monkeypatch.setattr(ResolutionNet, "coord_rows", fail)
         limit = packing.EXACT_SEARCH_LIMIT
         with pytest.raises(ExactSearchLimitExceeded,
@@ -367,11 +357,11 @@ class TestPackingInvariants:
         net = build_net(triadic_cantor(), 4)
         rnd = random.Random(4)
         rows = [(p, Fraction(rnd.randrange(0, 32), 32))
-                for p in net.point_list()]
+                for p in net.points]
         for n in (2, 3):
             delta = Fraction(1, 2 ** n)
             base = packing.greedy_packing_coords(
-                [(p,) for p in net.point_list()], delta, presorted=True)
+                [(p,) for p in net.points], delta, presorted=True)
             graph = packing.greedy_packing_coords(sorted(rows), delta,
                                                   presorted=True)
             assert len(graph) >= len(base)
@@ -400,23 +390,45 @@ class TestOccupiedCells:
         assert occupied_cell_count(net, 3) == 9  # 8 interior cells + {1}
 
     def test_product_factorization_matches_direct(self):
-        # every product net is factored, so the direct count over its
-        # expanded rows is an independent check of the factorization
+        # cell_count_series counts a product from its base net alone; the
+        # direct count floors every row of the expanded product, its axis
+        # built here by hand
         for space in (triadic_cantor(), unit_interval()):
             for d in (1, 2):
-                net = spaces.product_net(build_net(space, 3), d, 3)
-                assert net.points is None
-                for n in (1, 2, 3):
+                series = estimators.cell_count_series(
+                    product_with_cube(space, d), range(1, 5))
+                for n, count in series.entries:
+                    axis = [Fraction(k, 2 ** n) for k in range(2 ** n + 1)]
                     direct = len({
                         tuple((c.numerator * 2 ** n) // c.denominator
                               for c in row)
-                        for row in product_rows(*net.factors)
+                        for row in product_rows(build_net(space, n), axis, d)
                     })
-                    assert occupied_cell_count(net, n) == direct
+                    assert count == direct
 
-    def test_product_beyond_materialization_limit(self):
-        net = spaces.product_net(build_net(unit_interval(), 7), 2, 7)
-        assert net.size() == 129 ** 3 > spaces.MAX_MATERIALIZED_POINTS
-        assert occupied_cell_count(net, 7) == 129 ** 3
-        with pytest.raises(spaces.UnsupportedSpaceError):
-            net.point_list()
+    @pytest.mark.parametrize("space", [unit_interval(), triadic_cantor(),
+                                       harmonic_sequence()],
+                             ids=lambda sp: sp.kind)
+    def test_nested_product_counts_as_flat(self, space):
+        # (K x [0,1]**a) x [0,1]**b is K x [0,1]**(a + b)
+        scales = range(0, 7)
+        for a, b in ((1, 1), (1, 2), (2, 1)):
+            nested = product_with_cube(product_with_cube(space, a), b)
+            assert (estimators.cell_count_series(nested, scales)
+                    == estimators.cell_count_series(
+                        product_with_cube(space, a + b), scales))
+
+    def test_product_beyond_materialization_limit(self, monkeypatch):
+        # only the 129-point base net is built for a product of 129**3
+        built = []
+
+        def build(space, n):
+            built.append(space)
+            return build_net(space, n)
+
+        monkeypatch.setattr(estimators, "build_net", build)
+        series = estimators.cell_count_series(
+            product_with_cube(unit_interval(), 2), [7])
+        assert 129 ** 3 > spaces.MAX_MATERIALIZED_POINTS
+        assert series.entries == ((7, 129 ** 3),)
+        assert built == [unit_interval()]

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from dimlab import spaces
+from dimlab.estimators import cell_count_series
 from dimlab.spaces import (
     DigitVector,
     MixedRepresentationError,
@@ -16,7 +17,7 @@ from dimlab.spaces import (
     build_net,
     cantor_net_depth,
     harmonic_sequence,
-    product_net,
+    product_with_cube,
     triadic_cantor,
     unit_interval,
 )
@@ -27,7 +28,7 @@ from oracles import product_rows
 class TestBuildNet:
     def test_interval_n1_contains_required_points(self):
         net = build_net(unit_interval(), 1)
-        pts = set(net.point_list())
+        pts = set(net.points)
         assert {Fraction(0), Fraction(1, 2), Fraction(1)} <= pts
 
     def test_cantor_n2_depth_and_size(self):
@@ -45,14 +46,14 @@ class TestBuildNet:
             K += 1
         assert K == 16
         net = build_net(harmonic_sequence(), 4)
-        assert set(net.point_list()) == {Fraction(0)} | {
+        assert set(net.points) == {Fraction(0)} | {
             Fraction(1, k) for k in range(1, 17)
         }
 
     def test_net_property_interval(self):
         # every dyadic sample of the ideal interval is within 2**-n of a point
         net = build_net(unit_interval(), 3)
-        pts = net.point_list()
+        pts = net.points
         for i in range(257):
             x = Fraction(i, 256)
             assert min(abs(x - p) for p in pts) <= Fraction(1, 8)
@@ -71,7 +72,7 @@ class TestBuildNet:
             for n in (1, 3, 5):
                 coarse = build_net(space, n)
                 fine = build_net(space, n + 1)
-                assert set(coarse.point_list()) <= set(fine.point_list())
+                assert set(coarse.points) <= set(fine.points)
 
     def test_points_sorted(self):
         for space in (unit_interval(), triadic_cantor(), harmonic_sequence()):
@@ -109,7 +110,7 @@ class TestMetric:
 
     def test_triangle_inequality_exhaustive_small_net(self):
         net = build_net(triadic_cantor(), 3)  # 32 points
-        vals = np.array([float(p) for p in net.point_list()])
+        vals = np.array([float(p) for p in net.points])
         d = np.abs(vals[:, None] - vals[None, :])
         assert np.all(d[:, :, None] <= d[:, None, :] + d[None, :, :] + 1e-15)
 
@@ -178,41 +179,21 @@ class TestDigitVector:
 
 
 class TestProductNet:
+    # a product with a cube has no net of its own: it is counted from its
+    # base net, and its rows are expanded here only, as an oracle
+
     def test_interval_times_line_grid(self):
         base = build_net(unit_interval(), 2)
-        net = product_net(base, 1, 2)
-        assert net.points is None  # factored whatever its size
-        assert net.size() == 25
         z = [Fraction(k, 4) for k in range(5)]
-        assert set(product_rows(*net.factors)) == {
-            (x, y) for x in base.point_list() for y in z}
-
-    def test_singleton_cube_column(self):
-        base = build_net(unit_interval(), 1)
-        net = product_net(base, 1, 1)
-        column = {row for row in product_rows(*net.factors) if row[0] == 0}
-        assert {z for _, z in column} == {Fraction(0), Fraction(1, 2),
-                                          Fraction(1)}
+        rows = product_rows(base, z, 1)
+        assert set(rows) == {(x, y) for x in base.points for y in z}
+        # each grid point of [0, 1]**2 at 1/4 lies in a cell of its own
+        series = cell_count_series(product_with_cube(unit_interval(), 1), [2])
+        assert series.entries == ((2, 25),)
 
     def test_cantor_product_cardinality(self):
-        base = build_net(triadic_cantor(), 1)
-        net = product_net(base, 2, 1)
-        assert net.size() == base.size() * 9
-
-    def test_too_coarse_base_rejected(self):
-        base = build_net(unit_interval(), 1)
-        with pytest.raises(NetDepthError):
-            product_net(base, 1, 2)
-
-    def test_coord_rows_beyond_limit_refused(self):
-        net = product_net(build_net(unit_interval(), 7), 2, 7)
-        assert net.size() > spaces.MAX_MATERIALIZED_POINTS
-        with pytest.raises(UnsupportedSpaceError):
-            net.coord_rows()
-
-    def test_lazy_product_iteration_matches_size(self):
-        base = build_net(unit_interval(), 6)
-        net = product_net(base, 2, 6)  # 65 * 65**2 points, kept factored
-        assert net.points is None
-        assert net.size() == 65 ** 3
-
+        base_cells = {p // Fraction(1, 2)
+                      for p in build_net(triadic_cantor(), 1).points}
+        series = cell_count_series(product_with_cube(triadic_cantor(), 2),
+                                   [1])
+        assert series.entries == ((1, len(base_cells) * 3 ** 2),)

@@ -421,13 +421,20 @@ def _pair_mean(family: NestedFamily, x: Fraction, y: Fraction,
     rng = stable_generator(seed, "pair", (x.numerator, x.denominator),
                            (y.numerator, y.denominator))
     exponent = -(t + d) / 2.0
+    # in place, with the float operations of
+    # mean((rho**2 + sum over c of ((ux - uy) / den + theta[c])**2) ** exponent)
     acc = np.zeros(trials)
+    delta = np.empty(trials)
     for c in range(d):
         ux = rng.integers(0, 1 << window_bits, size=trials, dtype=np.int64)
-        uy = rng.integers(0, 1 << window_bits, size=trials, dtype=np.int64)
-        delta = (ux - uy) / den + theta[c]
-        acc += delta * delta
-    return float(np.mean((rho * rho + acc) ** exponent))
+        ux -= rng.integers(0, 1 << window_bits, size=trials, dtype=np.int64)
+        np.divide(ux, den, out=delta)
+        delta += theta[c]
+        delta *= delta
+        acc += delta
+    acc += rho * rho
+    acc **= exponent
+    return float(np.mean(acc))
 
 
 def pair_expectation_check(

@@ -19,8 +19,12 @@ distances against ``delta * delta``.  On ``int`` or ``Fraction`` rows
 every comparison is exact, so a distance tie (exactly equal to delta) is
 never misclassified; callers that pack many instances over one common
 denominator (the event check) pass integer rows and an integer delta.
-The saturation Monte Carlo passes ``float`` rows; on its dyadic grid
-values, shifted by the built-in adversaries, they are exact as well.
+
+:func:`greedy_packing_counts` is the same greedy sweep over a block of
+float point sets at once, one column of candidates per step, which the
+saturation Monte Carlo uses to count a block of trials.  Its float
+comparisons are exact on that Monte Carlo's dyadic grid values, shifted
+by the built-in adversaries.
 
 :func:`occupied_cell_count` counts the 2**-n grid cells a net meets.
 Every net is one-dimensional; a product with a cube has no net.
@@ -30,6 +34,8 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
+
+import numpy as np
 
 from .spaces import ResolutionNet
 
@@ -103,6 +109,41 @@ def greedy_packing_coords(rows, delta, presorted: bool = False,
     _positive(delta)
     order = list(range(len(rows))) if presorted else _sorted_order(rows)
     return _greedy_indices(rows, order, delta, stop)
+
+
+def greedy_packing_counts(points, delta, stop: int | None = None):
+    """Greedy packing counts of a block of point sets, one per trial.
+
+    ``points`` is a float array of shape (B, m, d): B trials of m finite
+    points in R**d.  Entry b of the result is
+    ``len(greedy_packing_coords(points[b].tolist(), delta, stop=stop))``:
+    each trial's points are sorted lexicographically and taken in turn,
+    and a candidate is kept iff no kept point lies within squared
+    distance <= delta**2 (and, with ``stop``, fewer than ``stop`` points
+    are kept).  The loop runs over the m candidate columns, vectorised
+    over trials; a candidate is compared with the first ``count.max()``
+    kept slots only, and the unfilled slots hold inf, which is never
+    near.
+    """
+    pts = np.asarray(points, dtype=float)
+    d2 = _positive(delta) * delta
+    trials, m, d = pts.shape
+    # np.lexsort sorts by its last key first
+    order = np.lexsort(pts.transpose(2, 0, 1)[::-1], axis=-1)
+    pts = np.take_along_axis(pts, order[..., None], axis=1)
+    kept = np.full((trials, m if stop is None else min(m, stop), d), np.inf)
+    count = np.zeros(trials, dtype=np.intp)
+    for j in range(m):
+        cand = pts[:, j]
+        diff = kept[:, :count.max()] - cand[:, None]
+        diff *= diff
+        keep = ~(diff.sum(axis=2) <= d2).any(axis=1)
+        if stop is not None:
+            keep &= count < stop
+        rows = np.flatnonzero(keep)
+        kept[rows, count[rows]] = cand[rows]
+        count[rows] += 1
+    return count
 
 
 def max_packing_greedy(net: ResolutionNet, n: int) -> tuple:

@@ -16,7 +16,10 @@ The two probabilistic checks:
 * ``simulate_saturation_failure``: how often do ell_n grid draws,
   shifted by an adversary that sees only the past, fail to contain a
   full-size 2**-n packing of values, drawn from one
-  ``rng.stable_generator`` stream in trial order;
+  ``rng.stable_generator`` stream in trial order.  Trials run in bounded
+  blocks: the adversary maps a block's history prefix to its shifts,
+  and ``packing.greedy_packing_counts`` counts the block's float points
+  one candidate column at a time, vectorised over trials;
 * ``EventChecker`` / ``event_fraction``: how often does the graph of the
   summed layers plus a drift carry at least N_n(K) * 2**(n d) * n**-2d
   packing points at scale 2**-n.  The checker puts its rows over one
@@ -61,6 +64,9 @@ SATELLITE_DEPTH_CAP = 64
 # n = 9), and the event check then packs one 2-D row per satellite.
 MAX_LAYER_SATELLITES = 10_000
 WILSON_Z = 1.959963984540054  # two-sided 95% normal quantile
+# Largest trials * ell_n grid indices the saturation Monte Carlo draws
+# at once; its history and point arrays hold d floats per index.
+SATURATION_BLOCK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -480,15 +486,15 @@ def wilson_interval(successes: int, trials: int) -> tuple[float, float]:
 
 
 def zero_adversary(d: int) -> Callable:
-    return lambda history: (0.0,) * d
+    return lambda history: np.zeros((len(history), d))
 
 
 def colliding_adversary(d: int) -> Callable:
     """Shifts each draw by the negated previous one, hunting collisions."""
     def strategy(history):
-        if not history:
-            return (0.0,) * d
-        return tuple(-c for c in history[-1])
+        if not history.shape[1]:
+            return np.zeros((len(history), d))
+        return -history[:, -1]
     return strategy
 
 
@@ -497,31 +503,43 @@ def simulate_saturation_failure(layer: LayerSize, adversary: Callable,
     """Monte Carlo for the adversarially translated grid saturation event.
 
     Per trial, ell_n values are drawn uniformly from the layer grid; the
-    adversary produces each shift y_i from the history X_1..X_{i-1} only
-    (it is handed nothing else, which enforces the measurability
-    contract structurally).  The draws come in trial order from one
-    stream, so a run's first T trials repeat a T-trial run.  A trial
-    fails when the translated points contain no s_n-element 2**-n
-    packing.  The points are counted by the greedy packing kernel on
-    float rows, which is exact for d = 1 (a maximum packing) and greedy
-    otherwise.
+    adversary produces each shift y_i from the history X_1..X_{i-1} only.
+    Trials run in blocks of B = max(1, SATURATION_BLOCK // ell_n): a
+    block's (B, ell_n) grid indices come from one ``stable_generator``
+    stream, which yields the indices of B per-trial draws in trial order,
+    so a run's first T trials repeat a T-trial run and memory does not
+    grow with ``trials``.  At column i the adversary gets a read-only
+    (B, i, d) array of the block's first i draws and returns (B, d)
+    shifts.  That array is a view of a history buffer that is filled one
+    column after each call, so later draws are structurally out of its
+    reach.
+
+    A trial fails when the translated points contain no s_n-element
+    2**-n packing, counted by :func:`packing.greedy_packing_counts`,
+    which is exact for d = 1 (a maximum packing) and greedy otherwise.
 
     Pass condition: the Wilson 95% upper bound on the failure rate stays
     within 1.5x of 1 / (k_n * 2**n).  Only the layer's sizes are read,
     so a sized layer serves as well as a built one.
     """
-    grid = [tuple(float(c) for c in g) for g in layer.grid]
+    grid = np.array([[float(c) for c in g] for g in layer.grid])
     delta = 0.5 ** layer.n
     rng = stable_generator(seed, "saturation")
+    block = max(1, SATURATION_BLOCK // layer.ell_n)
     failures = 0
-    for _ in range(trials):
-        history, points = [], []
-        for i in rng.integers(layer.s_n, size=layer.ell_n).tolist():
-            y = adversary(tuple(history))
-            history.append(grid[i])
-            points.append(tuple(a + b for a, b in zip(grid[i], y)))
-        if len(packing.greedy_packing_coords(points, delta)) < layer.s_n:
-            failures += 1
+    for start in range(0, trials, block):
+        idx = rng.integers(layer.s_n, size=(min(block, trials - start),
+                                            layer.ell_n))
+        history = np.zeros(idx.shape + (layer.d,))
+        points = np.empty_like(history)
+        for i in range(layer.ell_n):
+            past = history[:, :i]
+            past.flags.writeable = False
+            shift = adversary(past)
+            history[:, i] = grid[idx[:, i]]
+            np.add(history[:, i], shift, out=points[:, i])
+        counts = packing.greedy_packing_counts(points, delta, stop=layer.s_n)
+        failures += int(np.count_nonzero(counts < layer.s_n))
     bound = 1.0 / (layer.k_n * 2 ** layer.n)
     upper = wilson_interval(failures, trials)[1]
     return SaturationReport(layer.n, trials, failures, failures / trials,

@@ -2,10 +2,13 @@
 
 Each one is the direct, unoptimised form of something the library
 computes another way: rational witness evaluation for the event
-checker's integer rows, graph enumeration and mesh counting for the
-integer mesh counter, a product's expanded coordinate rows for the cell
-count ``cell_count_series`` takes from its base net, per-level node
-values and the per-point tail for ``eval_field``'s integer sum, and for
+checker's integer rows, a one-trial-at-a-time loop with the scalar
+greedy kernel for the blocked saturation Monte Carlo, graph enumeration
+and mesh counting for the integer mesh counter, a product's expanded
+coordinate rows for the cell count ``cell_count_series`` takes from its
+base net, per-level node values and the per-point tail for
+``eval_field``'s integer sum, the out-of-place expression for the
+in-place pair mean ``energy._pair_mean``, and for
 ``kernel_integral`` and ``kernel_constant`` scipy's adaptive quadrature
 (``quad`` for d = 1, ``dblquad`` for d = 2) and log-gamma, a closed form
 at u = 1, a centred bound and a refined d = 2 panel rule.
@@ -23,8 +26,9 @@ from scipy import integrate
 from scipy.special import gammaln
 
 from dimlab.cantor_pair import DigitFunction, _check_depth, _weights
-from dimlab.energy import TAIL_LEVELS
-from dimlab.rng import stable_index
+from dimlab.energy import TAIL_LEVELS, _separating_level
+from dimlab.packing import greedy_packing_coords
+from dimlab.rng import stable_generator, stable_index
 from dimlab.spaces import cantor_numerators, subset_sums
 from dimlab.witness import _place_layer, _size_layer
 
@@ -73,6 +77,27 @@ def eval_witness(sample, x, depth):
         for c in range(d):
             total[c] += value[c] * weight
     return tuple(total)
+
+
+def saturation_failure_flags(layer, adversary, trials, seed):
+    """Per trial, whether it fails to saturate, one trial at a time.
+
+    Each trial draws its ell_n grid indices alone from the run's stream.
+    The adversary gets that trial's history as a (1, i, d) array, and
+    the shifted points are counted by the scalar greedy kernel.
+    """
+    grid = [tuple(float(c) for c in g) for g in layer.grid]
+    rng = stable_generator(seed, "saturation")
+    flags = []
+    for _ in range(trials):
+        xs = [grid[i] for i in rng.integers(layer.s_n, size=layer.ell_n)]
+        points = []
+        for i, x in enumerate(xs):
+            y = adversary(np.array(xs[:i]).reshape(1, i, layer.d))[0]
+            points.append(tuple(a + b for a, b in zip(x, y.tolist())))
+        kept = greedy_packing_coords(points, 0.5 ** layer.n)
+        flags.append(len(kept) < layer.s_n)
+    return flags
 
 
 # ---------------------------------------------------------------------------
@@ -144,6 +169,24 @@ def tail_value(sample, x):
         Fraction(stable_index(1 << TAIL_LEVELS, sample.seed, "tail", key, c),
                  2 ** top)
         for c in range(sample.d))
+
+
+def pair_mean(family, x, y, theta, t, d, trials, seed):
+    """``energy._pair_mean`` as one out-of-place expression per step."""
+    n = _separating_level(family, x, y)
+    window_bits = (family.depth - n) + TAIL_LEVELS
+    den = 2 ** (family.depth + TAIL_LEVELS)
+    rho = abs(float(x) - float(y))
+    rng = stable_generator(seed, "pair", (x.numerator, x.denominator),
+                           (y.numerator, y.denominator))
+    exponent = -(t + d) / 2.0
+    acc = np.zeros(trials)
+    for c in range(d):
+        ux = rng.integers(0, 1 << window_bits, size=trials, dtype=np.int64)
+        uy = rng.integers(0, 1 << window_bits, size=trials, dtype=np.int64)
+        delta = (ux - uy) / den + theta[c]
+        acc += delta * delta
+    return float(np.mean((rho * rho + acc) ** exponent))
 
 
 def anchor_pairs(family):

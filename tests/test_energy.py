@@ -35,6 +35,7 @@ from oracles import (
     kernel_quad,
     kernel_refined_2d,
     node_value,
+    pair_mean,
     tail_value,
 )
 
@@ -440,6 +441,17 @@ class TestPairExpectation:
                                      seed=2, pairs=[(x, y)])
         assert rep.pairs[0].mean > 0
         assert rep.pairs[0].mean <= rho ** -1.5  # cap is the zero-gap value
+
+    @pytest.mark.parametrize("d, theta", [
+        (1, (0.0,)), (1, (0.375,)), (2, (0.0, 0.0)), (2, (-0.3, 1.25)),
+    ])
+    def test_pair_mean_is_the_out_of_place_expression(
+            self, nested_family_depth3, d, theta):
+        # the in-place pair mean keeps every draw and float operation
+        fam = nested_family_depth3
+        for x, y in ladder_pairs(fam) + anchor_pairs(fam)[:3]:
+            args = (fam, x, y, theta, 0.5, d, 4096, "inplace")
+            assert energy._pair_mean(*args) == pair_mean(*args)
 
     def test_coincident_pair_rejected(self, nested_family_depth3):
         fam = nested_family_depth3

@@ -3,6 +3,7 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from dimlab import estimators, packing, spaces
@@ -195,6 +196,33 @@ class TestWindowKernel:
         pts = [(0.0, 0.0), (0.0, 1.0), (1.0, 0.0), (1.0, 1.0)]
         assert count(pts, 0.9) == 4
         assert count(pts, 1.2) == 2  # only a diagonal survives
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_block_counts_match_the_row_kernel(self, dim):
+        # dyadic lattice points, so ties at delta and duplicates are common
+        rng = np.random.default_rng(dim)
+        for delta in (0.125, 0.25, 0.75):
+            block = rng.integers(0, 12, size=(200, 30, dim)) / 8
+            full = [len(packing.greedy_packing_coords(
+                [tuple(p) for p in trial], delta)) for trial in block.tolist()]
+            assert packing.greedy_packing_counts(block, delta).tolist() == full
+            for stop in (1, 3, 30):
+                assert (packing.greedy_packing_counts(block, delta, stop)
+                        .tolist() == [min(c, stop) for c in full])
+
+    def test_block_counts_exclude_a_pair_exactly_delta_apart(self):
+        delta = 0.625  # 5/8, the hypotenuse of (3/8, 4/8)
+        block = np.array([
+            [[0.0, 0.0], [0.625, 0.0], [1.25, 0.0]],   # delta apart in x
+            [[0.0, 0.0], [0.0, 0.625], [0.0, 0.0]],    # delta apart in y
+            [[0.5, 0.5], [0.875, 1.0], [0.0, 0.0]],    # delta on a diagonal
+            [[0.0, 0.0], [0.0, 1.0], [1.0, 0.0]],      # all kept
+        ])
+        assert packing.greedy_packing_counts(block, delta).tolist() == [
+            2, 1, 2, 3]
+        for trial, want in zip(block.tolist(), [2, 1, 2, 3]):
+            assert len(packing.greedy_packing_coords(
+                [tuple(p) for p in trial], delta)) == want
 
     @pytest.mark.parametrize("space", [unit_interval(), triadic_cantor(),
                                        harmonic_sequence()],

@@ -28,7 +28,12 @@ from dimlab.witness import (
     zero_adversary,
 )
 
-from oracles import _bump_terms, build_layer, eval_witness
+from oracles import (
+    _bump_terms,
+    build_layer,
+    eval_witness,
+    saturation_failure_flags,
+)
 
 
 @pytest.fixture(scope="module")
@@ -536,36 +541,136 @@ class TestSaturation:
         assert rep.passed
 
     def test_adversary_sees_only_history(self, cantor_layers):
+        # column i hands over a read-only (trials, i, d) array: exactly i
+        # draws per trial
         seen = []
 
         def spy(history):
-            seen.append(len(history))
-            return (0.0,)
+            seen.append(history.shape)
+            with pytest.raises(ValueError):
+                history[...] = 0.0
+            return np.zeros((len(history), 1))
 
         simulate_saturation_failure(cantor_layers[4], spy, 2, 0)
         ell = cantor_layers[4].ell_n
-        assert seen == list(range(ell)) * 2
+        assert seen == [(2, i, 1) for i in range(ell)]
 
     def test_histories_are_the_stream_in_trial_order(self, cantor_layers):
         # one stream per run, ell_n indices per trial: a spy sees each
         # trial's draws as they come, and a longer run extends a shorter
         lay = cantor_layers[4]
-        grid = [tuple(float(c) for c in g) for g in lay.grid]
+        grid = np.array([[float(c) for c in g] for g in lay.grid])
 
         def histories(trials):
             seen = []
             simulate_saturation_failure(
-                lay, lambda h: seen.append(h) or (0.0,), trials, "spy")
+                lay, lambda h: seen.append(h.copy()) or np.zeros((len(h), 1)),
+                trials, "spy")
             return seen
 
         short, long = histories(3), histories(6)
-        assert long[:len(short)] == short
+        assert len(short) == len(long) == lay.ell_n
+        for a, b in zip(short, long):
+            assert np.array_equal(b[:3], a)
         stream = stable_generator("spy", "saturation")
-        want = []
-        for _ in range(6):
-            xs = [grid[i] for i in stream.integers(lay.s_n, size=lay.ell_n)]
-            want += [tuple(xs[:i]) for i in range(lay.ell_n)]
-        assert long == want
+        draws = grid[[stream.integers(lay.s_n, size=lay.ell_n)
+                      for _ in range(6)]]
+        for i, seen in enumerate(long):
+            assert np.array_equal(seen, draws[:, :i])
+
+    @pytest.mark.parametrize("key, n", [("cantor-d1", 5), ("cantor-d2", 5),
+                                        ("interval-d1", 1),
+                                        ("interval-d2", 1)])
+    @pytest.mark.parametrize("adversary", [zero_adversary,
+                                           colliding_adversary])
+    def test_block_counts_match_the_scalar_kernel(self, monkeypatch,
+                                                  accepted_layers, key, n,
+                                                  adversary):
+        # on the points of each block, every trial's count is the scalar
+        # greedy kernel's, with and without the stop at s_n; the short
+        # ell_n make failures common
+        size = accepted_layers[key][n - 1]
+        calls = []
+        counts = packing.greedy_packing_counts
+
+        def spy(points, delta, stop=None):
+            got = counts(points, delta, stop)
+            calls.append((points.copy(), delta, stop, got))
+            return got
+
+        monkeypatch.setattr(packing, "greedy_packing_counts", spy)
+        failures = 0
+        for ell in (size.s_n, size.s_n + 1, 2 * size.s_n, size.ell_n):
+            lay = dataclasses.replace(size, ell_n=ell)
+            calls.clear()
+            rep = simulate_saturation_failure(lay, adversary(size.d), 300,
+                                              f"oracle-{ell}")
+            delta, stop = 0.5 ** n, size.s_n
+            assert all(c[1:3] == (delta, stop) for c in calls)
+            points = np.concatenate([c[0] for c in calls])
+            got = np.concatenate([c[3] for c in calls])
+            assert points.shape == (300, ell, size.d)
+            rows = [[tuple(p) for p in trial] for trial in points.tolist()]
+            full = [len(packing.greedy_packing_coords(r, delta)) for r in rows]
+            assert got.tolist() == [min(c, stop) for c in full]
+            assert counts(points, delta).tolist() == full
+            assert rep.failures == sum(c < size.s_n for c in full)
+            failures += rep.failures
+        assert failures > 0
+
+    @pytest.mark.parametrize("key, n, adversary, ell", [
+        ("cantor-d1", 5, zero_adversary, 3),
+        ("cantor-d1", 5, colliding_adversary, 3),
+        ("interval-d2", 1, zero_adversary, 20),
+        ("interval-d2", 1, colliding_adversary, 10),
+    ])
+    def test_blocks_stay_bounded_and_repeat_trial_prefixes(
+            self, monkeypatch, accepted_layers, key, n, adversary, ell):
+        # trials = 3 B + 1 span four blocks; no draw exceeds the element
+        # bound, and every prefix of the run repeats the one-trial-at-a-time
+        # reference, so the first T trials still repeat a T-trial run
+        lay = dataclasses.replace(accepted_layers[key][n - 1], ell_n=ell)
+        bound = 11 * lay.ell_n - 1
+        monkeypatch.setattr(witness, "SATURATION_BLOCK", bound)
+        sizes = []
+
+        class Recorder:
+            def __init__(self, rng):
+                self.rng = rng
+
+            def integers(self, high, size):
+                sizes.append(size)
+                return self.rng.integers(high, size=size)
+
+        monkeypatch.setattr(witness, "stable_generator",
+                            lambda *args: Recorder(stable_generator(*args)))
+        adv = adversary(lay.d)
+        trials = 3 * 10 + 1
+        flags = saturation_failure_flags(lay, adv, trials, "blocks")
+        assert 0 < sum(flags) < trials
+        rep = simulate_saturation_failure(lay, adv, trials, "blocks")
+        assert sizes == [(10, lay.ell_n)] * 3 + [(1, lay.ell_n)]
+        assert all(math.prod(s) <= bound for s in sizes)
+        assert rep.failures == sum(flags)
+        for t in (1, 9, 10, 11, 20, 21, 30):
+            got = simulate_saturation_failure(lay, adv, t, "blocks")
+            assert got.failures == sum(flags[:t])
+
+    def test_layer_longer_than_the_block_bound_draws_one_trial(
+            self, monkeypatch, cantor_layers):
+        lay = cantor_layers[4]
+        sizes = []
+
+        class Zeros:
+            def integers(self, high, size):
+                sizes.append(size)
+                return np.zeros(size, dtype=np.int64)
+
+        monkeypatch.setattr(witness, "SATURATION_BLOCK", lay.ell_n - 1)
+        monkeypatch.setattr(witness, "stable_generator", lambda *args: Zeros())
+        rep = simulate_saturation_failure(lay, zero_adversary(1), 3, 0)
+        assert sizes == [(1, lay.ell_n)] * 3
+        assert rep.failures == 3  # every draw is grid point 0
 
     def test_wilson_bound_monotone(self):
         assert wilson_interval(0, 100)[1] < wilson_interval(1, 100)[1]

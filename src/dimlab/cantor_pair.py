@@ -9,8 +9,8 @@ so f reads the odd-position digits and g the even-position ones.  Both
 graphs occupy exactly 2**(3n) of the 9**-n mesh squares, while the graph
 of f + g occupies 2**(2n) * (3**n + 1): the sum is strictly rougher than
 either summand.  This module evaluates the three functions exactly,
-reproduces those counts by enumerating digit patterns in integers, and
-carries the closed forms.
+reproduces those counts by enumerating digit patterns into sorted int64
+cell keys, and carries the closed forms.
 
 Digit bookkeeping convention: a point is its exact value, whose digits
 the :mod:`spaces` codec reads off.  All counting is done in exact
@@ -27,6 +27,8 @@ from __future__ import annotations
 import enum
 import functools
 from fractions import Fraction
+
+import numpy as np
 
 from .spaces import cantor_digits, cantor_numerators, subset_sums
 
@@ -104,7 +106,8 @@ def brute_force_mesh_count(fn: DigitFunction, n: int) -> int:
     enumerated point the exact tail-completed companion is counted too:
     its x stays in the same half-open cell, while its value gains the
     full tail sum (half a cell for f and for g, exactly one cell for
-    f+g, where it realizes the top cell of each column).
+    f+g, where it realizes the top cell of each column).  The distinct
+    cells are counted among int64 keys sorted in place.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -115,10 +118,16 @@ def brute_force_mesh_count(fn: DigitFunction, n: int) -> int:
     v_low, v_high = subset_sums(weights[:half]), subset_sums(weights[half:])
     # x falls in the 3**-2n cell numbered by its first 2n digits: the low
     # half of the digits adds less than one cell
-    columns = cantor_numerators(half)
-    # value numerators at denominator 3**2n are exact integers
-    cells = {(cx, vh + vl) for cx, vh in zip(columns, v_high) for vl in v_low}
+    columns = np.array(cantor_numerators(half), dtype=np.int64)
+    # value numerators at denominator 3**2n are exact integers; a cell is
+    # the key column * span + value, injective for values up to span - 1
+    span = v_low[-1] + v_high[-1] + 2
+    size = len(columns) * len(v_low)
+    keys = np.empty(2 * size if fn is DigitFunction.SUM else size, np.int64)
+    np.add.outer(columns * span + v_high, v_low,
+                 out=keys[:size].reshape(len(columns), len(v_low)))
     if fn is DigitFunction.SUM:
         # completion points: value + 3**-2n lands on the next cell edge
-        cells |= {(cx, v + 1) for cx, v in cells}
-    return len(cells)
+        np.add(keys[:size], 1, out=keys[size:])
+    keys.sort()
+    return 1 + int(np.count_nonzero(keys[1:] != keys[:-1]))

@@ -2,7 +2,7 @@
 
 Counting is exact (see :mod:`dimlab.packing`); everything in this module
 that touches logarithms, least squares or energy sums is deliberately
-floating point.
+floating point, and the energy kernels compute it in preallocated arrays.
 """
 
 from __future__ import annotations
@@ -211,11 +211,11 @@ def _lattice_energies(measure: DiscreteMeasure,
 
     and the autocorrelation a is one FFT over the lattice span L.  Returns
     None (use the pairwise sum) off the gate: coordinates that are not
-    1-D, a span L above k**2 / LATTICE_SPAN_DIVISOR for k atoms (checked
-    from the two extreme coordinates before any per-atom integer is
-    built), or a squared weight mass sum(N_i**2) of more than
-    MAX_LATTICE_SQUARED_MASS, beyond which rounding the float FFT to the
-    integer a_j is no longer safely exact.
+    1-D, a span L above k**2 / LATTICE_SPAN_DIVISOR for k atoms (bounded
+    below by the first and last atoms while D grows, before any per-atom
+    integer is built, then read off the unsorted integer positions), or a
+    squared weight mass sum(N_i**2) above MAX_LATTICE_SQUARED_MASS, beyond
+    which rounding the float FFT to the integer a_j is no longer exact.
     """
     if len(measure.coords[0]) != 1:
         return None
@@ -230,17 +230,16 @@ def _lattice_energies(measure: DiscreteMeasure,
         den = math.lcm(den, x.denominator)
         if grow * den > cap:
             return None
-    lo = min(xs)
-    span = (max(xs) - lo) * den
+    pos = [x.numerator * (den // x.denominator) for x in xs]
+    lo = min(pos)
+    span = max(pos) - lo
     if LATTICE_SPAN_DIVISOR * span > k2:
         return None
-    span = int(span)
     mass = math.lcm(*(w.denominator for w in measure.weights))
     nums = [w.numerator * (mass // w.denominator) for w in measure.weights]
     if sum(u * u for u in nums) > MAX_LATTICE_SQUARED_MASS:
         return None
-    base = lo.numerator * (den // lo.denominator)
-    pos = [x.numerator * (den // x.denominator) - base for x in xs]
+    pos = [p - lo for p in pos]
     n = _fft_length(2 * span + 1)
     # each large array is freed once used up and the exponent loop reuses
     # one buffer, so the freed heap left for later work stays small
@@ -273,31 +272,40 @@ def _pairwise_energies(measure: DiscreteMeasure,
     Each pair adds w_x * w_y * exp(-s/2 * log d2), with the logarithm of
     the squared float distance taken once for all exponents.  Rows go in
     blocks against every later column; the block height is
-    ``_PAIR_BLOCK_ELEMENTS // k``, at most 512 and at least 1, so the work
-    arrays stay about 1 MB each.  Up to k = 256 atoms the height is 512,
-    so such sums are one block; above that the row order of the float
-    sum, and so its last bits, depend on the height.
+    ``_PAIR_BLOCK_ELEMENTS // k``, at most min(k, 512) and at least 1, so
+    the two work buffers, made once and reused by every block and
+    exponent, stay about 1 MB each; d2 adds the coordinates in order, as
+    numpy sums fewer than 8.  Up to k = 256 atoms one block holds every
+    row; above that the row order of the float sum, and so its last bits,
+    depend on the height.
     """
-    xs = measure.float_coords()
+    cols = measure.float_coords().T
     w = measure.float_weights()
     k = len(w)
     totals = [0.0] * len(s_list)
-    block = max(1, min(512, _PAIR_BLOCK_ELEMENTS // k))
-    lower = np.tri(min(block, k), dtype=bool)
+    block = max(1, min(k, 512, _PAIR_BLOCK_ELEMENTS // k))
+    lower = np.tri(block, dtype=bool)
+    rows_buf, work_buf = np.empty((2, block * k))
     for start in range(0, k, block):
         stop = min(start + block, k)
         nb = stop - start
-        diff = xs[start:stop, None, :] - xs[None, start:, :]
-        d2 = (diff * diff).sum(axis=2)
+        d2 = rows_buf[:nb * (k - start)].reshape(nb, k - start)
+        work = work_buf[:d2.size].reshape(d2.shape)
+        np.square(np.subtract(cols[0, start:stop, None], cols[0, start:],
+                              out=d2), out=d2)
+        for col in cols[1:]:
+            np.subtract(col[start:stop, None], col[start:], out=work)
+            d2 += np.square(work, out=work)
         # an infinite distance contributes exp(-inf) = 0: it drops the
         # pairs below and on the diagonal of the block's own square, and
         # distinct atoms whose float coordinates coincide
-        d2[:, :nb][lower[:nb, :nb]] = np.inf
+        np.copyto(d2[:, :nb], np.inf, where=lower[:nb, :nb])
         d2[d2 == 0] = np.inf
-        logd2 = np.log(d2)
+        logd2 = np.log(d2, out=d2)
         w_rows, w_cols = w[start:stop], w[start:]
         for j, s in enumerate(s_list):
-            totals[j] += float(w_rows @ (np.exp(logd2 * (-0.5 * s)) @ w_cols))
+            np.exp(np.multiply(logd2, -0.5 * s, out=work), out=work)
+            totals[j] += float(w_rows @ (work @ w_cols))
     return [2.0 * t for t in totals]
 
 
@@ -309,10 +317,10 @@ def _energy_grid(measure: DiscreteMeasure, s_list: Sequence[float]) -> list[floa
     the integer weights, one logarithm per nonzero offset for all
     exponents.  Every other measure, and a lattice measure whose span or
     weights fail that path's gate, takes the pairwise sum
-    (:func:`_pairwise_energies`).  The two agree within 1e-13
-    relative; floats of either may differ from those of dimlab 0.1.0 (an
-    ordered double sum) in the last bits, and verdicts built on them do
-    not.
+    (:func:`_pairwise_energies`).  The two agree within 1e-12 relative,
+    as the tests assert; floats of either may differ from those of dimlab
+    0.1.0 (an ordered double sum) in the last bits, and verdicts built on
+    them do not.
     """
     if any(s <= 0 for s in s_list):
         raise ValueError("energy exponent must be positive")

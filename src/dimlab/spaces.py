@@ -230,8 +230,8 @@ def build_net(space: SpaceDescriptor, n: int) -> ResolutionNet:
     """
     check_net_size(space, n)
     if space.kind == UNIT_INTERVAL:
-        step = Fraction(1, 2 ** n)
-        pts = tuple(k * step for k in range(2 ** n + 1))
+        den = 2 ** n
+        pts = tuple(Fraction(k, den) for k in range(den + 1))
     elif space.kind == TRIADIC_CANTOR:
         depth = cantor_net_depth(n)
         den = 3 ** depth

@@ -1,3 +1,4 @@
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -12,6 +13,22 @@ def cantor_endpoint_measure(depth: int) -> estimators.DiscreteMeasure:
     w = Fraction(1, len(pts))
     return estimators.DiscreteMeasure(pts, (w,) * len(pts),
                                       tuple((p,) for p in pts))
+
+
+def traced_peak_mib(fn) -> float:
+    """Peak MiB that tracemalloc sees allocated while ``fn()`` runs, above
+    what was already allocated when it started."""
+    started = not tracemalloc.is_tracing()
+    if started:
+        tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        fn()
+        return (tracemalloc.get_traced_memory()[1] - base) / 2 ** 20
+    finally:
+        if started:
+            tracemalloc.stop()
 
 
 @pytest.fixture(scope="session")

@@ -4,7 +4,9 @@ Each one is the direct, unoptimised form of something the library
 computes another way: rational witness evaluation for the event
 checker's integer rows, a one-trial-at-a-time loop with the scalar
 greedy kernel for the blocked saturation Monte Carlo, graph enumeration
-and mesh counting for the integer mesh counter, a product's expanded
+and mesh counting for the integer mesh counter and a Python set of its
+cells for its sorted keys, the fresh-array expressions for the in-place
+pairwise and lattice energy kernels, a product's expanded
 coordinate rows for the cell count ``cell_count_series`` takes from its
 base net, per-level node values and the per-point tail for
 ``eval_field``'s integer sum, the out-of-place expression for the
@@ -25,6 +27,7 @@ from numpy.polynomial.legendre import leggauss
 from scipy import integrate
 from scipy.special import gammaln
 
+from dimlab import estimators
 from dimlab.cantor_pair import DigitFunction, _check_depth, _weights
 from dimlab.energy import TAIL_LEVELS, _separating_level
 from dimlab.packing import greedy_packing_coords
@@ -142,11 +145,95 @@ def mesh_count_2d(points, n):
                 for x, y in points})
 
 
+def mesh_count_sets(fn, n):
+    """``brute_force_mesh_count`` with its depth-4n cells in a Python set
+    of (column, value numerator) pairs, the completion pairs added as a
+    second set."""
+    depth, half = 4 * n, 2 * n
+    _check_depth(depth)
+    weights = _weights(fn, depth)
+    v_low, v_high = subset_sums(weights[:half]), subset_sums(weights[half:])
+    columns = cantor_numerators(half)
+    cells = {(cx, vh + vl) for cx, vh in zip(columns, v_high) for vl in v_low}
+    if fn is DigitFunction.SUM:
+        cells |= {(cx, v + 1) for cx, v in cells}
+    return len(cells)
+
+
 def product_rows(base_net, axis, d):
     """Coordinate rows (b, z_1, ..., z_d) of base_net x axis**d, expanded
     point by point in ascending order."""
     return [(b, *z) for b in base_net.points
             for z in itertools.product(axis, repeat=d)]
+
+
+# ---------------------------------------------------------------------------
+# discrete energies
+
+
+def pairwise_energies(measure, s_list):
+    """``estimators._pairwise_energies`` with a fresh array per step: a
+    (nb, k, d) difference block summed over its last axis, and a new
+    exponential per exponent.  Reads ``_PAIR_BLOCK_ELEMENTS`` at call
+    time, so a patched block height applies to both."""
+    xs = measure.float_coords()
+    w = measure.float_weights()
+    k = len(w)
+    totals = [0.0] * len(s_list)
+    block = max(1, min(512, estimators._PAIR_BLOCK_ELEMENTS // k))
+    lower = np.tri(min(block, k), dtype=bool)
+    for start in range(0, k, block):
+        stop = min(start + block, k)
+        nb = stop - start
+        diff = xs[start:stop, None, :] - xs[None, start:, :]
+        d2 = (diff * diff).sum(axis=2)
+        d2[:, :nb][lower[:nb, :nb]] = np.inf
+        d2[d2 == 0] = np.inf
+        logd2 = np.log(d2)
+        w_rows, w_cols = w[start:stop], w[start:]
+        for j, s in enumerate(s_list):
+            totals[j] += float(w_rows @ (np.exp(logd2 * (-0.5 * s)) @ w_cols))
+    return [2.0 * t for t in totals]
+
+
+def lattice_energies(measure, s_list):
+    """``estimators._lattice_energies`` with the span gate's minimum and
+    maximum taken over the Fraction coordinates, and each step's array
+    made fresh.  Reads the gate constants at call time."""
+    if len(measure.coords[0]) != 1:
+        return None
+    xs = [row[0] for row in measure.coords]
+    k2 = len(xs) ** 2
+    divisor = estimators.LATTICE_SPAN_DIVISOR
+    part = abs(xs[-1] - xs[0])
+    grow, cap = divisor * part.numerator, k2 * part.denominator
+    den = 1
+    for x in xs:
+        den = math.lcm(den, x.denominator)
+        if grow * den > cap:
+            return None
+    lo = min(xs)
+    span = (max(xs) - lo) * den
+    if divisor * span > k2:
+        return None
+    span = int(span)
+    mass = math.lcm(*(w.denominator for w in measure.weights))
+    nums = [w.numerator * (mass // w.denominator) for w in measure.weights]
+    if sum(u * u for u in nums) > estimators.MAX_LATTICE_SQUARED_MASS:
+        return None
+    base = lo.numerator * (den // lo.denominator)
+    pos = [x.numerator * (den // x.denominator) - base for x in xs]
+    n = estimators._fft_length(2 * span + 1)
+    hist = np.zeros(n)
+    hist[pos] = nums
+    spec = np.fft.rfft(hist)
+    spec *= spec.conj()
+    counts = np.rint(np.fft.irfft(spec, n)[1:span + 1])
+    offsets = np.flatnonzero(counts)
+    counts = counts[offsets]
+    logd = np.log(offsets + 1.0) - math.log(den)
+    scale = 2.0 / mass ** 2
+    return [scale * float(counts @ np.exp(logd * -s)) for s in s_list]
 
 
 # ---------------------------------------------------------------------------

@@ -24,7 +24,8 @@ from dimlab.energy import (
 )
 from dimlab.spaces import build_net, harmonic_sequence, triadic_cantor, unit_interval
 
-from conftest import cantor_endpoint_measure
+import oracles
+from conftest import cantor_endpoint_measure, traced_peak_mib
 
 LOG2_3 = math.log(2) / math.log(3)
 
@@ -122,11 +123,20 @@ def _heavy_interval():
                              [Fraction(u, sum(nums)) for u in nums])
 
 
-def _graph_2d():
-    # 32 atoms of a drift-free 2-D sample graph over a nested family
+def _sample_graph(d):
+    # 32 atoms of a drift-free sample graph over a nested family, with a
+    # d-dimensional field: d + 1 coordinates
     family = build_nested_family((2, 4, 4))
     return graph_measure(natural_leaf_measure(family),
-                         RandomFieldSample(family, seed=2))
+                         RandomFieldSample(family, seed=2, d=d))
+
+
+def _shuffled(measure, seed):
+    # the same atoms and weights in another order
+    order = list(range(len(measure.weights)))
+    random.Random(seed).shuffle(order)
+    return DiscreteMeasure(*(tuple(seq[i] for i in order) for seq in (
+        measure.points, measure.weights, measure.coords)))
 
 
 class TestDiscreteEnergy:
@@ -164,8 +174,10 @@ class TestDiscreteEnergy:
         cantor_endpoint_measure(10),
         _lattice_unequal(),
         _heavy_interval(),
+        _sample_graph(8),
     ], ids=["planar-unequal", "harmonic-513", "interval-1025", "coincident",
-            "cantor-1024", "lattice-unequal", "heavy-weights"])
+            "cantor-1024", "lattice-unequal", "heavy-weights",
+            "graph-9coord-32"])
     def test_matches_ordered_pair_fsum(self, measure):
         s_list = [0.3, 0.75, 1.6]
         for s, got in zip(s_list, estimators._energy_grid(measure, s_list)):
@@ -175,16 +187,19 @@ class TestDiscreteEnergy:
     @pytest.mark.parametrize("height", [1, 7, 512])
     @pytest.mark.parametrize("measure", [
         DiscreteMeasure.uniform_on_net(build_net(harmonic_sequence(), 7)),
-        _graph_2d(),
-    ], ids=["harmonic-129", "graph-2d-32"])
+        _sample_graph(1),
+        _sample_graph(2),
+    ], ids=["harmonic-129", "graph-2d-32", "graph-3coord-32"])
     def test_pairwise_block_height(self, monkeypatch, measure, height):
-        # the block height is _PAIR_BLOCK_ELEMENTS // k, capped at 512
+        # the block height is _PAIR_BLOCK_ELEMENTS // k, capped at 512;
+        # the oracle reads the patched height too
         monkeypatch.setattr(estimators, "_PAIR_BLOCK_ELEMENTS",
                             height * len(measure.weights))
         s_list = [0.3, 0.75, 1.6]
         got = estimators._pairwise_energies(measure, s_list)
         assert got == pytest.approx(
             [_ordered_pair_fsum(measure, s) for s in s_list], rel=1e-12)
+        assert got == oracles.pairwise_energies(measure, s_list)
 
     def test_monotone_in_s_when_distances_below_one(self):
         m = measure_on_values([0, Fraction(1, 8), Fraction(1, 3),
@@ -280,6 +295,19 @@ class TestLatticeEnergies:
     def test_fft_length(self, n, length):
         assert estimators._fft_length(n) == length
 
+    @pytest.mark.parametrize("measure", [
+        DiscreteMeasure.uniform_on_net(build_net(unit_interval(), 10)),
+        cantor_endpoint_measure(10),
+    ], ids=["interval-1025", "cantor-1024"])
+    def test_unsorted_coordinates(self, measure):
+        # the span gate takes the extreme positions, not the first and
+        # last: the shuffled copy has the same histogram and energies
+        got = estimators._lattice_energies(measure, self.S_LIST)
+        assert got is not None
+        for seed in range(3):
+            assert (estimators._lattice_energies(_shuffled(measure, seed),
+                                                 self.S_LIST) == got)
+
     PROFILE_GRIDS = {
         "interval": (0.5, 0.6, 0.7, 0.8, 0.9, 1.0),
         "harmonic": (0.3, 0.4, 0.5, 0.6, 0.7),
@@ -301,6 +329,60 @@ class TestLatticeEnergies:
         prof = energy_dimension_profile(measures, self.PROFILE_GRIDS[space])
         assert list(prof.verdicts) == pin["verdicts"]
         assert prof.critical == pin["critical"]
+
+
+# Measures on which both energy kernels must equal their out-of-place
+# oracles bit for bit.  All have at most 7 coordinates, where numpy sums a
+# difference row's squares in coordinate order, as the kernel does; above
+# that its pairwise summation may differ in the last bits, and only the
+# rel=1e-12 check of TestDiscreteEnergy (graph-9coord-32) applies.
+ORACLE_MEASURES = {
+    "harmonic-513": lambda: DiscreteMeasure.uniform_on_net(
+        build_net(harmonic_sequence(), 9)),
+    "harmonic-4097": lambda: DiscreteMeasure.uniform_on_net(
+        build_net(harmonic_sequence(), 12)),
+    "interval-1025": lambda: DiscreteMeasure.uniform_on_net(
+        build_net(unit_interval(), 10)),
+    **{f"cantor-{2 ** d}": (lambda d=d: cantor_endpoint_measure(d))
+       for d in range(4, 13)},
+    "graph-2d-32": lambda: _sample_graph(1),
+    "graph-3coord-32": lambda: _sample_graph(2),
+    "shuffled-harmonic-513": lambda: _shuffled(DiscreteMeasure.uniform_on_net(
+        build_net(harmonic_sequence(), 9)), 0),
+    "shuffled-interval-1025": lambda: _shuffled(
+        DiscreteMeasure.uniform_on_net(build_net(unit_interval(), 10)), 1),
+    "shuffled-cantor-1024": lambda: _shuffled(cantor_endpoint_measure(10), 2),
+    "shuffled-graph-3coord-32": lambda: _shuffled(_sample_graph(2), 3),
+}
+
+
+class TestKernelOracles:
+    S_LIST = [0.3, 0.45, 0.75, 1.0, 1.6]
+
+    @pytest.mark.parametrize("name", list(ORACLE_MEASURES))
+    def test_kernels_equal_the_oracles(self, name):
+        measure = ORACLE_MEASURES[name]()
+        assert (estimators._pairwise_energies(measure, self.S_LIST)
+                == oracles.pairwise_energies(measure, self.S_LIST))
+        assert (estimators._lattice_energies(measure, self.S_LIST)
+                == oracles.lattice_energies(measure, self.S_LIST))
+
+    # tracemalloc peaks in MiB on numpy 2.4.  Measured: 2.26 for the
+    # pairwise sum (4.92 when each step made a fresh array) and 10.47 for
+    # the lattice path, whose rfft/irfft arrays dominate it.
+    def test_pairwise_memory(self):
+        measure = DiscreteMeasure.uniform_on_net(
+            build_net(harmonic_sequence(), 12))
+        assert traced_peak_mib(lambda: estimators._pairwise_energies(
+            measure, self.S_LIST)) <= 4.0
+
+    def test_lattice_memory(self):
+        measure = cantor_endpoint_measure(12)
+        out = []
+        peak = traced_peak_mib(lambda: out.append(
+            estimators._lattice_energies(measure, self.S_LIST)))
+        assert out[0] is not None
+        assert peak <= 11.0
 
 
 class TestEnergyProfile:

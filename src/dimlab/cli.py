@@ -22,7 +22,6 @@ import json
 import math
 import sys
 from dataclasses import dataclass, field, fields, replace
-from fractions import Fraction
 
 from . import __version__, cantor_pair, energy, estimators, spaces, witness
 
@@ -95,8 +94,6 @@ def _fmt(v) -> str:
         return ""
     if isinstance(v, bool):
         return "true" if v else "false"
-    if isinstance(v, Fraction):
-        return str(v)
     if isinstance(v, float):
         return repr(v)
     return str(v)
@@ -161,9 +158,7 @@ def _run_estimate(cfg: ExperimentConfig, table: ResultTable) -> None:
 
 def _run_cantor(cfg: ExperimentConfig, table: ResultTable) -> None:
     n_bf = min(cfg.n_max, 3)
-    fns = (cantor_pair.DigitFunction.ODD_DIGITS,
-           cantor_pair.DigitFunction.EVEN_DIGITS,
-           cantor_pair.DigitFunction.SUM)
+    fns = tuple(cantor_pair.DigitFunction)  # the closed forms' order
     for n in range(1, n_bf + 1):
         closed = cantor_pair.closed_form_counts(n)
         for fn, ref in zip(fns, closed):
@@ -235,7 +230,7 @@ def _run_energy(cfg: ExperimentConfig, table: ResultTable) -> None:
     branching = (2,) * cfg.depth
     fam = energy.build_nested_family(branching)
     rep = energy.pair_expectation_check(
-        fam, t=0.5, s=0.6, trials=max(cfg.trials, 1) * 1024, seed=cfg.seed,
+        fam, t=0.5, s=0.6, trials=cfg.trials * 1024, seed=cfg.seed,
         d=cfg.d)
     table.add(ResultRow(
         "energy-chat",
@@ -315,6 +310,10 @@ RUNNERS = {
 def run(cfg: ExperimentConfig) -> ResultTable:
     if cfg.command not in RUNNERS:
         raise ValueError(f"unknown command {cfg.command!r}")
+    for key, reader in (("drift", "prevalence"), ("adversary", "saturation")):
+        if getattr(cfg, key) != "zero" and cfg.command != reader:
+            raise ValueError(f"--{key} is read by {reader} only, not by "
+                             f"{cfg.command}")
     if cfg.trials < 1:
         raise ValueError("trials must be >= 1")
     if cfg.d < 1:

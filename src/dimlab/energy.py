@@ -71,28 +71,26 @@ class NestedFamily:
     def locate(self, x: Fraction) -> tuple[int, ...]:
         """Path of the deepest piece containing x (may be shorter than depth).
 
-        A depth-t piece with anchor a holds a plus any digits below t, so
-        its hull is [a, a + 3**-t / 2].  Distinct depth-t anchors lie
-        3**-t apart or more, so the hulls are disjoint, and a Cantor point
-        x lies in the piece iff a <= x <= a + 3**-t / 2.  A value off the
-        Cantor set raises ValueError.
+        Child c of a level-n piece extends its parent's digits by zeros,
+        then the bits of c in the last (a_n - 1).bit_length() digits up
+        to depth t_n.  So the path is read off x's digits, padded to the
+        deepest level, and stops where a zero run holds a 1 or c >= a_n.
+        A value off the Cantor set raises ValueError.
         """
-        cantor_digits(x)
-        num, den = x.numerator, x.denominator
+        digits = cantor_digits(x)
+        digits += (0,) * (self.level_depths[-1] - len(digits))
         path: tuple[int, ...] = ()
-        for t, level in zip(self.level_depths, self.levels):
-            half = 2 * 3 ** t
-            for piece in level:
-                if piece.path[:-1] != path:
-                    continue
-                # x - a = gap / (den * a_den), compared in integers
-                a_num, a_den = piece.anchor.as_integer_ratio()
-                gap = num * a_den - a_num * den
-                if 0 <= gap and half * gap <= den * a_den:
-                    path = piece.path
-                    break
-            else:
+        for a, lo, hi in zip(self.branching, (0,) + self.level_depths,
+                             self.level_depths):
+            mid = hi - (a - 1).bit_length()
+            if 1 in digits[lo:mid]:
                 break
+            c = 0
+            for bit in digits[mid:hi]:
+                c = 2 * c + bit
+            if c >= a:
+                break
+            path += (c,)
         return path
 
 

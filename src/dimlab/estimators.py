@@ -403,14 +403,11 @@ def energy_dimension_profile(
         "divergent" if _is_divergent(row) else "bounded" for row in energies
     )
     bounded = [s for s, v in zip(s_grid, verdicts) if v == "bounded"]
-    divergent = [s for s, v in zip(s_grid, verdicts) if v == "divergent"]
     if not bounded:
         return EnergyProfile(s_grid[0], (s_grid[0], s_grid[0]),
                              "all_divergent", verdicts, energies)
-    if not divergent:
-        return EnergyProfile(s_grid[-1], (s_grid[-1], s_grid[-1]),
-                             "all_bounded", verdicts, energies)
     critical = max(bounded)
     above = [s for s in s_grid if s > critical]
     bracket = (critical, above[0] if above else critical)
-    return EnergyProfile(critical, bracket, "ok", verdicts, energies)
+    flag = "all_bounded" if len(bounded) == len(s_grid) else "ok"
+    return EnergyProfile(critical, bracket, flag, verdicts, energies)

@@ -11,8 +11,9 @@ delta.  Two counters are provided:
   one-dimensional point sets that window is the last chosen point, and
   the sweep is in fact optimal.  It can stop once a given number of
   points is kept, which decides whether a count reaches a threshold;
-* an exact branch-and-bound counter for instances up to a configured
-  size, used both directly and as the correctness oracle for greedy.
+* an exact branch-and-bound counter for instances of at most
+  ``EXACT_SEARCH_LIMIT`` points (read at call time), used both directly
+  and as the correctness oracle for greedy.
 
 The kernels compare the numbers they are given as they are, and squared
 distances against ``delta * delta``.  On ``int`` or ``Fraction`` rows
@@ -52,22 +53,28 @@ def _positive(delta):
     return delta
 
 
-def _sorted_order(rows):
-    return sorted(range(len(rows)), key=rows.__getitem__)
+def greedy_packing_coords(rows, delta, presorted: bool = False,
+                          stop: int | None = None) -> list[int]:
+    """Indices of a greedy maximal delta-packing of the coordinate rows.
 
+    Rows and delta are ``int``, ``Fraction`` or ``float`` and are
+    compared as given.  Rows are inserted in ascending order: sorted
+    here, unless ``presorted`` declares them so.  ``reach`` holds each
+    chosen row's first coordinate plus delta and is non-decreasing, so
+    a conflicting chosen row (distance <= delta) is among the trailing
+    ones whose reach is at least the candidate's first coordinate; only
+    those are compared, and on 1-D rows reaching is conflicting.
 
-def _greedy_indices(rows, order, delta, stop=None) -> list[int]:
-    """Greedy maximal packing of rows inserted in ascending ``order``.
-
-    ``reach`` holds each chosen row's first coordinate plus delta and is
-    non-decreasing, so a conflicting chosen row (distance <= delta) is
-    among the trailing ones whose reach is at least the candidate's
-    first coordinate; only those are compared.  On 1-D rows reaching is
-    conflicting, so no distance is computed there.  The sweep returns
-    once ``stop`` rows are chosen.
+    With a positive ``stop`` the sweep returns as soon as ``stop`` rows
+    are kept: the first ``min(stop, count)`` indices of the full
+    packing, enough to decide whether the count reaches ``stop``.
     """
-    d2 = delta * delta
-    flat = len(rows[order[0]]) == 1
+    if not rows:
+        raise ValueError("empty point set")
+    d2 = _positive(delta) * delta
+    order = (range(len(rows)) if presorted
+             else sorted(range(len(rows)), key=rows.__getitem__))
+    flat = len(rows[0]) == 1
     chosen: list[int] = []
     reach = []
     for idx in order:
@@ -89,26 +96,6 @@ def _greedy_indices(rows, order, delta, stop=None) -> list[int]:
                 break
             reach.append(x + delta)
     return chosen
-
-
-def greedy_packing_coords(rows, delta, presorted: bool = False,
-                          stop: int | None = None) -> list[int]:
-    """Indices of a greedy maximal delta-packing of the coordinate rows.
-
-    Rows and delta are ``int``, ``Fraction`` or ``float`` and are
-    compared as given.  ``presorted`` declares the rows already in
-    ascending order, which the kernel's window relies on.
-
-    With a positive ``stop`` the sweep returns as soon as ``stop`` rows
-    are kept.  Rows are kept in the same ascending order either way, so
-    the result is the first ``min(stop, count)`` indices of the full
-    packing: enough to decide whether the count reaches ``stop``.
-    """
-    if not rows:
-        raise ValueError("empty point set")
-    _positive(delta)
-    order = list(range(len(rows))) if presorted else _sorted_order(rows)
-    return _greedy_indices(rows, order, delta, stop)
 
 
 def greedy_packing_counts(points, delta, stop: int | None = None):
@@ -158,20 +145,19 @@ def max_packing_greedy(net: ResolutionNet, n: int) -> tuple:
     return tuple(net.points[i] for i in chosen)
 
 
-def exact_packing_coords(rows, delta,
-                         limit: int = EXACT_SEARCH_LIMIT) -> list[int]:
+def exact_packing_coords(rows, delta) -> list[int]:
     """Indices of a true maximum delta-packing of the coordinate rows.
 
     Rows and delta are ``int`` or ``Fraction``, compared exactly as given.
     Two rows conflict when their distance is <= delta, and a packing is
-    an independent set of that conflict graph.  More than ``limit`` rows
-    are refused before any pair is compared.
+    an independent set of that conflict graph.  More than
+    ``EXACT_SEARCH_LIMIT`` rows are refused before any pair is compared.
     """
     if not rows:
         raise ValueError("empty point set")
     d2 = _positive(delta) * delta
     m = len(rows)
-    _check_limit(m, limit)
+    _check_limit(m)
     adj = [0] * m
     for i, j in itertools.combinations(range(m), 2):
         if sum((a - b) * (a - b) for a, b in zip(rows[i], rows[j])) <= d2:
@@ -181,25 +167,24 @@ def exact_packing_coords(rows, delta,
     return [i for i in range(m) if best_mask >> i & 1]
 
 
-def max_packing_exact(net: ResolutionNet, n: int, *,
-                      limit: int = EXACT_SEARCH_LIMIT) -> tuple:
+def max_packing_exact(net: ResolutionNet, n: int) -> tuple:
     """The kept points, ascending, of a true maximum 2**-n packing of a
     net, found by branch and bound.
 
-    A net of more than ``limit`` points is refused from its size alone,
-    before any row is built.  Rows at any other delta go to
+    A net of more than ``EXACT_SEARCH_LIMIT`` points is refused from its
+    size alone, before any row is built.  Rows at any other delta go to
     :func:`exact_packing_coords`.
     """
-    _check_limit(net.size(), limit)
+    _check_limit(net.size())
     rows = net.coord_rows()
-    chosen = exact_packing_coords(rows, Fraction(1, 2 ** n), limit)
+    chosen = exact_packing_coords(rows, Fraction(1, 2 ** n))
     return tuple(net.points[i] for i in chosen)
 
 
-def _check_limit(m: int, limit: int) -> None:
-    if m > limit:
+def _check_limit(m: int) -> None:
+    if m > EXACT_SEARCH_LIMIT:
         raise ExactSearchLimitExceeded(
-            f"{m} points exceed the exact search limit of {limit}"
+            f"{m} points exceed the exact search limit of {EXACT_SEARCH_LIMIT}"
         )
 
 

@@ -118,9 +118,6 @@ class DigitVector:
         return Fraction(int("".join(map(str, self.digits)), 3),
                         3 ** len(self.digits))
 
-    def __repr__(self):
-        return f"DigitVector({''.join(map(str, self.digits))})"
-
 
 @dataclass(frozen=True)
 class SpaceDescriptor:

@@ -8,7 +8,8 @@ and mesh counting for the integer mesh counter and a Python set of its
 cells for its sorted keys, the fresh-array expressions for the in-place
 pairwise and lattice energy kernels, a product's expanded
 coordinate rows for the cell count ``cell_count_series`` takes from its
-base net, per-level node values and the per-point tail for
+base net, a value-interval hull scan for the nested family's digit-read
+``locate``, per-level node values and the per-point tail for
 ``eval_field``'s integer sum, the out-of-place expression for the
 in-place pair mean ``energy._pair_mean``, and for
 ``kernel_integral`` and ``kernel_constant`` scipy's adaptive quadrature
@@ -32,7 +33,7 @@ from dimlab.cantor_pair import DigitFunction, _check_depth, _weights
 from dimlab.energy import TAIL_LEVELS, _separating_level
 from dimlab.packing import greedy_packing_coords
 from dimlab.rng import stable_generator, stable_index
-from dimlab.spaces import cantor_numerators, subset_sums
+from dimlab.spaces import cantor_digits, cantor_numerators, subset_sums
 from dimlab.witness import _place_layer, _size_layer
 
 
@@ -238,6 +239,31 @@ def lattice_energies(measure, s_list):
 
 # ---------------------------------------------------------------------------
 # random field and kernel
+
+
+def locate_by_hull(family, x):
+    """``NestedFamily.locate`` by value intervals: a depth-t piece with
+    anchor a holds the Cantor points of [a, a + 3**-t / 2], these hulls
+    are disjoint, and each level's children of the path so far are
+    scanned for the one whose hull holds x, in integer
+    cross-multiplications.  A value off the Cantor set raises
+    ValueError."""
+    cantor_digits(x)
+    num, den = x.numerator, x.denominator
+    path = ()
+    for t, level in zip(family.level_depths, family.levels):
+        half = 2 * 3 ** t
+        for piece in level:
+            if piece.path[:-1] != path:
+                continue
+            a_num, a_den = piece.anchor.as_integer_ratio()
+            gap = num * a_den - a_num * den
+            if 0 <= gap and half * gap <= den * a_den:
+                path = piece.path
+                break
+        else:
+            break
+    return path
 
 
 def node_value(sample, level, path):

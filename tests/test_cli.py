@@ -141,6 +141,32 @@ class TestCommands:
                 f"need --space cantor, got {argv[1]}") in (
             capsys.readouterr().err)
 
+    @pytest.mark.parametrize("argv, flag, reader", [
+        (["energy", "--drift", "cantor-f", "--trials", "2", "--depth", "2"],
+         "--drift", "prevalence"),
+        (["report", "--drift", "cantor-f"], "--drift", "prevalence"),
+        (["kernel", "--drift", "cantor-f"], "--drift", "prevalence"),
+        (["prevalence", "--adversary", "collide"], "--adversary",
+         "saturation"),
+        (["energy", "--config", "drift.cfg"], "--drift", "prevalence"),
+    ], ids=["energy", "report", "kernel", "prevalence", "energy-config"])
+    def test_ignored_random_flag_exits_2(self, argv, flag, reader, tmp_path,
+                                         monkeypatch, capsys):
+        # a flag naming a random construction the command would not apply
+        # is refused before any work
+        def refuse(*args):
+            raise AssertionError("the experiment ran")
+
+        for name in cli.RUNNERS:
+            monkeypatch.setitem(cli.RUNNERS, name, refuse)
+        (tmp_path / "drift.cfg").write_text("drift = cantor-f\n")
+        monkeypatch.chdir(tmp_path)
+        start = time.perf_counter()
+        assert main(argv) == 2
+        assert time.perf_counter() - start < 1
+        assert (f"error: {flag} is read by {reader} only, not by {argv[0]}"
+                in capsys.readouterr().err)
+
     @pytest.mark.parametrize("scales, count", [
         (["--n-min", "18", "--n-max", "19"], 2),
         (["--n-min", "5", "--n-max", "5"], 1),

@@ -1,5 +1,7 @@
+import itertools
 import math
 import os
+import random
 import subprocess
 import sys
 from fractions import Fraction
@@ -34,6 +36,7 @@ from oracles import (
     kernel_dblquad,
     kernel_quad,
     kernel_refined_2d,
+    locate_by_hull,
     node_value,
     pair_mean,
     tail_value,
@@ -117,6 +120,39 @@ class TestNestedFamily:
                     break
                 path = hits[0]
             assert fam.locate(x) == path
+
+    def test_locate_matches_hull_scan(self):
+        # every valid branching of depth <= 3 with factors <= 4: anchors,
+        # anchors nudged by one digit (a 2 digit leaves the set), deep
+        # points inside leaves, and values off the set, which both refuse
+        rnd = random.Random(25)
+        depths = [minimal_level_depth(n) for n in (1, 2, 3)]
+        caps = [min(4, 2 ** (hi - lo))
+                for lo, hi in zip([0] + depths, depths)]
+        families = [build_nested_family(b) for depth in (1, 2, 3)
+                    for b in itertools.product(
+                        *(range(1, c + 1) for c in caps[:depth]))]
+        assert len(families) == 2 + 2 * 4 + 2 * 4 * 4
+        off = [Fraction(1, 2), Fraction(2, 3), Fraction(5, 9), Fraction(1, 7)]
+        for fam in families:
+            xs = []
+            for level in fam.levels:
+                for piece in level:
+                    xs.append(piece.anchor)
+                    xs += [piece.anchor + Fraction(1, 3 ** j)
+                           for j in range(1, fam.point_depth + 3)]
+            t = fam.level_depths[-1]
+            for leaf in fam.leaves():
+                tail = [rnd.randrange(2) for _ in range(fam.point_depth - t)]
+                xs.append(_piece_point(fam, leaf, tail))
+            for x in xs + off:
+                try:
+                    want = locate_by_hull(fam, x)
+                except ValueError:
+                    with pytest.raises(ValueError):
+                        fam.locate(x)
+                else:
+                    assert fam.locate(x) == want, (fam.branching, x)
 
 
 class TestRandomField:

@@ -410,6 +410,25 @@ class TestEnergyProfile:
         assert prof.flag == "all_divergent"
         assert prof.critical == 0.3
 
+    @pytest.mark.parametrize("divergent, flag", [
+        ((False,) * 5, "all_bounded"),
+        ((False, True, False, False, False), "ok"),
+    ], ids=["all-bounded", "top-bounded-lower-divergent"])
+    def test_top_of_grid_bounded(self, monkeypatch, divergent, flag):
+        # the top exponent is bounded in both: it is the critical value
+        # and both ends of the bracket, and only the flag tells whether
+        # every exponent was bounded
+        verdicts = iter(divergent)
+        monkeypatch.setattr(estimators, "_is_divergent",
+                            lambda row: next(verdicts))
+        ms = [measure_on_values([0, Fraction(1, 3), Fraction(1, 2)])] * 4
+        prof = energy_dimension_profile(ms, [1.0, 0.2, 0.4, 0.6, 0.8])
+        assert prof.flag == flag
+        assert prof.critical == 1.0
+        assert prof.bracket == (1.0, 1.0)
+        assert prof.verdicts == tuple(
+            "divergent" if v else "bounded" for v in divergent)
+
     def test_input_validation(self):
         ms = [measure_on_values([0, 1])] * 3
         with pytest.raises(ValueError):

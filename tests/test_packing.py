@@ -6,7 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from dimlab import estimators, packing, spaces
+from dimlab import estimators, packing, spaces, witness
 from dimlab.packing import (
     ExactSearchLimitExceeded,
     max_packing_exact,
@@ -239,17 +239,21 @@ class TestWindowKernel:
                              ids=["triadic_cantor", "unit_interval"])
     def test_fraction_rows_match_hand_scaled_integers(self, space, depth):
         # rows compared as given pick the same points as the same rows
-        # scaled by hand to integers over their common denominator
+        # scaled by hand to integers over their common denominator; both
+        # go in presorted, in the one ascending order, and their indices
+        # map back through it
         axis = [Fraction(k, 2 ** depth) for k in range(2 ** depth + 1)]
         rows = product_rows(build_net(space, depth), axis, 1)
         scale = math.lcm(2 ** 4, *(c.denominator for r in rows for c in r))
-        int_rows = [tuple(int(c * scale) for c in row) for row in rows]
         order = sorted(range(len(rows)), key=rows.__getitem__)
+        sorted_rows = [rows[i] for i in order]
+        int_rows = [tuple(int(c * scale) for c in row) for row in sorted_rows]
         for n in range(5):
             delta = Fraction(1, 2 ** n)
-            got = packing._greedy_indices(rows, order, delta)
-            assert got == packing._greedy_indices(int_rows, order,
-                                                  int(delta * scale))
+            got = [order[i] for i in packing.greedy_packing_coords(
+                sorted_rows, delta, presorted=True)]
+            assert got == [order[i] for i in packing.greedy_packing_coords(
+                int_rows, int(delta * scale), presorted=True)]
             assert got == packing.greedy_packing_coords(rows, delta)
 
 
@@ -258,11 +262,13 @@ class TestExact:
         net = _net_from_values([Fraction(1, 3)])
         assert len(max_packing_exact(net, 5)) == 1
 
-    def test_interval_power_of_two(self):
-        # packing numbers of the interval: strict spacing forces 2**n
+    def test_interval_power_of_two(self, monkeypatch):
+        # packing numbers of the interval: strict spacing forces 2**n; the
+        # 65-point net at n = 3 needs a limit above the default 64
+        monkeypatch.setattr(packing, "EXACT_SEARCH_LIMIT", 70)
         for n in (1, 2, 3):
             net = build_net(unit_interval(), 2 * n)
-            assert len(max_packing_exact(net, n, limit=70)) == 2 ** n
+            assert len(max_packing_exact(net, n)) == 2 ** n
 
     def test_tie_distance_excluded(self):
         net = _net_from_values([0, Fraction(1, 4)])
@@ -277,6 +283,23 @@ class TestExact:
         rows = [(object(),)] * (packing.EXACT_SEARCH_LIMIT + 1)
         with pytest.raises(ExactSearchLimitExceeded):
             packing.exact_packing_coords(rows, 1)
+
+    def test_limit_read_at_call_time(self, cantor_layers, monkeypatch):
+        # every reader of EXACT_SEARCH_LIMIT takes its value at call time
+        checker = witness.EventChecker(cantor_layers, 1)
+        sample = witness.sample_witness(cantor_layers[:1], "call-time")
+        assert len(checker.points) == 15
+        assert checker.check(sample).method == "exact"
+        monkeypatch.setattr(packing, "EXACT_SEARCH_LIMIT", 8)
+        values = [Fraction(k, 16) for k in range(9)]
+        assert len(max_packing_exact(_net_from_values(values[:8]), 3)) == 3
+        with pytest.raises(ExactSearchLimitExceeded,
+                           match="^9 points exceed the exact search "
+                                 "limit of 8$"):
+            max_packing_exact(_net_from_values(values), 3)
+        with pytest.raises(ExactSearchLimitExceeded):
+            packing.exact_packing_coords([(v,) for v in values], 1)
+        assert checker.check(sample).method == "greedy"
 
     @pytest.mark.parametrize("make_net", [
         lambda: build_net(harmonic_sequence(), 7),

@@ -45,7 +45,8 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import packing
-from .rng import stable_generator, stable_index
+# stable_index is unused; the benchmark self-test reads it (ROADMAP item 1)
+from .rng import stable_generator, stable_index, stable_indices
 from .spaces import (
     NetDepthError,
     SpaceDescriptor,
@@ -308,12 +309,14 @@ def sample_witness(layers: Sequence[LayerSpec], seed) -> WitnessSample:
 
     The sample keeps the grid index drawn at (n, i), a pure function of
     (seed, n, i), so two samples with the same seed agree entry for entry.
+    One ``stable_indices`` call per layer hashes the key prefix
+    (seed, "witness", n) once; its draws equal ``stable_index`` at
+    (seed, "witness", n, i).
     """
     if len({l.space for l in layers}) > 1 or len({l.d for l in layers}) > 1:
         raise ValueError("layers must share one space and one dimension")
     return WitnessSample(tuple(layers), tuple(
-        tuple(stable_index(lay.s_n, seed, "witness", lay.n, i)
-              for i in range(lay.ell_n))
+        tuple(stable_indices(lay.s_n, lay.ell_n, seed, "witness", lay.n))
         for lay in layers
     ))
 

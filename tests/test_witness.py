@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import itertools
 import math
 import time
@@ -276,6 +277,23 @@ class TestWitnessSampling:
         )
         assert abs(hits / 10_000 - 0.5) <= 0.02
 
+    # sha256 of repr(indices), pinned from the per-index stable_index draws
+    # that stable_indices replaced, so a change to both shows here
+    @pytest.mark.parametrize("space,d,n_max,seed,digest", [
+        (triadic_cantor(), 1, 6, "42",
+         "9ce8107aa654857541670e8c46d3a7e5ef501e016c9572db67b1f8b9e1710c09"),
+        (triadic_cantor(), 1, 6, (("mc-1", "event", "zero"), 3),
+         "2dc91b4938fc556f5f8530039296696d401964dcac7fa9cc81cac0a2bddb3f50"),
+        (unit_interval(), 2, 4, "42",
+         "a35741c88ce138e8cf77292a4f139116922e0439174f299d6ecce68533aa4c6a"),
+        (unit_interval(), 2, 4, (("mc-1", "event", "zero"), 3),
+         "82bbfea4071b0a22132eeae5ae74bac3db5d505fbe2d4fca306a91aff866361b"),
+    ], ids=["cantor-d1-42", "cantor-d1-mc", "interval-d2-42",
+            "interval-d2-mc"])
+    def test_draws_are_pinned(self, space, d, n_max, seed, digest):
+        indices = sample_witness(build_layers(space, d, n_max), seed).indices
+        assert hashlib.sha256(repr(indices).encode()).hexdigest() == digest
+
 
 class TestEvalWitness:
     def test_satellite_recovers_value_exactly(self, cantor_layers):
@@ -354,17 +372,18 @@ class TestEventCheck:
     def test_event_fraction_samples_only_layers_up_to_n(self, cantor_layers,
                                                          monkeypatch, n):
         want = witness.event_fraction(cantor_layers[:n], n, None, 4, "upto")
-        draws = []
-        real = witness.stable_index
+        counts = []
+        real = witness.stable_indices
 
-        def counting(*args):
-            draws.append(args)
-            return real(*args)
+        def counting(modulus, count, *prefix):
+            counts.append(count)
+            return real(modulus, count, *prefix)
 
-        monkeypatch.setattr(witness, "stable_index", counting)
+        monkeypatch.setattr(witness, "stable_indices", counting)
         got = witness.event_fraction(cantor_layers, n, None, 4, "upto")
         assert got == want
-        assert len(draws) == 4 * sum(lay.ell_n for lay in cantor_layers[:n])
+        assert len(counts) == 4 * n  # one call per trial and layer
+        assert sum(counts) == 4 * sum(lay.ell_n for lay in cantor_layers[:n])
 
     @pytest.mark.parametrize("drift", ["zero", "cantor-f"])
     def test_check_hashes_no_fraction(self, cantor_layers, monkeypatch,

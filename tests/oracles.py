@@ -6,10 +6,10 @@ checker's integer rows, a one-trial-at-a-time loop with the scalar
 greedy kernel for the blocked saturation Monte Carlo, graph enumeration
 and mesh counting for the integer mesh counter and a Python set of its
 cells for its sorted keys, the fresh-array expressions for the in-place
-pairwise and lattice energy kernels, a product's expanded
-coordinate rows for the cell count ``cell_count_series`` takes from its
-base net, a value-interval hull scan for the nested family's digit-read
-``locate``, per-level node values and the per-point tail for
+pairwise, lattice and reciprocal-lattice energy kernels, a product's
+expanded coordinate rows for the cell count ``cell_count_series`` takes
+from its base net, a value-interval hull scan for the nested family's
+digit-read ``locate``, per-level node values and the per-point tail for
 ``eval_field``'s integer sum, the out-of-place expression for the
 in-place pair mean ``energy._pair_mean``, and for
 ``kernel_integral`` and ``kernel_constant`` scipy's adaptive quadrature
@@ -235,6 +235,54 @@ def lattice_energies(measure, s_list):
     logd = np.log(offsets + 1.0) - math.log(den)
     scale = 2.0 / mass ** 2
     return [scale * float(counts @ np.exp(logd * -s)) for s in s_list]
+
+
+def reciprocal_energies(measure, s_list):
+    """``estimators._reciprocal_energies`` with the atom at 0 found by
+    comparison, the reciprocal positions q = L / x and their scale taken
+    as Fractions, the LCM grown in atom order, and each step's array made
+    fresh.  Reads the gate constant at call time."""
+    if len(measure.coords[0]) != 1:
+        return None
+    k2 = len(measure.coords) ** 2
+    atoms = [(row[0], float(w))
+             for row, w in zip(measure.coords, measure.weights)]
+    xs = [x for x, _ in atoms if x != 0]
+    w = np.array([u for x, u in atoms if x != 0])
+    zero = sum(u for x, u in atoms if x == 0)
+    part = abs(1 / xs[-1] - 1 / xs[0])
+    grow = estimators.LATTICE_SPAN_DIVISOR * part.numerator
+    cap = k2 * part.denominator
+    lcm_num = 1
+    for x in xs:
+        lcm_num = math.lcm(lcm_num, x.numerator)
+        if grow * lcm_num > cap:
+            return None
+    qs = [lcm_num / x for x in xs]
+    lo = min(qs)
+    span = int(max(qs) - lo)
+    if estimators.LATTICE_SPAN_DIVISOR * span > k2:
+        return None
+    q_max = int(max(abs(q) for q in qs))
+    logq = np.log(np.array([float(abs(q) / q_max) for q in qs]))
+    pos = np.array([int(q - lo) for q in qs])
+    logm = np.log(np.arange(1.0, span + 1.0))
+    n = estimators._fft_length(2 * span + 1)
+    error = np.finfo(float).eps * math.log2(2 * span + 1)
+    energies = []
+    for s in s_list:
+        b = np.exp(logq * s) * w
+        terms = np.exp(logm * -s)
+        hist = np.zeros(n)
+        hist[pos] = b
+        spec = np.fft.rfft(hist)
+        pairs = float(np.fft.irfft(spec * spec.conj(), n)[1:span + 1] @ terms)
+        if error * float(b @ b) * float(terms.sum()) > 1e-12 * pairs:
+            return None
+        scale = math.exp(s * (math.log(q_max) - math.log(lcm_num)))
+        energies.append(2.0 * scale * (math.exp(s * math.log(q_max)) * pairs
+                                       + zero * float(b.sum())))
+    return energies
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,7 @@ import random
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from dimlab import estimators, spaces
@@ -22,6 +23,7 @@ from dimlab.energy import (
     graph_measure,
     natural_leaf_measure,
 )
+from dimlab.rng import stable_generator
 from dimlab.spaces import build_net, harmonic_sequence, triadic_cantor, unit_interval
 
 import oracles
@@ -121,6 +123,19 @@ def _heavy_interval():
     nums = [2 ** 20 + i for i in range(17)]
     return measure_on_values([Fraction(j, 16) for j in range(17)],
                              [Fraction(u, sum(nums)) for u in nums])
+
+
+def _far_outlier():
+    # 1/j for j < 100 and 1/625 carrying half the mass: the q span 624
+    # passes the span gate (16 * 624 <= 100**2), but the heavy outlier's
+    # b_i puts the transform's error bound past 1e-12 of the pair sum
+    return measure_on_values([Fraction(1, j) for j in range(1, 100)]
+                             + [Fraction(1, 625)],
+                             [Fraction(1, 198)] * 99 + [Fraction(1, 2)])
+
+
+def _harmonic(n):
+    return DiscreteMeasure.uniform_on_net(build_net(harmonic_sequence(), n))
 
 
 def _sample_graph(d):
@@ -264,7 +279,6 @@ class TestLatticeEnergies:
             [_ordered_pair_fsum(measure, s) for s in self.S_LIST], rel=1e-12)
 
     @pytest.mark.parametrize("measure", [
-        DiscreteMeasure.uniform_on_net(build_net(harmonic_sequence(), 9)),
         DiscreteMeasure(
             tuple(range(6)),
             tuple(Fraction(k, 21) for k in range(1, 7)),
@@ -273,9 +287,15 @@ class TestLatticeEnergies:
         measure_on_values([0, Fraction(1, 3 ** 40),
                            Fraction(1, 3 ** 40) + Fraction(1, 10 ** 40), 1]),
         _heavy_interval(),
-    ], ids=["harmonic-513", "planar-unequal", "coincident", "heavy-weights"])
+        # {0} u {1/2**j : j <= 9}: span 512 steps of 2**-9 on the atoms'
+        # lattice and 511 on their reciprocals', for 11 atoms
+        measure_on_values([0] + [Fraction(1, 2 ** j) for j in range(10)]),
+        _far_outlier(),
+    ], ids=["planar-unequal", "coincident", "heavy-weights",
+            "dyadic-reciprocals-11", "far-outlier"])
     def test_falls_back_to_pairwise(self, measure):
         assert estimators._lattice_energies(measure, self.S_LIST) is None
+        assert estimators._reciprocal_energies(measure, self.S_LIST) is None
         assert (estimators._energy_grid(measure, self.S_LIST)
                 == estimators._pairwise_energies(measure, self.S_LIST))
 
@@ -294,6 +314,12 @@ class TestLatticeEnergies:
     ])
     def test_fft_length(self, n, length):
         assert estimators._fft_length(n) == length
+
+    def test_fft_length_takes_any_integer(self):
+        assert estimators._fft_length(np.int64(5)) == 6
+        assert estimators._fft_length(np.int32(13)) == 16
+        with pytest.raises(TypeError):
+            estimators._fft_length(5.0)
 
     @pytest.mark.parametrize("measure", [
         DiscreteMeasure.uniform_on_net(build_net(unit_interval(), 10)),
@@ -331,6 +357,54 @@ class TestLatticeEnergies:
         assert prof.critical == pin["critical"]
 
 
+class TestReciprocalEnergies:
+    S_LIST = [0.3, 0.75, 1.6]
+    # every exponent of the three profile grids, and 1.6
+    GRID = sorted({*TestLatticeEnergies.PROFILE_GRIDS["interval"],
+                   *TestLatticeEnergies.PROFILE_GRIDS["harmonic"],
+                   *TestLatticeEnergies.PROFILE_GRIDS["cantor"], 1.6})
+
+    @pytest.mark.parametrize("measure", [
+        _harmonic(9),
+        measure_on_values([0] + [Fraction(1, k) for k in range(1, 201)],
+                          [Fraction(k, 201 * 101) for k in range(1, 202)]),
+        measure_on_values([0] + [Fraction(1, k) for k in range(1, 61)]
+                          + [Fraction(-1, k) for k in range(1, 201)]),
+        measure_on_values([0] + [Fraction(-1, k) for k in range(1, 201)]),
+        measure_on_values([Fraction(1, k) for k in range(1, 201)]),
+        # L = 2: the reduced atoms 2/k have numerators 1 and 2
+        measure_on_values([0] + [Fraction(2, k) for k in range(1, 201)]),
+    ], ids=["harmonic-513", "unequal-weights", "both-signs",
+            "negative-atoms", "no-zero-atom", "numerator-2"])
+    def test_takes_the_reciprocal_path(self, measure):
+        assert estimators._lattice_energies(measure, self.S_LIST) is None
+        got = estimators._reciprocal_energies(measure, self.S_LIST)
+        assert got is not None
+        assert got == estimators._energy_grid(measure, self.S_LIST)
+        assert got == pytest.approx(
+            estimators._pairwise_energies(measure, self.S_LIST), rel=1e-12)
+        assert got == pytest.approx(
+            [_ordered_pair_fsum(measure, s) for s in self.S_LIST], rel=1e-12)
+
+    @pytest.mark.parametrize("n", range(4, 13))
+    def test_harmonic_nets_match(self, n):
+        measure = _harmonic(n)
+        got = estimators._reciprocal_energies(measure, self.GRID)
+        assert got is not None
+        assert got == pytest.approx(
+            estimators._pairwise_energies(measure, self.GRID), rel=1e-12)
+        if n <= 8:  # the exact-sum oracle is quadratic in Python
+            assert got == pytest.approx(
+                [_ordered_pair_fsum(measure, s) for s in self.GRID],
+                rel=1e-12)
+
+    @pytest.mark.parametrize("n", range(1, 4))
+    def test_small_harmonic_nets_fail_the_span_gate(self, n):
+        # 2**n + 1 atoms over a q span of 2**n - 1: 16 * span > k**2
+        assert estimators._reciprocal_energies(_harmonic(n),
+                                               self.S_LIST) is None
+
+
 # Measures on which both energy kernels must equal their out-of-place
 # oracles bit for bit.  All have at most 7 coordinates, where numpy sums a
 # difference row's squares in coordinate order, as the kernel does; above
@@ -366,6 +440,9 @@ class TestKernelOracles:
                 == oracles.pairwise_energies(measure, self.S_LIST))
         assert (estimators._lattice_energies(measure, self.S_LIST)
                 == oracles.lattice_energies(measure, self.S_LIST))
+        got = estimators._reciprocal_energies(measure, self.S_LIST)
+        assert got == oracles.reciprocal_energies(measure, self.S_LIST)
+        assert (got is not None) == ("harmonic" in name)
 
     # tracemalloc peaks in MiB on numpy 2.4.  Measured: 2.26 for the
     # pairwise sum (4.92 when each step made a fresh array) and 10.47 for
@@ -375,6 +452,16 @@ class TestKernelOracles:
             build_net(harmonic_sequence(), 12))
         assert traced_peak_mib(lambda: estimators._pairwise_energies(
             measure, self.S_LIST)) <= 4.0
+
+    def test_reciprocal_memory(self):
+        # measured 0.49 (0.58 on the first call in a process), against 2.14
+        # for the pairwise sum on the same measure
+        measure = _harmonic(12)
+        out = []
+        peak = traced_peak_mib(lambda: out.append(
+            estimators._reciprocal_energies(measure, self.S_LIST)))
+        assert out[0] is not None
+        assert peak <= 1.0
 
     def test_lattice_memory(self):
         measure = cantor_endpoint_measure(12)
@@ -466,3 +553,46 @@ class TestCellSeries:
         with pytest.raises(spaces.NetDepthError,
                            match="^the unit_interval net at scale 21 has "):
             cell_count_series(space, range(4, 22))
+
+
+class TestInfinitelyManyIsolatedPoints:
+    """The main theorem assumes K has finitely many isolated points.  The
+    harmonic sequence has infinitely many, and there the graph of any f
+    into [0,1]**d is small: at scale 2**-n the 2**n points 1/k >= 2**-n
+    take a cell each, and the rest lie in the first column, whose graph
+    meets at most (2**n + 1)**d cells.  So the graph's upper box dimension
+    is at most d, not dim_B K + d = 1/2 + d."""
+
+    SCALES = range(4, 13)
+    VALUE_BITS = 20  # f takes values v / 2**20 with 0 <= v <= 2**20
+
+    @staticmethod
+    def _bound(n, d):
+        return (2 ** n + 1) ** d + 2 ** n
+
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_any_graph_stays_within_the_column_bound(self, d):
+        net = build_net(harmonic_sequence(), max(self.SCALES))
+        values = stable_generator("isolated-points", d).integers(
+            0, 2 ** self.VALUE_BITS + 1, size=(net.size(), d))
+        for n in self.SCALES:
+            # exact cells: floor(x 2**n) from the Fraction, and v >> (20 - n)
+            # = floor(v 2**n / 2**20) for each value
+            shift = self.VALUE_BITS - n
+            cells = {((x.numerator << n) // x.denominator,
+                      *(int(v) >> shift for v in row))
+                     for x, row in zip(net.points, values)}
+            assert len(cells) <= self._bound(n, d)
+
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_the_product_exceeds_the_bound(self, d):
+        product = cell_count_series(
+            spaces.product_with_cube(harmonic_sequence(), d), self.SCALES)
+        over = [count > self._bound(n, d) for n, count in product.entries]
+        assert True in over
+        assert all(over[over.index(True):])
+        # the gap is the 1/2 the theorem would add
+        bound = ScaleSeries(tuple((n, self._bound(n, d))
+                                  for n in self.SCALES))
+        assert box_dim_estimate(bound, "limsup").slope <= d + 0.01
+        assert box_dim_estimate(product, "full-fit").slope >= d + 0.45

@@ -373,6 +373,10 @@ def _pairwise_energies(measure: DiscreteMeasure,
     numpy sums fewer than 8.  Up to k = 256 atoms one block holds every
     row; above that the row order of the float sum, and so its last bits,
     depend on the height.
+
+    Distinct atoms whose squared float distance is 0 (closer than float
+    resolution) raise ValueError: their pair's term has no float value,
+    and dropping it would return a far-too-small energy.
     """
     cols = measure.float_coords().T
     w = measure.float_weights()
@@ -392,10 +396,12 @@ def _pairwise_energies(measure: DiscreteMeasure,
             np.subtract(col[start:stop, None], col[start:], out=work)
             d2 += np.square(work, out=work)
         # an infinite distance contributes exp(-inf) = 0: it drops the
-        # pairs below and on the diagonal of the block's own square, and
-        # distinct atoms whose float coordinates coincide
+        # pairs below and on the diagonal of the block's own square, so a
+        # zero left is a pair of distinct atoms
         np.copyto(d2[:, :nb], np.inf, where=lower[:nb, :nb])
-        d2[d2 == 0] = np.inf
+        if not d2.all():
+            raise ValueError("distinct atoms at float distance 0: the "
+                             "pairwise energy cannot separate them")
         logd2 = np.log(d2, out=d2)
         w_rows, w_cols = w[start:stop], w[start:]
         for j, s in enumerate(s_list):

@@ -7,8 +7,12 @@ delta.  Two counters are provided:
   points in ascending lexicographic coordinate order and therefore
   reproduces exactly across runs.  One kernel serves every dimension: a
   sorted window sweep that compares a candidate only with the chosen
-  points whose first coordinate lies within delta below its own.  On
-  one-dimensional point sets that window is the last chosen point, and
+  points whose first coordinate lies within delta below its own.  It
+  sweeps coordinate columns, one Python list per axis built once from
+  the rows (a tuple sequence or an int64 or object array, so the event
+  check hands over its integer rows as they are), and a distance is
+  the first-axis difference squared plus the other axes' in order.  On
+  one-dimensional point sets the window is the last chosen point, and
   the sweep is in fact optimal.  It can stop once a given number of
   points is kept, which decides whether a count reaches a threshold;
 * an exact branch-and-bound counter for instances of at most
@@ -22,7 +26,7 @@ never misclassified; callers that pack many instances over one common
 denominator (the event check) pass integer rows and an integer delta.
 
 :func:`greedy_packing_counts` is the same greedy sweep over a block of
-float point sets at once, one column of candidates per step, which the
+float point sets at once, one candidate per trial per step, which the
 saturation Monte Carlo uses to count a block of trials.  Its float
 comparisons are exact on that Monte Carlo's dyadic grid values, shifted
 by the built-in adversaries.
@@ -53,41 +57,58 @@ def _positive(delta):
     return delta
 
 
+def _check_stop(stop) -> None:
+    if stop is not None and stop < 1:
+        raise ValueError(f"packing stop must be at least 1, got {stop}")
+
+
 def greedy_packing_coords(rows, delta, presorted: bool = False,
                           stop: int | None = None) -> list[int]:
     """Indices of a greedy maximal delta-packing of the coordinate rows.
 
-    Rows and delta are ``int``, ``Fraction`` or ``float`` and are
-    compared as given.  Rows are inserted in ascending order: sorted
-    here, unless ``presorted`` declares them so.  ``reach`` holds each
-    chosen row's first coordinate plus delta and is non-decreasing, so
-    a conflicting chosen row (distance <= delta) is among the trailing
-    ones whose reach is at least the candidate's first coordinate; only
-    those are compared, and on 1-D rows reaching is conflicting.
+    ``rows`` is a sequence of coordinate tuples or a 2-D numpy array
+    (int64 or object); rows and delta are ``int``, ``Fraction`` or
+    ``float`` and are compared as given.  The sweep reads one Python
+    list per axis, built once: ``rows.T.tolist()`` for an array, so an
+    int64 entry becomes a Python int and a squared distance cannot
+    overflow.  Rows are inserted in ascending lexicographic order,
+    stable on ties: sorted here, unless ``presorted`` declares them so.
+    ``reach`` holds each chosen row's first coordinate plus delta and
+    is non-decreasing, so a conflicting chosen row (distance <= delta)
+    is among the trailing ones whose reach is at least the candidate's
+    first coordinate; only those are compared, first-axis difference
+    squared plus the other axes' in order, and on one axis reaching is
+    conflicting.
 
-    With a positive ``stop`` the sweep returns as soon as ``stop`` rows
-    are kept: the first ``min(stop, count)`` indices of the full
+    With ``stop`` (at least 1) the sweep returns as soon as ``stop``
+    rows are kept: the first ``min(stop, count)`` indices of the full
     packing, enough to decide whether the count reaches ``stop``.
     """
-    if not rows:
+    if len(rows) == 0:
         raise ValueError("empty point set")
     d2 = _positive(delta) * delta
-    order = (range(len(rows)) if presorted
-             else sorted(range(len(rows)), key=rows.__getitem__))
-    flat = len(rows[0]) == 1
+    _check_stop(stop)
+    xs, *rest = (rows.T.tolist() if isinstance(rows, np.ndarray)
+                 else zip(*rows))
+    if presorted:
+        order = range(len(xs))
+    else:
+        order = sorted(range(len(xs)), key=list(zip(xs, *rest)).__getitem__)
     chosen: list[int] = []
     reach = []
     for idx in order:
-        row = rows[idx]
-        x = row[0]
+        x = xs[idx]
         k = len(chosen)
         while k and reach[k - 1] >= x:
             k -= 1
-            if flat:
+            if not rest:
                 break
-            s = 0
-            for a, b in zip(row, rows[chosen[k]]):
-                s += (a - b) * (a - b)
+            j = chosen[k]
+            t = x - xs[j]
+            s = t * t
+            for col in rest:
+                t = col[idx] - col[j]
+                s += t * t
             if s <= d2:
                 break
         else:
@@ -103,17 +124,20 @@ def greedy_packing_counts(points, delta, stop: int | None = None):
 
     ``points`` is a float array of shape (B, m, d): B trials of m finite
     points in R**d.  Entry b of the result is
-    ``len(greedy_packing_coords(points[b].tolist(), delta, stop=stop))``:
-    each trial's points are sorted lexicographically and taken in turn,
-    and a candidate is kept iff no kept point lies within squared
-    distance <= delta**2 (and, with ``stop``, fewer than ``stop`` points
-    are kept).  The loop runs over the m candidate columns, vectorised
-    over trials; a candidate is compared with the first ``count.max()``
-    kept slots only, and the unfilled slots hold inf, which is never
-    near.
+    ``len(greedy_packing_coords(points[b], delta, stop=stop))``, and
+    ``stop`` below 1 is refused the same way: each trial's points are
+    sorted lexicographically and taken in turn, and a candidate is kept
+    iff no kept point lies within squared distance <= delta**2 (and,
+    with ``stop``, fewer than ``stop`` points are kept).  The scalar
+    kernel sweeps one trial's coordinate columns a candidate at a time;
+    this loop takes candidate j of every trial at once, for j < m,
+    vectorised over trials.  A candidate is compared with the first
+    ``count.max()`` kept slots only, and the unfilled slots hold inf,
+    which is never near.
     """
     pts = np.asarray(points, dtype=float)
     d2 = _positive(delta) * delta
+    _check_stop(stop)
     trials, m, d = pts.shape
     # np.lexsort sorts by its last key first
     order = np.lexsort(pts.transpose(2, 0, 1)[::-1], axis=-1)

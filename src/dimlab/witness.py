@@ -25,8 +25,10 @@ The two probabilistic checks:
   packing points at scale 2**-n.  The checker puts its rows over one
   denominator, an LCM of one denominator per layer; a check builds its
   integer rows with one numpy gather per layer (int64 while the row
-  bound is below 2**62) and stops counting at ceil(threshold); small
-  instances fall back to exact search only when greedy falls short.
+  bound is below 2**62), hands that array to the greedy kernel, which
+  sweeps its coordinate columns, and stops counting at
+  ceil(threshold); small instances fall back to exact search, on row
+  lists, only when greedy falls short.
 
 A layer is sized (grid, k_n, m_n, ell_n and the ball centres, a
 :class:`LayerSize`) before its satellites are placed; the saturation
@@ -415,11 +417,13 @@ class EventChecker:
         the count, so this is the conservative side of the event.
 
         The rows are ``base`` plus, per layer, the coefficient column
-        times ``grid_j`` at each point's satellite's drawn index.  Greedy
-        counts them in ascending order and stops at ceil(threshold); on
-        at most ``packing.EXACT_SEARCH_LIMIT`` rows exact search runs
-        only when greedy falls short, since a greedy count never exceeds
-        the maximum.  The reported count is capped at ceil(threshold).
+        times ``grid_j`` at each point's satellite's drawn index.  The
+        greedy kernel takes that array as it is, reads one list per
+        coordinate column, counts the rows in ascending order and stops
+        at ceil(threshold); on at most ``packing.EXACT_SEARCH_LIMIT``
+        rows exact search runs, on the rows as lists, only when greedy
+        falls short, since a greedy count never exceeds the maximum.
+        The reported count is capped at ceil(threshold).
         """
         if sample.layers[:self.n] != self.layers:
             raise ValueError("sample was drawn over different layers")
@@ -427,14 +431,14 @@ class EventChecker:
         for grid_j, idx, coef, sat in zip(self.grid_j, sample.indices,
                                           self.coef, self.sat):
             rows[:, 1:] += coef * grid_j[np.asarray(idx)[sat]]
-        rows = rows.tolist()
         need = math.ceil(self.threshold)
         chosen = packing.greedy_packing_coords(rows, self.delta,
                                                presorted=True, stop=need)
         if len(rows) <= packing.EXACT_SEARCH_LIMIT:
             method = "exact"
             if len(chosen) < need:
-                chosen = packing.exact_packing_coords(rows, self.delta)
+                chosen = packing.exact_packing_coords(rows.tolist(),
+                                                      self.delta)
         else:
             method = "greedy"
         count = min(len(chosen), need)

@@ -3,7 +3,8 @@
 Each one is the direct, unoptimised form of something the library
 computes another way: rational witness evaluation for the event
 checker's integer rows, a one-trial-at-a-time loop with the scalar
-greedy kernel for the blocked saturation Monte Carlo, graph enumeration
+greedy kernel for the blocked saturation Monte Carlo, the row-by-row
+window sweep for the scalar greedy kernel's column sweep, graph enumeration
 and mesh counting for the integer mesh counter and a Python set of its
 cells for its sorted keys, the fresh-array expressions for the in-place
 pairwise, lattice and reciprocal-lattice energy kernels, a product's
@@ -31,7 +32,7 @@ from scipy.special import gammaln
 from dimlab import estimators
 from dimlab.cantor_pair import DigitFunction, _check_depth, _weights
 from dimlab.energy import TAIL_LEVELS, _separating_level
-from dimlab.packing import greedy_packing_coords
+from dimlab.packing import _positive, greedy_packing_coords
 from dimlab.rng import stable_generator, stable_index
 from dimlab.spaces import cantor_digits, cantor_numerators, subset_sums
 from dimlab.witness import _place_layer, _size_layer
@@ -102,6 +103,55 @@ def saturation_failure_flags(layer, adversary, trials, seed):
         kept = greedy_packing_coords(points, 0.5 ** layer.n)
         flags.append(len(kept) < layer.s_n)
     return flags
+
+
+# ---------------------------------------------------------------------------
+# greedy packing
+
+
+def greedy_packing_rows(rows, delta, presorted: bool = False,
+                        stop: int | None = None) -> list[int]:
+    """Indices of a greedy maximal delta-packing of the coordinate rows.
+
+    Rows and delta are ``int``, ``Fraction`` or ``float`` and are
+    compared as given.  Rows are inserted in ascending order: sorted
+    here, unless ``presorted`` declares them so.  ``reach`` holds each
+    chosen row's first coordinate plus delta and is non-decreasing, so
+    a conflicting chosen row (distance <= delta) is among the trailing
+    ones whose reach is at least the candidate's first coordinate; only
+    those are compared, and on 1-D rows reaching is conflicting.
+
+    With a positive ``stop`` the sweep returns as soon as ``stop`` rows
+    are kept: the first ``min(stop, count)`` indices of the full
+    packing, enough to decide whether the count reaches ``stop``.
+    """
+    if not rows:
+        raise ValueError("empty point set")
+    d2 = _positive(delta) * delta
+    order = (range(len(rows)) if presorted
+             else sorted(range(len(rows)), key=rows.__getitem__))
+    flat = len(rows[0]) == 1
+    chosen: list[int] = []
+    reach = []
+    for idx in order:
+        row = rows[idx]
+        x = row[0]
+        k = len(chosen)
+        while k and reach[k - 1] >= x:
+            k -= 1
+            if flat:
+                break
+            s = 0
+            for a, b in zip(row, rows[chosen[k]]):
+                s += (a - b) * (a - b)
+            if s <= d2:
+                break
+        else:
+            chosen.append(idx)
+            if len(chosen) == stop:
+                break
+            reach.append(x + delta)
+    return chosen
 
 
 # ---------------------------------------------------------------------------
@@ -189,7 +239,6 @@ def pairwise_energies(measure, s_list):
         diff = xs[start:stop, None, :] - xs[None, start:, :]
         d2 = (diff * diff).sum(axis=2)
         d2[:, :nb][lower[:nb, :nb]] = np.inf
-        d2[d2 == 0] = np.inf
         logd2 = np.log(d2)
         w_rows, w_cols = w[start:stop], w[start:]
         for j, s in enumerate(s_list):

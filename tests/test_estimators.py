@@ -183,14 +183,11 @@ class TestDiscreteEnergy:
         ),
         DiscreteMeasure.uniform_on_net(build_net(harmonic_sequence(), 9)),
         DiscreteMeasure.uniform_on_net(build_net(unit_interval(), 10)),
-        # distinct atoms whose float coordinates coincide are skipped
-        measure_on_values([0, Fraction(1, 3 ** 40),
-                           Fraction(1, 3 ** 40) + Fraction(1, 10 ** 40), 1]),
         cantor_endpoint_measure(10),
         _lattice_unequal(),
         _heavy_interval(),
         _sample_graph(8),
-    ], ids=["planar-unequal", "harmonic-513", "interval-1025", "coincident",
+    ], ids=["planar-unequal", "harmonic-513", "interval-1025",
             "cantor-1024", "lattice-unequal", "heavy-weights",
             "graph-9coord-32"])
     def test_matches_ordered_pair_fsum(self, measure):
@@ -225,6 +222,42 @@ class TestDiscreteEnergy:
     def test_coincident_atoms_rejected(self):
         with pytest.raises(ValueError):
             measure_on_values([0, 0])
+
+    @pytest.mark.parametrize("measure", [
+        measure_on_values([0, Fraction(1, 3 ** 40),
+                           Fraction(1, 3 ** 40) + Fraction(1, 10 ** 40), 1]),
+        DiscreteMeasure(tuple(range(3)), (Fraction(1, 3),) * 3, (
+            (Fraction(1, 3), Fraction(0)),
+            (Fraction(1, 3) + Fraction(1, 10 ** 40), Fraction(0)),
+            (Fraction(0), Fraction(1)))),
+    ], ids=["coincident", "planar-coincident"])
+    def test_float_coincident_atoms_refused(self, measure):
+        # distinct atoms closer than float resolution: neither lattice
+        # path takes the measure, and the pairwise sum raises rather than
+        # drop their pair and return a far-too-small energy
+        s_list = [0.3, 0.75, 1.6]
+        assert estimators._lattice_energies(measure, s_list) is None
+        assert estimators._reciprocal_energies(measure, s_list) is None
+        for energies in (estimators._energy_grid,
+                         estimators._pairwise_energies):
+            with pytest.raises(ValueError, match="float distance 0"):
+                energies(measure, s_list)
+        with pytest.raises(ValueError, match="float distance 0"):
+            discrete_energy(measure, 1.0)
+
+    def test_reciprocal_path_serves_float_coincident_atoms(self):
+        # the 64 atoms 1/(N + j) with N = 10**30 coincide in floats, but
+        # their reciprocals are a lattice: the reciprocal path sums them,
+        # and only the pairwise sum refuses them.  At s = 1 the exact
+        # energy is the sum over i != j of (N + i)(N + j) / |i - j| / 64**2
+        big = 10 ** 30
+        measure = measure_on_values([Fraction(1, big + j) for j in range(64)])
+        exact = sum(Fraction((big + i) * (big + j), abs(i - j))
+                    for i in range(64) for j in range(64) if i != j) / 64 ** 2
+        assert estimators._energy_grid(measure, [1.0]) == pytest.approx(
+            [float(exact)], rel=1e-12)
+        with pytest.raises(ValueError, match="float distance 0"):
+            estimators._pairwise_energies(measure, [1.0])
 
     def test_weights_must_sum_to_one(self):
         with pytest.raises(ValueError):
@@ -284,14 +317,12 @@ class TestLatticeEnergies:
             tuple(Fraction(k, 21) for k in range(1, 7)),
             tuple((Fraction(k, 7), Fraction(k * k % 5, 9)) for k in range(6)),
         ),
-        measure_on_values([0, Fraction(1, 3 ** 40),
-                           Fraction(1, 3 ** 40) + Fraction(1, 10 ** 40), 1]),
         _heavy_interval(),
         # {0} u {1/2**j : j <= 9}: span 512 steps of 2**-9 on the atoms'
         # lattice and 511 on their reciprocals', for 11 atoms
         measure_on_values([0] + [Fraction(1, 2 ** j) for j in range(10)]),
         _far_outlier(),
-    ], ids=["planar-unequal", "coincident", "heavy-weights",
+    ], ids=["planar-unequal", "heavy-weights",
             "dyadic-reciprocals-11", "far-outlier"])
     def test_falls_back_to_pairwise(self, measure):
         assert estimators._lattice_energies(measure, self.S_LIST) is None

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dimlab import estimators, packing, spaces, witness
 from dimlab.packing import (
@@ -22,7 +23,7 @@ from dimlab.spaces import (
     unit_interval,
 )
 
-from oracles import mesh_count_2d, product_rows
+from oracles import greedy_packing_rows, mesh_count_2d, product_rows
 
 
 def _net_from_values(values):
@@ -255,6 +256,65 @@ class TestWindowKernel:
             assert got == [order[i] for i in packing.greedy_packing_coords(
                 int_rows, int(delta * scale), presorted=True)]
             assert got == packing.greedy_packing_coords(rows, delta)
+
+
+# coordinate k of a row, by kind.  The wide arrays hold int64 entries
+# near 2**61 and Python ints near 2**62, whose squared differences pass
+# 2**63 and would overflow silently if the kernel did int64 arithmetic
+COORD_KINDS = {
+    "int": (lambda k: k, None),
+    "Fraction": (lambda k: Fraction(k, 8), None),
+    "float": (lambda k: k / 8, None),
+    "int64": (lambda k: k, np.int64),
+    "int64-wide": (lambda k: 2 ** 61 + k * 2 ** 56, np.int64),
+    "object-wide": (lambda k: 2 ** 62 + k * 2 ** 58, object),
+}
+
+
+class TestColumnSweep:
+    # the column sweep against the row-by-row sweep it replaced, which
+    # reads every input as a list of Python tuples
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    @pytest.mark.parametrize("kind", list(COORD_KINDS))
+    def test_matches_the_row_sweep(self, dim, kind):
+        make, dtype = COORD_KINDS[kind]
+        rnd = random.Random(f"columns-{dim}-{kind}")
+        for _ in range(40):
+            rows = [tuple(make(rnd.randrange(0, 24)) for _ in range(dim))
+                    for _ in range(rnd.randrange(1, 40))]
+            rows += rnd.sample(rows, rnd.randrange(len(rows) + 1))
+            delta = make(rnd.randrange(1, 16)) - make(0)
+            ordered = sorted(rows)
+            full = greedy_packing_rows(rows, delta)
+            for presorted, given_rows in ((False, rows), (True, ordered)):
+                arg = (np.array(given_rows, dtype=dtype) if dtype
+                       else given_rows)
+                for stop in (None, 1, (len(full) + 1) // 2, len(full),
+                             len(full) + 1):
+                    got = packing.greedy_packing_coords(
+                        arg, delta, presorted=presorted, stop=stop)
+                    assert got == greedy_packing_rows(
+                        given_rows, delta, presorted=presorted, stop=stop)
+
+    @settings(max_examples=150, deadline=None)
+    @given(dim=st.integers(1, 3), data=st.data())
+    def test_int64_rows_match_the_row_sweep(self, dim, data):
+        rows = data.draw(st.lists(
+            st.tuples(*[st.integers(-2 ** 40, 2 ** 40)] * dim),
+            min_size=1, max_size=30))
+        delta = data.draw(st.integers(1, 2 ** 41))
+        stop = data.draw(st.none() | st.integers(1, 31))
+        arr = np.array(rows, dtype=np.int64)
+        assert (packing.greedy_packing_coords(arr, delta, stop=stop)
+                == greedy_packing_rows(rows, delta, stop=stop))
+
+    @pytest.mark.parametrize("stop", [0, -1])
+    def test_stop_below_one_refused(self, stop):
+        # both kernels refuse it alike, before any point is compared
+        with pytest.raises(ValueError, match="stop must be at least 1"):
+            packing.greedy_packing_coords([(0,), (1,)], 1, stop=stop)
+        with pytest.raises(ValueError, match="stop must be at least 1"):
+            packing.greedy_packing_counts(np.zeros((2, 3, 1)), 1.0, stop)
 
 
 class TestExact:

@@ -512,6 +512,43 @@ class TestEventCheck:
             checker = witness.EventChecker(layers, n, drift)
             assert checker.dtype == np.int64
 
+    # sha256 of repr([(graph_count, holds, method), ...]) over eight
+    # seeded checks at each n = 1..n_max, pinned before the greedy kernel
+    # swept coordinate columns.  The capped verdicts at the built
+    # thresholds all hold, so each check runs again with the threshold
+    # above the row count: its count is then the full greedy (or, on at
+    # most EXACT_SEARCH_LIMIT rows, exact) packing count, and a kernel
+    # that keeps other rows shows here
+    @pytest.mark.parametrize("space, d, n_max, drift, digest", [
+        (triadic_cantor(), 1, 7, None,
+         "7ee5be64ac9fc2e0e699f534986a20aabdc18f239524472d9d765f93b9a6fd6e"),
+        (triadic_cantor(), 1, 7, "cantor-f",
+         "7ff543cebe8dad4424354b249f7693d1ebc992c30ccc8c1bdc93cd551db0a3e9"),
+        (unit_interval(), 1, 6, None,
+         "9071a3f850cb79c10e5a38b6f8215a123bc61429867e59a5280dd5e4e8020fc3"),
+        (triadic_cantor(), 2, 5, None,
+         "67890f932a0f7a4a860ce243e05949bedb01d456e5bd4163e7933035979f215e"),
+    ], ids=["cantor-d1-zero", "cantor-d1-cantor-f", "interval-d1-zero",
+            "cantor-d2-zero"])
+    def test_verdicts_are_pinned(self, cantor_layers, space, d, n_max, drift,
+                                 digest):
+        layers = (cantor_layers if (space, d) == (triadic_cantor(), 1)
+                  else build_layers(space, d, n_max))
+        if drift == "cantor-f":
+            drift = lambda p: (cantor_pair.evaluate(
+                cantor_pair.DigitFunction.ODD_DIGITS, p),)
+        verdicts = []
+        for n in range(1, n_max + 1):
+            checker = witness.EventChecker(layers, n, drift)
+            thresholds = (checker.threshold, len(checker.points) + 1)
+            for t in range(8):
+                sample = sample_witness(layers[:n], ("pin", n, t))
+                for threshold in thresholds:
+                    checker.threshold = threshold
+                    rep = checker.check(sample)
+                    verdicts.append((rep.graph_count, rep.holds, rep.method))
+        assert hashlib.sha256(repr(verdicts).encode()).hexdigest() == digest
+
     def test_exact_search_only_when_greedy_falls_short(self, cantor_layers,
                                                        monkeypatch):
         # no sample makes greedy fall short of n = 4's need of 4, so the

@@ -105,9 +105,28 @@ class TestSpaceSeries:
 def _ordered_pair_fsum(measure, s):
     xs = [tuple(float(c) for c in row) for row in measure.coords]
     ws = [float(w) for w in measure.weights]
-    return math.fsum(wa * wb * d ** -s
-                     for a, wa in zip(xs, ws) for b, wb in zip(xs, ws)
-                     if (d := math.dist(a, b)) > 0)
+    terms = []
+    for i, (a, wa) in enumerate(zip(xs, ws)):
+        for j, (b, wb) in enumerate(zip(xs, ws)):
+            if i != j:
+                if (d := math.dist(a, b)) == 0:
+                    raise ValueError("distinct atoms at float distance 0")
+                terms.append(wa * wb * d ** -s)
+    return math.fsum(terms)
+
+
+# a float-coincident measure: 1/3**40 and 1/3**40 + 1/10**40 are distinct
+# atoms at float distance 0
+_COINCIDENT = measure_on_values([0, Fraction(1, 3 ** 40),
+                                 Fraction(1, 3 ** 40) + Fraction(1, 10 ** 40),
+                                 1])
+
+
+def _energies_or_refusal(energies, measure, s_list):
+    try:
+        return energies(measure, s_list)
+    except ValueError as refusal:
+        return str(refusal)
 
 
 def _lattice_unequal():
@@ -183,18 +202,26 @@ class TestDiscreteEnergy:
         ),
         DiscreteMeasure.uniform_on_net(build_net(harmonic_sequence(), 9)),
         DiscreteMeasure.uniform_on_net(build_net(unit_interval(), 10)),
+        # distinct atoms whose float coordinates coincide: the oracle has
+        # no energy for them, and the kernel must refuse them as well
+        _COINCIDENT,
         cantor_endpoint_measure(10),
         _lattice_unequal(),
         _heavy_interval(),
         _sample_graph(8),
-    ], ids=["planar-unequal", "harmonic-513", "interval-1025",
+    ], ids=["planar-unequal", "harmonic-513", "interval-1025", "coincident",
             "cantor-1024", "lattice-unequal", "heavy-weights",
             "graph-9coord-32"])
     def test_matches_ordered_pair_fsum(self, measure):
         s_list = [0.3, 0.75, 1.6]
-        for s, got in zip(s_list, estimators._energy_grid(measure, s_list)):
-            assert got == pytest.approx(_ordered_pair_fsum(measure, s),
-                                        rel=1e-12)
+        try:
+            expected = [_ordered_pair_fsum(measure, s) for s in s_list]
+        except ValueError:
+            with pytest.raises(ValueError, match="float distance 0"):
+                estimators._energy_grid(measure, s_list)
+            return
+        assert estimators._energy_grid(measure, s_list) == pytest.approx(
+            expected, rel=1e-12)
 
     @pytest.mark.parametrize("height", [1, 7, 512])
     @pytest.mark.parametrize("measure", [
@@ -224,8 +251,7 @@ class TestDiscreteEnergy:
             measure_on_values([0, 0])
 
     @pytest.mark.parametrize("measure", [
-        measure_on_values([0, Fraction(1, 3 ** 40),
-                           Fraction(1, 3 ** 40) + Fraction(1, 10 ** 40), 1]),
+        _COINCIDENT,
         DiscreteMeasure(tuple(range(3)), (Fraction(1, 3),) * 3, (
             (Fraction(1, 3), Fraction(0)),
             (Fraction(1, 3) + Fraction(1, 10 ** 40), Fraction(0)),
@@ -317,18 +343,22 @@ class TestLatticeEnergies:
             tuple(Fraction(k, 21) for k in range(1, 7)),
             tuple((Fraction(k, 7), Fraction(k * k % 5, 9)) for k in range(6)),
         ),
+        # the pairwise sum refuses it, and so must _energy_grid
+        _COINCIDENT,
         _heavy_interval(),
         # {0} u {1/2**j : j <= 9}: span 512 steps of 2**-9 on the atoms'
         # lattice and 511 on their reciprocals', for 11 atoms
         measure_on_values([0] + [Fraction(1, 2 ** j) for j in range(10)]),
         _far_outlier(),
-    ], ids=["planar-unequal", "heavy-weights",
+    ], ids=["planar-unequal", "coincident", "heavy-weights",
             "dyadic-reciprocals-11", "far-outlier"])
     def test_falls_back_to_pairwise(self, measure):
         assert estimators._lattice_energies(measure, self.S_LIST) is None
         assert estimators._reciprocal_energies(measure, self.S_LIST) is None
-        assert (estimators._energy_grid(measure, self.S_LIST)
-                == estimators._pairwise_energies(measure, self.S_LIST))
+        assert (_energies_or_refusal(estimators._energy_grid, measure,
+                                     self.S_LIST)
+                == _energies_or_refusal(estimators._pairwise_energies,
+                                        measure, self.S_LIST))
 
     def test_weight_gate_alone_refuses_heavy_weights(self):
         # the same atoms with light weights pass the span gate

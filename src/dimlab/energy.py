@@ -451,10 +451,12 @@ def pair_expectation_check(
     decade of the pair separation; the check passes when the per-decade
     maxima stay within a factor two of each other while the separations
     sweep at least two orders of magnitude.  A drift of another arity
-    than d raises ValueError.
+    than d, or fewer than one trial, raises ValueError.
     """
     if not 0 < t < s:
         raise ValueError("need 0 < t < s")
+    if trials < 1:
+        raise ValueError(f"need at least one trial, got {trials}")
     if pairs is None:
         pairs = ladder_pairs(family)
     reports = []
@@ -506,9 +508,12 @@ def expected_energy_check(
 
     Passes when the empirical mean of I_{t+d} over the sampled graphs
     stays within 4 * c_hat * I_s(nu), the pairwise constant with slack.
+    Fewer than one trial raises ValueError.
     """
     if not 0 < t < s:
         raise ValueError("need 0 < t < s")
+    if trials < 1:
+        raise ValueError(f"need at least one trial, got {trials}")
     if measure is None:
         measure = natural_leaf_measure(family)
     i_s = discrete_energy(measure, s)

@@ -8,13 +8,19 @@ delta.  Two counters are provided:
   reproduces exactly across runs.  One kernel serves every dimension: a
   sorted window sweep that compares a candidate only with the chosen
   points whose first coordinate lies within delta below its own.  It
-  sweeps coordinate columns, one Python list per axis built once from
-  the rows (a tuple sequence or an int64 or object array, so the event
-  check hands over its integer rows as they are), and a distance is
-  the first-axis difference squared plus the other axes' in order.  On
+  sweeps coordinate columns, one Python list per axis read from the
+  rows (a tuple sequence or an int64 or object array, so the event
+  check hands over its integer rows as they are; a presorted array is
+  converted only as far as the sweep reads), and a distance is the
+  first-axis difference squared plus the other axes' in order.  On
   one-dimensional point sets the window is the last chosen point, and
-  the sweep is in fact optimal.  It can stop once a given number of
-  points is kept, which decides whether a count reaches a threshold;
+  the sweep is in fact optimal.  On two or more axes the window is
+  also sorted on the second axis, and a candidate is compared only
+  with the window's points within 2 delta of it there: a superset of
+  those within delta, wide enough that float rounding cannot push a
+  flagged point outside it (see :func:`greedy_packing_coords`).  It can
+  stop once a given number of points is kept, which decides whether a
+  count reaches a threshold;
 * an exact branch-and-bound counter for instances of at most
   ``EXACT_SEARCH_LIMIT`` points (read at call time), used both directly
   and as the correctness oracle for greedy.
@@ -38,6 +44,8 @@ Every net is one-dimensional; a product with a cube has no net.
 from __future__ import annotations
 
 import itertools
+import math
+from bisect import bisect_left, bisect_right
 from fractions import Fraction
 
 import numpy as np
@@ -69,16 +77,34 @@ def greedy_packing_coords(rows, delta, presorted: bool = False,
     ``rows`` is a sequence of coordinate tuples or a 2-D numpy array
     (int64 or object); rows and delta are ``int``, ``Fraction`` or
     ``float`` and are compared as given.  The sweep reads one Python
-    list per axis, built once: ``rows.T.tolist()`` for an array, so an
-    int64 entry becomes a Python int and a squared distance cannot
-    overflow.  Rows are inserted in ascending lexicographic order,
-    stable on ties: sorted here, unless ``presorted`` declares them so.
-    ``reach`` holds each chosen row's first coordinate plus delta and
-    is non-decreasing, so a conflicting chosen row (distance <= delta)
-    is among the trailing ones whose reach is at least the candidate's
-    first coordinate; only those are compared, first-axis difference
-    squared plus the other axes' in order, and on one axis reaching is
-    conflicting.
+    list per axis: ``zip(*rows)`` for a sequence, and for an array
+    ``.T.tolist()``, so an int64 entry becomes a Python int and a
+    squared distance cannot overflow.  A presorted array is converted
+    in doubling blocks just ahead of the sweep, so a stopped sweep
+    converts at most about twice the prefix it read.  Rows are inserted
+    in ascending lexicographic order, stable on ties: sorted here,
+    unless ``presorted`` declares them so.
+
+    The window is the chosen rows whose reach, first coordinate plus
+    delta, is at least the candidate's first coordinate; reach is
+    non-decreasing, so the window is a suffix of the chosen rows and a
+    conflicting row (distance <= delta) is in it.  On one axis reaching
+    is conflicting, and the window is the last chosen row.  On two or
+    more axes the window's rows are also kept in a list sorted on the
+    second axis (ties in the order chosen, so a leaving row is the first
+    of its ties), and a candidate at second coordinate y is compared,
+    first-axis difference squared plus the other axes' in order, only
+    with the rows of second coordinate in [y - 2 delta, y + 2 delta].
+    Every row the test flags is there: on exact numbers a row outside
+    is more than 2 delta from y.  On floats a row below the rounded
+    y - 2 delta is at least 2 delta below y exactly, so its rounded
+    second-axis difference is at least 2 delta and its rounded square
+    at least the rounded 4 delta**2, which exceeds the rounded
+    delta**2 whenever that is positive and finite; the sum only adds
+    non-negative terms, and above the band is symmetric.  When delta**2
+    rounds to 0 or overflows, the band is the whole window.  A candidate
+    inside a ball of chosen rows thus costs a bisection and the rows it
+    actually meets, not the whole window.
 
     With ``stop`` (at least 1) the sweep returns as soon as ``stop``
     rows are kept: the first ``min(stop, count)`` indices of the full
@@ -88,25 +114,49 @@ def greedy_packing_coords(rows, delta, presorted: bool = False,
         raise ValueError("empty point set")
     d2 = _positive(delta) * delta
     _check_stop(stop)
-    xs, *rest = (rows.T.tolist() if isinstance(rows, np.ndarray)
-                 else zip(*rows))
-    if presorted:
-        order = range(len(xs))
+    if isinstance(rows, np.ndarray) and presorted:
+        cols = [[] for _ in range(rows.shape[1])]
+        order = _converted_prefixes(rows, cols)
     else:
-        order = sorted(range(len(xs)), key=list(zip(xs, *rest)).__getitem__)
+        cols = (rows.T.tolist() if isinstance(rows, np.ndarray)
+                else list(zip(*rows)))
+        order = (range(len(rows)) if presorted else
+                 sorted(range(len(rows)), key=list(zip(*cols)).__getitem__))
+    xs, *rest = cols
     chosen: list[int] = []
+    if not rest:
+        reach = None
+        for idx in order:
+            x = xs[idx]
+            if chosen and reach >= x:
+                continue
+            chosen.append(idx)
+            if len(chosen) == stop:
+                break
+            reach = x + delta
+        return chosen
+    ys, *more = rest
+    band = delta + delta if 0 < d2 < math.inf else math.inf
     reach = []
+    lo = 0                   # the window is chosen[lo:]
+    leave = math.inf         # reach[lo], or inf while the window is empty
+    win_y: list = []         # its second coordinates, ascending
+    win_j: list[int] = []    # its row indices, in the same order
     for idx in order:
         x = xs[idx]
-        k = len(chosen)
-        while k and reach[k - 1] >= x:
-            k -= 1
-            if not rest:
-                break
-            j = chosen[k]
+        while x > leave:
+            p = bisect_left(win_y, ys[chosen[lo]])
+            del win_y[p], win_j[p]
+            lo += 1
+            leave = reach[lo] if lo < len(reach) else math.inf
+        y = ys[idx]
+        for j in win_j[bisect_left(win_y, y - band):
+                       bisect_right(win_y, y + band)]:
             t = x - xs[j]
             s = t * t
-            for col in rest:
+            t = y - ys[j]
+            s += t * t
+            for col in more:
                 t = col[idx] - col[j]
                 s += t * t
             if s <= d2:
@@ -116,7 +166,24 @@ def greedy_packing_coords(rows, delta, presorted: bool = False,
             if len(chosen) == stop:
                 break
             reach.append(x + delta)
+            if not win_y:
+                leave = reach[-1]
+            p = bisect_right(win_y, y)
+            win_y.insert(p, y)
+            win_j.insert(p, idx)
     return chosen
+
+
+def _converted_prefixes(rows: np.ndarray, cols: list[list]):
+    """Yield the row indices in order, first appending each block of rows
+    to ``cols`` (one Python list per axis); blocks double from 64 rows."""
+    start = 0
+    while start < len(rows):
+        end = min(len(rows), max(64, 2 * start))
+        for col, part in zip(cols, rows[start:end].T.tolist()):
+            col.extend(part)
+        yield from range(start, end)
+        start = end
 
 
 def greedy_packing_counts(points, delta, stop: int | None = None):

@@ -23,12 +23,16 @@ The two probabilistic checks:
 * ``EventChecker`` / ``event_fraction``: how often does the graph of the
   summed layers plus a drift carry at least N_n(K) * 2**(n d) * n**-2d
   packing points at scale 2**-n.  The checker puts its rows over one
-  denominator, an LCM of one denominator per layer; a check builds its
-  integer rows with one numpy gather per layer (int64 while the row
-  bound is below 2**62), hands that array to the greedy kernel, which
-  sweeps its coordinate columns, and stops counting at
-  ceil(threshold); small instances fall back to exact search, on row
-  lists, only when greedy falls short.
+  denominator, an LCM of one denominator per layer, and finds each
+  point's nearest satellite of every layer with one ``np.searchsorted``
+  per layer; it keeps only the bumps that reach a point, as sparse
+  (row, satellite, coefficient) entries of all layers together.  A
+  check builds its integer rows (int64 while the row bound is below
+  2**62) with one gather of the drawn grid vectors and one
+  ``np.add.at``, hands that array to the greedy kernel, which sweeps
+  its coordinate columns, and stops counting at ceil(threshold); small
+  instances fall back to exact search, on row lists, only when greedy
+  falls short.
 
 A layer is sized (grid, k_n, m_n, ell_n and the ball centres, a
 :class:`LayerSize`) before its satellites are placed; the saturation
@@ -39,7 +43,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Sequence
@@ -332,29 +335,39 @@ class EventChecker:
     """Reusable graph-packing event check for one layer and drift.
 
     A graph row is (x, drift(x) + the layers' bump values at x).  x and
-    every layer's satellites are integers over one denominator q, so the
-    nearest layer-l satellite (as ``_bump_terms`` in ``tests/oracles.py``
-    finds it) is a bisect on integers.  With layer l's bump radius a/b,
-    the bump at distance dist/q reaches x iff b dist < a q, and its
-    weight times the grid step 8 / 2**l is 8 (a q - b dist) / (2**l a q):
-    all of layer l's coefficients share the denominator 2**l a q.  One
-    LCM of 2**n, the (x, drift) denominators and these n layer
-    denominators puts every row over one denominator, and the checker
-    keeps the integer numerators:
+    every layer's satellites are integers over one denominator q (int64
+    arrays when q < 2**62, Python ints in object arrays otherwise), so
+    the nearest layer-l satellite (as ``_bump_terms`` in
+    ``tests/oracles.py`` finds it) comes from one ``np.searchsorted`` of
+    all points in the layer's ascending keys: of the keys on either side
+    the nearer, a tie to the lower one.  With layer l's bump radius a/b,
+    the bump at distance dist/q reaches x iff b dist < a q, tested as
+    dist <= (a q - 1) // b, a product-free form that cannot overflow;
+    its weight times the grid step 8 / 2**l is 8 (a q - b dist) /
+    (2**l a q): all of layer l's coefficients share the denominator
+    2**l a q.  One LCM of 2**n, the (x, drift) denominators and these n
+    layer denominators puts every row over one denominator, and the
+    checker keeps the integer numerators:
 
     * ``points``: the layer's satellites in ascending x, the row order;
     * ``base``: the (x, drift) rows, and ``delta``: 2**-n;
-    * ``coef[l]`` and ``sat[l]``: per point, the coefficient of its
-      layer-l bump (0 if none reaches it) and that bump's satellite
-      index, as array columns;
-    * ``grid_j[l]``: row k is the integer vector j of layer l's
-      ``grid[k]`` (a coordinate is 8 j / 2**l), so drawn indices select j.
+    * ``row``, ``slot`` and ``coef``: one sparse entry per point and
+      layer whose bump reaches the point, all layers' entries together:
+      the point's row, the bump's satellite as a slot (layer l's
+      satellite i is slot ell_1 + ... + ell_(l-1) + i, its place among
+      the sample's indices laid end to end) and the bump's coefficient,
+      with ``at``, the entry's places in the flattened rows;
+    * ``grid_j``: every layer's grid, layer after layer, as integer
+      vectors j (a coordinate of layer l is 8 j / 2**l), and
+      ``grid_start``: per entry, where its layer's rows begin, so a
+      drawn index selects j.
 
     Integer rows pack exactly like the rational ones.  The arrays are
-    ``int64`` when max|base| + sum over l of max(coef[l]) *
-    floor(2**l / l**2) is below 2**62, and ``object`` (Python ints)
-    otherwise, as when the drift brings a large denominator.  A drift of
-    another arity than the layers' d raises ValueError.
+    ``int64`` when max|base| + sum over l of layer l's largest
+    coefficient times floor(2**l / l**2) is below 2**62, and ``object``
+    (Python ints) otherwise, as when the drift brings a large
+    denominator.  A drift of another arity than the layers' d raises
+    ValueError.
     """
 
     def __init__(self, layers: Sequence[LayerSpec], n: int,
@@ -367,47 +380,63 @@ class EventChecker:
         self.n = n
         self.d = self.layer.d
         self.threshold = event_threshold(self.layer)
+        # every layer's satellites as integers over one denominator q;
         # sat_values ascends in x, and x values are distinct: the row order
-        self.points = [v for v, _ in self.layer.sat_values]
-        q = math.lcm(*(v.denominator for lay in self.layers
-                       for v, _ in lay.sat_values))
-        base = [(x, *(drift_at(drift, x, self.d) if drift else (0,) * self.d))
-                for x in self.points]
-        denom = math.lcm(2 ** n, *(v.denominator for row in base for v in row),
+        sats = [tuple(zip(*lay.sat_values)) for lay in self.layers]
+        fracs = [[(v.numerator, v.denominator) for v in values]
+                 for values, _ in sats]
+        q = math.lcm(*{den for part in fracs for _, den in part})
+        keys = [[num * (q // den) for num, den in part] for part in fracs]
+        self.points = list(sats[-1][0])
+        drifts = (list(zip(*(drift_at(drift, x, self.d)
+                             for x in self.points))) if drift
+                  else [(0,) * len(self.points)] * self.d)
+        # the x denominators divide q, which divides every 2**l a q term
+        denom = math.lcm(2 ** n, *{v.denominator for col in drifts
+                                   for v in col},
                          *(2 ** lay.n * lay.bump_radius.numerator * q
                            for lay in self.layers))
         self.delta = denom >> n
-        base = [[v.numerator * (denom // v.denominator) for v in row]
-                for row in base]
-        xs = [x.numerator * (q // x.denominator) for x in self.points]
-        coef = [[0] * len(xs) for _ in self.layers]
-        sat = [[0] * len(xs) for _ in self.layers]
-        for lay, cs, ss in zip(self.layers, coef, sat):
+        scale = denom // q
+        base = [[k * scale for k in keys[-1]],
+                *([v.numerator * (denom // v.denominator) for v in col]
+                  for col in drifts)]
+        key_dtype = np.dtype(np.int64 if q < 2 ** 62 else object)
+        xs = np.array(keys[-1], dtype=key_dtype)
+        rows, slots, coefs = [], [], []
+        bound = max(max(map(abs, col)) for col in base)
+        offset = 0
+        for lay, part, (_, index) in zip(self.layers, keys, sats):
             aq, b = lay.bump_radius.numerator * q, lay.bump_radius.denominator
             unit = 8 * denom // (2 ** lay.n * aq)
-            keys = [v.numerator * (q // v.denominator)
-                    for v, _ in lay.sat_values]
-            for r, xk in enumerate(xs):
-                # keys ascend, so keys[pos - 1] < xk <= keys[pos] are the
-                # only candidates, and a tie goes to the lower key
-                pos = bisect_left(keys, xk)
-                if pos and (pos == len(keys)
-                            or xk - keys[pos - 1] <= keys[pos] - xk):
-                    pos -= 1
-                dist = abs(keys[pos] - xk)
-                if b * dist < aq:
-                    cs[r] = unit * (aq - b * dist)
-                    ss[r] = lay.sat_values[pos][1]
-        bound = (max(abs(v) for row in base for v in row)
-                 + sum(max(col) * (2 ** lay.n // lay.n ** 2)
-                       for col, lay in zip(coef, self.layers)))
+            near, dist = _nearest_keys(np.array(part, dtype=key_dtype), xs)
+            # b dist < a q, with no product that can overflow
+            (reached,) = np.nonzero(dist <= (aq - 1) // b)
+            # a coefficient is at most unit a q, and b dist < a q: int64
+            # holds every term while unit a q and b fit
+            dist = dist[reached].astype(
+                np.int64 if max(unit * aq, b) < 2 ** 63 else object)
+            coef = unit * (aq - b * dist)
+            rows.append(reached)
+            slots.append(offset + np.array(index)[near[reached]])
+            coefs.append(coef)
+            bound += int(coef.max(initial=0)) * (2 ** lay.n // lay.n ** 2)
+            offset += lay.ell_n
         self.dtype = np.dtype(np.int64 if bound < 2 ** 62 else object)
-        self.base = np.array(base, dtype=self.dtype)
-        self.coef = [np.array(col, dtype=self.dtype)[:, None] for col in coef]
-        self.sat = [np.array(col) for col in sat]
-        self.grid_j = [np.array([[int(c * 2 ** lay.n) // 8 for c in g]
-                                 for g in lay.grid], dtype=self.dtype)
-                       for lay in self.layers]
+        self.base = np.array(base, dtype=self.dtype).T.copy()
+        self.row = np.concatenate(rows)
+        self.slot = np.concatenate(slots)
+        # the entries' places in the flattened rows, coordinate by
+        # coordinate: one-dimensional np.add.at is numpy's fast path
+        self.at = (self.row[:, None] * (1 + self.d)
+                   + np.arange(1, 1 + self.d)).reshape(-1)
+        self.coef = np.concatenate(coefs).astype(self.dtype)[:, None]
+        self.grid_j = np.array([[int(c * 2 ** lay.n) // 8 for c in g]
+                                for lay in self.layers for g in lay.grid],
+                               dtype=self.dtype)
+        starts = np.cumsum([0] + [lay.s_n for lay in self.layers[:-1]])
+        self.grid_start = np.repeat(starts, [len(r) for r in rows])
+        self.slot_count = offset
 
     def check(self, sample: WitnessSample) -> EventReport:
         """Does the drifted sample graph reach the layer-n packing threshold?
@@ -416,21 +445,26 @@ class EventChecker:
         values live exactly; more evaluation points could only increase
         the count, so this is the conservative side of the event.
 
-        The rows are ``base`` plus, per layer, the coefficient column
-        times ``grid_j`` at each point's satellite's drawn index.  The
-        greedy kernel takes that array as it is, reads one list per
-        coordinate column, counts the rows in ascending order and stops
-        at ceil(threshold); on at most ``packing.EXACT_SEARCH_LIMIT``
+        The sample's indices of layers 1..n, laid end to end, are read
+        into one array; the rows are ``base`` plus, for every entry, its
+        coefficient times the ``grid_j`` row its slot's drawn index
+        selects, added with one ``np.add.at``.  The greedy kernel takes
+        that array as it is, reads one list per coordinate column as far
+        as it sweeps, counts the rows in ascending order and stops at
+        ceil(threshold); on at most ``packing.EXACT_SEARCH_LIMIT``
         rows exact search runs, on the rows as lists, only when greedy
         falls short, since a greedy count never exceeds the maximum.
         The reported count is capped at ceil(threshold).
         """
         if sample.layers[:self.n] != self.layers:
             raise ValueError("sample was drawn over different layers")
+        drawn = np.fromiter(
+            itertools.chain.from_iterable(sample.indices[:self.n]),
+            np.intp, self.slot_count)
         rows = self.base.copy()
-        for grid_j, idx, coef, sat in zip(self.grid_j, sample.indices,
-                                          self.coef, self.sat):
-            rows[:, 1:] += coef * grid_j[np.asarray(idx)[sat]]
+        terms = self.coef * self.grid_j.take(
+            drawn.take(self.slot) + self.grid_start, axis=0)
+        np.add.at(rows.reshape(-1), self.at, terms.reshape(-1))
         need = math.ceil(self.threshold)
         chosen = packing.greedy_packing_coords(rows, self.delta,
                                                presorted=True, stop=need)
@@ -446,12 +480,33 @@ class EventChecker:
                            count >= self.threshold, method)
 
 
+def _nearest_keys(keys: np.ndarray, xs: np.ndarray):
+    """Per x, the index of its nearest key and the distance to it.
+
+    ``keys`` ascend; a tie goes to the lower key.  One
+    ``np.searchsorted`` finds, as ``bisect_left`` would, the position
+    with keys[pos - 1] < x <= keys[pos], the only two candidates.  On
+    object arrays every comparison and difference is a Python int's.
+    """
+    pos = np.searchsorted(keys, xs)
+    lower = np.maximum(pos - 1, 0)
+    upper = np.minimum(pos, len(keys) - 1)
+    below = xs - keys[lower]
+    above = keys[upper] - xs
+    take_lower = (pos > 0) & ((pos == len(keys)) | (below <= above))
+    return (np.where(take_lower, lower, upper),
+            np.where(take_lower, below, above))
+
+
 def event_fraction(layers: Sequence[LayerSpec], n: int,
                    drift: Callable | None, trials: int, seed) -> float:
     """Fraction of sampled witnesses for which the event holds.
 
-    A trial samples only layers 1..n, the ones the check reads.
+    A trial samples only layers 1..n, the ones the check reads.  Fewer
+    than one trial is refused before anything is built.
     """
+    if trials < 1:
+        raise ValueError(f"need at least one trial, got {trials}")
     checker = EventChecker(layers, n, drift)
     holds = 0
     for t in range(trials):

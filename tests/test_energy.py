@@ -501,6 +501,14 @@ class TestPairExpectation:
             pair_expectation_check(nested_family_depth3, t=0.7, s=0.6,
                                    trials=16, seed=0)
 
+    @pytest.mark.parametrize("trials", [0, -3])
+    def test_fewer_than_one_trial_refused(self, nested_family_depth3, trials):
+        # refused up front: 0 trials took the mean of an empty slice, and
+        # a negative count reached numpy's array constructor
+        with pytest.raises(ValueError, match="at least one trial"):
+            pair_expectation_check(nested_family_depth3, t=0.5, s=0.6,
+                                   trials=trials, seed=0)
+
     def test_drift_moves_every_coordinate(self, nested_family_depth3):
         # a drift in the second coordinate alone pushes the d = 2 value
         # differences apart, so the kernel mean drops
@@ -568,3 +576,11 @@ class TestExpectedEnergy:
                                         trials=100, seed=8, c_hat=18.0,
                                         drift=drift)
         assert plain.passed and drifted.passed
+
+    @pytest.mark.parametrize("trials", [0, -3])
+    def test_fewer_than_one_trial_refused(self, nested_family_depth3, trials):
+        # refused up front: 0 trials divided by zero, and -3 reported a
+        # passed check with an empirical energy of -0.0
+        with pytest.raises(ValueError, match="at least one trial"):
+            expected_energy_check(nested_family_depth3, t=0.5, s=0.6,
+                                  trials=trials, seed=0, c_hat=18.0)

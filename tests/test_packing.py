@@ -271,6 +271,22 @@ COORD_KINDS = {
 }
 
 
+def _assert_matches_row_sweep(rows, delta, dtype=None):
+    """The kernel's indices equal the row sweep's on ``rows`` (as an array
+    of ``dtype`` if given), unsorted and presorted, for ``stop`` in
+    {None, 1, half the count, the count, one above it}."""
+    ordered = sorted(rows)
+    full = greedy_packing_rows(rows, delta)
+    for presorted, given_rows in ((False, rows), (True, ordered)):
+        arg = np.array(given_rows, dtype=dtype) if dtype else given_rows
+        for stop in (None, 1, (len(full) + 1) // 2, len(full),
+                     len(full) + 1):
+            got = packing.greedy_packing_coords(
+                arg, delta, presorted=presorted, stop=stop)
+            assert got == greedy_packing_rows(
+                given_rows, delta, presorted=presorted, stop=stop)
+
+
 class TestColumnSweep:
     # the column sweep against the row-by-row sweep it replaced, which
     # reads every input as a list of Python tuples
@@ -284,17 +300,56 @@ class TestColumnSweep:
                     for _ in range(rnd.randrange(1, 40))]
             rows += rnd.sample(rows, rnd.randrange(len(rows) + 1))
             delta = make(rnd.randrange(1, 16)) - make(0)
-            ordered = sorted(rows)
-            full = greedy_packing_rows(rows, delta)
-            for presorted, given_rows in ((False, rows), (True, ordered)):
-                arg = (np.array(given_rows, dtype=dtype) if dtype
-                       else given_rows)
-                for stop in (None, 1, (len(full) + 1) // 2, len(full),
-                             len(full) + 1):
-                    got = packing.greedy_packing_coords(
-                        arg, delta, presorted=presorted, stop=stop)
-                    assert got == greedy_packing_rows(
-                        given_rows, delta, presorted=presorted, stop=stop)
+            _assert_matches_row_sweep(rows, delta, dtype)
+
+    @pytest.mark.parametrize("kind", list(COORD_KINDS))
+    def test_clustered_rows_match_the_row_sweep(self, kind):
+        # the second-axis window on crowded windows: first coordinates
+        # within half of delta, so every chosen row stays in the window,
+        # with up to 21 of them at once; and on three axes three second
+        # coordinates, so rows tied there share the window (apart in the
+        # third) and a leaving row must be found among its ties.  Indices
+        # stay below 64, where the int64-wide rows fit
+        make, dtype = COORD_KINDS[kind]
+        rnd = random.Random(f"clusters-{kind}")
+        delta = make(2) - make(0)
+        for _ in range(4):
+            for dim in (2, 3):
+                rows = [tuple(make(rnd.randrange(0, k)) for k in
+                              (2, 63, 12)[:dim])
+                        for _ in range(rnd.randrange(1, 100))]
+                _assert_matches_row_sweep(rows, delta, dtype)
+            rows = [(make(rnd.randrange(0, 16)), make(rnd.randrange(0, 3)),
+                     make(rnd.randrange(0, 60)))
+                    for _ in range(rnd.randrange(1, 100))]
+            rows += rnd.sample(rows, rnd.randrange(len(rows) + 1))
+            _assert_matches_row_sweep(rows, delta, dtype)
+
+    @pytest.mark.parametrize("delta", [0.25, 0.1, 0.3, 2.5e-7, 1e-150,
+                                       1e-170, 1e200])
+    def test_float_offsets_of_delta_and_one_ulp(self, delta):
+        # rows whose second-axis offset from a row at y0 is delta, 2 delta
+        # or 3 delta, as rounded, and one ulp either side, at first-axis
+        # offsets 0 and a little under delta: the band [y - 2 delta,
+        # y + 2 delta] must hold whatever the squared-distance test
+        # flags.  At 1e-170 delta**2 rounds to 0 and at 1e200 it
+        # overflows; there a row 3 delta away is flagged too
+        probes = []
+        for y0 in (0.0, 0.5, 0.7, -3.0):
+            for off in (delta, -delta, 2 * delta, -2 * delta, 3 * delta,
+                        -3 * delta):
+                y = y0 + off
+                for dy in (math.nextafter(y, -math.inf), y,
+                           math.nextafter(y, math.inf)):
+                    for dx in (0.0, delta * 0.999):
+                        probes.append(((0.0, y0), (dx, dy)))
+                        _assert_matches_row_sweep(
+                            [(0.0, y0), (dx, dy)], delta)
+                        _assert_matches_row_sweep(
+                            [(0.0, y0, 0.0), (dx, dy, 0.0)], delta)
+        rows = [row for pair in probes for row in pair]
+        random.Random(f"ulps-{delta}").shuffle(rows)
+        _assert_matches_row_sweep(rows, delta)
 
     @settings(max_examples=150, deadline=None)
     @given(dim=st.integers(1, 3), data=st.data())

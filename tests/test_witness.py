@@ -1,7 +1,9 @@
+import bisect
 import dataclasses
 import hashlib
 import itertools
 import math
+import random
 import time
 from fractions import Fraction
 
@@ -351,6 +353,23 @@ def _rational_checker_rows(layers, n, drift):
             [[int(v * denom) for v in row] for row in base], coef, sat)
 
 
+def _dense_columns(checker):
+    """The checker's sparse entries as per-layer coefficient and
+    satellite-index columns over its rows, 0 and 0 where no bump of the
+    layer reaches the row; every entry must be nonzero and alone in its
+    row and layer."""
+    coef = [[0] * len(checker.points) for _ in checker.layers]
+    sat = [[0] * len(checker.points) for _ in checker.layers]
+    starts = list(itertools.accumulate(
+        (lay.ell_n for lay in checker.layers), initial=0))
+    for r, slot, c in zip(checker.row.tolist(), checker.slot.tolist(),
+                          checker.coef[:, 0].tolist()):
+        li = bisect.bisect_right(starts, slot) - 1
+        assert c > 0 and coef[li][r] == 0
+        coef[li][r], sat[li][r] = c, slot - starts[li]
+    return coef, sat
+
+
 class TestEventCheck:
     def test_threshold_formula(self, cantor_layers):
         lay1 = cantor_layers[0]
@@ -367,6 +386,13 @@ class TestEventCheck:
     def test_event_fraction_meets_bound(self, cantor_layers):
         frac = witness.event_fraction(cantor_layers, 5, None, 60, "evt")
         assert frac >= 1 - 2 * 0.5 ** 5
+
+    @pytest.mark.parametrize("trials", [0, -3])
+    def test_event_fraction_refuses_fewer_than_one_trial(self, cantor_layers,
+                                                         trials):
+        # 0 trials divided by zero, and -3 returned a fraction of -0.0
+        with pytest.raises(ValueError, match="at least one trial"):
+            witness.event_fraction(cantor_layers, 5, None, trials, "evt")
 
     @pytest.mark.parametrize("n", [4, 5, 6, 7])
     def test_event_fraction_samples_only_layers_up_to_n(self, cantor_layers,
@@ -409,6 +435,32 @@ class TestEventCheck:
         checker = witness.EventChecker(cantor_layers, 6, drift)
         rep = checker.check(sample_witness(cantor_layers, seed=4))
         assert rep.holds
+
+    @pytest.mark.parametrize("start, dtype", [(2 ** 61, np.int64),
+                                              (2 ** 64, object),
+                                              (7 ** 40, object)],
+                             ids=["int64", "object-2**64", "object-7**40"])
+    def test_nearest_keys_match_bisect(self, start, dtype):
+        # the build's key search against bisect on Python ints: nearest
+        # ascending key, a tie (x midway) to the lower one; object arrays
+        # hold keys above 2**63, whose differences int64 would wrap
+        rnd = random.Random(f"keys-{start}")
+        for _ in range(60):
+            keys = sorted(rnd.sample(range(start, start + 400),
+                                     rnd.randrange(1, 30)))
+            xs = [rnd.randrange(start - 20, start + 420) for _ in range(40)]
+            xs += keys + [(a + b) // 2 for a, b in zip(keys, keys[1:])]
+            near, dist = witness._nearest_keys(np.array(keys, dtype=dtype),
+                                               np.array(xs, dtype=dtype))
+            assert dist.dtype == dtype
+            want = []
+            for x in xs:
+                pos = bisect.bisect_left(keys, x)
+                if pos and (pos == len(keys)
+                            or x - keys[pos - 1] <= keys[pos] - x):
+                    pos -= 1
+                want.append((pos, abs(keys[pos] - x)))
+            assert list(zip(near.tolist(), dist.tolist())) == want
 
     def test_drift_arity_checked_at_construction(self):
         layers = build_layers(triadic_cantor(), 2, 2)
@@ -461,8 +513,7 @@ class TestEventCheck:
             checker = witness.EventChecker(layers, n, drift)
             assert checker.dtype == dtype
             got = (checker.delta, checker.base.tolist(),
-                   [col[:, 0].tolist() for col in checker.coef],
-                   [col.tolist() for col in checker.sat])
+                   *_dense_columns(checker))
             want = _rational_checker_rows(layers, n, drift)
             assert in_delta(*got) == in_delta(*want)
             if same_denominator:

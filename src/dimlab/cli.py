@@ -11,8 +11,10 @@ kernel      kernel integral ratio sweep, settled-slope and spot value
 report      the default battery of all of the above
 
 Every emitted row carries the seed, the package version and the full
-parameter set, so any row can be reproduced from the file alone.  Exit
-status: 0 when all rows pass, 1 when any fails, 2 on usage errors.
+parameter set, so any row can be reproduced from the file alone.  Each
+subcommand takes only the options in its ``READS`` set, as flags, config
+keys or ``run`` arguments.  Exit status: 0 when all rows pass, 1 when
+any fails, 2 on usage errors.
 """
 
 from __future__ import annotations
@@ -29,6 +31,9 @@ USAGE_ERROR = 2
 # energy holds trials * 1024 pair draws at once, about 46 bytes each, so
 # 4096 trials (2**22 draws, the most criterion 9 uses) peak near 230 MB
 MAX_ENERGY_TRIALS = 4096
+# cantor's slope fits take the closed-form counts at every n in 3..n_max,
+# quadratic in n_max: 2000 takes about 0.5 s, 30000 about 40 s and 440 MB
+MAX_CANTOR_N = 2000
 
 LOG2_3 = math.log(2) / math.log(3)
 
@@ -306,14 +311,28 @@ RUNNERS = {
     "report": _run_report,
 }
 
+# the config fields each command reads; its parser and config file take
+# only these, and run() refuses any other field that is off its default
+READS = {command: set(names.split()) for command, names in dict(
+    estimate="space n_min n_max stride variant expect tol seed out plot_out",
+    cantor="n_max seed out plot_out",
+    prevalence="space n_min n_max stride d drift trials seed out",
+    saturation="space n_max d adversary trials seed out",
+    energy="depth d trials seed out",
+    kernel="d seed out",
+    report="trials seed out plot_out",
+).items()}
+
 
 def run(cfg: ExperimentConfig) -> ResultTable:
     if cfg.command not in RUNNERS:
         raise ValueError(f"unknown command {cfg.command!r}")
-    for key, reader in (("drift", "prevalence"), ("adversary", "saturation")):
-        if getattr(cfg, key) != "zero" and cfg.command != reader:
-            raise ValueError(f"--{key} is read by {reader} only, not by "
-                             f"{cfg.command}")
+    for f in fields(cfg)[1:]:
+        if (getattr(cfg, f.name) != f.default
+                and f.name not in READS[cfg.command]):
+            readers = ", ".join(c for c in READS if f.name in READS[c])
+            raise ValueError(f"--{f.name.replace('_', '-')} is read by "
+                             f"{readers}, not by {cfg.command}")
     if cfg.trials < 1:
         raise ValueError("trials must be >= 1")
     if cfg.d < 1:
@@ -342,12 +361,13 @@ def run(cfg: ExperimentConfig) -> ResultTable:
     if cfg.command == "energy" and cfg.trials > MAX_ENERGY_TRIALS:
         raise ValueError(f"energy --trials must be <= {MAX_ENERGY_TRIALS}, "
                          f"got {cfg.trials}")
+    if cfg.command == "cantor" and cfg.n_max > MAX_CANTOR_N:
+        raise ValueError(f"cantor --n-max must be <= {MAX_CANTOR_N}, "
+                         f"got {cfg.n_max}")
     if not cfg.tol >= 0:  # NaN fails every comparison
         raise ValueError(f"--tol must be >= 0, got {cfg.tol}")
     if cfg.expect is not None and not math.isfinite(cfg.expect):
         raise ValueError(f"--expect must be finite, got {cfg.expect}")
-    if cfg.plot_out and cfg.command not in ("estimate", "cantor", "report"):
-        raise ValueError(f"--plot-out: {cfg.command} writes no series rows")
     table = ResultTable()
     RUNNERS[cfg.command](cfg, table)
     if cfg.out:
@@ -361,11 +381,21 @@ def run(cfg: ExperimentConfig) -> ResultTable:
 # argument handling
 
 
-# every config field but the command is an option
-OPTIONS = tuple(f.name for f in fields(ExperimentConfig))[1:]
+# argparse keywords of every option, in the config's field order
+FLAGS = dict(
+    space=dict(choices=sorted(SPACES)), n_min=dict(type=int),
+    n_max=dict(type=int), stride=dict(type=int), depth=dict(type=int),
+    trials=dict(type=int), seed={},
+    variant=dict(choices=("liminf", "limsup", "full-fit")),
+    drift=dict(choices=("zero", "cantor-f")),
+    adversary=dict(choices=("zero", "collide")),
+    d=dict(type=int), expect=dict(type=float), tol=dict(type=float),
+    out=dict(help="CSV output path"),
+    plot_out=dict(help="two-column plot data output path"),
+)
 
 
-def _config_flags(path: str) -> list[str]:
+def _config_flags(path: str, command: str) -> list[str]:
     """Plain key=value lines as ``--key=value`` flags; '#' starts a comment."""
     flags = []
     with open(path, encoding="utf-8") as fh:
@@ -377,19 +407,17 @@ def _config_flags(path: str) -> list[str]:
                 raise ValueError(f"{path}:{lineno}: expected key=value")
             key, val = (part.strip() for part in line.split("=", 1))
             key = key.replace("-", "_")
-            if key not in OPTIONS:
-                raise ValueError(f"{path}:{lineno}: unknown config key {key!r}")
+            if key not in READS[command]:
+                raise ValueError(f"{path}:{lineno}: unknown config key "
+                                 f"{key!r} for {command}")
             flags.append(f"--{key.replace('_', '-')}={val}")
     return flags
 
 
 def build_config(args: argparse.Namespace) -> ExperimentConfig:
-    cfg = ExperimentConfig(args.command)
-    for key in OPTIONS:
-        val = getattr(args, key, None)
-        if val is not None:
-            setattr(cfg, key, val)
-    return cfg
+    return ExperimentConfig(args.command, **{
+        key: val for key, val in vars(args).items()
+        if key in READS[args.command] and val is not None})
 
 
 def make_parser() -> argparse.ArgumentParser:
@@ -401,22 +429,9 @@ def make_parser() -> argparse.ArgumentParser:
     for name in RUNNERS:
         p = sub.add_parser(name)
         p.add_argument("--config", help="key=value config file")
-        p.add_argument("--space", choices=sorted(SPACES))
-        p.add_argument("--n-min", dest="n_min", type=int)
-        p.add_argument("--n-max", dest="n_max", type=int)
-        p.add_argument("--stride", type=int)
-        p.add_argument("--depth", type=int)
-        p.add_argument("--trials", type=int)
-        p.add_argument("--seed")
-        p.add_argument("--variant", choices=("liminf", "limsup", "full-fit"))
-        p.add_argument("--drift", choices=("zero", "cantor-f"))
-        p.add_argument("--adversary", choices=("zero", "collide"))
-        p.add_argument("--d", type=int)
-        p.add_argument("--expect", type=float)
-        p.add_argument("--tol", type=float)
-        p.add_argument("--out", help="CSV output path")
-        p.add_argument("--plot-out", dest="plot_out",
-                       help="two-column plot data output path")
+        for key, kwargs in FLAGS.items():
+            if key in READS[name]:
+                p.add_argument(f"--{key.replace('_', '-')}", **kwargs)
     return parser
 
 
@@ -431,7 +446,8 @@ def main(argv=None) -> int:
             at = argv.index(args.command) + 1
             try:
                 args = parser.parse_args(
-                    argv[:at] + _config_flags(args.config) + argv[at:])
+                    argv[:at] + _config_flags(args.config, args.command)
+                    + argv[at:])
             except SystemExit as exc:
                 if exc.code:
                     print(f"error: in config file {args.config}",

@@ -1,4 +1,7 @@
+import ast
 import csv
+import dataclasses
+import inspect
 import json
 import math
 import time
@@ -6,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from dimlab import cli, energy, estimators, spaces, witness
+from dimlab import cantor_pair, cli, energy, estimators, spaces, witness
 from dimlab.cli import (
     ExperimentConfig,
     ResultRow,
@@ -141,16 +144,16 @@ class TestCommands:
                 f"need --space cantor, got {argv[1]}") in (
             capsys.readouterr().err)
 
-    @pytest.mark.parametrize("argv, flag, reader", [
+    @pytest.mark.parametrize("argv, message", [
         (["energy", "--drift", "cantor-f", "--trials", "2", "--depth", "2"],
-         "--drift", "prevalence"),
-        (["report", "--drift", "cantor-f"], "--drift", "prevalence"),
-        (["kernel", "--drift", "cantor-f"], "--drift", "prevalence"),
-        (["prevalence", "--adversary", "collide"], "--adversary",
-         "saturation"),
-        (["energy", "--config", "drift.cfg"], "--drift", "prevalence"),
+         "unrecognized arguments: --drift"),
+        (["report", "--drift", "cantor-f"], "unrecognized arguments: --drift"),
+        (["kernel", "--drift", "cantor-f"], "unrecognized arguments: --drift"),
+        (["prevalence", "--adversary", "collide"],
+         "unrecognized arguments: --adversary"),
+        (["energy", "--config", "drift.cfg"], "unknown config key 'drift'"),
     ], ids=["energy", "report", "kernel", "prevalence", "energy-config"])
-    def test_ignored_random_flag_exits_2(self, argv, flag, reader, tmp_path,
+    def test_ignored_random_flag_exits_2(self, argv, message, tmp_path,
                                          monkeypatch, capsys):
         # a flag naming a random construction the command would not apply
         # is refused before any work
@@ -164,8 +167,7 @@ class TestCommands:
         start = time.perf_counter()
         assert main(argv) == 2
         assert time.perf_counter() - start < 1
-        assert (f"error: {flag} is read by {reader} only, not by {argv[0]}"
-                in capsys.readouterr().err)
+        assert message in capsys.readouterr().err
 
     @pytest.mark.parametrize("scales, count", [
         (["--n-min", "18", "--n-max", "19"], 2),
@@ -192,6 +194,27 @@ class TestCommands:
         assert main(["energy", "--trials", trials]) == 2
         assert f"error: energy --trials must be <= 4096, got {trials}" in (
             capsys.readouterr().err)
+
+    def test_cantor_n_max_bounded(self, monkeypatch, capsys):
+        # the limit itself reaches the runner; one above is refused before
+        # any closed-form count is built
+        ran = []
+        monkeypatch.setitem(cli.RUNNERS, "cantor",
+                            lambda cfg, table: ran.append(cfg.n_max))
+        limit = cli.MAX_CANTOR_N
+        assert main(["cantor", "--n-max", str(limit)]) == 0
+        assert ran == [limit]
+        monkeypatch.undo()
+
+        def refuse(*args):
+            raise AssertionError("a count was built")
+
+        monkeypatch.setattr(cantor_pair, "closed_form_counts", refuse)
+        start = time.perf_counter()
+        assert main(["cantor", "--n-max", str(limit + 1)]) == 2
+        assert time.perf_counter() - start < 1
+        assert (f"error: cantor --n-max must be <= {limit}, got {limit + 1}"
+                in capsys.readouterr().err)
 
     @pytest.mark.parametrize("argv", [
         ["estimate", "--n-min", "4", "--n-max", "12", "--stride", "4"],
@@ -253,8 +276,7 @@ class TestCommands:
         assert main([command, "--plot-out", str(plot),
                      "--out", str(out)]) == 2
         assert not out.exists() and not plot.exists()
-        assert f"--plot-out: {command} writes no series rows" in (
-            capsys.readouterr().err)
+        assert "unrecognized arguments: --plot-out" in capsys.readouterr().err
 
     def test_unbuilt_prevalence_layer_named(self, capsys):
         assert main(["prevalence", "--n-min", "0", "--n-max", "3",
@@ -340,7 +362,8 @@ class TestCommands:
         # file values meet the same types and choices as the flags
         cfgfile = tmp_path / "exp.cfg"
         cfgfile.write_text(line + "\n")
-        assert main(["saturation", "--config", str(cfgfile)]) == 2
+        command = "estimate" if flag == "--expect" else "saturation"
+        assert main([command, "--config", str(cfgfile)]) == 2
         err = capsys.readouterr().err
         assert f"argument {flag}: invalid" in err
         assert line.split("= ")[1] in err
@@ -507,8 +530,111 @@ class TestLayerDefaults:
 
     @pytest.mark.parametrize("command", ["estimate", "cantor"])
     def test_other_commands_keep_n_max_12(self, command):
-        table = run(ExperimentConfig(command, space="harmonic"))
+        space = {"space": "harmonic"} if command == "estimate" else {}
+        table = run(ExperimentConfig(command, **space))
         assert table.rows[-1].params["n_max"] == 12
+
+
+# a value for every option that each command reading it accepts, as text
+# and as the config field, each off the field's default
+VALUES = {
+    "space": ("interval", "interval"), "n_min": ("5", 5), "n_max": ("6", 6),
+    "stride": ("2", 2), "depth": ("2", 2), "trials": ("3", 3),
+    "seed": ("7", "7"), "variant": ("liminf", "liminf"),
+    "drift": ("cantor-f", "cantor-f"), "adversary": ("collide", "collide"),
+    "d": ("2", 2), "expect": ("0.5", 0.5), "tol": ("0.1", 0.1),
+    "out": ("r.csv", "r.csv"), "plot_out": ("r.txt", "r.txt"),
+}
+
+
+class Ran(Exception):
+    pass
+
+
+def _reach_runner(cfg, table):
+    raise Ran(cfg)
+
+
+class TestReads:
+    # each command takes exactly the config fields in cli.READS, whether
+    # they come as flags, config keys or run() arguments
+
+    def test_values_cover_every_option(self):
+        defaults = {f.name: f.default
+                    for f in dataclasses.fields(ExperimentConfig)[1:]}
+        assert list(VALUES) == list(defaults) == list(cli.FLAGS)
+        assert set(cli.READS) == set(cli.RUNNERS)
+        assert sum(len(r) for r in cli.READS.values()) == 42
+        for name, (_, value) in VALUES.items():
+            assert value != defaults[name], name
+
+    @pytest.mark.parametrize("command", list(cli.RUNNERS))
+    def test_parser_and_config_take_exactly_the_read_fields(
+            self, command, tmp_path, monkeypatch, capsys):
+        for name in cli.RUNNERS:
+            monkeypatch.setitem(cli.RUNNERS, name, _reach_runner)
+        monkeypatch.chdir(tmp_path)
+        reads = cli.READS[command]
+        for field, (text, value) in VALUES.items():
+            flag = "--" + field.replace("_", "-")
+            cfgfile = tmp_path / f"{field}.cfg"
+            cfgfile.write_text(f"{field} = {text}\n")
+            for argv in ([command, flag, text],
+                         [command, "--config", str(cfgfile)]):
+                capsys.readouterr()
+                if field in reads:
+                    with pytest.raises(Ran) as ran:
+                        main(argv)
+                    assert getattr(ran.value.args[0], field) == value, argv
+                else:
+                    assert main(argv) == 2, argv
+                    err = capsys.readouterr().err
+                    assert (f"unrecognized arguments: {flag}" in err
+                            or f"unknown config key {field!r}" in err), argv
+        assert main([command, "--help"]) == 0
+        usage = capsys.readouterr().out
+        for field in VALUES:
+            flag = "--" + field.replace("_", "-") + " "
+            assert (flag in usage) == (field in reads), (command, field)
+
+    @pytest.mark.parametrize("command", list(cli.RUNNERS))
+    def test_run_refuses_unread_fields(self, command, monkeypatch):
+        for name in cli.RUNNERS:
+            monkeypatch.setitem(cli.RUNNERS, name, _reach_runner)
+        for field, (_, value) in VALUES.items():
+            if field in cli.READS[command]:
+                continue
+            readers = [c for c in cli.READS if field in cli.READS[c]]
+            with pytest.raises(ValueError) as exc:
+                run(ExperimentConfig(command, **{field: value}))
+            assert f"not by {command}" in str(exc.value), field
+            assert ", ".join(readers) in str(exc.value), field
+
+    @pytest.mark.parametrize("command, kwargs", [
+        ("report", dict(seed="1", out="r.csv", plot_out="r.txt")),
+        ("saturation", dict(space="cantor", n_max=5, trials=500)),
+        ("prevalence", dict(space="cantor", n_min=5, n_max=5, trials=30)),
+        ("energy", dict(depth=2, trials=10)),
+    ], ids=["report-workload", "criterion-10-saturation",
+            "criterion-10-prevalence", "criterion-10-energy"])
+    def test_library_configs_accepted(self, command, kwargs, monkeypatch):
+        monkeypatch.setitem(cli.RUNNERS, command, _reach_runner)
+        with pytest.raises(Ran):
+            run(ExperimentConfig(command, **kwargs))
+
+    @pytest.mark.parametrize("command", list(cli.RUNNERS))
+    def test_runner_reads_its_whole_set(self, command):
+        # out and plot_out are read by run(); cfg.scales() reads the scale
+        # fields; anything else in the set must be read by the runner
+        tree = ast.parse(inspect.getsource(cli.RUNNERS[command]))
+        attrs = {node.attr for node in ast.walk(tree)
+                 if isinstance(node, ast.Attribute)
+                 and isinstance(node.value, ast.Name)
+                 and node.value.id == "cfg"}
+        if "scales" in attrs:
+            attrs |= {"n_min", "n_max", "stride"}
+        attrs.discard("scales")
+        assert attrs == cli.READS[command] - {"out", "plot_out"}
 
 
 GOLDEN_REPORT = Path(__file__).resolve().parent / "golden" / "report_seed42.csv"

@@ -427,7 +427,9 @@ def make_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
     for name in RUNNERS:
-        p = sub.add_parser(name)
+        # no prefix matching, so "--n" is refused, not read as --n-max
+        p = sub.add_parser(name, allow_abbrev=False)
+        p.set_defaults(parser=p)
         p.add_argument("--config", help="key=value config file")
         for key, kwargs in FLAGS.items():
             if key in READS[name]:
@@ -439,7 +441,9 @@ def main(argv=None) -> int:
     parser = make_parser()
     argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        args = parser.parse_args(argv)
+        args, extra = parser.parse_known_args(argv)
+        if extra:  # refused under the subcommand's own usage line
+            args.parser.error(f"unrecognized arguments: {' '.join(extra)}")
         if args.config:
             # file values enter as flags ahead of the command line's, so
             # they meet the same types and choices and the flags override

@@ -174,7 +174,8 @@ class DiscreteMeasure:
             raise ValueError("weights must sum to exactly 1")
         if any(u <= 0 for u in nums):
             raise ValueError("weights must be positive")
-        if len(set(self.coords)) != len(self.coords):
+        if len({tuple(c.as_integer_ratio() for c in row)
+                for row in self.coords}) != len(self.coords):
             raise ValueError("atoms must be distinct")
 
     @classmethod

@@ -23,9 +23,9 @@ The two probabilistic checks:
 * ``EventChecker`` / ``event_fraction``: how often does the graph of the
   summed layers plus a drift carry at least N_n(K) * 2**(n d) * n**-2d
   packing points at scale 2**-n.  The checker puts its rows over one
-  denominator, an LCM of one denominator per layer, and finds each
-  point's nearest satellite of every layer with one ``np.searchsorted``
-  per layer; it keeps only the bumps that reach a point, as sparse
+  denominator, built from layer n's ``den``, and finds each point's
+  nearest satellite of every layer with one ``np.searchsorted`` per
+  layer; it keeps only the bumps that reach a point, as sparse
   (row, satellite, coefficient) entries of all layers together.  A
   check builds its integer rows (int64 while the row bound is below
   2**62) with one gather of the drawn grid vectors and one
@@ -36,7 +36,8 @@ The two probabilistic checks:
 
 A layer is sized (grid, k_n, m_n, ell_n and the ball centres, a
 :class:`LayerSize`) before its satellites are placed; the saturation
-check reads only the sizes.
+check reads only the sizes.  A placed layer's satellites are integers
+over ``den``, a power of 3 on the Cantor set and of 2 on the interval.
 """
 
 from __future__ import annotations
@@ -97,12 +98,10 @@ class LayerSpec(LayerSize):
     """One randomization layer: its sizes, satellites and bump radius."""
 
     eps_n: Fraction
-    satellites: tuple[tuple, ...]          # [k][i] -> point
+    den: int  # layers 1..n's common denominator: a power of 3 or of 2
+    satellites: tuple[tuple[int, ...], ...]  # [k][i] -> numerator over den
     bump_radius: Fraction
-    sat_values: tuple[tuple[Fraction, int], ...]  # sorted (coordinate, i)
-
-    def all_satellites(self):
-        return [p for ball in self.satellites for p in ball]
+    sat_values: tuple[tuple[int, int], ...]  # sorted (numerator, i)
 
 
 @dataclass(frozen=True)
@@ -155,45 +154,6 @@ def replication_exponent(s_n: int, k_n: int, n: int) -> int:
     return m
 
 
-def _cantor_satellites(center: Fraction, t: int, eps: Fraction, need: int,
-                       excluded: set[Fraction]) -> list[Fraction]:
-    # t, the center's net depth, grows until the tail spread 3**-t / 2 <= eps
-    while Fraction(1, 3 ** t) > 2 * eps:
-        t += 1
-    # the center's cylinder, extended by depth - t digits, has
-    # 2**(depth - t) > need + len(excluded) points, so one pass keeps need
-    depth = t + (need + len(excluded) + 1).bit_length()
-    if depth > SATELLITE_DEPTH_CAP:
-        raise NetDepthError(
-            f"cannot place {need} satellites within eps={eps} below depth "
-            f"{SATELLITE_DEPTH_CAP}; a deeper net is required"
-        )
-    den = 3 ** depth
-    base = center.numerator * (den // center.denominator)
-    cands = (Fraction(base + m, den) for m in cantor_numerators(depth - t))
-    return list(itertools.islice((c for c in cands if c not in excluded),
-                                 need))
-
-
-def _interval_satellites(center: Fraction, eps: Fraction, need: int,
-                         excluded: set[Fraction]) -> list[Fraction]:
-    # the ladder runs away from the nearer end of [0, 1], and its first
-    # need + len(excluded) rungs lie within (need + len(excluded)) h < eps
-    sign = 1 if center + eps <= 1 else -1
-    t = 1
-    while Fraction(1, 2 ** t) * (need + len(excluded) + 1) > eps:
-        t += 1
-        if t > SATELLITE_DEPTH_CAP:
-            raise NetDepthError(
-                f"cannot place {need} satellites within eps={eps}; "
-                "a deeper dyadic net is required"
-            )
-    h = Fraction(1, 2 ** t)
-    ladder = (center + sign * j * h for j in itertools.count())
-    return list(itertools.islice((c for c in ladder if c not in excluded),
-                                 need))
-
-
 def _size_layer(space: SpaceDescriptor, n: int, d: int) -> LayerSize:
     """The sizes and ball centres of layer n, or NetDepthError.
 
@@ -243,7 +203,10 @@ def _place_layer(size: LayerSize, earlier: Sequence[LayerSpec]) -> LayerSpec:
     """Place the satellites of a layer sized by :func:`_size_layer`.
 
     ``earlier`` holds the already-built lower layers, so the new
-    satellites avoid every previous satellite set exactly.
+    satellites avoid every previous satellite set exactly.  A ball has
+    more candidates than it needs plus every satellite placed before it,
+    so the sizes alone fix each ball's depth; the last is the deepest, so
+    the depth cap and ``den`` are settled before any ball is placed.
     """
     space, n, ell_n = size.space, size.n, size.ell_n
     centers = size.packing_points
@@ -254,18 +217,43 @@ def _place_layer(size: LayerSize, earlier: Sequence[LayerSpec]) -> LayerSpec:
         # the centres are a strict 2**-n packing, so every gap exceeds delta
         eps = (min(b - a for a, b in zip(centers, centers[1:])) - delta) / 3
 
-    excluded: set[Fraction] = set()
-    for lay in earlier:
-        excluded.update(lay.all_satellites())
+    # ball k (from 1) keeps ell_n of its at least c_k candidates, more
+    # than it needs plus every satellite placed before it
+    placed = sum(lay.k_n * lay.ell_n for lay in earlier)
+    counts = [placed + k * ell_n + 1 for k in range(1, size.k_n + 1)]
+    if space.kind == TRIADIC_CANTOR:
+        # the centre's cylinder, once its tail spread 3**-t / 2 <= eps,
+        # extended by bit_length(c) digits
+        base, t = 3, cantor_net_depth(n + 1)
+        while Fraction(1, 3 ** t) > 2 * eps:
+            t += 1
+        depths = [t + c.bit_length() for c in counts]
+    else:
+        # a ladder away from the nearer end of [0, 1] whose c rungs lie
+        # within eps: the least t >= 1 with 2**t >= ceil(c / eps)
+        base = 2
+        depths = [max(1, (math.ceil(c / eps) - 1).bit_length())
+                  for c in counts]
+    if depths[-1] > SATELLITE_DEPTH_CAP:
+        raise NetDepthError(
+            f"cannot place {ell_n} satellites within eps={eps} below depth "
+            f"{SATELLITE_DEPTH_CAP}; a deeper net is required"
+        )
+    den = max([base ** depths[-1]] + [lay.den for lay in earlier])
+    excluded = {p * (den // lay.den) for lay in earlier
+                for p, _ in lay.sat_values}
 
     satellites = []
-    for center in centers:
-        if space.kind == TRIADIC_CANTOR:
-            ball = _cantor_satellites(center, cantor_net_depth(n + 1), eps,
-                                      ell_n, excluded)
+    for center, depth in zip(centers, depths):
+        c = center.numerator * (den // center.denominator)
+        step = den // base ** depth
+        if base == 3:
+            cands = (c + m * step for m in cantor_numerators(depth - t))
         else:
-            ball = _interval_satellites(center, eps, ell_n, excluded)
-        satellites.append(tuple(ball))
+            cands = itertools.count(c, step if center + eps <= 1 else -step)
+        ball = tuple(itertools.islice((p for p in cands if p not in excluded),
+                                      ell_n))
+        satellites.append(ball)
         excluded.update(ball)
 
     # satellite values are distinct, so the index never breaks a tie
@@ -276,10 +264,11 @@ def _place_layer(size: LayerSize, earlier: Sequence[LayerSpec]) -> LayerSpec:
     # neighbour in the sorted union, which ``excluded`` now holds
     new = {v for v, _ in sat_values}
     union = sorted(excluded)
-    bump_radius = min([eps] + [b - a for a, b in zip(union, union[1:])
-                               if a in new or b in new]) / 4
+    bump_radius = Fraction(min([eps * den] + [
+        b - a for a, b in zip(union, union[1:]) if a in new or b in new]),
+        4 * den)
 
-    return LayerSpec(**vars(size), eps_n=eps,
+    return LayerSpec(**vars(size), eps_n=eps, den=den,
                      satellites=tuple(satellites), bump_radius=bump_radius,
                      sat_values=sat_values)
 
@@ -335,21 +324,23 @@ class EventChecker:
     """Reusable graph-packing event check for one layer and drift.
 
     A graph row is (x, drift(x) + the layers' bump values at x).  x and
-    every layer's satellites are integers over one denominator q (int64
-    arrays when q < 2**62, Python ints in object arrays otherwise), so
-    the nearest layer-l satellite (as ``_bump_terms`` in
-    ``tests/oracles.py`` finds it) comes from one ``np.searchsorted`` of
-    all points in the layer's ascending keys: of the keys on either side
-    the nearer, a tie to the lower one.  With layer l's bump radius a/b,
-    the bump at distance dist/q reaches x iff b dist < a q, tested as
-    dist <= (a q - 1) // b, a product-free form that cannot overflow;
-    its weight times the grid step 8 / 2**l is 8 (a q - b dist) /
-    (2**l a q): all of layer l's coefficients share the denominator
-    2**l a q.  One LCM of 2**n, the (x, drift) denominators and these n
+    every layer's satellites are integers over layer n's den q, which
+    every lower layer's den divides (int64 arrays when q < 2**62, Python
+    ints in object arrays otherwise); a drift alone receives x as the
+    Fraction x / q.  So the nearest layer-l satellite (as
+    ``_bump_terms`` in ``tests/oracles.py`` finds it) comes from one
+    ``np.searchsorted`` of all points in the layer's ascending keys: of
+    the keys on either side the nearer, a tie to the lower one.  With
+    layer l's bump radius a/b, the bump at distance dist/q reaches x iff
+    b dist < a q, tested as dist <= (a q - 1) // b, a product-free form
+    that cannot overflow; its weight times the grid step 8 / 2**l is
+    8 (a q - b dist) / (2**l a q): all of layer l's coefficients share
+    the denominator 2**l a q.  One LCM of 2**n, the (x, drift) denominators and these n
     layer denominators puts every row over one denominator, and the
     checker keeps the integer numerators:
 
-    * ``points``: the layer's satellites in ascending x, the row order;
+    * ``points``: the layer's satellites, numerators over q, in
+      ascending x, the row order;
     * ``base``: the (x, drift) rows, and ``delta``: 2**-n;
     * ``row``, ``slot`` and ``coef``: one sparse entry per point and
       layer whose bump reaches the point, all layers' entries together:
@@ -380,15 +371,14 @@ class EventChecker:
         self.n = n
         self.d = self.layer.d
         self.threshold = event_threshold(self.layer)
-        # every layer's satellites as integers over one denominator q;
+        # every layer's satellites as integers over layer n's den q;
         # sat_values ascends in x, and x values are distinct: the row order
+        q = self.layer.den
         sats = [tuple(zip(*lay.sat_values)) for lay in self.layers]
-        fracs = [[(v.numerator, v.denominator) for v in values]
-                 for values, _ in sats]
-        q = math.lcm(*{den for part in fracs for _, den in part})
-        keys = [[num * (q // den) for num, den in part] for part in fracs]
-        self.points = list(sats[-1][0])
-        drifts = (list(zip(*(drift_at(drift, x, self.d)
+        keys = [[num * (q // lay.den) for num in values]
+                for lay, (values, _) in zip(self.layers, sats)]
+        self.points = keys[-1]
+        drifts = (list(zip(*(drift_at(drift, Fraction(x, q), self.d)
                              for x in self.points))) if drift
                   else [(0,) * len(self.points)] * self.d)
         # the x denominators divide q, which divides every 2**l a q term

@@ -1,8 +1,9 @@
 """Reference implementations that the unit tests compare dimlab against.
 
 Each one is the direct, unoptimised form of something the library
-computes another way: rational witness evaluation for the event
-checker's integer rows, a one-trial-at-a-time loop with the scalar
+computes another way: the one-ball-at-a-time Fraction placement for
+the integer satellites of a layer, rational witness evaluation for the
+event checker's integer rows, a one-trial-at-a-time loop with the scalar
 greedy kernel for the blocked saturation Monte Carlo, the row-by-row
 window sweep for the scalar greedy kernel's column sweep, graph enumeration
 and mesh counting for the integer mesh counter and a Python set of its
@@ -29,13 +30,19 @@ from numpy.polynomial.legendre import leggauss
 from scipy import integrate
 from scipy.special import gammaln
 
-from dimlab import estimators
+from dimlab import estimators, witness
 from dimlab.cantor_pair import DigitFunction, _check_depth, _weights
 from dimlab.energy import TAIL_LEVELS, _separating_level
 from dimlab.packing import _positive, greedy_packing_coords
 from dimlab.rng import stable_generator, stable_index
-from dimlab.spaces import cantor_digits, cantor_numerators, subset_sums
-from dimlab.witness import _place_layer, _size_layer
+from dimlab.spaces import (
+    NetDepthError,
+    TRIADIC_CANTOR,
+    cantor_digits,
+    cantor_net_depth,
+    cantor_numerators,
+    subset_sums,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -44,17 +51,89 @@ from dimlab.witness import _place_layer, _size_layer
 
 def build_layer(space, n, d, earlier=()):
     """Layer n alone, placed clear of the ``earlier`` layers' satellites."""
-    return _place_layer(_size_layer(space, n, d), earlier)
+    return witness._place_layer(witness._size_layer(space, n, d), earlier)
+
+
+def satellite_points(layer):
+    """Every satellite of the layer, ball by ball, as a Fraction."""
+    return [Fraction(p, layer.den) for ball in layer.satellites for p in ball]
+
+
+@dataclass(frozen=True)
+class FractionLayer:
+    """The placed part of a layer, every point a Fraction."""
+
+    eps_n: Fraction
+    satellites: tuple
+    bump_radius: Fraction
+    sat_values: tuple
+
+
+def _cantor_satellites(center, t, eps, need, excluded):
+    while Fraction(1, 3 ** t) > 2 * eps:
+        t += 1
+    depth = t + (need + len(excluded) + 1).bit_length()
+    if depth > witness.SATELLITE_DEPTH_CAP:
+        raise NetDepthError("a deeper net is required")
+    den = 3 ** depth
+    base = center.numerator * (den // center.denominator)
+    cands = (Fraction(base + m, den) for m in cantor_numerators(depth - t))
+    return list(itertools.islice((c for c in cands if c not in excluded),
+                                 need))
+
+
+def _interval_satellites(center, eps, need, excluded):
+    sign = 1 if center + eps <= 1 else -1
+    t = 1
+    while Fraction(1, 2 ** t) * (need + len(excluded) + 1) > eps:
+        t += 1
+        if t > witness.SATELLITE_DEPTH_CAP:
+            raise NetDepthError("a deeper dyadic net is required")
+    h = Fraction(1, 2 ** t)
+    ladder = (center + sign * j * h for j in itertools.count())
+    return list(itertools.islice((c for c in ladder if c not in excluded),
+                                 need))
+
+
+def place_fraction_layers(sizes):
+    """Layers placed one ball at a time in Fractions, each ball searching
+    its own depth for candidates clear of a set of every earlier
+    satellite, and each bump radius a quarter of eps or of a new
+    satellite's least Fraction gap in the sorted union."""
+    layers, excluded = [], set()
+    for size in sizes:
+        centers, delta = size.packing_points, Fraction(1, 2 ** size.n)
+        eps = (delta if size.k_n == 1 else
+               (min(b - a for a, b in zip(centers, centers[1:])) - delta) / 3)
+        satellites = []
+        for center in centers:
+            if size.space.kind == TRIADIC_CANTOR:
+                ball = _cantor_satellites(center, cantor_net_depth(size.n + 1),
+                                          eps, size.ell_n, excluded)
+            else:
+                ball = _interval_satellites(center, eps, size.ell_n, excluded)
+            satellites.append(tuple(ball))
+            excluded.update(ball)
+        sat_values = tuple(sorted((p, i) for ball in satellites
+                                  for i, p in enumerate(ball)))
+        new = {v for v, _ in sat_values}
+        union = sorted(excluded)
+        radius = min([eps] + [b - a for a, b in zip(union, union[1:])
+                              if a in new or b in new]) / 4
+        layers.append(FractionLayer(eps, tuple(satellites), radius,
+                                    sat_values))
+    return layers
 
 
 def _bump_terms(layer, x_value):
     """(i, weight) of the at most one layer bump reaching x."""
     vals = layer.sat_values
-    pos = bisect_left(vals, (x_value, -1))
+    x = x_value * layer.den  # x in units of 1 / den, exactly
+    pos = bisect_left(vals, (x, -1))
     best = None
     for q in (pos - 1, pos, pos + 1):
         if 0 <= q < len(vals):
-            dist = abs(vals[q][0] - x_value)
+            dist = Fraction(abs(vals[q][0] - x), layer.den)
             if best is None or dist < best[0]:
                 best = (dist, vals[q][1])
     if best is None or best[0] >= layer.bump_radius:

@@ -16,6 +16,8 @@ from pathlib import Path
 
 from dimlab import cantor_pair, energy, packing, spaces, witness
 
+from oracles import satellite_points
+
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
@@ -133,5 +135,5 @@ def test_montecarlo_drift_reads_satellite_values(monkeypatch, tmp_path,
     montecarlo = _load_workloads(monkeypatch).MonteCarlo(0, str(tmp_path))
     assert montecarlo.layers == cantor_layers
     drift = montecarlo.drifts["cantor-f"]
-    for p in [p for lay in cantor_layers for p in lay.all_satellites()]:
+    for p in [p for lay in cantor_layers for p in satellite_points(lay)]:
         assert drift(p) == (_odd_digit_reader(p),)

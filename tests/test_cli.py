@@ -169,6 +169,44 @@ class TestCommands:
         assert time.perf_counter() - start < 1
         assert message in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", [
+        ["cantor", "--n", "3"],
+        ["kernel", "--s", "3"],
+        ["kernel", "--s", "3", "--o", "k.csv"],
+        ["prevalence", "--tri", "5"],
+    ], ids=["cantor-n", "kernel-s", "kernel-s-o", "prevalence-tri"])
+    def test_option_prefix_exits_2(self, argv, tmp_path, monkeypatch,
+                                   capsys):
+        # a prefix of one option is no option: --n was --n-max, --s --seed
+        def refuse(*args):
+            raise AssertionError("the experiment ran")
+
+        monkeypatch.setitem(cli.RUNNERS, argv[0], refuse)
+        monkeypatch.chdir(tmp_path)
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert f"unrecognized arguments: {' '.join(argv[1:])}" in err
+        assert not (tmp_path / "k.csv").exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["kernel", "--trials", "5"],
+        ["cantor", "--space", "interval", "--n-max", "4"],
+        ["report", "--d", "2"],
+    ], ids=["kernel", "cantor", "report"])
+    def test_unread_option_shows_the_command_usage(self, argv, monkeypatch,
+                                                   capsys):
+        # the refusal comes with the subcommand's own options, not the
+        # list of subcommands
+        def refuse(*args):
+            raise AssertionError("the experiment ran")
+
+        monkeypatch.setitem(cli.RUNNERS, argv[0], refuse)
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"usage: dimlab {argv[0]} [-h] [--config ")
+        assert f"dimlab {argv[0]}: error: unrecognized arguments: " \
+               f"{' '.join(argv[1:3])}" in err
+
     @pytest.mark.parametrize("scales, count", [
         (["--n-min", "18", "--n-max", "19"], 2),
         (["--n-min", "5", "--n-max", "5"], 1),

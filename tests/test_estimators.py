@@ -300,6 +300,23 @@ class TestDiscreteEnergy:
             DiscreteMeasure(tuple(range(len(weights))), weights,
                             tuple((Fraction(i),) for i in range(len(weights))))
 
+    @pytest.mark.parametrize("coords, distinct", [
+        (((Fraction(1, 3),), (Fraction(2, 6),)), False),
+        (((Fraction(0), Fraction(1, 2)), (0, Fraction(1, 2))), False),
+        (((Fraction(1, 3 ** 40),),
+          (Fraction(1, 3 ** 40) + Fraction(1, 10 ** 40),)), True),
+        (((Fraction(1, 2), Fraction(1, 3)), (Fraction(1, 3), Fraction(1, 2))),
+         True),
+    ], ids=["equal-values", "int-and-fraction", "near", "swapped"])
+    def test_atoms_checked_distinct_by_value(self, coords, distinct):
+        # atoms are compared exactly by value, whatever their type
+        half = (Fraction(1, 2),) * 2
+        if distinct:
+            assert DiscreteMeasure((0, 1), half, coords).coords == coords
+        else:
+            with pytest.raises(ValueError, match="atoms must be distinct"):
+                DiscreteMeasure((0, 1), half, coords)
+
     def test_bounded_vs_divergent_across_depths(self, cantor_measure_family):
         lo = [discrete_energy(m, 0.5) for m in cantor_measure_family]
         hi = [discrete_energy(m, 0.75) for m in cantor_measure_family]

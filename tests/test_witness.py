@@ -35,6 +35,8 @@ from oracles import (
     _bump_terms,
     build_layer,
     eval_witness,
+    place_fraction_layers,
+    satellite_points,
     saturation_failure_flags,
 )
 
@@ -114,7 +116,7 @@ class TestLayerConstruction:
                 assert len(ball) == lay.ell_n
                 assert len(set(ball)) == lay.ell_n
                 for p in ball:
-                    assert abs(p - center) <= lay.eps_n
+                    assert abs(Fraction(p, lay.den) - center) <= lay.eps_n
 
     def test_cantor_satellites_found_in_one_pass(self, layer_sets):
         # a ball's satellites are points of the center's cylinder at the
@@ -131,8 +133,39 @@ class TestLayerConstruction:
                 for ball in lay.satellites:
                     depth = t + (lay.ell_n + placed + 1).bit_length()
                     assert depth < witness.SATELLITE_DEPTH_CAP
-                    assert all(3 ** depth % p.denominator == 0 for p in ball)
+                    assert all(3 ** depth % Fraction(p, lay.den).denominator
+                               == 0 for p in ball)
                     placed += len(ball)
+
+    @pytest.mark.parametrize("key, n_max", [
+        ("cantor-d1", 8), ("cantor-d2", 6), ("cantor-d3", 6),
+        ("interval-d1", 7), ("interval-d2", 6), ("interval-d3", 4),
+    ])
+    def test_layers_match_the_fraction_placement(self, accepted_layers,
+                                                 key, n_max):
+        # every layer the CLI builds, up to the largest one accepted, has
+        # the sizes, eps_n, satellites, sat_values and bump radius of the
+        # one-ball-at-a-time Fraction placement, bit for bit, and its den
+        # is the LCM of layers 1..n's reduced satellite denominators
+        layers = accepted_layers[key]
+        assert len(layers) == n_max
+        space, d = layers[0].space, layers[0].d
+        sizes = [witness._size_layer(space, n, d) for n in range(1, n_max + 1)]
+        want = place_fraction_layers(sizes)
+        reduced = 1
+        for lay, size, ref in zip(layers, sizes, want):
+            assert witness.LayerSize(**{
+                f.name: getattr(lay, f.name)
+                for f in dataclasses.fields(witness.LayerSize)}) == size
+            assert lay.eps_n == ref.eps_n
+            assert lay.bump_radius == ref.bump_radius
+            assert tuple(tuple(Fraction(p, lay.den) for p in ball)
+                         for ball in lay.satellites) == ref.satellites
+            assert tuple((Fraction(p, lay.den), i)
+                         for p, i in lay.sat_values) == ref.sat_values
+            reduced = math.lcm(reduced, *(p.denominator for p, _ in
+                                          ref.sat_values))
+            assert lay.den == reduced
 
     def test_cross_ball_separation_chain(self, cantor_layers):
         # satellites of distinct packing points keep 2**-n + eps distance;
@@ -140,7 +173,7 @@ class TestLayerConstruction:
         for lay in cantor_layers:
             floor = Fraction(1, 2 ** lay.n) + lay.eps_n
             tagged = sorted(
-                (p, k)
+                (Fraction(p, lay.den), k)
                 for k, ball in enumerate(lay.satellites) for p in ball
             )
             for (va, ka), (vb, kb) in zip(tagged, tagged[1:]):
@@ -149,7 +182,7 @@ class TestLayerConstruction:
 
     def test_layer_disjointness(self, layer_sets):
         for layers in layer_sets:
-            sets = [set(lay.all_satellites()) for lay in layers]
+            sets = [set(satellite_points(lay)) for lay in layers]
             for a, b in itertools.combinations(sets, 2):
                 assert not a & b
 
@@ -158,7 +191,8 @@ class TestLayerConstruction:
         lay = layers[4]
         assert lay.s_n == 4 and len(lay.grid[0]) == 2
         sample = witness.sample_witness(layers, 3)
-        assert len(eval_witness(sample, lay.satellites[0][1], 5)) == 2
+        x = Fraction(lay.satellites[0][1], lay.den)
+        assert len(eval_witness(sample, x, 5)) == 2
         rep = witness.EventChecker(layers, 5).check(sample)
         assert rep.holds
         assert rep.threshold == Fraction(lay.k_n * 2 ** 10, 5 ** 4)
@@ -170,9 +204,10 @@ class TestLayerConstruction:
                      if layers[0].space == unit_interval()]
         for lay in itertools.chain(build_layers(unit_interval(), 1, 5),
                                    *intervals):
-            assert all(0 <= p <= 1 for p in lay.all_satellites())
+            assert all(0 <= p <= 1 for p in satellite_points(lay))
             for center, ball in zip(lay.packing_points, lay.satellites):
-                assert all(abs(p - center) <= lay.eps_n for p in ball)
+                assert all(abs(Fraction(p, lay.den) - center) <= lay.eps_n
+                           for p in ball)
 
     def test_wrong_space_rejected(self):
         from dimlab.spaces import harmonic_sequence
@@ -180,12 +215,19 @@ class TestLayerConstruction:
             build_layer(harmonic_sequence(), 3, 1)
 
     def test_satellite_depth_exhaustion_reported(self, monkeypatch):
-        from dimlab.spaces import NetDepthError
-        monkeypatch.setattr(witness, "SATELLITE_DEPTH_CAP", 8)
-        with pytest.raises(NetDepthError) as err:
-            build_layers(triadic_cantor(), 1, 5)
-        assert "deeper" in str(err.value)
-
+        # the first layer refused is the first whose den needs a depth
+        # above the cap: layer 4 (depth 13 and 15) at a cap of 12
+        built = {(space, base): build_layers(space, 1, 5)
+                 for space, base in ((triadic_cantor(), 3),
+                                     (unit_interval(), 2))}
+        monkeypatch.setattr(witness, "SATELLITE_DEPTH_CAP", 12)
+        for (space, base), layers in built.items():
+            first = next(lay.n for lay in layers if lay.den > base ** 12)
+            assert first == 4
+            assert build_layers(space, 1, first - 1) == layers[:first - 1]
+            with pytest.raises(NetDepthError) as err:
+                build_layers(space, 1, first)
+            assert "deeper" in str(err.value)
 
     @pytest.mark.parametrize("space, n, d, size", [
         (triadic_cantor(), 9, 1, 36288),
@@ -196,8 +238,7 @@ class TestLayerConstruction:
                                                        space, n, d, size):
         def placed(*args):
             raise AssertionError("satellites placed before the size check")
-        monkeypatch.setattr(witness, "_cantor_satellites", placed)
-        monkeypatch.setattr(witness, "_interval_satellites", placed)
+        monkeypatch.setattr(witness, "_place_layer", placed)
         with pytest.raises(NetDepthError) as err:
             build_layer(space, n, d)
         assert str(size) in str(err.value)
@@ -219,11 +260,11 @@ class TestLayerConstruction:
 
     def test_build_layers_sizes_every_layer_first(self, monkeypatch):
         placed = []
-        place = witness._cantor_satellites
-        monkeypatch.setattr(witness, "_cantor_satellites",
+        place = witness._place_layer
+        monkeypatch.setattr(witness, "_place_layer",
                             lambda *args: placed.append(args) or place(*args))
         build_layers(triadic_cantor(), 1, 2)
-        assert len(placed) == 1 + 2  # one ball per packing point: k_1 + k_2
+        assert [size.n for size, _ in placed] == [1, 2]
         placed.clear()
         with pytest.raises(NetDepthError,
                            match=r"layer 9 of the triadic_cantor .* 36288"):
@@ -303,7 +344,7 @@ class TestEvalWitness:
         lay = cantor_layers[4]
         for k in (0, 3):
             for i in (0, 7, 17):
-                x = lay.satellites[k][i]
+                x = Fraction(lay.satellites[k][i], lay.den)
                 got = eval_witness(s, x, 5)
                 upper = tuple(
                     a + b for a, b in zip(
@@ -315,7 +356,7 @@ class TestEvalWitness:
         # the layer-n bump vanishes on all earlier satellite sets
         s = sample_witness(cantor_layers, seed=5)
         for m in (1, 2, 3):
-            for x in cantor_layers[m - 1].all_satellites()[:5]:
+            for x in satellite_points(cantor_layers[m - 1])[:5]:
                 v_m = eval_witness(s, x, m)
                 v_all = eval_witness(s, x, len(cantor_layers))
                 assert v_m == v_all
@@ -323,7 +364,7 @@ class TestEvalWitness:
     def test_values_bounded(self, cantor_layers):
         s = sample_witness(cantor_layers, seed=9)
         bound = sum(Fraction(8, n * n) for n in range(1, 8))
-        pts = [b for lay in cantor_layers for b in lay.all_satellites()[:3]]
+        pts = [b for lay in cantor_layers for b in satellite_points(lay)[:3]]
         for x in pts:
             (v,) = eval_witness(s, x, 7)
             assert 0 <= v <= bound
@@ -334,7 +375,7 @@ def _rational_checker_rows(layers, n, drift):
     columns of the event check, in ascending x, from the rational bumps
     of _bump_terms over one LCM denominator."""
     base, terms = [], []
-    for x in sorted(layers[n - 1].all_satellites()):
+    for x in sorted(satellite_points(layers[n - 1])):
         g = tuple(map(Fraction, drift(x))) if drift else (0,) * layers[0].d
         base.append((x, *g))
         terms.append([(li, t[0], Fraction(8, 2 ** lay.n) * t[1])
@@ -518,7 +559,7 @@ class TestEventCheck:
             assert in_delta(*got) == in_delta(*want)
             if same_denominator:
                 assert got == want
-            points = layers[n - 1].all_satellites()
+            points = satellite_points(layers[n - 1])
             delta = Fraction(1, 2 ** n)
             for seed in range(4):
                 sample = sample_witness(layers, ("rows", seed))
@@ -617,7 +658,8 @@ class TestEventCheck:
         monkeypatch.setattr(packing, "exact_packing_coords", spy)
         for seed in range(4):
             sample = sample_witness(cantor_layers[:4], ("fallback", seed))
-            rows = [(p, *eval_witness(sample, p, 4)) for p in checker.points]
+            xs = [Fraction(p, checker.layer.den) for p in checker.points]
+            rows = [(x, *eval_witness(sample, x, 4)) for x in xs]
             best = len(exact(rows, delta))
             greedy = len(packing.greedy_packing_coords(rows, delta))
             for threshold in (best, best + 1):

@@ -260,7 +260,7 @@ def _theta_tuple(theta, d: int) -> tuple[float, ...]:
 # Gauss-Legendre nodes on [-1, 1]: the 16-point rule, then the 8-point
 # rule whose difference from it is the error estimate
 _G16, _G8 = leggauss(16), leggauss(8)
-_GAUSS_NODES = np.concatenate((_G16[0], _G8[0]))
+_GAUSS_NODES, _GAUSS_WEIGHTS = np.concatenate((_G16, _G8), axis=1)
 
 
 def _axis_panels(p: float, q: float,
@@ -312,9 +312,10 @@ def kernel_integral(p: float, q: float, theta, u: float,
     th = _theta_tuple(theta, d)
     if d == 1:
         s, half = _axis_panels(p, q, th[0])
-        f = (p - np.abs(s - th[0])) * (q * q + s * s) ** -u
-        g16 = f[:, :16] @ _G16[1] * half
-        g8 = f[:, 16:] @ _G8[1] * half
+        # numpy row sums, not a BLAS gemv, whose order the CPU's kernel picks
+        f = (p - np.abs(s - th[0])) * (q * q + s * s) ** -u * _GAUSS_WEIGHTS
+        g16 = f[:, :16].sum(axis=1) * half
+        g8 = f[:, 16:].sum(axis=1) * half
         return float(g16.sum()), float(np.abs(g16 - g8).sum())
     axes = []
     for t0 in th:

@@ -4,8 +4,8 @@ Counting is exact (see :mod:`dimlab.packing`); everything in this module
 that touches logarithms, least squares or energy sums is deliberately
 floating point, and the energy kernels compute it in preallocated arrays.
 A discrete energy takes one of three kernels (see :func:`_energy_grid`):
-an FFT over the atoms' lattice, an FFT over their reciprocals' lattice,
-or the blocked pairwise sum.
+an FFT over the lattice that one routine, :func:`_lattice`, finds for
+the atoms or for their reciprocals, or the blocked pairwise sum.
 """
 
 from __future__ import annotations
@@ -167,9 +167,7 @@ class DiscreteMeasure:
     coords: tuple[tuple[Fraction, ...], ...]
 
     def __post_init__(self):
-        # integer numerators over one common denominator
-        common = math.lcm(*(w.denominator for w in self.weights))
-        nums = [w.numerator * (common // w.denominator) for w in self.weights]
+        common, nums = _common_numerators(self.weights)
         if sum(nums) != common:
             raise ValueError("weights must sum to exactly 1")
         if any(u <= 0 for u in nums):
@@ -224,6 +222,32 @@ def _autocorrelation(pos, values, span: int, finish=None) -> np.ndarray:
     return out if finish is None else finish(out)
 
 
+def _common_numerators(fractions) -> tuple[int, list[int]]:
+    """The LCM of the fractions' denominators, and their numerators over it."""
+    common = math.lcm(*(f.denominator for f in fractions))
+    return common, [f.numerator * (common // f.denominator) for f in fractions]
+
+
+def _lattice(ratios: Sequence[tuple[int, int]], k2: int):
+    """(den, pos, lo, span) of the rationals p / q in ``ratios`` (q > 0):
+    den the LCM of the q, pos the values times den, lo = min(pos) and
+    span = max(pos) - lo; None when LATTICE_SPAN_DIVISOR * span exceeds
+    k2.  The span is at least |last - first| times any partial LCM, so an
+    exploding LCM is refused a few denominators in, before any position
+    is built (a product, not a quotient: the ends may coincide)."""
+    part = abs(Fraction(*ratios[-1]) - Fraction(*ratios[0]))
+    grow, cap = LATTICE_SPAN_DIVISOR * part.numerator, k2 * part.denominator
+    den = 1
+    for q in {q for _, q in ratios}:
+        den = math.lcm(den, q)
+        if grow * den > cap:
+            return None
+    pos = [p * (den // q) for p, q in ratios]
+    lo = min(pos)
+    span = max(pos) - lo
+    return None if LATTICE_SPAN_DIVISOR * span > k2 else (den, pos, lo, span)
+
+
 def _lattice_energies(measure: DiscreteMeasure,
                       s_list: Sequence[float]) -> list[float] | None:
     """Energies of a 1-D lattice measure from its pair-offset histogram.
@@ -237,32 +261,19 @@ def _lattice_energies(measure: DiscreteMeasure,
 
     and the autocorrelation a is one FFT over the lattice span L.  Returns
     None (use the pairwise sum) off the gate: coordinates that are not
-    1-D, a span L above k**2 / LATTICE_SPAN_DIVISOR for k atoms (bounded
-    below by the first and last atoms while D grows, before any per-atom
-    integer is built, then read off the unsorted integer positions), or a
-    squared weight mass sum(N_i**2) above MAX_LATTICE_SQUARED_MASS, beyond
-    which rounding the float FFT to the integer a_j is no longer exact.
+    1-D, a span L above k**2 / LATTICE_SPAN_DIVISOR for k atoms (as
+    :func:`_lattice` finds it), or a squared weight mass sum(N_i**2) above
+    MAX_LATTICE_SQUARED_MASS, beyond which rounding the float FFT to the
+    integer a_j is no longer exact.
     """
     if len(measure.coords[0]) != 1:
         return None
-    xs = [row[0] for row in measure.coords]
-    k2 = len(xs) ** 2
-    # L = (max - min) * den is at least |x - y| * (partial LCM) for any two
-    # atoms: refuse as soon as that lower bound is past k**2 / divisor
-    part = abs(xs[-1] - xs[0])
-    grow, cap = LATTICE_SPAN_DIVISOR * part.numerator, k2 * part.denominator
-    den = 1
-    for x in xs:
-        den = math.lcm(den, x.denominator)
-        if grow * den > cap:
-            return None
-    pos = [x.numerator * (den // x.denominator) for x in xs]
-    lo = min(pos)
-    span = max(pos) - lo
-    if LATTICE_SPAN_DIVISOR * span > k2:
+    lattice = _lattice([x.as_integer_ratio() for (x,) in measure.coords],
+                       len(measure.coords) ** 2)
+    if lattice is None:
         return None
-    mass = math.lcm(*(w.denominator for w in measure.weights))
-    nums = [w.numerator * (mass // w.denominator) for w in measure.weights]
+    den, pos, lo, span = lattice
+    mass, nums = _common_numerators(measure.weights)
     if sum(u * u for u in nums) > MAX_LATTICE_SQUARED_MASS:
         return None
     counts = _autocorrelation([p - lo for p in pos], nums, span, np.rint)
@@ -300,42 +311,29 @@ def _reciprocal_energies(measure: DiscreteMeasure,
     harmonic net {0} u {1/k : k <= 2**n} has L = 1, q_i = k and span
     2**n - 1.  Returns None (use the pairwise sum) off the gate: a measure
     that is not 1-D; a q span above k**2 / LATTICE_SPAN_DIVISOR for k
-    atoms, bounded below by the first and last nonzero atoms while L
-    grows, before any q_i is built; or, for some exponent, a bound on the
-    transform's error, eps * log2(2 * span + 1) * sum(b_i**2) * sum(m**-s),
-    above 1e-12 of the pair sum.  That happens when a far-out atom with a
-    large b_i sits among light ones.
+    atoms, as :func:`_lattice` finds it on the reciprocals 1 / x_i; or,
+    for some exponent, a bound on the transform's error,
+    eps * log2(2 * span + 1) * sum(b_i**2) * sum(m**-s), above 1e-12 of
+    the pair sum.  That happens when a far-out atom with a large b_i sits
+    among light ones.
     """
     if len(measure.coords[0]) != 1:
         return None
-    k2 = len(measure.coords) ** 2
     ratios = [x.as_integer_ratio() for (x,) in measure.coords]
-    w = np.fromiter((a / b for a, b in (u.as_integer_ratio()
-                                        for u in measure.weights)),
-                    float, len(ratios))
+    w = measure.float_weights()
     zero = 0.0
     if (0, 1) in ratios:
         i = ratios.index((0, 1))
         del ratios[i]
         zero, w = float(w[i]), np.delete(w, i)
-    nums, dens = zip(*ratios)
+    # 1 / (a / b) is b / a, its sign carried to the numerator
+    lattice = _lattice([(b if a > 0 else -b, abs(a)) for a, b in ratios],
+                       len(measure.coords) ** 2)
     del ratios
-    # q_first - q_last = L * (1/x_first - 1/x_last): refuse as soon as the
-    # partial LCM puts that past k**2 / divisor
-    part = abs(Fraction(dens[-1], nums[-1]) - Fraction(dens[0], nums[0]))
-    grow, cap = LATTICE_SPAN_DIVISOR * part.numerator, k2 * part.denominator
-    lcm_num = 1
-    for a in set(nums):
-        lcm_num = math.lcm(lcm_num, a)
-        if grow * lcm_num > cap:
-            return None
-    qs = [d * (lcm_num // a) for a, d in zip(nums, dens)]
-    del nums, dens
-    lo, hi = min(qs), max(qs)
-    span = hi - lo
-    if LATTICE_SPAN_DIVISOR * span > k2:
+    if lattice is None:
         return None
-    q_max = max(-lo, hi)
+    lcm_num, qs, lo, span = lattice
+    q_max = max(-lo, lo + span)
     logq = np.log(np.fromiter((abs(q) / q_max for q in qs), float, len(qs)))
     pos = np.fromiter((q - lo for q in qs), np.intp, len(qs))
     del qs
@@ -414,7 +412,8 @@ def _pairwise_energies(measure: DiscreteMeasure,
 def _energy_grid(measure: DiscreteMeasure, s_list: Sequence[float]) -> list[float]:
     """Energies of one measure at several exponents, sharing distances.
 
-    Three paths, tried in this order:
+    Three paths, tried in this order, the first two gated by one lattice
+    routine (:func:`_lattice`) on the atoms or on their reciprocals:
 
     * a 1-D measure on a lattice of small span takes the pair-offset
       histogram (:func:`_lattice_energies`): one exact autocorrelation of

@@ -27,8 +27,8 @@ The two probabilistic checks:
   nearest satellite of every layer with one ``np.searchsorted`` per
   layer; it keeps only the bumps that reach a point, as sparse
   (row, satellite, coefficient) entries of all layers together.  A
-  check builds its integer rows (int64 while the row bound is below
-  2**62) with one gather of the drawn grid vectors and one
+  check builds its integer rows (int64 while one width bound, from the
+  sizes, is below 2**62) with one gather of the drawn grid vectors and one
   ``np.add.at``, hands that array to the greedy kernel, which sweeps
   its coordinate columns, and stops counting at ceil(threshold); small
   instances fall back to exact search, on row lists, only when greedy
@@ -325,8 +325,7 @@ class EventChecker:
 
     A graph row is (x, drift(x) + the layers' bump values at x).  x and
     every layer's satellites are integers over layer n's den q, which
-    every lower layer's den divides (int64 arrays when q < 2**62, Python
-    ints in object arrays otherwise); a drift alone receives x as the
+    every lower layer's den divides; a drift alone receives x as the
     Fraction x / q.  So the nearest layer-l satellite (as
     ``_bump_terms`` in ``tests/oracles.py`` finds it) comes from one
     ``np.searchsorted`` of all points in the layer's ascending keys: of
@@ -353,12 +352,12 @@ class EventChecker:
       ``grid_start``: per entry, where its layer's rows begin, so a
       drawn index selects j.
 
-    Integer rows pack exactly like the rational ones.  The arrays are
-    ``int64`` when max|base| + sum over l of layer l's largest
-    coefficient times floor(2**l / l**2) is below 2**62, and ``object``
-    (Python ints) otherwise, as when the drift brings a large
-    denominator.  A drift of another arity than the layers' d raises
-    ValueError.
+    Integer rows pack exactly like the rational ones.  One width bound,
+    from the sizes alone, gives every array one dtype: ``int64`` when q,
+    every radius denominator b and max|base| + sum over l of
+    (8 denom / 2**l) floor(2**l / l**2) are below 2**62, ``object``
+    (Python ints) otherwise, as when the drift brings a large denominator.
+    A drift of another arity than the layers' d raises ValueError.
     """
 
     def __init__(self, layers: Sequence[LayerSpec], n: int,
@@ -391,36 +390,36 @@ class EventChecker:
         base = [[k * scale for k in keys[-1]],
                 *([v.numerator * (denom // v.denominator) for v in col]
                   for col in drifts)]
-        key_dtype = np.dtype(np.int64 if q < 2 ** 62 else object)
-        xs = np.array(keys[-1], dtype=key_dtype)
+        # a layer-l coefficient is at most a q unit = 8 denom / 2**l, its
+        # grid indices at most floor(2**l / l**2); layer 1's term, 8 denom,
+        # covers each coefficient also where that floor is 0 (l = 3).  Keys
+        # and distances are at most q, and b dist < a q on the kept entries
+        bound = max(q, *(lay.bump_radius.denominator for lay in self.layers),
+                    max(max(map(abs, col)) for col in base)
+                    + sum(8 * denom // 2 ** lay.n * (2 ** lay.n // lay.n ** 2)
+                          for lay in self.layers))
+        self.dtype = np.dtype(np.int64 if bound < 2 ** 62 else object)
+        self.base = np.array(base, dtype=self.dtype).T.copy()
+        xs = np.array(keys[-1], dtype=self.dtype)
         rows, slots, coefs = [], [], []
-        bound = max(max(map(abs, col)) for col in base)
         offset = 0
         for lay, part, (_, index) in zip(self.layers, keys, sats):
             aq, b = lay.bump_radius.numerator * q, lay.bump_radius.denominator
             unit = 8 * denom // (2 ** lay.n * aq)
-            near, dist = _nearest_keys(np.array(part, dtype=key_dtype), xs)
+            near, dist = _nearest_keys(np.array(part, dtype=self.dtype), xs)
             # b dist < a q, with no product that can overflow
             (reached,) = np.nonzero(dist <= (aq - 1) // b)
-            # a coefficient is at most unit a q, and b dist < a q: int64
-            # holds every term while unit a q and b fit
-            dist = dist[reached].astype(
-                np.int64 if max(unit * aq, b) < 2 ** 63 else object)
-            coef = unit * (aq - b * dist)
             rows.append(reached)
             slots.append(offset + np.array(index)[near[reached]])
-            coefs.append(coef)
-            bound += int(coef.max(initial=0)) * (2 ** lay.n // lay.n ** 2)
+            coefs.append(unit * (aq - b * dist[reached]))
             offset += lay.ell_n
-        self.dtype = np.dtype(np.int64 if bound < 2 ** 62 else object)
-        self.base = np.array(base, dtype=self.dtype).T.copy()
         self.row = np.concatenate(rows)
         self.slot = np.concatenate(slots)
         # the entries' places in the flattened rows, coordinate by
         # coordinate: one-dimensional np.add.at is numpy's fast path
         self.at = (self.row[:, None] * (1 + self.d)
                    + np.arange(1, 1 + self.d)).reshape(-1)
-        self.coef = np.concatenate(coefs).astype(self.dtype)[:, None]
+        self.coef = np.concatenate(coefs)[:, None]
         self.grid_j = np.array([[int(c * 2 ** lay.n) // 8 for c in g]
                                 for lay in self.layers for g in lay.grid],
                                dtype=self.dtype)

@@ -4,9 +4,14 @@ import dataclasses
 import inspect
 import json
 import math
+import os
+import platform
+import subprocess
+import sys
 import time
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from dimlab import cantor_pair, cli, energy, estimators, spaces, witness
@@ -717,3 +722,40 @@ def test_report_seed_42_matches_the_golden_csv(tmp_path):
         for column, gc, wc in zip(want[0], g, w):
             _assert_same(_cell(column, gc), _cell(column, wc),
                          f"row {i} {column}")
+
+
+def _numpy_blas() -> str:
+    try:
+        deps = np.show_config(mode="dicts")["Build Dependencies"]
+    except (TypeError, KeyError):  # numpy before 1.26 has no "dicts" mode
+        return ""
+    return deps.get("blas", {}).get("name", "")
+
+
+@pytest.mark.skipif(
+    platform.machine().lower() not in ("x86_64", "amd64")
+    or "openblas" not in _numpy_blas().lower(),
+    reason="OPENBLAS_CORETYPE selects x86-64 kernels of OpenBLAS only")
+def test_report_does_not_depend_on_the_blas_core(tmp_path):
+    # the same report, byte for byte, under the auto-detected OpenBLAS
+    # kernel and under Prescott's, the oldest x86-64 core: a reported
+    # float summed by a BLAS kernel whose order the core picks shows here
+    # (the d = 1 kernel rows did, through a gemv)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    outputs = []
+    for core in (None, "Prescott"):
+        env = dict(os.environ)
+        env.pop("OPENBLAS_CORETYPE", None)
+        if core:
+            env["OPENBLAS_CORETYPE"] = core
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, (src, env.get("PYTHONPATH"))))
+        out = tmp_path / f"{core or 'default'}.csv"
+        plot = tmp_path / f"{core or 'default'}.txt"
+        done = subprocess.run([sys.executable, "-m", "dimlab.cli", "report",
+                               "--seed", "42", "--out", str(out),
+                               "--plot-out", str(plot)],
+                              env=env, capture_output=True)
+        assert done.returncode in (0, 1), done.stderr  # 1: a row failed
+        outputs.append((out.read_bytes(), plot.read_bytes()))
+    assert outputs[0] == outputs[1]

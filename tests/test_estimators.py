@@ -483,6 +483,48 @@ class TestReciprocalEnergies:
                                                self.S_LIST) is None
 
 
+
+def _primes(count):
+    found = []
+    candidate = 2
+    while len(found) < count:
+        if all(candidate % p for p in found):
+            found.append(candidate)
+        candidate += 1
+    return found
+
+
+_PRIMES = _primes(300)
+
+
+class TestLatticeGate:
+    S_LIST = [0.3, 0.75, 1.6]
+
+    @pytest.mark.parametrize("path, values", [
+        # 1/p: the atoms' denominators are the primes
+        ("_lattice_energies", [Fraction(1, p) for p in _PRIMES]),
+        # p/(p + 1): the reciprocals 1 + 1/p have the primes as
+        # denominators
+        ("_reciprocal_energies", [Fraction(p, p + 1) for p in _PRIMES]),
+    ], ids=["direct", "reciprocal"])
+    def test_explosive_lcm_refused_early(self, monkeypatch, path, values):
+        # the primes' LCM has about 2 600 digits; with |last - first|
+        # near 1/2, the span bound |last - first| * (partial LCM) passes
+        # k**2 / 16 = 5 625 once the partial LCM passes about 11 250,
+        # after a handful of primes, and the gate refuses there
+        measure = measure_on_values(values)
+        calls = []
+        real = math.lcm
+
+        def counting(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(math, "lcm", counting)
+        assert getattr(estimators, path)(measure, self.S_LIST) is None
+        assert 2 <= len(calls) <= 8
+
+
 # Measures on which both energy kernels must equal their out-of-place
 # oracles bit for bit.  All have at most 7 coordinates, where numpy sums a
 # difference row's squares in coordinate order, as the kernel does; above

@@ -604,6 +604,38 @@ class TestEventCheck:
             checker = witness.EventChecker(layers, n, drift)
             assert checker.dtype == np.int64
 
+    def test_keys_past_2_62_take_the_object_path(self, cantor_layers):
+        # the same points over a den 3**40 times larger: every q passes
+        # 2**62, so the one width bound picks object arrays; the rows, in
+        # units of delta, are still the rational ones, and every verdict
+        # is that of the int64 checker on the built layers
+        lift = 3 ** 40
+        lifted = tuple(dataclasses.replace(
+            lay, den=lay.den * lift,
+            satellites=tuple(tuple(p * lift for p in ball)
+                             for ball in lay.satellites),
+            sat_values=tuple((p * lift, i) for p, i in lay.sat_values))
+            for lay in cantor_layers)
+
+        def in_delta(delta, base, coef, sat):
+            return ([[Fraction(v, delta) for v in row] for row in base],
+                    [[Fraction(v, delta) for v in col] for col in coef], sat)
+
+        for n in range(1, len(lifted) + 1):
+            assert lifted[n - 1].den >= 2 ** 62
+            checker = witness.EventChecker(lifted, n)
+            built = witness.EventChecker(cantor_layers, n)
+            assert (checker.dtype, built.dtype) == (np.dtype(object),
+                                                    np.dtype(np.int64))
+            got = (checker.delta, checker.base.tolist(),
+                   *_dense_columns(checker))
+            assert in_delta(*got) == in_delta(
+                *_rational_checker_rows(lifted, n, None))
+            for seed in range(3):
+                assert (checker.check(sample_witness(lifted, ("lift", seed)))
+                        == built.check(sample_witness(cantor_layers,
+                                                      ("lift", seed))))
+
     # sha256 of repr([(graph_count, holds, method), ...]) over eight
     # seeded checks at each n = 1..n_max, pinned before the greedy kernel
     # swept coordinate columns.  The capped verdicts at the built

@@ -10,8 +10,10 @@ the atoms or for their reciprocals, or the blocked pairwise sum.
 
 from __future__ import annotations
 
+import itertools
 import math
 import operator
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -36,6 +38,9 @@ MAX_LATTICE_SQUARED_MASS = 2 ** 36
 # Elements (rows x columns) of one block of the pairwise energy sum: each
 # of its float64 work arrays stays near 1 MB whatever the number of atoms.
 _PAIR_BLOCK_ELEMENTS = 1 << 17
+# x -> (p, q), x = p / q in lowest terms with q > 0, for an int, a
+# Fraction or a float alike
+_ratio = operator.methodcaller("as_integer_ratio")
 
 
 @dataclass(frozen=True)
@@ -160,20 +165,35 @@ def cell_count_series(space: SpaceDescriptor,
 
 @dataclass(frozen=True)
 class DiscreteMeasure:
-    """Finitely supported probability measure with exact weights."""
+    """Finitely supported probability measure with exact weights.
+
+    The weights are checked as a tally of their distinct
+    ``as_integer_ratio()`` pairs, over the LCM of the pairs'
+    denominators; one weight object repeated, as a uniform measure is
+    built, is read once.
+    The atoms are checked distinct by value: each coordinate column
+    becomes its ratio pairs, zipped back into rows, so ``1``,
+    ``Fraction(1)`` and ``1.0`` are one atom.
+    """
 
     points: tuple
     weights: tuple[Fraction, ...]
     coords: tuple[tuple[Fraction, ...], ...]
 
     def __post_init__(self):
-        common, nums = _common_numerators(self.weights)
-        if sum(nums) != common:
+        w = self.weights
+        if w and all(map(operator.is_, w, itertools.repeat(w[0]))):
+            tally = {_ratio(w[0]): len(w)}
+        else:
+            tally = Counter(map(_ratio, w))
+        common = math.lcm(*{q for _, q in tally})
+        if sum(k * p * (common // q)
+               for (p, q), k in tally.items()) != common:
             raise ValueError("weights must sum to exactly 1")
-        if any(u <= 0 for u in nums):
+        if any(p <= 0 for p, _ in tally):
             raise ValueError("weights must be positive")
-        if len({tuple(c.as_integer_ratio() for c in row)
-                for row in self.coords}) != len(self.coords):
+        keys = zip(*(list(map(_ratio, col)) for col in zip(*self.coords)))
+        if len(set(keys)) != len(self.coords):
             raise ValueError("atoms must be distinct")
 
     @classmethod
@@ -223,9 +243,12 @@ def _autocorrelation(pos, values, span: int, finish=None) -> np.ndarray:
 
 
 def _common_numerators(fractions) -> tuple[int, list[int]]:
-    """The LCM of the fractions' denominators, and their numerators over it."""
-    common = math.lcm(*(f.denominator for f in fractions))
-    return common, [f.numerator * (common // f.denominator) for f in fractions]
+    """The LCM of the fractions' denominators, and their numerators over
+    it: one ``as_integer_ratio()`` per fraction, one LCM over the
+    distinct denominators."""
+    ratios = list(map(_ratio, fractions))
+    common = math.lcm(*{q for _, q in ratios})
+    return common, [p * (common // q) for p, q in ratios]
 
 
 def _lattice(ratios: Sequence[tuple[int, int]], k2: int):

@@ -10,14 +10,15 @@ delta.  Two counters are provided:
   points whose first coordinate lies within delta below its own.  It
   sweeps coordinate columns, one Python list per axis read from the
   rows (a tuple sequence or an int64 or object array, so the event
-  check hands over its integer rows as they are; a presorted array is
-  converted only as far as the sweep reads), and a distance is the
-  first-axis difference squared plus the other axes' in order.  On
-  one-dimensional point sets the window is the last chosen point, and
-  the sweep is in fact optimal.  On two or more axes the window is
-  also sorted on the second axis, and a candidate is compared only
-  with the window's points within 2 delta of it there: a superset of
-  those within delta, wide enough that float rounding cannot push a
+  check hands over its integer rows as they are; a presorted array of
+  two or more axes is converted only as far as the sweep reads), and a
+  distance is the first-axis difference squared plus the other axes' in
+  order.  On one-dimensional point sets the window is the last chosen
+  point, the sweep is in fact optimal, and it gallops past the points
+  within reach instead of comparing each.  On two or more axes the
+  window is also sorted on the second axis, and a candidate is compared
+  only with the window's points within 2 delta of it there: a superset
+  of those within delta, wide enough that float rounding cannot push a
   flagged point outside it (see :func:`greedy_packing_coords`).  It can
   stop once a given number of points is kept, which decides whether a
   count reaches a threshold;
@@ -79,22 +80,28 @@ def greedy_packing_coords(rows, delta, presorted: bool = False,
     ``float`` and are compared as given.  The sweep reads one Python
     list per axis: ``zip(*rows)`` for a sequence, and for an array
     ``.T.tolist()``, so an int64 entry becomes a Python int and a
-    squared distance cannot overflow.  A presorted array is converted
-    in doubling blocks just ahead of the sweep, so a stopped sweep
-    converts at most about twice the prefix it read.  Rows are inserted
-    in ascending lexicographic order, stable on ties: sorted here,
-    unless ``presorted`` declares them so.
+    squared distance cannot overflow.  A presorted array of two or
+    more axes is converted in doubling blocks just ahead of the sweep,
+    so a stopped sweep converts at most about twice the prefix it read;
+    one axis is converted at once.  Rows are inserted in ascending
+    lexicographic order, stable on ties: sorted here, unless
+    ``presorted`` declares them so.
 
     The window is the chosen rows whose reach, first coordinate plus
     delta, is at least the candidate's first coordinate; reach is
     non-decreasing, so the window is a suffix of the chosen rows and a
     conflicting row (distance <= delta) is in it.  On one axis reaching
-    is conflicting, and the window is the last chosen row.  On two or
-    more axes the window's rows are also kept in a list sorted on the
-    second axis (ties in the order chosen, so a leaving row is the first
-    of its ties), and a candidate at second coordinate y is compared,
-    first-axis difference squared plus the other axes' in order, only
-    with the rows of second coordinate in [y - 2 delta, y + 2 delta].
+    is conflicting, and the window is the last chosen row:
+    :func:`_greedy_line` gallops to the first row beyond its reach.  On
+    the 2**-n packings of the 2**-(n+1) nets that takes 450 comparisons
+    where testing each row takes 8 192 (harmonic, n = 12), 1 788 for
+    2 047 (Cantor, n = 13) and 4 096 either way (interval, n = 11, a
+    third of the rows kept).  On two or more axes the window's rows are
+    also kept in a list sorted on the second axis (ties in the order
+    chosen, so a leaving row is the first of its ties), and a candidate
+    at second coordinate y is compared, first-axis difference squared
+    plus the other axes' in order, only with the rows of second
+    coordinate in [y - 2 delta, y + 2 delta].
     Every row the test flags is there: on exact numbers a row outside
     is more than 2 delta from y.  On floats a row below the rounded
     y - 2 delta is at least 2 delta below y exactly, so its rounded
@@ -114,28 +121,18 @@ def greedy_packing_coords(rows, delta, presorted: bool = False,
         raise ValueError("empty point set")
     d2 = _positive(delta) * delta
     _check_stop(stop)
-    if isinstance(rows, np.ndarray) and presorted:
+    array = isinstance(rows, np.ndarray)
+    if array and presorted and rows.shape[1] > 1:
         cols = [[] for _ in range(rows.shape[1])]
         order = _converted_prefixes(rows, cols)
     else:
-        cols = (rows.T.tolist() if isinstance(rows, np.ndarray)
-                else list(zip(*rows)))
+        cols = rows.T.tolist() if array else list(zip(*rows))
+        if len(cols) == 1:
+            return _greedy_line(cols[0], delta, presorted, stop)
         order = (range(len(rows)) if presorted else
                  sorted(range(len(rows)), key=list(zip(*cols)).__getitem__))
-    xs, *rest = cols
+    xs, ys, *more = cols
     chosen: list[int] = []
-    if not rest:
-        reach = None
-        for idx in order:
-            x = xs[idx]
-            if chosen and reach >= x:
-                continue
-            chosen.append(idx)
-            if len(chosen) == stop:
-                break
-            reach = x + delta
-        return chosen
-    ys, *more = rest
     band = delta + delta if 0 < d2 < math.inf else math.inf
     reach = []
     lo = 0                   # the window is chosen[lo:]
@@ -172,6 +169,37 @@ def greedy_packing_coords(rows, delta, presorted: bool = False,
             win_y.insert(p, y)
             win_j.insert(p, idx)
     return chosen
+
+
+def _greedy_line(xs, delta, presorted: bool, stop) -> list[int]:
+    """The sweep of :func:`greedy_packing_coords` on one axis, galloping.
+
+    Once the row at sorted place i is kept, the next kept row is the
+    first beyond its reach x_i + delta.  Rows i + 1, i + 3, i + 7, ...
+    are probed until one lies beyond reach or the rows run out, and
+    ``bisect_right`` finds the first row beyond it in the last gap.  A
+    run of g rows within reach costs about 2 log2(g) comparisons, not g.
+    """
+    if presorted:
+        order = range(len(xs))
+    else:
+        order = sorted(range(len(xs)), key=xs.__getitem__)
+        xs = [xs[i] for i in order]
+    n = len(xs)
+    chosen = []
+    i = 0
+    while True:
+        chosen.append(order[i])
+        if len(chosen) == stop:
+            return chosen
+        reach = xs[i] + delta
+        lo = hi = i + 1
+        while hi < n and xs[hi] <= reach:
+            lo = hi + 1
+            hi += hi - i + 1
+        i = bisect_right(xs, reach, lo, min(hi, n))
+        if i == n:
+            return chosen
 
 
 def _converted_prefixes(rows: np.ndarray, cols: list[list]):
@@ -354,9 +382,10 @@ def _max_independent_set(adj: list[int], m: int) -> int:
 
 def occupied_cell_count(net: ResolutionNet, n: int) -> int:
     """Number of half-open 2**-n grid cells [k 2**-n, (k+1) 2**-n)
-    occupied by the net's points, each cell found by exact floor
-    division.  A product's cells are counted from its base net by
-    ``estimators.cell_count_series``.
+    occupied by the net's points.  The cell of x = p / q is the integer
+    floor (p * 2**n) // q, which is x // 2**-n without building a
+    ``Fraction`` per point.  A product's cells are counted from its base
+    net by ``estimators.cell_count_series``.
     """
-    width = Fraction(1, 2 ** n)
-    return len({x // width for (x,) in net.coord_rows()})
+    return len({(x.numerator << n) // x.denominator
+                for (x,) in net.coord_rows()})

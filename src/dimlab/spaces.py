@@ -19,6 +19,8 @@ one-dimensional: a product with a cube has no net, and
 
 from __future__ import annotations
 
+import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -81,19 +83,42 @@ def cantor_numerators(depth: int) -> list[int]:
     return subset_sums([3 ** k for k in range(depth)])
 
 
+# the {0,1} digits of each chunk of 8 base-3 digits, by its value below
+# 3**8 (None for a chunk holding a 2): entry m of cantor_numerators(8)
+# has the bits of its index as digits, which product() lists in order
+_CHUNK_BASE = 3 ** 8
+_CHUNK_DIGITS = list(map(
+    dict(zip(cantor_numerators(8), itertools.product((0, 1), repeat=8))).get,
+    range(_CHUNK_BASE)))
+_LOG2_3 = math.log2(3)
+
+
 def cantor_digits(x: Fraction) -> tuple[int, ...]:
     """The {0,1} digits of a Cantor point, one per factor 3 of its denominator.
 
-    So 0 has none.  A value off the Cantor set raises ValueError.
+    So 0 has none.  A value off the Cantor set raises ValueError: a
+    denominator that is not a power of 3, a value outside [0, 1), or a
+    digit 2.  The numerator is read 8 digits at a time, in base 3**8,
+    each chunk looked up among the 256 {0,1} chunks; the depth is read
+    off the denominator's bit length and checked by one power.
     """
-    num, den, digits = x.numerator, x.denominator, []
-    while den % 3 == 0:
-        den //= 3
-        num, digit = divmod(num, 3)
-        digits.append(digit)
-    if den != 1 or num or 2 in digits:
+    num, den = x.as_integer_ratio()
+    depth = int(den.bit_length() / _LOG2_3)
+    if 3 ** depth != den or not 0 <= num < den:
         raise ValueError(f"{x} is not a point of the Cantor set")
-    return tuple(reversed(digits))
+    digits = ()
+    while num:
+        num, chunk = divmod(num, _CHUNK_BASE)
+        part = _CHUNK_DIGITS[chunk]
+        if part is None:
+            raise ValueError(f"{x} is not a point of the Cantor set")
+        digits = part + digits
+    pad = depth - len(digits)
+    return (0,) * pad + digits if pad >= 0 else digits[-pad:]
+
+
+# digit d of a DigitVector as the base-3 numeral character of d
+_NUMERALS = bytes.maketrans(b"\x00\x01", b"01")
 
 
 @dataclass(frozen=True)
@@ -110,12 +135,12 @@ class DigitVector:
     def __post_init__(self):
         if len(self.digits) == 0:
             raise ValueError("DigitVector needs at least one digit")
-        if any(d not in (0, 1) for d in self.digits):
+        if not {*self.digits} <= {0, 1}:
             raise ValueError("digits must be 0 or 1")
 
     @property
     def value(self) -> Fraction:
-        return Fraction(int("".join(map(str, self.digits)), 3),
+        return Fraction(int(bytes(self.digits).translate(_NUMERALS), 3),
                         3 ** len(self.digits))
 
 

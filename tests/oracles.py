@@ -2,21 +2,24 @@
 
 Each one is the direct, unoptimised form of something the library
 computes another way: the one-ball-at-a-time Fraction placement for
-the integer satellites of a layer, rational witness evaluation for the
-event checker's integer rows, a one-trial-at-a-time loop with the scalar
+the integer satellites of a layer, the digit-at-a-time loop for the
+chunked Cantor digit codec, rational witness evaluation for the event
+checker's integer rows, a one-trial-at-a-time loop with the scalar
 greedy kernel for the blocked saturation Monte Carlo, the row-by-row
-window sweep for the scalar greedy kernel's column sweep, graph enumeration
-and mesh counting for the integer mesh counter and a Python set of its
-cells for its sorted keys, the fresh-array expressions for the in-place
-pairwise, lattice and reciprocal-lattice energy kernels, a product's
-expanded coordinate rows for the cell count ``cell_count_series`` takes
-from its base net, a value-interval hull scan for the nested family's
-digit-read ``locate``, per-level node values and the per-point tail for
-``eval_field``'s integer sum, the out-of-place expression for the
-in-place pair mean ``energy._pair_mean``, and for
-``kernel_integral`` and ``kernel_constant`` scipy's adaptive quadrature
-(``quad`` for d = 1, ``dblquad`` for d = 2) and log-gamma, a closed form
-at u = 1, a centred bound and a refined d = 2 panel rule.
+window sweep for the scalar greedy kernel's column sweep (and, on one
+axis, the row-at-a-time reach test for its galloping sweep), graph
+enumeration and mesh counting for the integer mesh counter and a Python
+set of its cells for its sorted keys, the fresh-array expressions for
+the in-place pairwise, lattice and reciprocal-lattice energy kernels, a
+product's expanded coordinate rows for the cell count
+``cell_count_series`` takes from its base net, a value-interval hull
+scan for the nested family's digit-read ``locate``, per-level node
+values and the per-point tail for ``eval_field``'s integer sum, the
+out-of-place expression for the in-place pair mean
+``energy._pair_mean``, and for ``kernel_integral`` and
+``kernel_constant`` scipy's adaptive quadrature (``quad`` for d = 1,
+``dblquad`` for d = 2) and log-gamma, a closed form at u = 1, a centred
+bound and a refined d = 2 panel rule.
 """
 
 import itertools
@@ -43,6 +46,23 @@ from dimlab.spaces import (
     cantor_numerators,
     subset_sums,
 )
+
+
+# ---------------------------------------------------------------------------
+# the Cantor digit codec
+
+
+def cantor_digits_by_digit(x):
+    """``spaces.cantor_digits`` one base-3 digit at a time: the digits of
+    x, one per factor 3 of its denominator, else ValueError."""
+    num, den, digits = x.numerator, x.denominator, []
+    while den % 3 == 0:
+        den //= 3
+        num, digit = divmod(num, 3)
+        digits.append(digit)
+    if den != 1 or num or 2 in digits:
+        raise ValueError(f"{x} is not a point of the Cantor set")
+    return tuple(reversed(digits))
 
 
 # ---------------------------------------------------------------------------

@@ -317,6 +317,49 @@ class TestDiscreteEnergy:
             with pytest.raises(ValueError, match="atoms must be distinct"):
                 DiscreteMeasure((0, 1), half, coords)
 
+    @pytest.mark.parametrize("weights, message", [
+        ((Fraction(1, 3), Fraction(1, 4), Fraction(1, 5), Fraction(1, 7)),
+         "weights must sum to exactly 1"),
+        ((Fraction(1, 2), Fraction(1, 2) - Fraction(1, 2 ** 60)),
+         "weights must sum to exactly 1"),
+        ((Fraction(1, 3),) * 2, "weights must sum to exactly 1"),
+        ((Fraction(-1, 2),) * 2, "weights must sum to exactly 1"),
+        ((Fraction(1, 2), Fraction(0), Fraction(1, 2)),
+         "weights must be positive"),
+        ((Fraction(1, 6), Fraction(0), Fraction(1, 3), Fraction(1, 2)),
+         "weights must be positive"),
+        ((0, 1), "weights must be positive"),
+    ], ids=["mixed-denominators", "one-less-2**-60", "one-object-repeated",
+            "negative-uniform", "zero-inside", "zero-mixed", "int-zero"])
+    def test_weight_refusals(self, weights, message):
+        coords = tuple((Fraction(i),) for i in range(len(weights)))
+        with pytest.raises(ValueError) as err:
+            DiscreteMeasure(tuple(range(len(weights))), weights, coords)
+        assert str(err.value) == message
+
+    @pytest.mark.parametrize("weights", [
+        (Fraction(1, 2), Fraction(1, 3), Fraction(1, 6)),
+        (Fraction(1, 2), Fraction(1, 2) - Fraction(1, 2 ** 60),
+         Fraction(1, 2 ** 60)),
+        (Fraction(1, 3),) * 3,
+        tuple(Fraction(1, 3) for _ in range(3)),
+        (1,),
+    ], ids=["mixed-denominators", "tiny-weight", "one-object-repeated",
+            "equal-objects", "int"])
+    def test_weights_summing_to_one_accepted(self, weights):
+        coords = tuple((Fraction(i),) for i in range(len(weights)))
+        measure = DiscreteMeasure(tuple(range(len(weights))), weights, coords)
+        assert measure.weights == weights
+
+    @pytest.mark.parametrize("a, b", [(1, Fraction(1)), (1, 1.0),
+                                      (Fraction(1), 1.0),
+                                      (Fraction(1, 2), 0.5)])
+    def test_int_fraction_and_float_atoms_coincide(self, a, b):
+        half = (Fraction(1, 2),) * 2
+        for coords in (((a,), (b,)), ((0, a), (0, b))):
+            with pytest.raises(ValueError, match="atoms must be distinct"):
+                DiscreteMeasure((0, 1), half, coords)
+
     def test_bounded_vs_divergent_across_depths(self, cantor_measure_family):
         lo = [discrete_energy(m, 0.5) for m in cantor_measure_family]
         hi = [discrete_energy(m, 0.75) for m in cantor_measure_family]

@@ -162,6 +162,88 @@ class TestOneDimensionalSweep:
         assert [rows[i][0] for i in got] == [0, Fraction(5, 8)]
 
 
+class TestGallopingSweep:
+    # On one axis the sweep gallops past the rows within reach of the last
+    # kept row; the oracle's sweep, which tests every row against reach,
+    # is the reference.
+
+    @pytest.mark.parametrize("kind", ["int", "Fraction", "float"])
+    def test_matches_the_linear_sweep(self, kind):
+        make = {"int": lambda k: k, "Fraction": lambda k: Fraction(k, 8),
+                "float": lambda k: k / 8}[kind]
+        rnd = random.Random(len(kind))
+        for _ in range(200):
+            # a few distinct values make long runs of ties within reach
+            top = rnd.choice((4, 24, 400))
+            rows = [(make(rnd.randrange(top)),)
+                    for _ in range(rnd.randrange(1, 80))]
+            delta = make(rnd.randrange(1, 16))
+            ordered = sorted(rows)
+            arrays = [np.array(rows, dtype=object)]
+            if kind != "Fraction":
+                arrays.append(np.array(rows))
+            for stop in (None, 1, 2, 5):
+                want = greedy_packing_rows(rows, delta, stop=stop)
+                assert (packing.greedy_packing_coords(rows, delta, stop=stop)
+                        == want)
+                want = greedy_packing_rows(ordered, delta, presorted=True,
+                                           stop=stop)
+                assert packing.greedy_packing_coords(
+                    ordered, delta, presorted=True, stop=stop) == want
+                for arr in arrays:
+                    assert packing.greedy_packing_coords(
+                        arr, delta, stop=stop) == greedy_packing_rows(
+                            rows, delta, stop=stop)
+                    assert packing.greedy_packing_coords(
+                        np.array(sorted(arr.tolist()), dtype=arr.dtype),
+                        delta, presorted=True, stop=stop) == want
+
+    def test_float_delta_below_the_spacing(self):
+        # away from 0, x + 5e-324 == x: reach is the kept row itself, so
+        # each distinct value is kept once, but for 5e-324, which is
+        # exactly delta above 0.0
+        rnd = random.Random(7)
+        values = (0.0, 5e-324, 1e-320, 0.5, 1.0, 1.5, 2.0)
+        rows = [(rnd.choice(values),) for _ in range(200)]
+        assert 1.0 + 5e-324 == 1.0
+        for stop in (None, 1, 2, 5):
+            assert (packing.greedy_packing_coords(rows, 5e-324, stop=stop)
+                    == greedy_packing_rows(rows, 5e-324, stop=stop))
+        kept = packing.greedy_packing_coords(rows, 5e-324)
+        assert len(kept) == 6
+        assert {rows[i] for i in kept} == set(rows) - {(5e-324,)}
+
+    def test_harmonic_net_comparisons(self):
+        # the harmonic net crowds toward 0, so most rows lie within reach
+        # of a kept one: the sweep compares about 450 times, not 8 192
+        calls = []
+
+        class Counted(Fraction):
+            def __lt__(self, other):
+                calls.append(1)
+                return Fraction.__lt__(self, other)
+
+            def __le__(self, other):
+                calls.append(1)
+                return Fraction.__le__(self, other)
+
+            def __gt__(self, other):
+                calls.append(1)
+                return Fraction.__gt__(self, other)
+
+            def __ge__(self, other):
+                calls.append(1)
+                return Fraction.__ge__(self, other)
+
+        rows = build_net(harmonic_sequence(), 13).coord_rows()
+        counted = [(Counted(x),) for (x,) in rows]
+        delta = Fraction(1, 2 ** 12)
+        kept = packing.greedy_packing_coords(counted, delta, presorted=True)
+        assert (len(rows), len(kept)) == (8193, 118)
+        assert 0 < len(calls) <= 1000
+        assert kept == greedy_packing_rows(rows, delta, presorted=True)
+
+
 class TestWindowKernel:
     @pytest.mark.parametrize("dim", [1, 2, 3])
     @pytest.mark.parametrize("kind", ["int", "Fraction", "float"])
@@ -554,6 +636,30 @@ class TestOccupiedCells:
     def test_interval_cells(self):
         net = build_net(unit_interval(), 3)
         assert occupied_cell_count(net, 3) == 9  # 8 interior cells + {1}
+
+    @pytest.mark.parametrize("space", [unit_interval(), triadic_cantor(),
+                                       harmonic_sequence()],
+                             ids=lambda sp: sp.kind)
+    def test_matches_fraction_floor_division(self, space):
+        # nets of every scale m <= 10 against cells of every n <= 10: at
+        # m >= n every interval point, and on the harmonic net every 1/2**j,
+        # lies on a cell edge
+        for m in range(11):
+            net = build_net(space, m)
+            for n in range(11):
+                width = Fraction(1, 2 ** n)
+                assert occupied_cell_count(net, n) == len(
+                    {x // width for (x,) in net.coord_rows()})
+
+    def test_edges_and_negative_points(self):
+        net = _net_from_values([-1, Fraction(-1, 2), Fraction(-1, 3), 0,
+                                Fraction(1, 4), Fraction(1, 3),
+                                Fraction(1, 2), Fraction(3, 4), 1])
+        for n in range(11):
+            width = Fraction(1, 2 ** n)
+            assert occupied_cell_count(net, n) == len(
+                {x // width for x in net.points})
+        assert occupied_cell_count(net, 1) == 5  # cells -2 .. 2
 
     def test_product_factorization_matches_direct(self):
         # cell_count_series counts a product from its base net alone; the

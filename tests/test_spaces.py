@@ -1,4 +1,6 @@
 import ast
+import itertools
+import random
 from fractions import Fraction
 from pathlib import Path
 
@@ -22,7 +24,7 @@ from dimlab.spaces import (
     unit_interval,
 )
 
-from oracles import product_rows
+from oracles import cantor_digits_by_digit, product_rows
 
 
 class TestBuildNet:
@@ -158,6 +160,22 @@ class TestDigitVector:
         with pytest.raises(ValueError):
             DigitVector(())
 
+    @pytest.mark.parametrize("digits, message", [
+        ((), "DigitVector needs at least one digit"),
+        ((2,), "digits must be 0 or 1"),
+        ((0, -1), "digits must be 0 or 1"),
+    ])
+    def test_refusals_name_the_fault(self, digits, message):
+        with pytest.raises(ValueError) as err:
+            DigitVector(digits)
+        assert str(err.value) == message
+
+    def test_value_of_every_digit_string_to_length_10(self):
+        for length in range(1, 11):
+            for digits in itertools.product((0, 1), repeat=length):
+                assert DigitVector(digits).value == Fraction(
+                    int("".join(map(str, digits)), 3), 3 ** length)
+
     def test_only_spaces_names_digit_vector(self):
         # the digit codec stays behind spaces: every other module keeps a
         # Cantor point, or a cylinder's least point, as its exact value
@@ -176,6 +194,80 @@ class TestDigitVector:
             if "DigitVector" in names and path.name != "spaces.py":
                 naming.append(path.name)
         assert naming == []
+
+
+def _outcome(fn, x):
+    """fn(x), or the message of the ValueError it raises."""
+    try:
+        return fn(x)
+    except ValueError as exc:
+        return f"ValueError: {exc}"
+
+
+def _base3(digits) -> int:
+    return int("".join(map(str, digits)), 3)
+
+
+class TestChunkedCantorDigits:
+    # cantor_digits reads 8 base-3 digits at a time; the digit-at-a-time
+    # loop is the reference, refusals and their messages included
+
+    @pytest.mark.parametrize("depth", range(13))
+    def test_every_cantor_point(self, depth):
+        for m in spaces.cantor_numerators(depth):
+            x = Fraction(m, 3 ** depth)
+            assert spaces.cantor_digits(x) == cantor_digits_by_digit(x)
+
+    def test_random_points_to_depth_60(self):
+        rnd = random.Random(60)
+        for _ in range(2000):
+            depth = rnd.randint(1, 60)
+            x = Fraction(_base3(rnd.choices((0, 1), k=depth)), 3 ** depth)
+            assert spaces.cantor_digits(x) == cantor_digits_by_digit(x)
+            # a random numerator over 3**depth is mostly off the set
+            y = Fraction(rnd.randrange(3 ** depth), 3 ** depth)
+            assert (_outcome(spaces.cantor_digits, y)
+                    == _outcome(cantor_digits_by_digit, y))
+
+    @pytest.mark.parametrize("depth", [1, 7, 8, 9, 15, 16, 17, 24, 25, 60])
+    def test_a_digit_2_in_any_chunk_refused(self, depth):
+        for pos in range(depth):
+            digits = [1] * depth
+            digits[pos] = 2
+            x = Fraction(_base3(digits), 3 ** depth)
+            assert _outcome(spaces.cantor_digits, x) == (
+                f"ValueError: {x} is not a point of the Cantor set")
+            assert (_outcome(spaces.cantor_digits, x)
+                    == _outcome(cantor_digits_by_digit, x))
+
+    @pytest.mark.parametrize("x", [
+        Fraction(1, 2), Fraction(1, 6), Fraction(1, 4), Fraction(1, 8),
+        Fraction(1, 2 * 3 ** 9), Fraction(1, 5 * 3 ** 17),
+        Fraction(1, 3 ** 9 + 1), Fraction(1, 3 ** 9 - 1), Fraction(1, 2 ** 15),
+        Fraction(1, 2 ** 16), Fraction(1, 3 ** 60 + 2),
+    ])
+    def test_denominator_not_a_power_of_3_refused(self, x):
+        assert _outcome(spaces.cantor_digits, x) == (
+            f"ValueError: {x} is not a point of the Cantor set")
+        assert (_outcome(spaces.cantor_digits, x)
+                == _outcome(cantor_digits_by_digit, x))
+
+    @pytest.mark.parametrize("x", [
+        Fraction(1), Fraction(2), Fraction(4, 3), Fraction(3 ** 9 + 1, 3 ** 9),
+        Fraction(2 * 3 ** 20 + 1, 3 ** 20), Fraction(-1, 3),
+        Fraction(-1, 3 ** 10), Fraction(-1),
+    ])
+    def test_value_outside_the_unit_interval_refused(self, x):
+        assert _outcome(spaces.cantor_digits, x) == (
+            f"ValueError: {x} is not a point of the Cantor set")
+        assert (_outcome(spaces.cantor_digits, x)
+                == _outcome(cantor_digits_by_digit, x))
+
+    def test_zero_and_ints(self):
+        assert spaces.cantor_digits(Fraction(0)) == ()
+        assert spaces.cantor_digits(0) == ()
+        assert _outcome(spaces.cantor_digits, 1) == _outcome(
+            cantor_digits_by_digit, 1)
 
 
 class TestProductNet:

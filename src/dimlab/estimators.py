@@ -13,8 +13,7 @@ from __future__ import annotations
 import itertools
 import math
 import operator
-from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
 
@@ -163,38 +162,50 @@ def cell_count_series(space: SpaceDescriptor,
 # discrete measures and energies
 
 
+def _common_numerators(fractions) -> tuple[int, list[int]]:
+    """The LCM of the fractions' denominators, and their numerators over
+    it: one ``as_integer_ratio()`` per fraction, and one in all for one
+    object repeated, as a uniform measure's weights are built."""
+    if fractions and all(map(operator.is_, fractions,
+                             itertools.repeat(fractions[0]))):
+        p, q = _ratio(fractions[0])
+        return q, [p] * len(fractions)
+    ratios = list(map(_ratio, fractions))
+    common = math.lcm(*{q for _, q in ratios})
+    return common, [p * (common // q) for p, q in ratios]
+
+
 @dataclass(frozen=True)
 class DiscreteMeasure:
     """Finitely supported probability measure with exact weights.
 
-    The weights are checked as a tally of their distinct
-    ``as_integer_ratio()`` pairs, over the LCM of the pairs'
-    denominators; one weight object repeated, as a uniform measure is
-    built, is read once.
-    The atoms are checked distinct by value: each coordinate column
-    becomes its ratio pairs, zipped back into rows, so ``1``,
-    ``Fraction(1)`` and ``1.0`` are one atom.
+    The weights are checked as integer numerators over the LCM of their
+    denominators (:func:`_common_numerators`), and the coordinate rows
+    for one length.  Each coordinate column is read once, as its
+    ``as_integer_ratio()`` pairs kept in ``ratios`` (one list per column,
+    no ``__init__`` argument, not compared), which the lattice energy
+    paths read; the atoms are checked distinct on those pairs zipped
+    back into rows, so ``1``, ``Fraction(1)`` and ``1.0`` are one atom.
     """
 
     points: tuple
     weights: tuple[Fraction, ...]
     coords: tuple[tuple[Fraction, ...], ...]
+    ratios: tuple[list[tuple[int, int]], ...] = field(
+        init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        w = self.weights
-        if w and all(map(operator.is_, w, itertools.repeat(w[0]))):
-            tally = {_ratio(w[0]): len(w)}
-        else:
-            tally = Counter(map(_ratio, w))
-        common = math.lcm(*{q for _, q in tally})
-        if sum(k * p * (common // q)
-               for (p, q), k in tally.items()) != common:
+        common, nums = _common_numerators(self.weights)
+        if sum(nums) != common:
             raise ValueError("weights must sum to exactly 1")
-        if any(p <= 0 for p, _ in tally):
+        if min(nums) <= 0:
             raise ValueError("weights must be positive")
-        keys = zip(*(list(map(_ratio, col)) for col in zip(*self.coords)))
-        if len(set(keys)) != len(self.coords):
+        if len(set(map(len, self.coords))) > 1:
+            raise ValueError("coordinate rows must all have the same length")
+        ratios = tuple(list(map(_ratio, col)) for col in zip(*self.coords))
+        if len(set(zip(*ratios))) != len(self.coords):
             raise ValueError("atoms must be distinct")
+        object.__setattr__(self, "ratios", ratios)
 
     @classmethod
     def uniform_on_net(cls, net: ResolutionNet) -> "DiscreteMeasure":
@@ -242,15 +253,6 @@ def _autocorrelation(pos, values, span: int, finish=None) -> np.ndarray:
     return out if finish is None else finish(out)
 
 
-def _common_numerators(fractions) -> tuple[int, list[int]]:
-    """The LCM of the fractions' denominators, and their numerators over
-    it: one ``as_integer_ratio()`` per fraction, one LCM over the
-    distinct denominators."""
-    ratios = list(map(_ratio, fractions))
-    common = math.lcm(*{q for _, q in ratios})
-    return common, [p * (common // q) for p, q in ratios]
-
-
 def _lattice(ratios: Sequence[tuple[int, int]], k2: int):
     """(den, pos, lo, span) of the rationals p / q in ``ratios`` (q > 0):
     den the LCM of the q, pos the values times den, lo = min(pos) and
@@ -289,10 +291,9 @@ def _lattice_energies(measure: DiscreteMeasure,
     MAX_LATTICE_SQUARED_MASS, beyond which rounding the float FFT to the
     integer a_j is no longer exact.
     """
-    if len(measure.coords[0]) != 1:
+    if len(measure.ratios) != 1:
         return None
-    lattice = _lattice([x.as_integer_ratio() for (x,) in measure.coords],
-                       len(measure.coords) ** 2)
+    lattice = _lattice(measure.ratios[0], len(measure.coords) ** 2)
     if lattice is None:
         return None
     den, pos, lo, span = lattice
@@ -340,19 +341,18 @@ def _reciprocal_energies(measure: DiscreteMeasure,
     the pair sum.  That happens when a far-out atom with a large b_i sits
     among light ones.
     """
-    if len(measure.coords[0]) != 1:
+    if len(measure.ratios) != 1:
         return None
-    ratios = [x.as_integer_ratio() for (x,) in measure.coords]
+    ratios = measure.ratios[0]
     w = measure.float_weights()
     zero = 0.0
     if (0, 1) in ratios:
         i = ratios.index((0, 1))
-        del ratios[i]
         zero, w = float(w[i]), np.delete(w, i)
-    # 1 / (a / b) is b / a, its sign carried to the numerator
-    lattice = _lattice([(b if a > 0 else -b, abs(a)) for a, b in ratios],
+    # 1 / (a / b) is b / a, its sign carried to the numerator; the atom
+    # at 0, if any, is the one with a = 0
+    lattice = _lattice([(b if a > 0 else -b, abs(a)) for a, b in ratios if a],
                        len(measure.coords) ** 2)
-    del ratios
     if lattice is None:
         return None
     lcm_num, qs, lo, span = lattice

@@ -10,10 +10,11 @@ delta.  Two counters are provided:
   points whose first coordinate lies within delta below its own.  It
   sweeps coordinate columns, one Python list per axis read from the
   rows (a tuple sequence or an int64 or object array, so the event
-  check hands over its integer rows as they are; a presorted array of
-  two or more axes is converted only as far as the sweep reads), and a
-  distance is the first-axis difference squared plus the other axes' in
-  order.  On one-dimensional point sets the window is the last chosen
+  check hands over its integer rows as they are; an array of two or
+  more axes is converted only as far as the sweep reads), ascending as
+  given (it does not sort), and a distance is the first-axis difference
+  squared plus the other axes' in order.  On one-dimensional point sets
+  the window is the last chosen
   point, the sweep is in fact optimal, and it gallops past the points
   within reach instead of comparing each.  On two or more axes the
   window is also sorted on the second axis, and a candidate is compared
@@ -71,21 +72,21 @@ def _check_stop(stop) -> None:
         raise ValueError(f"packing stop must be at least 1, got {stop}")
 
 
-def greedy_packing_coords(rows, delta, presorted: bool = False,
-                          stop: int | None = None) -> list[int]:
+def greedy_packing_coords(rows, delta, stop: int | None = None) -> list[int]:
     """Indices of a greedy maximal delta-packing of the coordinate rows.
 
     ``rows`` is a sequence of coordinate tuples or a 2-D numpy array
-    (int64 or object); rows and delta are ``int``, ``Fraction`` or
-    ``float`` and are compared as given.  The sweep reads one Python
-    list per axis: ``zip(*rows)`` for a sequence, and for an array
-    ``.T.tolist()``, so an int64 entry becomes a Python int and a
-    squared distance cannot overflow.  A presorted array of two or
-    more axes is converted in doubling blocks just ahead of the sweep,
-    so a stopped sweep converts at most about twice the prefix it read;
-    one axis is converted at once.  Rows are inserted in ascending
-    lexicographic order, stable on ties: sorted here, unless
-    ``presorted`` declares them so.
+    (int64 or object), in ascending lexicographic order: the rows are
+    inserted in the order given, and the window below finds every
+    conflict only when they ascend.  Callers sort once where the rows
+    are built (``build_net`` and the event check build them ascending).
+    Rows and delta are ``int``, ``Fraction`` or ``float`` and are
+    compared as given.  The sweep reads one Python list per axis:
+    ``zip(*rows)`` for a sequence, and for an array ``.T.tolist()``, so
+    an int64 entry becomes a Python int and a squared distance cannot
+    overflow.  An array of two or more axes is converted in doubling
+    blocks just ahead of the sweep, so a stopped sweep converts at most
+    about twice the prefix it read; one axis is converted at once.
 
     The window is the chosen rows whose reach, first coordinate plus
     delta, is at least the candidate's first coordinate; reach is
@@ -122,15 +123,14 @@ def greedy_packing_coords(rows, delta, presorted: bool = False,
     d2 = _positive(delta) * delta
     _check_stop(stop)
     array = isinstance(rows, np.ndarray)
-    if array and presorted and rows.shape[1] > 1:
+    if array and rows.shape[1] > 1:
         cols = [[] for _ in range(rows.shape[1])]
         order = _converted_prefixes(rows, cols)
     else:
         cols = rows.T.tolist() if array else list(zip(*rows))
         if len(cols) == 1:
-            return _greedy_line(cols[0], delta, presorted, stop)
-        order = (range(len(rows)) if presorted else
-                 sorted(range(len(rows)), key=list(zip(*cols)).__getitem__))
+            return _greedy_line(cols[0], delta, stop)
+        order = range(len(rows))
     xs, ys, *more = cols
     chosen: list[int] = []
     band = delta + delta if 0 < d2 < math.inf else math.inf
@@ -171,25 +171,21 @@ def greedy_packing_coords(rows, delta, presorted: bool = False,
     return chosen
 
 
-def _greedy_line(xs, delta, presorted: bool, stop) -> list[int]:
+def _greedy_line(xs, delta, stop) -> list[int]:
     """The sweep of :func:`greedy_packing_coords` on one axis, galloping.
 
-    Once the row at sorted place i is kept, the next kept row is the
-    first beyond its reach x_i + delta.  Rows i + 1, i + 3, i + 7, ...
-    are probed until one lies beyond reach or the rows run out, and
-    ``bisect_right`` finds the first row beyond it in the last gap.  A
-    run of g rows within reach costs about 2 log2(g) comparisons, not g.
+    Once the row at place i of the ascending xs is kept, the next kept
+    row is the first beyond its reach x_i + delta.  Rows i + 1, i + 3,
+    i + 7, ... are probed until one lies beyond reach or the rows run
+    out, and ``bisect_right`` finds the first row beyond it in the last
+    gap.  A run of g rows within reach costs about 2 log2(g)
+    comparisons, not g.
     """
-    if presorted:
-        order = range(len(xs))
-    else:
-        order = sorted(range(len(xs)), key=xs.__getitem__)
-        xs = [xs[i] for i in order]
     n = len(xs)
     chosen = []
     i = 0
     while True:
-        chosen.append(order[i])
+        chosen.append(i)
         if len(chosen) == stop:
             return chosen
         reach = xs[i] + delta
@@ -214,21 +210,21 @@ def _converted_prefixes(rows: np.ndarray, cols: list[list]):
         start = end
 
 
-def greedy_packing_counts(points, delta, stop: int | None = None):
-    """Greedy packing counts of a block of point sets, one per trial.
+def greedy_packing_counts(points, delta, stop: int):
+    """Greedy packing counts, capped at ``stop``, of a block of trials.
 
     ``points`` is a float array of shape (B, m, d): B trials of m finite
-    points in R**d.  Entry b of the result is
-    ``len(greedy_packing_coords(points[b], delta, stop=stop))``, and
-    ``stop`` below 1 is refused the same way: each trial's points are
-    sorted lexicographically and taken in turn, and a candidate is kept
-    iff no kept point lies within squared distance <= delta**2 (and,
-    with ``stop``, fewer than ``stop`` points are kept).  The scalar
-    kernel sweeps one trial's coordinate columns a candidate at a time;
-    this loop takes candidate j of every trial at once, for j < m,
-    vectorised over trials.  A candidate is compared with the first
-    ``count.max()`` kept slots only, and the unfilled slots hold inf,
-    which is never near.
+    points in R**d, in any order.  Entry b of the result is
+    ``len(greedy_packing_coords(sorted(map(tuple, points[b])), delta,
+    stop=stop))``, and ``stop`` below 1 is refused the same way: each
+    trial's points are sorted lexicographically and taken in turn, and
+    a candidate is kept iff fewer than ``stop`` points are kept and no
+    kept point lies within squared distance <= delta**2; ``stop = m``
+    counts a whole packing.  The scalar kernel sweeps one trial's
+    coordinate columns a candidate at a time; this loop takes candidate
+    j of every trial at once, for j < m, vectorised over trials.  A
+    candidate is compared with the first ``count.max()`` kept slots
+    only, and the unfilled slots hold inf, which is never near.
     """
     pts = np.asarray(points, dtype=float)
     d2 = _positive(delta) * delta
@@ -237,15 +233,14 @@ def greedy_packing_counts(points, delta, stop: int | None = None):
     # np.lexsort sorts by its last key first
     order = np.lexsort(pts.transpose(2, 0, 1)[::-1], axis=-1)
     pts = np.take_along_axis(pts, order[..., None], axis=1)
-    kept = np.full((trials, m if stop is None else min(m, stop), d), np.inf)
+    kept = np.full((trials, min(m, stop), d), np.inf)
     count = np.zeros(trials, dtype=np.intp)
     for j in range(m):
         cand = pts[:, j]
         diff = kept[:, :count.max()] - cand[:, None]
         diff *= diff
         keep = ~(diff.sum(axis=2) <= d2).any(axis=1)
-        if stop is not None:
-            keep &= count < stop
+        keep &= count < stop
         rows = np.flatnonzero(keep)
         kept[rows, count[rows]] = cand[rows]
         count[rows] += 1
@@ -257,10 +252,11 @@ def max_packing_greedy(net: ResolutionNet, n: int) -> tuple:
 
     The packing is maximal (no net point can be added), hence at least
     the 2**-n covering number of the net and at most the true maximum.
-    Rows at any other delta go to :func:`greedy_packing_coords`.
+    The net's rows ascend, as the kernel requires; rows at any other
+    delta go to :func:`greedy_packing_coords`.
     """
     rows = net.coord_rows()
-    chosen = greedy_packing_coords(rows, Fraction(1, 2 ** n), presorted=True)
+    chosen = greedy_packing_coords(rows, Fraction(1, 2 ** n))
     return tuple(net.points[i] for i in chosen)
 
 

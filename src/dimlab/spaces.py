@@ -11,10 +11,11 @@ point's digits and its value lives here alone: :class:`DigitVector`,
 :func:`cantor_digits` and the :func:`subset_sums` tables.
 
 No distance is computed here: a net hands its points to the counters
-as exact coordinate rows (:meth:`ResolutionNet.coord_rows`), and the
-packing kernels compare squared distances on those rows.  Every net is
-one-dimensional: a product with a cube has no net, and
-``estimators.cell_count_series`` counts its cells from its base net.
+as exact coordinate rows (:meth:`ResolutionNet.coord_rows`), ascending
+as the greedy kernel requires, and the packing kernels compare squared
+distances on those rows.  Every net is one-dimensional: a product with
+a cube has no net, and ``estimators.cell_count_series`` counts its
+cells from its base net.
 """
 
 from __future__ import annotations
@@ -176,14 +177,6 @@ def product_with_cube(base: SpaceDescriptor, d: int) -> SpaceDescriptor:
     return SpaceDescriptor(PRODUCT_WITH_CUBE, base=base, cube_dim=d)
 
 
-def _as_fraction_point(x) -> Fraction:
-    if isinstance(x, Fraction):
-        return x
-    if isinstance(x, int):
-        return Fraction(x)
-    raise MixedRepresentationError(f"not an exact rational point: {x!r}")
-
-
 def drift_at(drift, x, d: int) -> tuple[Fraction, ...]:
     """The drift's value at x as d exact coordinates; a drift of another
     arity raises ValueError, so no coordinate is dropped or broadcast."""
@@ -205,9 +198,15 @@ class ResolutionNet:
     def size(self) -> int:
         return len(self.points)
 
-    def coord_rows(self) -> list[tuple[Fraction]]:
-        """The points as exact 1-tuples, else MixedRepresentationError."""
-        return [(_as_fraction_point(p),) for p in self.points]
+    def coord_rows(self) -> list[tuple[int | Fraction]]:
+        """The points as 1-tuples, ints and Fractions as they are; the
+        first point of another type raises MixedRepresentationError."""
+        pts = self.points
+        if not all(map(isinstance, pts, itertools.repeat((int, Fraction)))):
+            bad = next(p for p in pts if not isinstance(p, (int, Fraction)))
+            raise MixedRepresentationError(
+                f"not an exact rational point: {bad!r}")
+        return list(zip(pts))
 
 
 def check_net_size(space: SpaceDescriptor, n: int) -> None:

@@ -437,10 +437,10 @@ class EventChecker:
         The sample's indices of layers 1..n, laid end to end, are read
         into one array; the rows are ``base`` plus, for every entry, its
         coefficient times the ``grid_j`` row its slot's drawn index
-        selects, added with one ``np.add.at``.  The greedy kernel takes
-        that array as it is, reads one list per coordinate column as far
-        as it sweeps, counts the rows in ascending order and stops at
-        ceil(threshold); on at most ``packing.EXACT_SEARCH_LIMIT``
+        selects, added with one ``np.add.at``.  Their x values ascend,
+        so the rows do, as the greedy kernel requires: it takes that
+        array as it is, reads one list per column as far as it sweeps
+        and stops at ceil(threshold); on at most EXACT_SEARCH_LIMIT
         rows exact search runs, on the rows as lists, only when greedy
         falls short, since a greedy count never exceeds the maximum.
         The reported count is capped at ceil(threshold).
@@ -455,8 +455,7 @@ class EventChecker:
             drawn.take(self.slot) + self.grid_start, axis=0)
         np.add.at(rows.reshape(-1), self.at, terms.reshape(-1))
         need = math.ceil(self.threshold)
-        chosen = packing.greedy_packing_coords(rows, self.delta,
-                                               presorted=True, stop=need)
+        chosen = packing.greedy_packing_coords(rows, self.delta, stop=need)
         if len(rows) <= packing.EXACT_SEARCH_LIMIT:
             method = "exact"
             if len(chosen) < need:

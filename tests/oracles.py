@@ -188,7 +188,7 @@ def saturation_failure_flags(layer, adversary, trials, seed):
 
     Each trial draws its ell_n grid indices alone from the run's stream.
     The adversary gets that trial's history as a (1, i, d) array, and
-    the shifted points are counted by the scalar greedy kernel.
+    the shifted points, sorted, are counted by the scalar greedy kernel.
     """
     grid = [tuple(float(c) for c in g) for g in layer.grid]
     rng = stable_generator(seed, "saturation")
@@ -199,7 +199,7 @@ def saturation_failure_flags(layer, adversary, trials, seed):
         for i, x in enumerate(xs):
             y = adversary(np.array(xs[:i]).reshape(1, i, layer.d))[0]
             points.append(tuple(a + b for a, b in zip(x, y.tolist())))
-        kept = greedy_packing_coords(points, 0.5 ** layer.n)
+        kept = greedy_packing_coords(sorted(points), 0.5 ** layer.n)
         flags.append(len(kept) < layer.s_n)
     return flags
 
@@ -208,14 +208,13 @@ def saturation_failure_flags(layer, adversary, trials, seed):
 # greedy packing
 
 
-def greedy_packing_rows(rows, delta, presorted: bool = False,
-                        stop: int | None = None) -> list[int]:
+def greedy_packing_rows(rows, delta, stop: int | None = None) -> list[int]:
     """Indices of a greedy maximal delta-packing of the coordinate rows.
 
     Rows and delta are ``int``, ``Fraction`` or ``float`` and are
-    compared as given.  Rows are inserted in ascending order: sorted
-    here, unless ``presorted`` declares them so.  ``reach`` holds each
-    chosen row's first coordinate plus delta and is non-decreasing, so
+    compared as given.  Rows are inserted in ascending order, sorted
+    here (stable on ties) whatever order they come in.  ``reach`` holds
+    each chosen row's first coordinate plus delta and is non-decreasing, so
     a conflicting chosen row (distance <= delta) is among the trailing
     ones whose reach is at least the candidate's first coordinate; only
     those are compared, and on 1-D rows reaching is conflicting.
@@ -227,8 +226,7 @@ def greedy_packing_rows(rows, delta, presorted: bool = False,
     if not rows:
         raise ValueError("empty point set")
     d2 = _positive(delta) * delta
-    order = (range(len(rows)) if presorted
-             else sorted(range(len(rows)), key=rows.__getitem__))
+    order = sorted(range(len(rows)), key=rows.__getitem__)
     flat = len(rows[0]) == 1
     chosen: list[int] = []
     reach = []

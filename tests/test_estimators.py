@@ -317,6 +317,46 @@ class TestDiscreteEnergy:
             with pytest.raises(ValueError, match="atoms must be distinct"):
                 DiscreteMeasure((0, 1), half, coords)
 
+    @pytest.mark.parametrize("coords", [
+        ((Fraction(0),), (Fraction(1), Fraction(5))),
+        ((Fraction(0), Fraction(5)), (Fraction(1),)),
+    ], ids=["longer-last", "shorter-last"])
+    def test_ragged_rows_refused(self, coords):
+        # rows of different lengths are not atoms of one space: refused
+        # before the columns are read, which would drop the longer rows'
+        # tails
+        half = (Fraction(1, 2),) * 2
+        with pytest.raises(ValueError, match="^coordinate rows must all "
+                                             "have the same length$"):
+            DiscreteMeasure((0, 1), half, coords)
+
+    @pytest.mark.parametrize("space, path", [
+        (unit_interval(), "_lattice_energies"),
+        (harmonic_sequence(), "_reciprocal_energies"),
+    ], ids=["interval", "harmonic"])
+    def test_atoms_read_once(self, space, path):
+        # construction reads each atom's as_integer_ratio() once, and the
+        # lattice and reciprocal paths read the measure's stored pairs:
+        # the energies take no further read, and keep their bits
+        calls = []
+
+        class Counted(Fraction):
+            def as_integer_ratio(self):
+                calls.append(1)
+                return Fraction.as_integer_ratio(self)
+
+        plain = DiscreteMeasure.uniform_on_net(build_net(space, 8))
+        pts = tuple(Counted(p) for p in plain.points)
+        measure = DiscreteMeasure(pts, plain.weights,
+                                  tuple((p,) for p in pts))
+        assert len(calls) == len(pts)
+        calls.clear()
+        s_list = [0.3, 0.75, 1.6]
+        got = estimators._energy_grid(measure, s_list)
+        assert calls == []
+        assert got == estimators._energy_grid(plain, s_list)
+        assert getattr(estimators, path)(measure, s_list) == got
+
     @pytest.mark.parametrize("weights, message", [
         ((Fraction(1, 3), Fraction(1, 4), Fraction(1, 5), Fraction(1, 7)),
          "weights must sum to exactly 1"),

@@ -73,8 +73,7 @@ class TestGreedy:
             assert (len(max_packing_greedy(net, n))
                     == len(max_packing_exact(net, n)))
             for delta in (Fraction(1, 2 ** n), Fraction(3, 2 ** (n + 2))):
-                assert (len(packing.greedy_packing_coords(rows, delta,
-                                                          presorted=True))
+                assert (len(packing.greedy_packing_coords(rows, delta))
                         == len(packing.exact_packing_coords(rows, delta)))
 
     def test_witness_is_strict_packing(self):
@@ -140,14 +139,6 @@ class TestOneDimensionalSweep:
     def test_matches_grid_hash_on_nets(self, space, n):
         rows = build_net(space, n).coord_rows()
         for delta in (Fraction(1, 2 ** n), Fraction(1, 2 ** (n - 1))):
-            assert (packing.greedy_packing_coords(rows, delta, presorted=True)
-                    == _all_pairs_greedy(rows, delta))
-
-    def test_matches_grid_hash_on_shuffled_rows(self):
-        rows = build_net(harmonic_sequence(), 6).coord_rows()
-        random.Random(5).shuffle(rows)
-        for n in (2, 4, 6):
-            delta = Fraction(1, 2 ** n)
             assert (packing.greedy_packing_coords(rows, delta)
                     == _all_pairs_greedy(rows, delta))
 
@@ -155,7 +146,7 @@ class TestOneDimensionalSweep:
         # ties at exactly delta and repeated coordinates are both rejected
         vals = [0, 0, Fraction(1, 4), Fraction(1, 4), Fraction(1, 2),
                 Fraction(5, 8), Fraction(3, 4), Fraction(3, 4), 1]
-        rows = [(Fraction(v),) for v in reversed(vals)]
+        rows = [(Fraction(v),) for v in vals]
         for delta in (Fraction(1, 8), Fraction(1, 4), Fraction(1, 2)):
             got = packing.greedy_packing_coords(rows, delta)
             assert got == _all_pairs_greedy(rows, delta)
@@ -175,10 +166,9 @@ class TestGallopingSweep:
         for _ in range(200):
             # a few distinct values make long runs of ties within reach
             top = rnd.choice((4, 24, 400))
-            rows = [(make(rnd.randrange(top)),)
-                    for _ in range(rnd.randrange(1, 80))]
+            rows = sorted((make(rnd.randrange(top)),)
+                          for _ in range(rnd.randrange(1, 80)))
             delta = make(rnd.randrange(1, 16))
-            ordered = sorted(rows)
             arrays = [np.array(rows, dtype=object)]
             if kind != "Fraction":
                 arrays.append(np.array(rows))
@@ -186,17 +176,9 @@ class TestGallopingSweep:
                 want = greedy_packing_rows(rows, delta, stop=stop)
                 assert (packing.greedy_packing_coords(rows, delta, stop=stop)
                         == want)
-                want = greedy_packing_rows(ordered, delta, presorted=True,
-                                           stop=stop)
-                assert packing.greedy_packing_coords(
-                    ordered, delta, presorted=True, stop=stop) == want
                 for arr in arrays:
                     assert packing.greedy_packing_coords(
-                        arr, delta, stop=stop) == greedy_packing_rows(
-                            rows, delta, stop=stop)
-                    assert packing.greedy_packing_coords(
-                        np.array(sorted(arr.tolist()), dtype=arr.dtype),
-                        delta, presorted=True, stop=stop) == want
+                        arr, delta, stop=stop) == want
 
     def test_float_delta_below_the_spacing(self):
         # away from 0, x + 5e-324 == x: reach is the kept row itself, so
@@ -204,7 +186,7 @@ class TestGallopingSweep:
         # exactly delta above 0.0
         rnd = random.Random(7)
         values = (0.0, 5e-324, 1e-320, 0.5, 1.0, 1.5, 2.0)
-        rows = [(rnd.choice(values),) for _ in range(200)]
+        rows = sorted((rnd.choice(values),) for _ in range(200))
         assert 1.0 + 5e-324 == 1.0
         for stop in (None, 1, 2, 5):
             assert (packing.greedy_packing_coords(rows, 5e-324, stop=stop)
@@ -238,10 +220,10 @@ class TestGallopingSweep:
         rows = build_net(harmonic_sequence(), 13).coord_rows()
         counted = [(Counted(x),) for (x,) in rows]
         delta = Fraction(1, 2 ** 12)
-        kept = packing.greedy_packing_coords(counted, delta, presorted=True)
+        kept = packing.greedy_packing_coords(counted, delta)
         assert (len(rows), len(kept)) == (8193, 118)
         assert 0 < len(calls) <= 1000
-        assert kept == greedy_packing_rows(rows, delta, presorted=True)
+        assert kept == greedy_packing_rows(rows, delta)
 
 
 class TestWindowKernel:
@@ -257,6 +239,7 @@ class TestWindowKernel:
             rows = [tuple(make(rnd.randrange(0, 24)) for _ in range(dim))
                     for _ in range(rnd.randrange(1, 50))]
             rows += rnd.sample(rows, rnd.randrange(len(rows) + 1))
+            rows.sort()
             delta = make(rnd.randrange(1, 16))
             got = packing.greedy_packing_coords(rows, delta)
             assert got == _all_pairs_greedy(rows, delta)
@@ -264,10 +247,6 @@ class TestWindowKernel:
             for stop in (1, (len(got) + 1) // 2, len(got), len(got) + 1):
                 assert (packing.greedy_packing_coords(rows, delta, stop=stop)
                         == got[:stop])
-            order = sorted(range(len(rows)), key=rows.__getitem__)
-            ordered = [rows[i] for i in order]
-            assert got == [order[i] for i in packing.greedy_packing_coords(
-                ordered, delta, presorted=True)]
 
     def test_float_rows(self):
         def count(rows, delta):
@@ -287,8 +266,9 @@ class TestWindowKernel:
         for delta in (0.125, 0.25, 0.75):
             block = rng.integers(0, 12, size=(200, 30, dim)) / 8
             full = [len(packing.greedy_packing_coords(
-                [tuple(p) for p in trial], delta)) for trial in block.tolist()]
-            assert packing.greedy_packing_counts(block, delta).tolist() == full
+                sorted(map(tuple, trial)), delta)) for trial in block.tolist()]
+            assert (packing.greedy_packing_counts(block, delta, stop=30)
+                    .tolist() == full)
             for stop in (1, 3, 30):
                 assert (packing.greedy_packing_counts(block, delta, stop)
                         .tolist() == [min(c, stop) for c in full])
@@ -301,18 +281,18 @@ class TestWindowKernel:
             [[0.5, 0.5], [0.875, 1.0], [0.0, 0.0]],    # delta on a diagonal
             [[0.0, 0.0], [0.0, 1.0], [1.0, 0.0]],      # all kept
         ])
-        assert packing.greedy_packing_counts(block, delta).tolist() == [
-            2, 1, 2, 3]
+        assert packing.greedy_packing_counts(
+            block, delta, stop=3).tolist() == [2, 1, 2, 3]
         for trial, want in zip(block.tolist(), [2, 1, 2, 3]):
             assert len(packing.greedy_packing_coords(
-                [tuple(p) for p in trial], delta)) == want
+                sorted(map(tuple, trial)), delta)) == want
 
     @pytest.mark.parametrize("space", [unit_interval(), triadic_cantor(),
                                        harmonic_sequence()],
                              ids=lambda sp: sp.kind)
     def test_net_rows_ascending(self, space):
-        # max_packing_greedy passes presorted=True: the window only sees
-        # every conflict if the rows come in ascending order
+        # max_packing_greedy hands the net's rows to the kernel as they
+        # are: the window only sees every conflict if they ascend
         for n in range(1, 8):
             rows = build_net(space, n).coord_rows()
             assert all(a < b for a, b in zip(rows, rows[1:]))
@@ -322,22 +302,18 @@ class TestWindowKernel:
                              ids=["triadic_cantor", "unit_interval"])
     def test_fraction_rows_match_hand_scaled_integers(self, space, depth):
         # rows compared as given pick the same points as the same rows
-        # scaled by hand to integers over their common denominator; both
-        # go in presorted, in the one ascending order, and their indices
-        # map back through it
+        # scaled by hand to integers over their common denominator, in
+        # the one ascending order that product_rows builds
         axis = [Fraction(k, 2 ** depth) for k in range(2 ** depth + 1)]
         rows = product_rows(build_net(space, depth), axis, 1)
+        assert rows == sorted(rows)
         scale = math.lcm(2 ** 4, *(c.denominator for r in rows for c in r))
-        order = sorted(range(len(rows)), key=rows.__getitem__)
-        sorted_rows = [rows[i] for i in order]
-        int_rows = [tuple(int(c * scale) for c in row) for row in sorted_rows]
+        int_rows = [tuple(int(c * scale) for c in row) for row in rows]
         for n in range(5):
             delta = Fraction(1, 2 ** n)
-            got = [order[i] for i in packing.greedy_packing_coords(
-                sorted_rows, delta, presorted=True)]
-            assert got == [order[i] for i in packing.greedy_packing_coords(
-                int_rows, int(delta * scale), presorted=True)]
-            assert got == packing.greedy_packing_coords(rows, delta)
+            assert (packing.greedy_packing_coords(rows, delta)
+                    == packing.greedy_packing_coords(int_rows,
+                                                     int(delta * scale)))
 
 
 # coordinate k of a row, by kind.  The wide arrays hold int64 entries
@@ -354,19 +330,15 @@ COORD_KINDS = {
 
 
 def _assert_matches_row_sweep(rows, delta, dtype=None):
-    """The kernel's indices equal the row sweep's on ``rows`` (as an array
-    of ``dtype`` if given), unsorted and presorted, for ``stop`` in
-    {None, 1, half the count, the count, one above it}."""
-    ordered = sorted(rows)
+    """The kernel's indices equal the row sweep's on ``rows`` sorted (as
+    an array of ``dtype`` if given), for ``stop`` in {None, 1, half the
+    count, the count, one above it}."""
+    rows = sorted(rows)
     full = greedy_packing_rows(rows, delta)
-    for presorted, given_rows in ((False, rows), (True, ordered)):
-        arg = np.array(given_rows, dtype=dtype) if dtype else given_rows
-        for stop in (None, 1, (len(full) + 1) // 2, len(full),
-                     len(full) + 1):
-            got = packing.greedy_packing_coords(
-                arg, delta, presorted=presorted, stop=stop)
-            assert got == greedy_packing_rows(
-                given_rows, delta, presorted=presorted, stop=stop)
+    arg = np.array(rows, dtype=dtype) if dtype else rows
+    for stop in (None, 1, (len(full) + 1) // 2, len(full), len(full) + 1):
+        assert (packing.greedy_packing_coords(arg, delta, stop=stop)
+                == greedy_packing_rows(rows, delta, stop=stop))
 
 
 class TestColumnSweep:
@@ -436,9 +408,9 @@ class TestColumnSweep:
     @settings(max_examples=150, deadline=None)
     @given(dim=st.integers(1, 3), data=st.data())
     def test_int64_rows_match_the_row_sweep(self, dim, data):
-        rows = data.draw(st.lists(
+        rows = sorted(data.draw(st.lists(
             st.tuples(*[st.integers(-2 ** 40, 2 ** 40)] * dim),
-            min_size=1, max_size=30))
+            min_size=1, max_size=30)))
         delta = data.draw(st.integers(1, 2 ** 41))
         stop = data.draw(st.none() | st.integers(1, 31))
         arr = np.array(rows, dtype=np.int64)
@@ -609,9 +581,8 @@ class TestPackingInvariants:
         for n in (2, 3):
             delta = Fraction(1, 2 ** n)
             base = packing.greedy_packing_coords(
-                [(p,) for p in net.points], delta, presorted=True)
-            graph = packing.greedy_packing_coords(sorted(rows), delta,
-                                                  presorted=True)
+                [(p,) for p in net.points], delta)
+            graph = packing.greedy_packing_coords(sorted(rows), delta)
             assert len(graph) >= len(base)
 
 

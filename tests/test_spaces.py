@@ -109,6 +109,18 @@ class TestMetric:
             net = ResolutionNet(triadic_cantor(), 1, (point,))
             with pytest.raises(MixedRepresentationError):
                 net.coord_rows()
+        # the message names the first point that is not exact
+        net = ResolutionNet(unit_interval(), 1,
+                            (0, Fraction(1, 4), 0.5, DigitVector((1,))))
+        with pytest.raises(MixedRepresentationError, match="0.5$"):
+            net.coord_rows()
+
+    def test_exact_points_kept_as_given(self):
+        # ints and Fractions go into the rows unconverted, one per row
+        pts = (0, Fraction(1, 2), 1)
+        rows = ResolutionNet(unit_interval(), 1, pts).coord_rows()
+        assert rows == [(0,), (Fraction(1, 2),), (1,)]
+        assert [type(x) for (x,) in rows] == [int, Fraction, int]
 
     def test_triangle_inequality_exhaustive_small_net(self):
         net = build_net(triadic_cantor(), 3)  # 32 points

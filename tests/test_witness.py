@@ -580,6 +580,27 @@ class TestEventCheck:
                                                          method)
                 assert rep.holds == (count >= event_threshold(layers[n - 1]))
 
+    def test_rows_ascend_on_every_accepted_layer_set(self, monkeypatch,
+                                                      accepted_layers):
+        # the greedy kernel requires ascending rows and does not sort:
+        # every layer the CLI accepts hands it rows that ascend
+        # lexicographically (their x values are distinct and ascend)
+        kernel = packing.greedy_packing_coords
+        seen = []
+
+        def spy(rows, delta, stop=None):
+            seen.append(rows.tolist())
+            return kernel(rows, delta, stop)
+
+        monkeypatch.setattr(packing, "greedy_packing_coords", spy)
+        for key, layers in accepted_layers.items():
+            for n in range(1, len(layers) + 1):
+                seen.clear()
+                witness.EventChecker(layers, n).check(
+                    sample_witness(layers[:n], ("ascend", key, n)))
+                (rows,) = seen
+                assert all(a < b for a, b in zip(rows, rows[1:])), (key, n)
+
     @pytest.mark.parametrize("space, d, n_max, drift", [
         (triadic_cantor(), 1, 8, None),
         (triadic_cantor(), 1, 8, "cantor-f"),
@@ -774,7 +795,7 @@ class TestSaturation:
         calls = []
         counts = packing.greedy_packing_counts
 
-        def spy(points, delta, stop=None):
+        def spy(points, delta, stop):
             got = counts(points, delta, stop)
             calls.append((points.copy(), delta, stop, got))
             return got
@@ -792,9 +813,10 @@ class TestSaturation:
             got = np.concatenate([c[3] for c in calls])
             assert points.shape == (300, ell, size.d)
             rows = [[tuple(p) for p in trial] for trial in points.tolist()]
-            full = [len(packing.greedy_packing_coords(r, delta)) for r in rows]
+            full = [len(packing.greedy_packing_coords(sorted(r), delta))
+                    for r in rows]
             assert got.tolist() == [min(c, stop) for c in full]
-            assert counts(points, delta).tolist() == full
+            assert counts(points, delta, stop=ell).tolist() == full
             assert rep.failures == sum(c < size.s_n for c in full)
             failures += rep.failures
         assert failures > 0

@@ -450,16 +450,18 @@ def pair_expectation_check(
 
     Reports c_hat = max over pairs of mean * rho**s, grouped by the
     decade of the pair separation; the check passes when the per-decade
-    maxima stay within a factor two of each other while the separations
-    sweep at least two orders of magnitude.  A drift of another arity
-    than d, or fewer than one trial, raises ValueError.
+    maxima stay within a factor two of each other and the separations
+    sweep at least two orders of magnitude (max rho >= 100 * min rho).
+    A drift of another arity than d, fewer than one trial, or an empty
+    list of pairs raises ValueError.
     """
     if not 0 < t < s:
         raise ValueError("need 0 < t < s")
     if trials < 1:
         raise ValueError(f"need at least one trial, got {trials}")
-    if pairs is None:
-        pairs = ladder_pairs(family)
+    pairs = ladder_pairs(family) if pairs is None else list(pairs)
+    if not pairs:
+        raise ValueError("need at least one pair")
     reports = []
     for x, y in pairs:
         if x == y:
@@ -481,8 +483,9 @@ def pair_expectation_check(
     values = [v for _, v in decade_items]
     ratio = max(values) / min(values)
     c_hat = max(r.c_hat for r in reports)
+    rhos = [r.rho for r in reports]
     return PairExpectationReport(tuple(reports), c_hat, decade_items, ratio,
-                                 ratio <= 2.0)
+                                 ratio <= 2.0 and max(rhos) >= 100 * min(rhos))
 
 
 @dataclass(frozen=True)

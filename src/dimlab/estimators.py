@@ -179,7 +179,8 @@ def _common_numerators(fractions) -> tuple[int, list[int]]:
 class DiscreteMeasure:
     """Finitely supported probability measure with exact weights.
 
-    The weights are checked as integer numerators over the LCM of their
+    There must be one weight and one coordinate row per point.  The
+    weights are checked as integer numerators over the LCM of their
     denominators (:func:`_common_numerators`), and the coordinate rows
     for one length.  Each coordinate column is read once, as its
     ``as_integer_ratio()`` pairs kept in ``ratios`` (one list per column,
@@ -195,6 +196,11 @@ class DiscreteMeasure:
         init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        if not len(self.points) == len(self.weights) == len(self.coords):
+            raise ValueError(
+                f"need one weight and one coordinate row per point, got "
+                f"{len(self.points)} points, {len(self.weights)} weights "
+                f"and {len(self.coords)} rows")
         common, nums = _common_numerators(self.weights)
         if sum(nums) != common:
             raise ValueError("weights must sum to exactly 1")

@@ -2,14 +2,11 @@
 
 Every stochastic quantity in the package is a pure function of a seed
 and a structural key, so draws repeat across runs in any order.  One
-sha256 digest of (seed, structural key) is read one of two ways: as an
-index mod m for a scalar draw (:func:`stable_index`: field nodes and
-tails), or as the key of a numpy Philox stream for array draws
-(:func:`stable_generator`: pair means, and one stream per saturation
-run, read in trial order).  :func:`stable_indices` draws the scalars
-keyed (*prefix, 0), (*prefix, 1), ... (a witness layer's values): it
-hashes the shared prefix once and equals :func:`stable_index` draw for
-draw.
+sha256 digest of (seed, structural key) is read one of two ways: as a
+scalar index mod m (:func:`stable_index`: field nodes and tails), or as
+the key of a numpy Philox stream for array draws
+(:func:`stable_generator`: pair means, one stream per witness sample and
+one per saturation run, each read in a fixed order).
 """
 
 from __future__ import annotations
@@ -30,24 +27,6 @@ def stable_index(modulus: int, *key) -> int:
     if modulus < 1:
         raise ValueError("modulus must be positive")
     return stable_digest(*key) % modulus
-
-
-def stable_indices(modulus: int, count: int, *prefix) -> list[int]:
-    """``[stable_index(modulus, *prefix, i) for i in range(count)]``.
-
-    Key (*prefix, i) hashes ``repr(k) + "|"`` for each k in the prefix,
-    then ``repr(i)``, the decimal digits of i; so the prefix goes into
-    one sha256 state, and each draw copies it and adds i.
-    """
-    if modulus < 1:
-        raise ValueError("modulus must be positive")
-    head = hashlib.sha256("".join(repr(k) + "|" for k in prefix).encode())
-    out = []
-    for i in range(count):
-        h = head.copy()
-        h.update(b"%d" % i)
-        out.append(int.from_bytes(h.digest(), "big") % modulus)
-    return out
 
 
 def stable_generator(*key) -> Generator:

@@ -22,17 +22,19 @@ The two probabilistic checks:
   one candidate column at a time, vectorised over trials;
 * ``EventChecker`` / ``event_fraction``: how often does the graph of the
   summed layers plus a drift carry at least N_n(K) * 2**(n d) * n**-2d
-  packing points at scale 2**-n.  The checker puts its rows over one
-  denominator, built from layer n's ``den``, and finds each point's
-  nearest satellite of every layer with one ``np.searchsorted`` per
-  layer; it keeps only the bumps that reach a point, as sparse
-  (row, satellite, coefficient) entries of all layers together.  A
-  check builds its integer rows (int64 while one width bound, from the
-  sizes, is below 2**62) with one gather of the drawn grid vectors and one
-  ``np.add.at``, hands that array to the greedy kernel, which sweeps
-  its coordinate columns, and stops counting at ceil(threshold); small
-  instances fall back to exact search, on row lists, only when greedy
-  falls short.
+  packing points at scale 2**-n.  A trial's sample draws the grid
+  indices of layers 1..n from one ``rng.stable_generator`` stream, in
+  layer order, so it is a prefix of the same seed's sample over more
+  layers.  The checker puts its rows over one denominator, built from
+  layer n's ``den``, and finds each point's nearest satellite of every
+  layer with one ``np.searchsorted`` per layer; it keeps only the bumps
+  that reach a point, as sparse (row, satellite, coefficient) entries
+  of all layers together.  A check builds its integer rows (int64 while
+  one width bound, from the sizes, is below 2**62) with one gather of
+  the drawn grid vectors and one ``np.add.at``, hands that array to the
+  greedy kernel, which sweeps its coordinate columns, and stops
+  counting at ceil(threshold); small instances fall back to exact
+  search, on row lists, only when greedy falls short.
 
 A layer is sized (grid, k_n, m_n, ell_n and the ball centres, a
 :class:`LayerSize`) before its satellites are placed; the saturation
@@ -52,7 +54,7 @@ import numpy as np
 
 from . import packing
 # stable_index is unused; the benchmark self-test reads it (ROADMAP item 1)
-from .rng import stable_generator, stable_index, stable_indices
+from .rng import stable_generator, stable_index
 from .spaces import (
     NetDepthError,
     SpaceDescriptor,
@@ -301,18 +303,19 @@ def largest_layer(space: SpaceDescriptor, d: int) -> int:
 def sample_witness(layers: Sequence[LayerSpec], seed) -> WitnessSample:
     """Draw the shared grid values X_i for every layer, uniformly on S_n.
 
-    The sample keeps the grid index drawn at (n, i), a pure function of
-    (seed, n, i), so two samples with the same seed agree entry for entry.
-    One ``stable_indices`` call per layer hashes the key prefix
-    (seed, "witness", n) once; its draws equal ``stable_index`` at
-    (seed, "witness", n, i).
+    The sample keeps the drawn grid indices.  All of them come from one
+    ``stable_generator`` stream keyed (seed, "witness"), read layer by
+    layer in list order: two samples with the same seed agree entry for
+    entry, and a sample over ``layers[:n]`` is the first n layers of a
+    sample over any longer list of layers that starts with them.
     """
     if len({l.space for l in layers}) > 1 or len({l.d for l in layers}) > 1:
         raise ValueError("layers must share one space and one dimension")
+    highs = [lay.s_n for lay in layers for _ in range(lay.ell_n)]
+    drawn = stable_generator(seed, "witness").integers(highs).tolist()
+    starts = itertools.accumulate((lay.ell_n for lay in layers), initial=0)
     return WitnessSample(tuple(layers), tuple(
-        tuple(stable_indices(lay.s_n, lay.ell_n, seed, "witness", lay.n))
-        for lay in layers
-    ))
+        tuple(drawn[a:a + lay.ell_n]) for a, lay in zip(starts, layers)))
 
 
 def event_threshold(layer: LayerSpec) -> Fraction:

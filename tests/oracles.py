@@ -1,21 +1,22 @@
 """Reference implementations that the unit tests compare dimlab against.
 
 Each one is the direct, unoptimised form of something the library
-computes another way: the one-ball-at-a-time Fraction placement for
-the integer satellites of a layer, the digit-at-a-time loop for the
-chunked Cantor digit codec, rational witness evaluation for the event
-checker's integer rows, a one-trial-at-a-time loop with the scalar
-greedy kernel for the blocked saturation Monte Carlo, the row-by-row
-window sweep for the scalar greedy kernel's column sweep (and, on one
-axis, the row-at-a-time reach test for its galloping sweep), graph
-enumeration and mesh counting for the integer mesh counter and a Python
-set of its cells for its sorted keys, the fresh-array expressions for
-the in-place pairwise, lattice and reciprocal-lattice energy kernels, a
-product's expanded coordinate rows for the cell count
-``cell_count_series`` takes from its base net, a value-interval hull
-scan for the nested family's digit-read ``locate``, per-level node
-values and the per-point tail for ``eval_field``'s integer sum, the
-out-of-place expression for the in-place pair mean
+computes another way: the one-ball-at-a-time Fraction placement for the
+integer satellites of a layer, the per-index witness draws that pinned
+the event checker's verdicts before one keyed stream drew a sample, the
+digit-at-a-time loop for the chunked Cantor digit codec, rational
+witness evaluation for the event checker's integer rows, a
+one-trial-at-a-time loop with the scalar greedy kernel for the blocked
+saturation Monte Carlo, the row-by-row window sweep for the scalar
+greedy kernel's column sweep (and, on one axis, the row-at-a-time reach
+test for its galloping sweep), graph enumeration and mesh counting for
+the integer mesh counter and a Python set of its cells for its sorted
+keys, the fresh-array expressions for the in-place pairwise, lattice and
+reciprocal-lattice energy kernels, a product's expanded coordinate rows
+for the cell count ``cell_count_series`` takes from its base net, a
+value-interval hull scan for the nested family's digit-read ``locate``,
+per-level node values and the per-point tail for ``eval_field``'s
+integer sum, the out-of-place expression for the in-place pair mean
 ``energy._pair_mean``, and for ``kernel_integral`` and
 ``kernel_constant`` scipy's adaptive quadrature (``quad`` for d = 1,
 ``dblquad`` for d = 2) and log-gamma, a closed form at u = 1, a centred
@@ -72,6 +73,15 @@ def cantor_digits_by_digit(x):
 def build_layer(space, n, d, earlier=()):
     """Layer n alone, placed clear of the ``earlier`` layers' satellites."""
     return witness._place_layer(witness._size_layer(space, n, d), earlier)
+
+
+def sample_witness_by_index(layers, seed):
+    """``witness.sample_witness`` as it drew before one keyed stream served
+    a sample: ``stable_index(s_n, seed, "witness", n, i)`` per index."""
+    return witness.WitnessSample(tuple(layers), tuple(
+        tuple(stable_index(lay.s_n, seed, "witness", lay.n, i)
+              for i in range(lay.ell_n))
+        for lay in layers))
 
 
 def satellite_points(layer):

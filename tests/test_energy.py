@@ -489,6 +489,24 @@ class TestPairExpectation:
             args = (fam, x, y, theta, 0.5, d, 4096, "inplace")
             assert energy._pair_mean(*args) == pair_mean(*args)
 
+    @pytest.mark.parametrize("rungs", [1, 2])
+    def test_separations_within_two_decades_fail(self, nested_family_depth3,
+                                                 rungs):
+        # one or two rungs span 1x or 3x: the decade maxima agree, but the
+        # separations do not sweep two orders of magnitude
+        fam = nested_family_depth3
+        rep = pair_expectation_check(fam, t=0.5, s=0.6, trials=64, seed=0,
+                                     pairs=ladder_pairs(fam)[:rungs])
+        assert rep.stability_ratio == 1.0
+        assert not rep.passed
+
+    def test_no_pairs_refused(self, nested_family_depth3):
+        # refused up front: max() of no separations raised before
+        for pairs in ([], iter([])):
+            with pytest.raises(ValueError, match="at least one pair"):
+                pair_expectation_check(nested_family_depth3, t=0.5, s=0.6,
+                                       trials=16, seed=0, pairs=pairs)
+
     def test_coincident_pair_rejected(self, nested_family_depth3):
         fam = nested_family_depth3
         x = fam.leaves()[0].anchor

@@ -330,6 +330,20 @@ class TestDiscreteEnergy:
                                              "have the same length$"):
             DiscreteMeasure((0, 1), half, coords)
 
+    @pytest.mark.parametrize("points, weights, coords", [
+        ((0, 1), (Fraction(1, 3),) * 3, ((Fraction(0),), (Fraction(1),))),
+        ((0, 1, 2), (Fraction(1, 2),) * 2,
+         ((Fraction(0),), (Fraction(1),), (Fraction(2),))),
+        ((Fraction(0),), (Fraction(1, 2),) * 2,
+         ((Fraction(0),), (Fraction(1),))),
+    ], ids=["extra-weight", "missing-weight", "extra-row"])
+    def test_mismatched_lengths_refused(self, points, weights, coords):
+        # the first two failed later inside numpy; the third built a
+        # measure whose graph_measure pushforward kept one atom
+        with pytest.raises(ValueError, match="one weight and one coordinate "
+                                             "row per point"):
+            DiscreteMeasure(points, weights, coords)
+
     @pytest.mark.parametrize("space, path", [
         (unit_interval(), "_lattice_energies"),
         (harmonic_sequence(), "_reciprocal_energies"),

@@ -36,9 +36,29 @@ from oracles import (
     build_layer,
     eval_witness,
     place_fraction_layers,
+    sample_witness_by_index,
     satellite_points,
     saturation_failure_flags,
 )
+
+
+def _spy_streams(monkeypatch):
+    """Patch ``witness.stable_generator`` to record, per stream opened,
+    its key and the highs of each ``integers`` call on it."""
+    opened = []
+
+    class Spy:
+        def __init__(self, key):
+            self.rng = stable_generator(*key)
+            self.draws = []
+            opened.append((key, self.draws))
+
+        def integers(self, highs):
+            self.draws.append(list(highs))
+            return self.rng.integers(highs)
+
+    monkeypatch.setattr(witness, "stable_generator", lambda *key: Spy(key))
+    return opened
 
 
 @pytest.fixture(scope="module")
@@ -320,22 +340,39 @@ class TestWitnessSampling:
         )
         assert abs(hits / 10_000 - 0.5) <= 0.02
 
-    # sha256 of repr(indices), pinned from the per-index stable_index draws
-    # that stable_indices replaced, so a change to both shows here
+    # sha256 of repr(indices) drawn from one keyed stream per sample, so a
+    # change to the stream, its key or its reading order shows here
     @pytest.mark.parametrize("space,d,n_max,seed,digest", [
         (triadic_cantor(), 1, 6, "42",
-         "9ce8107aa654857541670e8c46d3a7e5ef501e016c9572db67b1f8b9e1710c09"),
+         "7c91ca28f001b0edd7480ded57fd1f0f9b65bbd6db0036301feb04e8791672e0"),
         (triadic_cantor(), 1, 6, (("mc-1", "event", "zero"), 3),
-         "2dc91b4938fc556f5f8530039296696d401964dcac7fa9cc81cac0a2bddb3f50"),
+         "61c01aa3aeba882d7b501d7911497e6befad23a6461762791f793b22734178cd"),
         (unit_interval(), 2, 4, "42",
-         "a35741c88ce138e8cf77292a4f139116922e0439174f299d6ecce68533aa4c6a"),
+         "d6ad671082df5436689ad13e4f0dd3ff08f936e2c8e96b96dec28d22787d2194"),
         (unit_interval(), 2, 4, (("mc-1", "event", "zero"), 3),
-         "82bbfea4071b0a22132eeae5ae74bac3db5d505fbe2d4fca306a91aff866361b"),
+         "f828a85cb0f181b5a7d0c37948313eac83ee29e7aad8ef64e9db4d54c9c7021e"),
     ], ids=["cantor-d1-42", "cantor-d1-mc", "interval-d2-42",
             "interval-d2-mc"])
     def test_draws_are_pinned(self, space, d, n_max, seed, digest):
         indices = sample_witness(build_layers(space, d, n_max), seed).indices
         assert hashlib.sha256(repr(indices).encode()).hexdigest() == digest
+
+    def test_prefix_of_layers_draws_a_prefix(self, accepted_layers,
+                                              monkeypatch):
+        # the stream is read in layer order, so a sample over layers[:n]
+        # is the first n layers of the sample over all of them, and each
+        # sample opens one stream keyed (seed, "witness")
+        opened = _spy_streams(monkeypatch)
+        for layers in accepted_layers.values():
+            highs = [lay.s_n for lay in layers for _ in range(lay.ell_n)]
+            cuts = list(itertools.accumulate(lay.ell_n for lay in layers))
+            for seed in [*range(10), "42", (("mc-1", "event", "zero"), 3)]:
+                full = sample_witness(layers, seed).indices
+                for n, cut in enumerate(cuts, 1):
+                    opened.clear()
+                    assert sample_witness(layers[:n], seed).indices \
+                        == full[:n]
+                    assert opened == [((seed, "witness"), [highs[:cut]])]
 
 
 class TestEvalWitness:
@@ -439,18 +476,13 @@ class TestEventCheck:
     def test_event_fraction_samples_only_layers_up_to_n(self, cantor_layers,
                                                          monkeypatch, n):
         want = witness.event_fraction(cantor_layers[:n], n, None, 4, "upto")
-        counts = []
-        real = witness.stable_indices
-
-        def counting(modulus, count, *prefix):
-            counts.append(count)
-            return real(modulus, count, *prefix)
-
-        monkeypatch.setattr(witness, "stable_indices", counting)
+        opened = _spy_streams(monkeypatch)
         got = witness.event_fraction(cantor_layers, n, None, 4, "upto")
         assert got == want
-        assert len(counts) == 4 * n  # one call per trial and layer
-        assert sum(counts) == 4 * sum(lay.ell_n for lay in cantor_layers[:n])
+        # one stream per trial, one draw of the satellites of layers 1..n
+        ell = sum(lay.ell_n for lay in cantor_layers[:n])
+        assert [(key, list(map(len, draws))) for key, draws in opened] == [
+            ((("upto", t), "witness"), [ell]) for t in range(4)]
 
     @pytest.mark.parametrize("drift", ["zero", "cantor-f"])
     def test_check_hashes_no_fraction(self, cantor_layers, monkeypatch,
@@ -663,7 +695,8 @@ class TestEventCheck:
     # thresholds all hold, so each check runs again with the threshold
     # above the row count: its count is then the full greedy (or, on at
     # most EXACT_SEARCH_LIMIT rows, exact) packing count, and a kernel
-    # that keeps other rows shows here
+    # that keeps other rows shows here.  The samples are the per-index
+    # draws the digests were pinned on, so only the checker is pinned
     @pytest.mark.parametrize("space, d, n_max, drift, digest", [
         (triadic_cantor(), 1, 7, None,
          "7ee5be64ac9fc2e0e699f534986a20aabdc18f239524472d9d765f93b9a6fd6e"),
@@ -687,7 +720,7 @@ class TestEventCheck:
             checker = witness.EventChecker(layers, n, drift)
             thresholds = (checker.threshold, len(checker.points) + 1)
             for t in range(8):
-                sample = sample_witness(layers[:n], ("pin", n, t))
+                sample = sample_witness_by_index(layers[:n], ("pin", n, t))
                 for threshold in thresholds:
                     checker.threshold = threshold
                     rep = checker.check(sample)

@@ -423,14 +423,19 @@ def _pair_mean(family: NestedFamily, x: Fraction, y: Fraction,
     # in place, with the float operations of
     # mean((rho**2 + sum over c of ((ux - uy) / den + theta[c])**2) ** exponent)
     acc = np.zeros(trials)
-    delta = np.empty(trials)
     for c in range(d):
-        ux = rng.integers(0, 1 << window_bits, size=trials, dtype=np.int64)
-        ux -= rng.integers(0, 1 << window_bits, size=trials, dtype=np.int64)
-        np.divide(ux, den, out=delta)
+        # one call draws x's values, then y's, reading the stream as two
+        # calls would; int32 holds the window (window_bits <=
+        # MAX_FAMILY_DEPTH + TAIL_LEVELS = 26) and the difference
+        ux, uy = rng.integers(0, 1 << window_bits, size=(2, trials),
+                              dtype=np.int32)
+        ux -= uy
+        # the first square lands in acc, which is exactly 0 + that square
+        delta = np.divide(ux, den, out=acc if c == 0 else None)
         delta += theta[c]
         delta *= delta
-        acc += delta
+        if c:
+            acc += delta
     acc += rho * rho
     acc **= exponent
     return float(np.mean(acc))

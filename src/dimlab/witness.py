@@ -31,9 +31,12 @@ The two probabilistic checks:
   that reach a point, as sparse (row, satellite, coefficient) entries
   of all layers together.  A check builds its integer rows (int64 while
   one width bound, from the sizes, is below 2**62) with one gather of
-  the drawn grid vectors and one ``np.add.at``, hands that array to the
-  greedy kernel, which sweeps its coordinate columns, and stops
-  counting at ceil(threshold); small instances fall back to exact
+  the drawn grid vectors and one ``np.add.at``.  At d = 1 it first takes
+  the paper's per-ball saturation: each ball's y-separated count,
+  capped at s_n, summed over the k_n balls, which do not interact.
+  When that certificate falls short, and at every d >= 2, it hands the
+  rows to the greedy kernel, which sweeps their coordinate columns and
+  stops counting at ceil(threshold); small instances fall back to exact
   search, on row lists, only when greedy falls short.
 
 A layer is sized (grid, k_n, m_n, ell_n and the ball centres, a
@@ -121,9 +124,11 @@ class EventReport:
     ``graph_count`` is the graph's packing count capped at
     ceil(threshold): the check stops counting once the verdict is
     decided, so ``holds`` is ``graph_count >= threshold`` either way.
-    ``method`` is "exact" for instances of at most
-    ``packing.EXACT_SEARCH_LIMIT`` rows, whose capped count is that of a
-    maximum packing, and "greedy" above.
+    ``method`` is "ball" when the d = 1 per-ball certificate reached
+    ceil(threshold): the count is then that of a valid packing, so a
+    maximum packing reaches it too.  Otherwise it is "exact" for
+    instances of at most ``packing.EXACT_SEARCH_LIMIT`` rows, whose
+    capped count is that of a maximum packing, and "greedy" above.
     """
 
     n: int
@@ -353,7 +358,13 @@ class EventChecker:
     * ``grid_j``: every layer's grid, layer after layer, as integer
       vectors j (a coordinate of layer l is 8 j / 2**l), and
       ``grid_start``: per entry, where its layer's rows begin, so a
-      drawn index selects j.
+      drawn index selects j;
+    * ``ball_rows``: a (k_n, ell_n) array, the row of each ball's
+      satellites, found with one ``np.searchsorted`` of the layer's
+      satellites in ``points``.  The ball centres are a strict 2**-n
+      packing and every satellite lies within eps_n = (least centre
+      gap - 2**-n) / 3 of its centre, so rows of different balls are
+      more than delta apart in x: the per-ball certificate of ``check``.
 
     Integer rows pack exactly like the rational ones.  One width bound,
     from the sizes alone, gives every array one dtype: ``int64`` when q,
@@ -429,24 +440,17 @@ class EventChecker:
         starts = np.cumsum([0] + [lay.s_n for lay in self.layers[:-1]])
         self.grid_start = np.repeat(starts, [len(r) for r in rows])
         self.slot_count = offset
+        self.ball_rows = np.searchsorted(
+            xs, np.array(self.layer.satellites, dtype=self.dtype))
 
-    def check(self, sample: WitnessSample) -> EventReport:
-        """Does the drifted sample graph reach the layer-n packing threshold?
-
-        Evaluation runs over the layer's satellite set, where the layer
-        values live exactly; more evaluation points could only increase
-        the count, so this is the conservative side of the event.
+    def rows(self, sample: WitnessSample) -> np.ndarray:
+        """The sample's graph rows over layer n's satellites, in integers.
 
         The sample's indices of layers 1..n, laid end to end, are read
         into one array; the rows are ``base`` plus, for every entry, its
         coefficient times the ``grid_j`` row its slot's drawn index
         selects, added with one ``np.add.at``.  Their x values ascend,
-        so the rows do, as the greedy kernel requires: it takes that
-        array as it is, reads one list per column as far as it sweeps
-        and stops at ceil(threshold); on at most EXACT_SEARCH_LIMIT
-        rows exact search runs, on the rows as lists, only when greedy
-        falls short, since a greedy count never exceeds the maximum.
-        The reported count is capped at ceil(threshold).
+        so the rows do.
         """
         if sample.layers[:self.n] != self.layers:
             raise ValueError("sample was drawn over different layers")
@@ -457,7 +461,38 @@ class EventChecker:
         terms = self.coef * self.grid_j.take(
             drawn.take(self.slot) + self.grid_start, axis=0)
         np.add.at(rows.reshape(-1), self.at, terms.reshape(-1))
+        return rows
+
+    def check(self, sample: WitnessSample) -> EventReport:
+        """Does the drifted sample graph reach the layer-n packing threshold?
+
+        Evaluation runs over the layer's satellite set, where the layer
+        values live exactly; more evaluation points could only increase
+        the count, so this is the conservative side of the event.
+
+        At d = 1 the per-ball certificate comes first: each ball's kept
+        y values (at most s_n of them, see ``_ball_count``) form one
+        packing over all balls, since rows of different balls are more
+        than delta apart in x and kept y values of one ball more than
+        delta apart in y.  k_n s_n >= ceil(threshold), as s_n exceeds
+        2**n / n**2, so the certificate can decide; when its sum reaches
+        ceil(threshold) the event holds, with ``method`` "ball".
+
+        Otherwise, and at every d >= 2, the greedy kernel sweeps the
+        rows, which ascend as it requires: it takes the row array as it
+        is, reads one list per column as far as it sweeps and stops at
+        ceil(threshold); on at most EXACT_SEARCH_LIMIT rows exact search
+        runs, on the rows as lists, only when greedy falls short, since
+        a greedy count never exceeds the maximum.  At d >= 2 a ball's
+        y-separated count is itself a packing problem, and no per-ball
+        form tried (parity-cell keys with one ``np.unique``, a block
+        kernel) was faster than the sweep.  The reported count is capped
+        at ceil(threshold).
+        """
+        rows = self.rows(sample)
         need = math.ceil(self.threshold)
+        if self.d == 1 and self._ball_count(rows[:, 1], need) >= need:
+            return EventReport(self.n, need, self.threshold, True, "ball")
         chosen = packing.greedy_packing_coords(rows, self.delta, stop=need)
         if len(rows) <= packing.EXACT_SEARCH_LIMIT:
             method = "exact"
@@ -469,6 +504,32 @@ class EventChecker:
         count = min(len(chosen), need)
         return EventReport(self.n, count, self.threshold,
                            count >= self.threshold, method)
+
+    def _ball_count(self, ys: np.ndarray, need) -> int:
+        """The per-ball certificate of a d = 1 check, summed up to ``need``.
+
+        ``ys`` holds the rows' y values.  Each ball's are sorted and
+        swept greedily: from the least, the next kept y is the first
+        beyond the last kept one plus delta.  Step j keeps the
+        (j + 1)-th y of every ball still sweeping, all balls at once,
+        and a ball stops at s_n kept or when no y lies beyond.  The sum
+        of the kept counts is returned once it reaches ``need``, so it
+        reaches ``need`` iff the full sum does.
+        """
+        ys = ys.take(self.ball_rows)
+        ys.sort(axis=1)
+        kept = ys[:, 0]
+        total = len(kept)
+        for _ in range(self.layer.s_n - 1):
+            if total >= need:
+                break
+            # per ball, the place of the first y beyond kept + delta
+            at = np.count_nonzero(ys <= (kept + self.delta)[:, None], axis=1)
+            (live,) = np.nonzero(at < ys.shape[1])
+            ys = ys[live]
+            kept = ys[np.arange(len(live)), at[live]]
+            total += len(live)
+        return total
 
 
 def _nearest_keys(keys: np.ndarray, xs: np.ndarray):

@@ -6,8 +6,9 @@ integer satellites of a layer, the per-index witness draws that pinned
 the event checker's verdicts before one keyed stream drew a sample, the
 digit-at-a-time loop for the chunked Cantor digit codec, rational
 witness evaluation for the event checker's integer rows, a
-one-trial-at-a-time loop with the scalar greedy kernel for the blocked
-saturation Monte Carlo, the row-by-row window sweep for the scalar
+ball-by-ball sweep of sorted Fraction y values for its per-ball
+certificate, a one-trial-at-a-time loop with the scalar greedy kernel
+for the blocked saturation Monte Carlo, the row-by-row window sweep for the scalar
 greedy kernel's column sweep (and, on one axis, the row-at-a-time reach
 test for its galloping sweep), graph enumeration and mesh counting for
 the integer mesh counter and a Python set of its cells for its sorted
@@ -191,6 +192,26 @@ def eval_witness(sample, x, depth):
         for c in range(d):
             total[c] += value[c] * weight
     return tuple(total)
+
+
+def ball_certificate(layer, rows, delta):
+    """The per-ball certificate of a d = 1 event check, ball by ball.
+
+    ``rows`` are the graph rows (x, y) over the layer's satellites, with
+    x a Fraction.  In each ball the y values are taken in ascending
+    order, and one is kept when it lies more than delta beyond the last
+    kept one, until s_n are kept; the kept counts are summed.
+    """
+    y_at = dict(rows)
+    total = 0
+    for ball in layer.satellites:
+        ys = sorted(y_at[Fraction(p, layer.den)] for p in ball)
+        kept = ys[:1]
+        for y in ys[1:]:
+            if len(kept) < layer.s_n and y - kept[-1] > delta:
+                kept.append(y)
+        total += len(kept)
+    return total
 
 
 def saturation_failure_flags(layer, adversary, trials, seed):

@@ -7,6 +7,7 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from dimlab import cantor_pair, energy, estimators
@@ -26,6 +27,7 @@ from dimlab.energy import (
     natural_leaf_measure,
     pair_expectation_check,
 )
+from dimlab.rng import stable_generator
 from dimlab.spaces import DigitVector, cantor_digits, cantor_numerators
 
 from oracles import (
@@ -488,6 +490,49 @@ class TestPairExpectation:
         for x, y in ladder_pairs(fam) + anchor_pairs(fam)[:3]:
             args = (fam, x, y, theta, 0.5, d, 4096, "inplace")
             assert energy._pair_mean(*args) == pair_mean(*args)
+
+    @pytest.mark.parametrize("d, theta", [
+        (1, (0.0,)), (1, (0.3,)), (2, (0.0, 0.0)), (2, (0.3, -0.3)),
+    ])
+    def test_pair_draws_match_two_int64_calls(self, monkeypatch, d, theta):
+        # one int32 call of shape (2, trials) per coordinate reads the
+        # stream as the two int64 calls of the oracle do, at every window
+        # width from a same-leaf pair (22 bits) to a level-0 pair at
+        # depth 4 (26 bits): the draws and the means are the same
+        fam = build_nested_family((2, 2, 2, 2))
+        anchors = [leaf.anchor for leaf in fam.leaves()]
+        pairs = [ladder_pairs(fam)[0],
+                 *((anchors[0], anchors[k]) for k in (1, 2, 4, 8))]
+        assert [fam.depth - energy._separating_level(fam, x, y) + TAIL_LEVELS
+                for x, y in pairs] == [22, 23, 24, 25, 26]
+        drawn = []
+
+        class Spy:
+            def __init__(self, *key):
+                self.rng = stable_generator(*key)
+
+            def integers(self, *args, **kwargs):
+                out = self.rng.integers(*args, **kwargs)
+                drawn.append(out.copy())
+                return out
+
+        for x, y in pairs:
+            args = (fam, x, y, theta, 0.5, d, 4096, ("int32", d))
+            want = pair_mean(*args)
+            drawn.clear()
+            with monkeypatch.context() as m:
+                m.setattr(energy, "stable_generator", Spy)
+                assert energy._pair_mean(*args) == want
+            bits = fam.depth - energy._separating_level(fam, x, y) + TAIL_LEVELS
+            rng = stable_generator(("int32", d), "pair",
+                                   (x.numerator, x.denominator),
+                                   (y.numerator, y.denominator))
+            assert len(drawn) == d
+            for got in drawn:
+                assert got.shape == (2, 4096)
+                for row in got:
+                    assert row.tolist() == rng.integers(
+                        0, 1 << bits, size=4096, dtype=np.int64).tolist()
 
     @pytest.mark.parametrize("rungs", [1, 2])
     def test_separations_within_two_decades_fail(self, nested_family_depth3,

@@ -417,6 +417,33 @@ class TestColumnSweep:
         assert (packing.greedy_packing_coords(arr, delta, stop=stop)
                 == greedy_packing_rows(rows, delta, stop=stop))
 
+    @pytest.mark.parametrize("kind", list(COORD_KINDS))
+    def test_descending_rows_refused(self, kind):
+        # on two axes a row below the one before it raises, whether its
+        # first coordinate is lower or tied with a lower second one; equal
+        # rows ascend.  Only rows the sweep reads are checked, so a row
+        # after the stop goes unread
+        make, dtype = COORD_KINDS[kind]
+        delta = make(1) - make(0)
+
+        def arg(rows):
+            rows = [tuple(make(v) for v in row) for row in rows]
+            return np.array(rows, dtype=dtype) if dtype else rows
+
+        for rows, bad in [([(1, 0), (0, 0)], 1),
+                          ([(0, 1), (0, 0)], 1),
+                          ([(0, 0), (2, 0), (1, 5)], 2),
+                          ([(0, 0), (3, 1), (3, 0)], 2),
+                          ([(0, 0, 1), (0, 0, 0)], 1)]:
+            with pytest.raises(ValueError,
+                               match=f"^rows must ascend: row {bad} is "
+                                     f"below row {bad - 1}$"):
+                packing.greedy_packing_coords(arg(rows), delta)
+        assert packing.greedy_packing_coords(arg([(0, 0), (0, 0)]),
+                                             delta) == [0]
+        assert packing.greedy_packing_coords(arg([(0, 0), (4, 0), (1, 0)]),
+                                             delta, stop=2) == [0, 1]
+
     @pytest.mark.parametrize("stop", [0, -1])
     def test_stop_below_one_refused(self, stop):
         # both kernels refuse it alike, before any point is compared
@@ -455,7 +482,10 @@ class TestExact:
 
     def test_limit_read_at_call_time(self, cantor_layers, monkeypatch):
         # every reader of EXACT_SEARCH_LIMIT takes its value at call time
+        # above k_n s_n the per-ball certificate cannot decide, so the
+        # check reaches the sweep and its exact fallback
         checker = witness.EventChecker(cantor_layers, 1)
+        checker.threshold = checker.layer.k_n * checker.layer.s_n + 1
         sample = witness.sample_witness(cantor_layers[:1], "call-time")
         assert len(checker.points) == 15
         assert checker.check(sample).method == "exact"

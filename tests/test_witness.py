@@ -33,6 +33,7 @@ from dimlab.witness import (
 
 from oracles import (
     _bump_terms,
+    ball_certificate,
     build_layer,
     eval_witness,
     place_fraction_layers,
@@ -431,6 +432,16 @@ def _rational_checker_rows(layers, n, drift):
             [[int(v * denom) for v in row] for row in base], coef, sat)
 
 
+def _lifted(layers, lift):
+    """The same layers over a den ``lift`` times larger."""
+    return tuple(dataclasses.replace(
+        lay, den=lay.den * lift,
+        satellites=tuple(tuple(p * lift for p in ball)
+                         for ball in lay.satellites),
+        sat_values=tuple((p * lift, i) for p, i in lay.sat_values))
+        for lay in layers)
+
+
 def _dense_columns(checker):
     """The checker's sparse entries as per-layer coefficient and
     satellite-index columns over its rows, 0 and 0 where no bump of the
@@ -591,8 +602,10 @@ class TestEventCheck:
             assert in_delta(*got) == in_delta(*want)
             if same_denominator:
                 assert got == want
-            points = satellite_points(layers[n - 1])
+            points = sorted(satellite_points(layers[n - 1]))
             delta = Fraction(1, 2 ** n)
+            threshold = event_threshold(layers[n - 1])
+            need = math.ceil(threshold)
             for seed in range(4):
                 sample = sample_witness(layers, ("rows", seed))
                 rows = []
@@ -606,17 +619,27 @@ class TestEventCheck:
                 else:
                     count = len(packing.greedy_packing_coords(rows, delta))
                     method = "greedy"
+                # at d = 1 the per-ball certificate decides when it
+                # reaches the need; the sweep then runs only above k_n s_n
+                checker.threshold = threshold
+                if d == 1 and ball_certificate(layers[n - 1], rows,
+                                               delta) >= need:
+                    assert checker.check(sample) == witness.EventReport(
+                        n, need, threshold, True, "ball")
+                    checker.threshold = len(points) + 1
                 rep = checker.check(sample)
-                need = math.ceil(event_threshold(layers[n - 1]))
-                assert (rep.graph_count, rep.method) == (min(count, need),
+                cap = math.ceil(checker.threshold)
+                assert (rep.graph_count, rep.method) == (min(count, cap),
                                                          method)
-                assert rep.holds == (count >= event_threshold(layers[n - 1]))
+                assert rep.holds == (count >= checker.threshold)
 
     def test_rows_ascend_on_every_accepted_layer_set(self, monkeypatch,
                                                       accepted_layers):
         # the greedy kernel requires ascending rows and does not sort:
         # every layer the CLI accepts hands it rows that ascend
-        # lexicographically (their x values are distinct and ascend)
+        # lexicographically (their x values are distinct and ascend).  A
+        # threshold above k_n s_n, beyond the per-ball certificate, makes
+        # the sweep run at every d
         kernel = packing.greedy_packing_coords
         seen = []
 
@@ -628,8 +651,9 @@ class TestEventCheck:
         for key, layers in accepted_layers.items():
             for n in range(1, len(layers) + 1):
                 seen.clear()
-                witness.EventChecker(layers, n).check(
-                    sample_witness(layers[:n], ("ascend", key, n)))
+                checker = witness.EventChecker(layers, n)
+                checker.threshold = layers[n - 1].k_n * layers[n - 1].s_n + 1
+                checker.check(sample_witness(layers[:n], ("ascend", key, n)))
                 (rows,) = seen
                 assert all(a < b for a, b in zip(rows, rows[1:])), (key, n)
 
@@ -662,13 +686,7 @@ class TestEventCheck:
         # 2**62, so the one width bound picks object arrays; the rows, in
         # units of delta, are still the rational ones, and every verdict
         # is that of the int64 checker on the built layers
-        lift = 3 ** 40
-        lifted = tuple(dataclasses.replace(
-            lay, den=lay.den * lift,
-            satellites=tuple(tuple(p * lift for p in ball)
-                             for ball in lay.satellites),
-            sat_values=tuple((p * lift, i) for p, i in lay.sat_values))
-            for lay in cantor_layers)
+        lifted = _lifted(cantor_layers, 3 ** 40)
 
         def in_delta(delta, base, coef, sat):
             return ([[Fraction(v, delta) for v in row] for row in base],
@@ -696,14 +714,18 @@ class TestEventCheck:
     # above the row count: its count is then the full greedy (or, on at
     # most EXACT_SEARCH_LIMIT rows, exact) packing count, and a kernel
     # that keeps other rows shows here.  The samples are the per-index
-    # draws the digests were pinned on, so only the checker is pinned
+    # draws the digests were pinned on, so only the checker is pinned.
+    # The d = 1 digests were re-pinned when the per-ball certificate came
+    # in: each list is the old one with "ball" for the method of every
+    # check at a built threshold, and the checks above the row count,
+    # out of the certificate's reach, are unchanged
     @pytest.mark.parametrize("space, d, n_max, drift, digest", [
         (triadic_cantor(), 1, 7, None,
-         "7ee5be64ac9fc2e0e699f534986a20aabdc18f239524472d9d765f93b9a6fd6e"),
+         "c1b850cb3111e00f3a2c3dd134eef7f7fceb23c2a31ba7161a56c68460fd7e2f"),
         (triadic_cantor(), 1, 7, "cantor-f",
-         "7ff543cebe8dad4424354b249f7693d1ebc992c30ccc8c1bdc93cd551db0a3e9"),
+         "c6b74d57baa52692e0d1fe74d09a1e9237b6ee10845b1a0f906a895eec93ad5a"),
         (unit_interval(), 1, 6, None,
-         "9071a3f850cb79c10e5a38b6f8215a123bc61429867e59a5280dd5e4e8020fc3"),
+         "f0a71c6a09fe2b93259e8627f545f17bdb9f73679a5f0a5a8fb891bbcdc1d650"),
         (triadic_cantor(), 2, 5, None,
          "67890f932a0f7a4a860ce243e05949bedb01d456e5bd4163e7933035979f215e"),
     ], ids=["cantor-d1-zero", "cantor-d1-cantor-f", "interval-d1-zero",
@@ -756,6 +778,173 @@ class TestEventCheck:
                 assert rep.holds == (best >= threshold)
                 assert rep.graph_count == min(best, threshold)
                 assert rep.method == "exact"
+
+
+def _cantor_f(p):
+    return (cantor_pair.evaluate(cantor_pair.DigitFunction.ODD_DIGITS, p),)
+
+
+# every d = 1 layer set the CLI accepts (Cantor n <= 8, interval n <= 7),
+# with the drifts the event rows use on it
+BALL_SETS = pytest.mark.parametrize("key, drift", [
+    ("cantor-d1", None), ("cantor-d1", _cantor_f), ("interval-d1", None),
+], ids=["cantor-d1-zero", "cantor-d1-cantor-f", "interval-d1-zero"])
+
+
+def _ball_sweep(checker, ys):
+    """Per ball, the rows the certificate keeps from the y values ``ys``:
+    ascending y, each more than delta above the last kept, at most s_n."""
+    out = []
+    for ball in checker.ball_rows.tolist():
+        kept = []
+        for r in sorted(ball, key=lambda r: ys[r]):
+            if len(kept) < checker.layer.s_n and (
+                    not kept or ys[r] - ys[kept[-1]] > checker.delta):
+                kept.append(r)
+        out.append(kept)
+    return out
+
+
+class TestBallCertificate:
+    @pytest.mark.parametrize("key", ["cantor-d1", "interval-d1"])
+    def test_balls_can_reach_the_threshold(self, accepted_layers, key):
+        # s_n > 2**n / n**2, so k_n s_n > threshold
+        for lay in accepted_layers[key]:
+            assert lay.k_n * lay.s_n >= math.ceil(event_threshold(lay))
+
+    @pytest.mark.parametrize("key", ["cantor-d1", "interval-d1"])
+    def test_balls_are_more_than_delta_apart_in_x(self, accepted_layers,
+                                                  key):
+        # ball_rows holds each ball's satellites, every row once, and the
+        # x spans of the balls, in ascending order, leave gaps > delta
+        layers = accepted_layers[key]
+        for n in range(1, len(layers) + 1):
+            checker = witness.EventChecker(layers, n)
+            balls = checker.ball_rows.tolist()
+            assert [[checker.points[r] for r in ball] for ball in balls] == [
+                list(ball) for ball in checker.layer.satellites]
+            assert sorted(r for ball in balls for r in ball) == list(
+                range(len(checker.points)))
+            xs = checker.base[:, 0].tolist()
+            spans = sorted((min(xs[r] for r in ball), max(xs[r] for r in ball))
+                           for ball in balls)
+            assert all(lo - hi > checker.delta
+                       for (_, hi), (lo, _) in zip(spans, spans[1:])), n
+
+    @BALL_SETS
+    def test_kept_rows_are_a_packing(self, accepted_layers, key, drift):
+        # per ball, ascending y, keep a row more than delta above the last
+        # kept one, at most s_n: all kept rows are pairwise more than
+        # delta apart, in exact integers, and the checker counts as many
+        layers = accepted_layers[key]
+        for n in range(1, len(layers) + 1):
+            checker = witness.EventChecker(layers, n, drift)
+            for seed in range(2):
+                rows = checker.rows(
+                    sample_witness(layers[:n], ("kept", key, n, seed)))
+                xy = rows.tolist()
+                kept = sum(_ball_sweep(checker, rows[:, 1].tolist()), [])
+                d2 = checker.delta ** 2
+                assert all((xy[a][0] - xy[b][0]) ** 2
+                           + (xy[a][1] - xy[b][1]) ** 2 > d2
+                           for a, b in itertools.combinations(kept, 2))
+                assert checker._ball_count(rows[:, 1], math.inf) == len(kept)
+
+    @pytest.mark.parametrize("key", ["cantor-d1", "interval-d1"])
+    def test_count_matches_the_sweep_at_exact_ties(self, accepted_layers,
+                                                   key):
+        # y values on a delta / 2 lattice, so kept + delta is often hit
+        # exactly: a y there is not kept.  With ``need`` the count stops
+        # early, but reaches ``need`` exactly when the full count does
+        layers = accepted_layers[key]
+        rnd = random.Random(f"ties-{key}")
+        for n in range(1, len(layers) + 1):
+            checker = witness.EventChecker(layers, n)
+            half, s_n = checker.delta // 2, checker.layer.s_n
+            for _ in range(20):
+                ys = [rnd.randrange(3 * s_n) * half
+                      for _ in range(len(checker.points))]
+                want = sum(map(len, _ball_sweep(checker, ys)))
+                arr = np.array(ys, dtype=checker.dtype)
+                assert checker._ball_count(arr, math.inf) == want
+                for need in (want, want + 1):
+                    assert (checker._ball_count(arr, need) >= need) == (
+                        want >= need)
+
+    @BALL_SETS
+    def test_verdicts_match_the_sweep(self, accepted_layers, key, drift):
+        # on fixed seeds the certificate decides every check, with the
+        # count and verdict of the sweep it replaces
+        layers = accepted_layers[key]
+        for n in range(1, len(layers) + 1):
+            checker = witness.EventChecker(layers, n, drift)
+            samples = [sample_witness(layers[:n], ("sweep", key, n, t))
+                       for t in range(6)]
+            reps = [checker.check(s) for s in samples]
+            checker._ball_count = lambda ys, need: 0
+            sweep = [checker.check(s) for s in samples]
+            assert {rep.method for rep in reps} == {"ball"}
+            assert ({rep.method for rep in sweep}
+                    == {"exact" if len(checker.points)
+                        <= packing.EXACT_SEARCH_LIMIT else "greedy"})
+            assert ([(rep.graph_count, rep.holds) for rep in reps]
+                    == [(rep.graph_count, rep.holds) for rep in sweep]), n
+
+    def test_short_certificate_reaches_the_sweep(self, accepted_layers,
+                                                 monkeypatch):
+        # every grid index 0, no drift: every row has y = 0, so each ball
+        # keeps one row and the certificate is k_n.  Where that is below
+        # ceil(threshold) the sweep decides, over rows whose packing
+        # keeps one row per ball: k_n again, and the event fails
+        kernel = packing.greedy_packing_coords
+        calls = []
+
+        def spy(rows, delta, stop=None):
+            calls.append(len(rows))
+            return kernel(rows, delta, stop)
+
+        monkeypatch.setattr(packing, "greedy_packing_coords", spy)
+        short = []
+        for key in ("cantor-d1", "interval-d1"):
+            layers = accepted_layers[key]
+            for n in range(1, len(layers) + 1):
+                checker = witness.EventChecker(layers, n)
+                flat = witness.WitnessSample(layers[:n], tuple(
+                    (0,) * lay.ell_n for lay in layers[:n]))
+                k_n, need = checker.layer.k_n, math.ceil(checker.threshold)
+                assert checker._ball_count(checker.rows(flat)[:, 1],
+                                           math.inf) == k_n
+                calls.clear()
+                rep = checker.check(flat)
+                if k_n >= need:
+                    assert (rep.method, calls) == ("ball", [])
+                    continue
+                short.append((key, n))
+                assert calls == [len(checker.points)]
+                assert rep == witness.EventReport(
+                    n, k_n, checker.threshold, False,
+                    "exact" if len(checker.points)
+                    <= packing.EXACT_SEARCH_LIMIT else "greedy")
+        assert ("cantor-d1", 8) in short and ("interval-d1", 7) in short
+
+    def test_object_rows_give_the_same_reports(self, accepted_layers):
+        # the Cantor layers over a den 3**40 times larger take the object
+        # path; ball rows and reports, by the certificate and by the
+        # sweep past it, are those of the int64 checker
+        layers = accepted_layers["cantor-d1"]
+        lifted = _lifted(layers, 3 ** 40)
+        for n in range(1, len(layers) + 1):
+            checker = witness.EventChecker(lifted, n)
+            built = witness.EventChecker(layers, n)
+            assert checker.dtype == np.dtype(object)
+            assert checker.ball_rows.tolist() == built.ball_rows.tolist()
+            for seed in range(2):
+                pair = (sample_witness(lifted, ("lift", seed)),
+                        sample_witness(layers, ("lift", seed)))
+                for threshold in (built.threshold,
+                                  built.layer.k_n * built.layer.s_n + 1):
+                    checker.threshold = built.threshold = threshold
+                    assert checker.check(pair[0]) == built.check(pair[1])
 
 
 class TestSaturation:

@@ -40,6 +40,7 @@ _PAIR_BLOCK_ELEMENTS = 1 << 17
 # x -> (p, q), x = p / q in lowest terms with q > 0, for an int, a
 # Fraction or a float alike
 _ratio = operator.methodcaller("as_integer_ratio")
+_first = operator.itemgetter(0)
 
 
 @dataclass(frozen=True)
@@ -215,9 +216,10 @@ class DiscreteMeasure:
 
     @classmethod
     def uniform_on_net(cls, net: ResolutionNet) -> "DiscreteMeasure":
-        pts = net.points
+        rows = net.coord_rows()
+        pts = tuple(map(_first, rows))
         w = Fraction(1, len(pts))
-        return cls(pts, (w,) * len(pts), tuple(net.coord_rows()))
+        return cls(pts, (w,) * len(pts), tuple(rows))
 
     def float_coords(self) -> np.ndarray:
         return np.array([[float(c) for c in row] for row in self.coords])

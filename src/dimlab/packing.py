@@ -40,7 +40,11 @@ comparisons are exact on that Monte Carlo's dyadic grid values, shifted
 by the built-in adversaries.
 
 :func:`occupied_cell_count` counts the 2**-n grid cells a net meets.
-Every net is one-dimensional; a product with a cube has no net.
+Every net is one-dimensional; a product with a cube has no net.  The
+net counters, :func:`max_packing_greedy` and :func:`occupied_cell_count`,
+read a built net's integer points (``spaces.LatticePoints`` and
+``spaces.HarmonicPoints``) without coordinate rows, and make a
+``Fraction`` only for a kept or probed point.
 """
 
 from __future__ import annotations
@@ -52,7 +56,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .spaces import ResolutionNet
+from .spaces import HarmonicPoints, LatticePoints, ResolutionNet
 
 EXACT_SEARCH_LIMIT = 64
 
@@ -79,14 +83,13 @@ def greedy_packing_coords(rows, delta, stop: int | None = None) -> list[int]:
     (int64 or object), in ascending lexicographic order: the rows are
     inserted in the order given, and the window below finds every
     conflict only when they ascend.  Callers sort once where the rows
-    are built (``build_net`` and the event check build them ascending).
-    On two or more axes a row below the one before it raises
+    are built (a net's points and the event check's rows ascend as
+    built).  On two or more axes a row below the one before it raises
     ``ValueError``: the sweep compares each first coordinate it reads
     with the previous one, and whole rows only on a tie.  The one-axis
-    gallop skips most rows unread, so it does not check; a separate pass
-    would cost a comparison per row, about 10 ms over the 23 925 net
-    rows of one pass of the benchmark's geometry workload (6% of that
-    pass, 2-core x86 host).  Rows and delta are ``int``, ``Fraction``
+    gallop skips most rows unread, so it does not check: a separate
+    pass would cost a comparison per row where the gallop reads about
+    2 log2(g) of a run of g rows.  Rows and delta are ``int``, ``Fraction``
     or ``float`` and are compared as given.  The sweep reads one Python
     list per axis: ``zip(*rows)`` for a sequence, and for an array
     ``.T.tolist()``, so an int64 entry becomes a Python int and a
@@ -184,9 +187,11 @@ def greedy_packing_coords(rows, delta, stop: int | None = None) -> list[int]:
 
 
 def _greedy_line(xs, delta, stop) -> list[int]:
-    """The sweep of :func:`greedy_packing_coords` on one axis, galloping.
+    """The sweep of :func:`greedy_packing_coords` on one axis, galloping;
+    :func:`max_packing_greedy` runs it on a built net's points directly.
 
-    Once the row at place i of the ascending xs is kept, the next kept
+    ``xs`` is any ascending sequence that ``bisect`` can index.  Once
+    the row at place i of xs is kept, the next kept
     row is the first beyond its reach x_i + delta.  Rows i + 1, i + 3,
     i + 7, ... are probed until one lies beyond reach or the rows run
     out, and ``bisect_right`` finds the first row beyond it in the last
@@ -264,12 +269,22 @@ def max_packing_greedy(net: ResolutionNet, n: int) -> tuple:
 
     The packing is maximal (no net point can be added), hence at least
     the 2**-n covering number of the net and at most the true maximum.
-    The net's rows ascend, as the kernel requires; rows at any other
-    delta go to :func:`greedy_packing_coords`.
+    A built net's points ascend, and :func:`_greedy_line` gallops over
+    them without coordinate rows: over a :class:`LatticePoints`'s
+    numerators with the integer reach den >> n (an integer difference
+    is at most den / 2**n exactly when it is at most its floor), and
+    over a :class:`HarmonicPoints` itself, which makes only the points
+    the gallop probes.  A net built by hand, and rows at any other
+    delta, go through :func:`greedy_packing_coords`.
     """
-    rows = net.coord_rows()
-    chosen = greedy_packing_coords(rows, Fraction(1, 2 ** n))
-    return tuple(net.points[i] for i in chosen)
+    pts = net.points
+    if isinstance(pts, LatticePoints):
+        chosen = _greedy_line(pts.nums, pts.den >> n, None)
+    elif isinstance(pts, HarmonicPoints):
+        chosen = _greedy_line(pts, Fraction(1, 2 ** n), None)
+    else:
+        chosen = greedy_packing_coords(net.coord_rows(), Fraction(1, 2 ** n))
+    return tuple(map(pts.__getitem__, chosen))
 
 
 def exact_packing_coords(rows, delta) -> list[int]:
@@ -391,9 +406,18 @@ def _max_independent_set(adj: list[int], m: int) -> int:
 def occupied_cell_count(net: ResolutionNet, n: int) -> int:
     """Number of half-open 2**-n grid cells [k 2**-n, (k+1) 2**-n)
     occupied by the net's points.  The cell of x = p / q is the integer
-    floor (p * 2**n) // q, which is x // 2**-n without building a
-    ``Fraction`` per point.  A product's cells are counted from its base
-    net by ``estimators.cell_count_series``.
+    floor (p << n) // q, which is x // 2**-n.  A built net's integers
+    are read as they are, p over the lattice's one denominator or 1 over
+    each harmonic q, with 0 in cell 0, so no ``Fraction`` is made; a net
+    built by hand is read through its coordinate rows.  A product's
+    cells are counted from its base net by
+    ``estimators.cell_count_series``.
     """
+    pts = net.points
+    if isinstance(pts, LatticePoints):
+        den = pts.den
+        return len({(p << n) // den for p in pts.nums})
+    if isinstance(pts, HarmonicPoints):
+        return len({0} | {(1 << n) // q for q in range(1, pts.top + 1)})
     return len({(x.numerator << n) // x.denominator
                 for (x,) in net.coord_rows()})

@@ -10,18 +10,25 @@ exact ``Fraction`` equal to its value.  The codec between a Cantor
 point's digits and its value lives here alone: :class:`DigitVector`,
 :func:`cantor_digits` and the :func:`subset_sums` tables.
 
-No distance is computed here: a net hands its points to the counters
-as exact coordinate rows (:meth:`ResolutionNet.coord_rows`), ascending
-as the greedy kernel requires, and the packing kernels compare squared
-distances on those rows.  Every net is one-dimensional: a product with
-a cube has no net, and ``estimators.cell_count_series`` counts its
-cells from its base net.
+A built net holds its points as integers and makes a ``Fraction`` only
+when a point is read: the interval and Cantor nets as numerators over
+one denominator (:class:`LatticePoints`), the harmonic net as the
+reciprocals it stands for (:class:`HarmonicPoints`).  The net counters
+in ``packing`` read those integers directly.
+
+No distance is computed here: a net hands its points to the row
+kernels as exact coordinate rows (:meth:`ResolutionNet.coord_rows`),
+ascending as the greedy kernel requires, and the packing kernels
+compare squared distances on those rows.  Every net is
+one-dimensional: a product with a cube has no net, and
+``estimators.cell_count_series`` counts its cells from its base net.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -30,8 +37,11 @@ TRIADIC_CANTOR = "triadic_cantor"
 HARMONIC_SEQUENCE = "harmonic_sequence"
 PRODUCT_WITH_CUBE = "product_with_cube"
 
-# Largest net that is built: a larger one is refused before any point is
-# allocated.
+# Largest net that is built.  Building one makes no Fraction per point
+# (only a Cantor net holds a tuple, of one int per point), but its readers
+# make one per point they read: coord_rows, a uniform measure on the net
+# or a full iteration.  The limit bounds what those allocate, and a
+# larger net is refused from its size alone.
 MAX_MATERIALIZED_POINTS = 2_000_000
 
 
@@ -187,21 +197,78 @@ def drift_at(drift, x, d: int) -> tuple[Fraction, ...]:
 
 
 @dataclass(frozen=True)
+class LatticePoints(Sequence):
+    """The exact points num / den, for num in the ascending integers
+    ``nums``: a net's points as numerators over one denominator.
+
+    Indexing and iteration make each point's ``Fraction`` as it is read;
+    a slice is a tuple of them.
+    """
+
+    nums: tuple[int, ...] | range
+    den: int
+
+    def __len__(self):
+        return len(self.nums)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return tuple(map(Fraction, self.nums[i],
+                             itertools.repeat(self.den)))
+        return Fraction(self.nums[i], self.den)
+
+    def __iter__(self):
+        return map(Fraction, self.nums, itertools.repeat(self.den))
+
+
+@dataclass(frozen=True)
+class HarmonicPoints(Sequence):
+    """The points 0 and 1/q for q = top, top - 1, ..., 1, ascending: the
+    harmonic net in its reciprocal form.
+
+    Indexing and iteration make each point's ``Fraction`` as it is read;
+    a slice is a tuple of them.
+    """
+
+    top: int
+
+    def __len__(self):
+        return self.top + 1
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return tuple(map(self.__getitem__, range(self.top + 1)[i]))
+        i = range(self.top + 1)[i]
+        return Fraction(1, self.top + 1 - i) if i else Fraction(0)
+
+    def __iter__(self):
+        yield Fraction(0)
+        yield from map(Fraction, itertools.repeat(1), range(self.top, 0, -1))
+
+
+@dataclass(frozen=True)
 class ResolutionNet:
     """Finite 2**-n stand-in for a one-dimensional compact space: its
-    exact points in ascending order."""
+    exact points in ascending order.
+
+    ``points`` is any sequence of them: a tuple for a net built by hand,
+    and for :func:`build_net`'s nets a :class:`LatticePoints` or
+    :class:`HarmonicPoints`, which make a ``Fraction`` only when a point
+    is read, so ``size()`` makes none.
+    """
 
     space: SpaceDescriptor
     scale_index: int
-    points: tuple
+    points: Sequence
 
     def size(self) -> int:
         return len(self.points)
 
     def coord_rows(self) -> list[tuple[int | Fraction]]:
-        """The points as 1-tuples, ints and Fractions as they are; the
-        first point of another type raises MixedRepresentationError."""
-        pts = self.points
+        """The points as 1-tuples, ints and Fractions as they are, each
+        read once; the first point of another type raises
+        MixedRepresentationError."""
+        pts = tuple(self.points)
         if not all(map(isinstance, pts, itertools.repeat((int, Fraction)))):
             bad = next(p for p in pts if not isinstance(p, (int, Fraction)))
             raise MixedRepresentationError(
@@ -237,27 +304,27 @@ def check_net_size(space: SpaceDescriptor, n: int) -> None:
 def build_net(space: SpaceDescriptor, n: int) -> ResolutionNet:
     """Build the canonical 2**-n net of a one-dimensional space.
 
-    Deterministic for fixed inputs; the points come out sorted by value.
-    Construction rules:
+    Deterministic for fixed inputs; the points come out sorted by value,
+    held as integers (no ``Fraction`` is made here).  Construction rules:
 
-    * unit interval: the dyadic grid {k * 2**-n : 0 <= k <= 2**n};
-    * triadic Cantor: every point with ``cantor_net_depth(n)`` digits;
-    * harmonic sequence: {0} and every 1/k with k <= 2**n, so the
-      omitted tail lies within one 2**-n ball around 0.
+    * unit interval: the dyadic grid k / 2**n, 0 <= k <= 2**n, as
+      ``LatticePoints(range(2**n + 1), 2**n)``;
+    * triadic Cantor: every point with ``depth = cantor_net_depth(n)``
+      digits, as ``cantor_numerators(depth)`` over 3**depth;
+    * harmonic sequence: {0} and every 1/q with q <= 2**n, so the
+      omitted tail lies within one 2**-n ball around 0, as
+      ``HarmonicPoints(2**n)``.
 
     :func:`check_net_size` runs first, so a product descriptor and a net
     of more than ``MAX_MATERIALIZED_POINTS`` points are refused before
-    any point is allocated.
+    anything is built.
     """
     check_net_size(space, n)
     if space.kind == UNIT_INTERVAL:
-        den = 2 ** n
-        pts = tuple(Fraction(k, den) for k in range(den + 1))
+        pts = LatticePoints(range(2 ** n + 1), 2 ** n)
     elif space.kind == TRIADIC_CANTOR:
         depth = cantor_net_depth(n)
-        den = 3 ** depth
-        pts = tuple(Fraction(m, den) for m in cantor_numerators(depth))
+        pts = LatticePoints(tuple(cantor_numerators(depth)), 3 ** depth)
     else:
-        ks = range(2 ** n, 0, -1)
-        pts = (Fraction(0),) + tuple(Fraction(1, k) for k in ks)
+        pts = HarmonicPoints(2 ** n)
     return ResolutionNet(space, n, pts)

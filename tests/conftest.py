@@ -6,6 +6,24 @@ import pytest
 from dimlab import energy, estimators, spaces, witness
 
 
+# The finest net scale of each space that the geometry benchmark, the
+# report and witness.build_layers build: a packing count at n packs the
+# net of scale n + 1, so Cantor counts up to n = 13 read scale 14 (the
+# same depth-11 net as scale 13) and harmonic counts up to n = 12 read 13.
+BUILT_NET_SCALES = {spaces.UNIT_INTERVAL: 12, spaces.TRIADIC_CANTOR: 14,
+                    spaces.HARMONIC_SEQUENCE: 13}
+NET_SPACES = [spaces.unit_interval(), spaces.triadic_cantor(),
+              spaces.harmonic_sequence()]
+
+
+def built_nets(space):
+    """(net, the same points as a hand-built net of Fractions), at every
+    scale up to ``BUILT_NET_SCALES``."""
+    for m in range(BUILT_NET_SCALES[space.kind] + 1):
+        net = spaces.build_net(space, m)
+        yield net, spaces.ResolutionNet(space, m, tuple(net.points))
+
+
 def cantor_endpoint_measure(depth: int) -> estimators.DiscreteMeasure:
     """Uniform measure on the 2**depth Cantor points with ``depth`` digits."""
     pts = tuple(Fraction(m, 3 ** depth)

@@ -1,7 +1,8 @@
 """Reference implementations that the unit tests compare dimlab against.
 
 Each one is the direct, unoptimised form of something the library
-computes another way: the one-ball-at-a-time Fraction placement for the
+computes another way: the tuple of Fraction points for a net's integer
+points, the one-ball-at-a-time Fraction placement for the
 integer satellites of a layer, the per-index witness draws that pinned
 the event checker's verdicts before one keyed stream drew a sample, the
 digit-at-a-time loop for the chunked Cantor digit codec, rational
@@ -43,11 +44,30 @@ from dimlab.rng import stable_generator, stable_index
 from dimlab.spaces import (
     NetDepthError,
     TRIADIC_CANTOR,
+    UNIT_INTERVAL,
     cantor_digits,
     cantor_net_depth,
     cantor_numerators,
     subset_sums,
 )
+
+
+# ---------------------------------------------------------------------------
+# the nets' points
+
+
+def net_points(space, n):
+    """The points of ``spaces.build_net(space, n)``, ascending, as the
+    tuple of ``Fraction`` values a net once held, one made per point."""
+    if space.kind == UNIT_INTERVAL:
+        den = 2 ** n
+        return tuple(Fraction(k, den) for k in range(den + 1))
+    if space.kind == TRIADIC_CANTOR:
+        depth = cantor_net_depth(n)
+        den = 3 ** depth
+        return tuple(Fraction(m, den) for m in cantor_numerators(depth))
+    ks = range(2 ** n, 0, -1)
+    return (Fraction(0),) + tuple(Fraction(1, k) for k in ks)
 
 
 # ---------------------------------------------------------------------------

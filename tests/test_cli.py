@@ -83,6 +83,17 @@ class TestCommands:
         table = run(cfg)
         assert table.rows[0].passed
 
+    def test_harmonic_estimate_reach(self):
+        # counts pinned from the Fraction-tuple nets; n = 19 packs the
+        # 2**20 + 1 point net, the largest harmonic net accepted
+        table = run(ExperimentConfig("estimate", space="harmonic",
+                                     n_min=4, n_max=19))
+        assert table.rows[0].params["series"] == [
+            (4, 7), (5, 10), (6, 15), (7, 21), (8, 29), (9, 42), (10, 59),
+            (11, 83), (12, 118), (13, 168), (14, 238), (15, 336),
+            (16, 475), (17, 673), (18, 952), (19, 1346)]
+        assert table.rows[0].value == 0.5035325813605941
+
     def test_estimate_failing_expectation_exit_code(self, capsys):
         rc = main(["estimate", "--space", "harmonic", "--variant", "liminf",
                    "--n-min", "4", "--n-max", "12",

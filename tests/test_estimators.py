@@ -27,7 +27,8 @@ from dimlab.rng import stable_generator
 from dimlab.spaces import build_net, harmonic_sequence, triadic_cantor, unit_interval
 
 import oracles
-from conftest import cantor_endpoint_measure, traced_peak_mib
+from conftest import (NET_SPACES, built_nets, cantor_endpoint_measure,
+                      traced_peak_mib)
 
 LOG2_3 = math.log(2) / math.log(3)
 
@@ -687,6 +688,19 @@ class TestKernelOracles:
             estimators._lattice_energies(measure, self.S_LIST)))
         assert out[0] is not None
         assert peak <= 11.0
+
+
+@pytest.mark.parametrize("space", NET_SPACES, ids=lambda sp: sp.kind)
+def test_uniform_on_net_matches_fraction_net(space):
+    # the same atoms, and energies equal to the bit, from a built net as
+    # from a hand-built net of its Fractions
+    s_list = [0.3, 0.5, 0.75, 1.0]
+    for net, hand in built_nets(space):
+        got = DiscreteMeasure.uniform_on_net(net)
+        want = DiscreteMeasure.uniform_on_net(hand)
+        assert got == want
+        assert (estimators._energy_grid(got, s_list)
+                == estimators._energy_grid(want, s_list))
 
 
 class TestEnergyProfile:

@@ -23,6 +23,7 @@ from dimlab.spaces import (
     unit_interval,
 )
 
+from conftest import NET_SPACES, built_nets, traced_peak_mib
 from oracles import greedy_packing_rows, mesh_count_2d, product_rows
 
 
@@ -614,6 +615,32 @@ class TestPackingInvariants:
                 [(p,) for p in net.points], delta)
             graph = packing.greedy_packing_coords(sorted(rows), delta)
             assert len(graph) >= len(base)
+
+
+class TestIntegerNets:
+    # The net counters read a built net's integers; a hand-built net of
+    # the same Fractions goes through the coordinate rows instead.
+
+    @pytest.mark.parametrize("space", NET_SPACES, ids=lambda sp: sp.kind)
+    def test_counters_match_fraction_net(self, space):
+        # n runs one past the net's scale, where the lattice reach
+        # den >> n is 0 on the interval
+        for net, hand in built_nets(space):
+            for n in range(net.scale_index + 2):
+                kept = max_packing_greedy(net, n)
+                assert kept == max_packing_greedy(hand, n)
+                assert all(type(x) is Fraction for x in kept)
+                assert (occupied_cell_count(net, n)
+                        == occupied_cell_count(hand, n))
+
+    def test_harmonic_series_memory(self):
+        # the count at n = 19 gallops over the 2**20 + 1 point net,
+        # making only the Fractions it probes and keeps
+        out = []
+        peak = traced_peak_mib(lambda: out.append(
+            estimators.packing_count_series(harmonic_sequence(), [19])))
+        assert out[0].entries == ((19, 1346),)
+        assert peak < 4.0
 
 
 class TestMeshCount:

@@ -24,7 +24,8 @@ from dimlab.spaces import (
     unit_interval,
 )
 
-from oracles import cantor_digits_by_digit, product_rows
+from conftest import BUILT_NET_SCALES, NET_SPACES, traced_peak_mib
+from oracles import cantor_digits_by_digit, net_points, product_rows
 
 
 class TestBuildNet:
@@ -81,6 +82,36 @@ class TestBuildNet:
             net = build_net(space, 4)
             rows = net.coord_rows()
             assert rows == sorted(rows)
+
+    @pytest.mark.parametrize("space", NET_SPACES, ids=lambda sp: sp.kind)
+    def test_points_match_fraction_oracle(self, space):
+        # iteration, every index (negative ones too) and a slice read the
+        # same exact Fractions, in the same order, as the tuple a net held;
+        # a net built twice is one value, equal and hashed alike
+        for n in range(BUILT_NET_SCALES[space.kind] + 1):
+            want = net_points(space, n)
+            net = build_net(space, n)
+            assert net == build_net(space, n)
+            assert hash(net) == hash(build_net(space, n))
+            pts = net.points
+            assert len(pts) == len(want)
+            assert tuple(pts) == want
+            assert all(type(p) is Fraction for p in pts)
+            assert ([pts[i] for i in range(-len(want), len(want))]
+                    == list(want + want))
+            assert pts[1::3] == want[1::3]
+            with pytest.raises(IndexError):
+                pts[len(want)]
+
+    @pytest.mark.parametrize("space", [unit_interval(), harmonic_sequence()],
+                             ids=lambda sp: sp.kind)
+    def test_largest_net_allocates_no_point(self, space):
+        # n = 20 is the largest accepted scale: 2**20 + 1 points, and no
+        # Fraction is made for any of them
+        nets = []
+        peak = traced_peak_mib(lambda: nets.append(build_net(space, 20)))
+        assert nets[0].size() == 2 ** 20 + 1
+        assert peak < 1.0
 
     @pytest.mark.parametrize("space, n, size", [
         (unit_interval(), 21, 2 ** 21 + 1),

@@ -28,8 +28,9 @@ from dataclasses import dataclass, field, fields, replace
 from . import __version__, cantor_pair, energy, estimators, spaces, witness
 
 USAGE_ERROR = 2
-# energy holds trials * 1024 pair draws at once, about 46 bytes each, so
-# 4096 trials (2**22 draws, the most criterion 9 uses) peak near 230 MB
+# energy holds one float64 per pair draw and coordinate, trials * 1024 of
+# them, so 4096 trials (2**22 draws, the most criterion 9 uses) hold
+# 32 MiB at d = 1 and 64 MiB at d = 2
 MAX_ENERGY_TRIALS = 4096
 # cantor's slope fits take the closed-form counts at every n in 3..n_max,
 # quadratic in n_max: 2000 takes about 0.5 s, 30000 about 40 s and 440 MB
@@ -257,14 +258,13 @@ def _run_energy(cfg: ExperimentConfig, table: ResultTable) -> None:
 def _run_kernel(cfg: ExperimentConfig, table: ResultTable) -> None:
     qs = [0.5 ** k for k in range(1, 9)]
     u_grid = (0.75, 1.0, 1.5) if cfg.d == 1 else (1.25, 1.5, 2.0)
+    cases = [(p, q, theta) for p in qs for q in qs
+             for theta in (0.0, 0.3, 2.0)]
     for u in u_grid:
-        worst = 0.0
         const = energy.kernel_constant(cfg.d, u)
-        for p in qs:
-            for q in qs:
-                for theta in (0.0, 0.3, 2.0):
-                    rep = energy.kernel_bound_check(p, q, theta, u, cfg.d)
-                    worst = max(worst, rep.ratio)
+        # one batch per u, so its arrays stay below the pair mean's
+        worst = max(rep.ratio for rep in
+                    energy.kernel_bound_checks(cases, u, cfg.d))
         table.add(ResultRow(
             "kernel-bound", {"d": cfg.d, "u": u},
             worst, const, worst <= const, cfg.seed,

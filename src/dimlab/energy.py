@@ -10,7 +10,9 @@ integer below 2**TAIL_LEVELS, drawn once per point.  So the value
 difference of two points separating at level n is uniform on a full
 2**-n window rather than on a coarse grid.  A point is the exact
 ``Fraction`` equal to its value on the {0,1}-digit Cantor set, and a
-piece is kept as its anchor, the least point of its cylinder.
+piece is kept as its anchor, the least point of its cylinder.  A family
+keeps the path of every point it located and a sample the draws of
+every piece it evaluated, so a graph pays each digest once.
 
 The analytic side bounds the kernel double integral
 
@@ -21,19 +23,19 @@ by const * p**d * q**(d - 2u); the constant used here is the exact
 full-space comparison integral (Beta/Gamma closed form), which
 dominates the ratio for every p, q, theta.  The integral is one fixed
 composite Gauss-Legendre rule in numpy, its panels cut per axis around
-the kernel's peak (a tensor product of two axis rules for d = 2), so the
-module imports no scipy.
+the kernel's peak (a tensor product of two axis rules for d = 2), taken
+over a batch of cases at one exponent by :func:`kernel_integrals`, so
+the module imports no scipy.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Sequence
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
 
 from .estimators import DiscreteMeasure, _least_squares, discrete_energy
 from .rng import stable_generator, stable_index
@@ -64,6 +66,9 @@ class NestedFamily:
     level_depths: tuple[int, ...]
     point_depth: int
     levels: tuple[tuple[NestedPiece, ...], ...]
+    # locate's results by point; a ValueError is raised, never kept
+    _paths: dict = field(default_factory=dict, init=False, compare=False,
+                         repr=False)
 
     def leaves(self) -> tuple[NestedPiece, ...]:
         return self.levels[-1]
@@ -75,8 +80,15 @@ class NestedFamily:
         then the bits of c in the last (a_n - 1).bit_length() digits up
         to depth t_n.  So the path is read off x's digits, padded to the
         deepest level, and stops where a zero run holds a 1 or c >= a_n.
-        A value off the Cantor set raises ValueError.
+        A value off the Cantor set raises ValueError.  A located path is
+        kept on the family, so each point's digits are read once.
         """
+        path = self._paths.get(x)
+        if path is None:
+            path = self._paths[x] = self._read_path(x)
+        return path
+
+    def _read_path(self, x: Fraction) -> tuple[int, ...]:
         digits = cantor_digits(x)
         digits += (0,) * (self.level_depths[-1] - len(digits))
         path: tuple[int, ...] = ()
@@ -149,17 +161,26 @@ class RandomFieldSample:
     tail levels depth+1 .. depth+TAIL_LEVELS continue the construction
     with singleton pieces, drawn together as one integer per coordinate
     and keyed by the evaluated point itself.  Everything is a pure
-    function of (seed, key), so evaluation order does not matter.
+    function of (seed, key), so evaluation order does not matter.  A
+    piece's bits are drawn once per sample and kept on it, so the atoms
+    of one graph share the digests of the pieces they have in common.
     """
 
     family: NestedFamily
     seed: object
     d: int = 1
+    _nodes: dict = field(default_factory=dict, init=False, compare=False,
+                         repr=False)
 
-    def node_bits(self, level: int, path: tuple[int, ...]) -> list[int]:
+    def node_bits(self, level: int,
+                  path: tuple[int, ...]) -> tuple[int, ...]:
         """The level's draws on the piece at ``path``, one bit per coordinate."""
-        return [stable_index(2, self.seed, "node", level, path, c)
-                for c in range(self.d)]
+        bits = self._nodes.get((level, path))
+        if bits is None:
+            bits = self._nodes[level, path] = tuple(
+                stable_index(2, self.seed, "node", level, path, c)
+                for c in range(self.d))
+        return bits
 
     def tail(self, key: tuple[int, int]) -> list[int]:
         """Per coordinate, the numerator over 2**(depth + TAIL_LEVELS)
@@ -257,24 +278,44 @@ def _theta_tuple(theta, d: int) -> tuple[float, ...]:
     return theta
 
 
-# Gauss-Legendre nodes on [-1, 1]: the 16-point rule, then the 8-point
+# Gauss-Legendre nodes (first row) and weights (second row) on [-1, 1],
+# bit for bit as numpy.polynomial.legendre.leggauss gives them, whose
+# import the CLI would otherwise pay: the 16-point rule, then the 8-point
 # rule whose difference from it is the error estimate
-_G16, _G8 = leggauss(16), leggauss(8)
+_G16 = np.array((
+    (-0.9894009349916499, -0.9445750230732326, -0.8656312023878318,
+     -0.755404408355003, -0.6178762444026438, -0.45801677765722737,
+     -0.2816035507792589, -0.09501250983763744, 0.09501250983763744,
+     0.2816035507792589, 0.45801677765722737, 0.6178762444026438,
+     0.755404408355003, 0.8656312023878318, 0.9445750230732326,
+     0.9894009349916499),
+    (0.027152459411754176, 0.062253523938647456, 0.0951585116824926,
+     0.12462897125553407, 0.1495959888165767, 0.16915651939500265,
+     0.18260341504492364, 0.18945061045506864, 0.18945061045506864,
+     0.18260341504492364, 0.16915651939500265, 0.1495959888165767,
+     0.12462897125553407, 0.0951585116824926, 0.062253523938647456,
+     0.027152459411754176),
+))
+_G8 = np.array((
+    (-0.9602898564975362, -0.7966664774136267, -0.525532409916329,
+     -0.18343464249564978, 0.18343464249564978, 0.525532409916329,
+     0.7966664774136267, 0.9602898564975362),
+    (0.10122853629037706, 0.22238103445337443, 0.3137066458778869,
+     0.36268378337836166, 0.36268378337836166, 0.3137066458778869,
+     0.22238103445337443, 0.10122853629037706),
+))
 _GAUSS_NODES, _GAUSS_WEIGHTS = np.concatenate((_G16, _G8), axis=1)
 
 
-def _axis_panels(p: float, q: float,
-                 t0: float) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss nodes and half-lengths of one axis's panels.
+def _axis_cuts(p: float, q: float, t0: float) -> list[float]:
+    """The ascending panel breaks of one axis.
 
     In the offset s = w + t0 from the peak the axis's tent is
     p - |s - t0| on [t0 - p, t0 + p], and the kernel is analytic but for
     the branch points s = +-iq.  The panels break at the ends, the kink
     s = t0, the peak s = 0 and the mesh s = +-q*2**k, so every panel lies
     at least its own length from +-iq and 16 nodes bring each one to
-    machine precision.  Row k holds panel k's 16-point nodes, then its
-    8-point nodes, placed in s so that those next to a narrow peak carry
-    no rounding from t0.
+    machine precision.
     """
     lo, hi = t0 - p, t0 + p
     cuts = {lo, t0, hi}
@@ -286,40 +327,77 @@ def _axis_panels(p: float, q: float,
             if lo < s < hi:
                 cuts.add(s)
         step *= 2.0
-    cuts = np.array(sorted(cuts))
-    mid = 0.5 * (cuts[1:] + cuts[:-1])
-    half = 0.5 * (cuts[1:] - cuts[:-1])
+    return sorted(cuts)
+
+
+def _panels(cut_lists) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss nodes and half-lengths of the panels between each list's
+    consecutive cuts, the lists' panels one after another.
+
+    Row k holds panel k's 16-point nodes, then its 8-point nodes, placed
+    in s so that those next to a narrow peak carry no rounding from t0.
+    """
+    lo = np.array([c for cuts in cut_lists for c in cuts[:-1]])
+    hi = np.array([c for cuts in cut_lists for c in cuts[1:]])
+    mid = 0.5 * (hi + lo)
+    half = 0.5 * (hi - lo)
     return mid[:, None] + half[:, None] * _GAUSS_NODES, half
 
 
-def kernel_integral(p: float, q: float, theta, u: float,
-                    d: int) -> tuple[float, float]:
-    """(value, error estimate) of the kernel double integral.
+def kernel_integrals(cases, u: float, d: int) -> list[tuple[float, float]]:
+    """(value, error estimate) of the kernel double integral for each
+    (p, q, theta) case, all at the exponent u.
 
     Over the difference w = a - b the integral is the kernel weighted by
     the tent p - |w_i| in each coordinate, integrated over [-p, p]**d.
     d = 1 integrates that by a fixed composite Gauss-Legendre rule on the
-    panels of :func:`_axis_panels`.  d = 2 takes the tensor product of
-    the two axis rules, 16 x 16 nodes per panel pair, with each axis's
-    tent folded into its weights: for fixed real s_2 the branch points in
-    s_1 sit at +-i*sqrt(q**2 + s_2**2), no nearer the real axis than +-iq,
-    so each axis's mesh still resolves the peak.  The error estimate sums
+    panels of :func:`_axis_cuts`: every case's panels are evaluated in one
+    array, and each case then sums its own slice, in the order it would
+    alone.  d = 2 takes, case by case, the tensor product of the two axis
+    rules, 16 x 16 nodes per panel pair, with each axis's tent folded into
+    its weights: for fixed real s_2 the branch points in s_1 sit at
+    +-i*sqrt(q**2 + s_2**2), no nearer the real axis than +-iq, so each
+    axis's mesh still resolves the peak.  The error estimate sums
     |G16 - G8| (in d = 2, |G16xG16 - G8xG8|) over the panels.
     """
-    if not (0 < p <= 1 and 0 < q <= 1):
+    cases = list(cases)
+    if not all(0 < p <= 1 and 0 < q <= 1 for p, q, _ in cases):
         raise ValueError("need p, q in (0, 1]")
     _check_kernel_args(d, u)
-    th = _theta_tuple(theta, d)
-    if d == 1:
-        s, half = _axis_panels(p, q, th[0])
-        # numpy row sums, not a BLAS gemv, whose order the CPU's kernel picks
-        f = (p - np.abs(s - th[0])) * (q * q + s * s) ** -u * _GAUSS_WEIGHTS
-        g16 = f[:, :16].sum(axis=1) * half
-        g8 = f[:, 16:].sum(axis=1) * half
-        return float(g16.sum()), float(np.abs(g16 - g8).sum())
+    cases = [(p, q, _theta_tuple(theta, d)) for p, q, theta in cases]
+    if d == 2 or not cases:
+        return [_tensor_integral(p, q, th, u) for p, q, th in cases]
+    cuts = [_axis_cuts(p, q, th[0]) for p, q, th in cases]
+    sizes = [len(c) - 1 for c in cuts]
+    s, half = _panels(cuts)
+    ps, qqs, t0s = (np.repeat(col, sizes)[:, None] for col in zip(
+        *((p, q * q, th[0]) for p, q, th in cases)))
+    # in place, with the float operations of
+    # (p - |s - t0|) * (q*q + s*s)**-u * weights
+    f = s - t0s
+    np.abs(f, out=f)
+    np.subtract(ps, f, out=f)
+    s *= s
+    s += qqs
+    s **= -u
+    f *= s
+    f *= _GAUSS_WEIGHTS
+    # numpy row sums, not a BLAS gemv, whose order the CPU's kernel picks
+    g16 = f[:, :16].sum(axis=1) * half
+    err = np.abs(g16 - f[:, 16:].sum(axis=1) * half)
+    out, a = [], 0
+    for n in sizes:
+        out.append((float(g16[a:a + n].sum()), float(err[a:a + n].sum())))
+        a += n
+    return out
+
+
+def _tensor_integral(p: float, q: float, th: tuple[float, float],
+                     u: float) -> tuple[float, float]:
+    """One d = 2 case of :func:`kernel_integrals`."""
     axes = []
     for t0 in th:
-        s, half = _axis_panels(p, q, t0)
+        s, half = _panels([_axis_cuts(p, q, t0)])
         axes.append((s, (p - np.abs(s - t0)) * half[:, None]))
     (s1, w1), (s2, w2) = axes
     sums = []
@@ -332,13 +410,34 @@ def kernel_integral(p: float, q: float, theta, u: float,
     return float(g16.sum()), float(np.abs(g16 - g8).sum())
 
 
-def kernel_bound_check(p: float, q: float, theta, u: float,
-                       d: int) -> KernelCheckReport:
-    value, err = kernel_integral(p, q, theta, u, d)
+def kernel_integral(p: float, q: float, theta, u: float,
+                    d: int) -> tuple[float, float]:
+    """(value, error estimate) of the kernel double integral: the one-case
+    call of :func:`kernel_integrals`."""
+    return kernel_integrals([(p, q, theta)], u, d)[0]
+
+
+def _bound_report(p: float, q: float, theta, u: float, d: int,
+                  value: float, err: float) -> KernelCheckReport:
     ratio = value / (p ** d * q ** (d - 2 * u))
     const = kernel_constant(d, u)
     return KernelCheckReport(d, u, p, q, _theta_tuple(theta, d), value, ratio,
                              const, ratio <= const * (1 + 1e-9), err)
+
+
+def kernel_bound_check(p: float, q: float, theta, u: float,
+                       d: int) -> KernelCheckReport:
+    return _bound_report(p, q, theta, u, d,
+                         *kernel_integral(p, q, theta, u, d))
+
+
+def kernel_bound_checks(cases, u: float,
+                        d: int) -> list[KernelCheckReport]:
+    """:func:`kernel_bound_check` of each (p, q, theta) case, from one
+    :func:`kernel_integrals` call."""
+    cases = list(cases)
+    return [_bound_report(p, q, theta, u, d, *found) for (p, q, theta), found
+            in zip(cases, kernel_integrals(cases, u, d))]
 
 
 def kernel_q_slope(d: int, u: float, p: float, qs: Sequence[float]) -> float:
@@ -348,7 +447,8 @@ def kernel_q_slope(d: int, u: float, p: float, qs: Sequence[float]) -> float:
     The trailing half is where the ratio has settled; a slope near zero
     certifies the q**(d-2u) scaling is the right power law.
     """
-    ratios = [kernel_bound_check(p, q, 0.0, u, d).ratio for q in qs]
+    ratios = [r.ratio for r in
+              kernel_bound_checks([(p, q, 0.0) for q in qs], u, d)]
     xs = [math.log(q) for q in qs]
     ys = [math.log(r) for r in ratios]
     half = len(xs) // 2
@@ -403,6 +503,38 @@ def _separating_level(family: NestedFamily, x: Fraction, y: Fraction) -> int:
     return n
 
 
+def _window_deltas(bitgen, trials: int, window_bits: int,
+                   den: int) -> np.ndarray:
+    """The next ``trials`` values of (u_x - u_y) / den, from 2 * trials
+    draws uniform below 2**window_bits, u_x's all before u_y's.
+
+    The draws are those of ``Generator.integers(0, 2**window_bits,
+    size=(2, trials), dtype=np.int32)``: for a power-of-two range Lemire's
+    method never rejects, and takes each value as the top window_bits of
+    the next 32-bit output, which Philox gives as the low, then the high
+    half of each raw 64-bit word.  So ``trials`` raw words hold them all,
+    and the float64 results go back into the same buffer.  The float64 at
+    j covers the int32s at 2j and 2j + 1, so converting the upper half
+    first and then halving, every write lands on int32s already read.
+    """
+    # as little-endian words, whose halves are low then high on any host
+    words = bitgen.random_raw(trials).astype("<u8", copy=False).view("<u4")
+    words >>= 32 - window_bits
+    # int32 holds the window (window_bits <= MAX_FAMILY_DEPTH +
+    # TAIL_LEVELS = 26) and the difference
+    u = words.view("<i4")
+    u[:trials] -= u[trials:]
+    out = words.view(np.float64)
+    stop = trials
+    while stop > 1:
+        start = (stop + 1) // 2
+        np.divide(u[start:stop], den, out=out[start:stop])
+        stop = start
+    # the one overlapping write: numpy copies its one int32 first
+    np.divide(u[:1], den, out=out[:1])
+    return out
+
+
 def _pair_mean(family: NestedFamily, x: Fraction, y: Fraction,
                theta: tuple, t: float, d: int, trials: int, seed) -> float:
     """Monte Carlo mean of (rho^2 + |(f+g)(x)-(f+g)(y)|^2)^(-(t+d)/2).
@@ -410,32 +542,29 @@ def _pair_mean(family: NestedFamily, x: Fraction, y: Fraction,
     The level values beyond the separating level plus the tail add up,
     per coordinate, to an exactly uniform dyadic variable on a 2**-n
     window (binary digits with independent fair bits), which is what is
-    drawn here as arrays from the pair's ``stable_generator`` stream.
-    ``theta`` holds the drift difference g(x) - g(y), one per coordinate.
+    drawn here from the raw words of the pair's ``stable_generator``
+    stream, one coordinate after the other (:func:`_window_deltas`).
+    Each coordinate takes one buffer of ``trials`` float64s, and the
+    first one is the accumulator.  ``theta`` holds the drift difference
+    g(x) - g(y), one per coordinate.
     """
     n = _separating_level(family, x, y)
     window_bits = (family.depth - n) + TAIL_LEVELS
     den = 2 ** (family.depth + TAIL_LEVELS)
     rho = abs(float(x) - float(y))
-    rng = stable_generator(seed, "pair", (x.numerator, x.denominator),
-                           (y.numerator, y.denominator))
+    bitgen = stable_generator(seed, "pair", (x.numerator, x.denominator),
+                              (y.numerator, y.denominator)).bit_generator
     exponent = -(t + d) / 2.0
     # in place, with the float operations of
     # mean((rho**2 + sum over c of ((ux - uy) / den + theta[c])**2) ** exponent)
-    acc = np.zeros(trials)
     for c in range(d):
-        # one call draws x's values, then y's, reading the stream as two
-        # calls would; int32 holds the window (window_bits <=
-        # MAX_FAMILY_DEPTH + TAIL_LEVELS = 26) and the difference
-        ux, uy = rng.integers(0, 1 << window_bits, size=(2, trials),
-                              dtype=np.int32)
-        ux -= uy
-        # the first square lands in acc, which is exactly 0 + that square
-        delta = np.divide(ux, den, out=acc if c == 0 else None)
+        delta = _window_deltas(bitgen, trials, window_bits, den)
         delta += theta[c]
         delta *= delta
         if c:
             acc += delta
+        else:
+            acc = delta
     acc += rho * rho
     acc **= exponent
     return float(np.mean(acc))

@@ -19,7 +19,8 @@ for the cell count ``cell_count_series`` takes from its base net, a
 value-interval hull scan for the nested family's digit-read ``locate``,
 per-level node values and the per-point tail for ``eval_field``'s
 integer sum, the out-of-place expression for the in-place pair mean
-``energy._pair_mean``, and for ``kernel_integral`` and
+``energy._pair_mean``, the one-case-at-a-time quadrature for the
+batched ``kernel_integrals``, and for ``kernel_integral`` and
 ``kernel_constant`` scipy's adaptive quadrature (``quad`` for d = 1,
 ``dblquad`` for d = 2) and log-gamma, a closed form at u = 1, a centred
 bound and a refined d = 2 panel rule.
@@ -38,7 +39,7 @@ from scipy.special import gammaln
 
 from dimlab import estimators, witness
 from dimlab.cantor_pair import DigitFunction, _check_depth, _weights
-from dimlab.energy import TAIL_LEVELS, _separating_level
+from dimlab.energy import TAIL_LEVELS, _axis_cuts, _separating_level
 from dimlab.packing import _positive, greedy_packing_coords
 from dimlab.rng import stable_generator, stable_index
 from dimlab.spaces import (
@@ -551,6 +552,41 @@ def anchor_pairs(family):
     """Every unordered pair of leaf anchors."""
     anchors = [leaf.anchor for leaf in family.leaves()]
     return [(a, b) for i, a in enumerate(anchors) for b in anchors[i + 1:]]
+
+
+def kernel_integral_one_case(p, q, theta, u, d):
+    """``energy.kernel_integrals`` of the one case (p, q, theta): its
+    panels (the library's breaks) evaluated and summed alone, with
+    ``leggauss``'s rules, as the library did before it batched cases."""
+    (x16, w16), (x8, w8) = leggauss(16), leggauss(8)
+    nodes, weights = np.concatenate((x16, x8)), np.concatenate((w16, w8))
+    th = (float(theta),) * d if isinstance(theta, float) else tuple(theta)
+
+    def panels(t0):
+        cuts = np.array(_axis_cuts(p, q, t0))
+        mid = 0.5 * (cuts[1:] + cuts[:-1])
+        half = 0.5 * (cuts[1:] - cuts[:-1])
+        return mid[:, None] + half[:, None] * nodes, half
+
+    if d == 1:
+        s, half = panels(th[0])
+        f = (p - np.abs(s - th[0])) * (q * q + s * s) ** -u * weights
+        g16 = f[:, :16].sum(axis=1) * half
+        g8 = f[:, 16:].sum(axis=1) * half
+        return float(g16.sum()), float(np.abs(g16 - g8).sum())
+    axes = []
+    for t0 in th:
+        s, half = panels(t0)
+        axes.append((s, (p - np.abs(s - t0)) * half[:, None]))
+    (s1, w1), (s2, w2) = axes
+    sums = []
+    for k, gw in ((slice(16), w16), (slice(16, None), w8)):
+        kern = (q * q + s1[:, k, None, None] ** 2
+                + s2[None, None, :, k] ** 2) ** -u
+        sums.append(np.einsum("ai,aibj,bj->ab", w1[:, k] * gw, kern,
+                              w2[:, k] * gw))
+    g16, g8 = sums
+    return float(g16.sum()), float(np.abs(g16 - g8).sum())
 
 
 def kernel_centered_bound(p, q, u):

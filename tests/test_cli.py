@@ -1,6 +1,7 @@
 import ast
 import csv
 import dataclasses
+import hashlib
 import inspect
 import json
 import math
@@ -733,6 +734,47 @@ def test_report_seed_42_matches_the_golden_csv(tmp_path):
         for column, gc, wc in zip(want[0], g, w):
             _assert_same(_cell(column, gc), _cell(column, wc),
                          f"row {i} {column}")
+
+
+# sha256 of repr(row), row by row, for what cli.run returns; repr spells
+# every float out to its last bit, which the golden CSV's 1e-9 tolerance
+# would let drift
+PINNED_ROW_DIGESTS = {
+    ("kernel", 1): [
+        "087080219f3ec0f503951ed817fa3ce1bd0ee8a501cea6912c970611bcf5402d",
+        "93e6d2c427f7eec7f330b93066fadf9f5f11a9cd73d44c297272cc8b31e4677c",
+        "3b567d88808aa3b5e36121b758bffe998dbac19d298f1f88f57688243247f16f",
+        "8a045d6679f1d984603c61ab514aecdc0b115f83b83f79a871493b11706001cf",
+        "ae2aa45c9c4d14d732ee1615d539fd3ec6b16c5da9c070e70026482c2e49d5bb",
+        "c1084b88caa2dc849e6fbeaa6ba73369836d47912bba42394a3c4868b116d2f7",
+        "072b9b52dc1f7208c925cf757ce4e6251c8af70e7590cbdd44401776e8b92782",
+    ],
+    ("kernel", 2): [
+        "02715e9e585c136fa5403a58e3c7833d276178a2d1a97829b0b5c368fa7d2ffe",
+        "7cf047f6e1b8c1bbe3e30a6bc555dd9d3b71e490309fcd984855114de95b8817",
+        "90bdc8f6963f0703178cfdf248a11e131cc5ea470112598e0ad8a0ef160272b7",
+        "d9f62ca4daa3780de1b0886f317ab7ac2fdbd992811a8dba081aa6b7a93f7401",
+        "c43dfec15aa767236ab2695fdf02910f8c06151070922fd4fabed0491526822b",
+        "f346af6ba0066a81ea4cd4d514a67e97acf424152e50a386864d05041c54ce74",
+        "072b9b52dc1f7208c925cf757ce4e6251c8af70e7590cbdd44401776e8b92782",
+    ],
+    ("energy", 1): [
+        "d2489426c0d5f0054427c2ce562d42179555fde5dafba07a5c0a74cbd0a7d219",
+        "ad428262efff9ed5d9e895eb8ec1956d4d947639216200337922e01009a36353",
+    ],
+    ("energy", 2): [
+        "90cb6fd75d6075cad3ab628fff16731b1a2b6598bc89b588ce84b2bd530760ff",
+        "44c6d028764371f057ebd3c4043931cb9564f05a63d2b2ab59ac4d5d08182c36",
+    ],
+}
+
+
+@pytest.mark.parametrize("command, d", list(PINNED_ROW_DIGESTS))
+def test_rows_are_pinned_bit_for_bit(command, d):
+    seed = "42" if command == "energy" else "0"
+    rows = run(ExperimentConfig(command, d=d, seed=seed)).rows
+    assert [hashlib.sha256(repr(row).encode()).hexdigest()
+            for row in rows] == PINNED_ROW_DIGESTS[command, d]
 
 
 def _numpy_blas() -> str:

@@ -21,6 +21,7 @@ from dimlab.energy import (
     kernel_bound_check,
     kernel_constant,
     kernel_integral,
+    kernel_integrals,
     kernel_q_slope,
     ladder_pairs,
     minimal_level_depth,
@@ -30,12 +31,14 @@ from dimlab.energy import (
 from dimlab.rng import stable_generator
 from dimlab.spaces import DigitVector, cantor_digits, cantor_numerators
 
+from conftest import traced_peak_mib
 from oracles import (
     anchor_pairs,
     kernel_centered_bound,
     kernel_closed_form_u1,
     kernel_constant_gammaln,
     kernel_dblquad,
+    kernel_integral_one_case,
     kernel_quad,
     kernel_refined_2d,
     locate_by_hull,
@@ -105,6 +108,20 @@ class TestNestedFamily:
         assert fam.locate(x) == leaf.path
         outside = DigitVector((0, 1, 1)).value
         assert len(fam.locate(outside)) < fam.depth
+
+    def test_locate_keeps_paths_not_errors(self):
+        fam = build_nested_family((2, 2))
+        x = fam.leaves()[1].anchor
+        path = fam.locate(x)
+        assert fam.locate(x) is path
+        for bad in (Fraction(1, 2), Fraction(2, 3)):
+            for _ in range(2):
+                with pytest.raises(ValueError):
+                    fam.locate(bad)
+        # the kept paths are no part of the family's value
+        other = build_nested_family((2, 2))
+        assert fam == other and hash(fam) == hash(other)
+        assert repr(fam) == repr(other)
 
     def test_locate_matches_digit_prefixes(self, nested_family_depth3):
         # the hull test places every Cantor point with two digits past the
@@ -183,6 +200,15 @@ class TestRandomField:
         x = fam.leaves()[2].anchor
         assert eval_field(a, x) == eval_field(b, x)
 
+    def test_kept_draws_are_no_part_of_the_sample(self,
+                                                  nested_family_depth3):
+        fam = nested_family_depth3
+        used = RandomFieldSample(fam, seed=4, d=2)
+        eval_field(used, fam.leaves()[0].anchor)
+        other = RandomFieldSample(fam, seed=4, d=2)
+        assert used == other and hash(used) == hash(other)
+        assert repr(used) == repr(other)
+
     def test_same_piece_shares_coarse_levels(self, nested_family_depth3):
         # two points of one leaf differ only in tail contributions
         fam = nested_family_depth3
@@ -242,9 +268,10 @@ class TestRandomField:
     def test_tail_is_one_draw_per_coordinate(self, nested_family_depth3,
                                              monkeypatch, d):
         # the tail levels' 22 fair bits are one uniform integer below
-        # 2**22, drawn once per coordinate beside one draw per node level
+        # 2**22, drawn once per coordinate beside one draw per node level;
+        # a fresh sample per point, since a sample keeps the node draws it
+        # made
         fam = nested_family_depth3
-        sample = RandomFieldSample(fam, seed=5, d=d)
         top = fam.depth + TAIL_LEVELS
         draws = []
         real = energy.stable_index
@@ -259,6 +286,7 @@ class TestRandomField:
                    DigitVector((0, 1, 1)).value]
         for x in points:
             path = fam.locate(x)
+            sample = RandomFieldSample(fam, seed=5, d=d)
             del draws[:]
             value = eval_field(sample, x)
             assert len(draws) == d * (len(path) + 1)
@@ -272,6 +300,27 @@ class TestRandomField:
 
 
 class TestGraphMeasure:
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_pieces_drawn_once_per_sample(self, nested_family_depth3,
+                                          monkeypatch, d):
+        # the 8 leaves of depth 3 share 2 + 4 + 8 = 14 pieces: one graph
+        # draws 8 tails and 14 pieces per coordinate, not 8 * (3 + 1)
+        fam = nested_family_depth3
+        nu = natural_leaf_measure(fam)
+        fresh = tuple(base + eval_field(RandomFieldSample(fam, 9, d), pt)
+                      for pt, base in zip(nu.points, nu.coords))
+        draws = []
+        real = energy.stable_index
+
+        def counting(*args):
+            draws.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(energy, "stable_index", counting)
+        gm = graph_measure(nu, RandomFieldSample(fam, 9, d))
+        assert len(draws) == len(set(draws)) == d * (8 + 14)
+        assert gm.coords == fresh
+
     def test_mass_conserved_and_atoms_distinct(self, nested_family_depth3):
         fam = nested_family_depth3
         nu = natural_leaf_measure(fam)
@@ -313,6 +362,56 @@ class TestKernelBound:
         val, err = kernel_integral(1.0, 1.0, 0.0, 1.0, 1)
         assert val == pytest.approx(oracle, abs=1e-10)
         assert err < 1e-6
+
+    def test_gauss_rules_are_leggauss_bit_for_bit(self):
+        from numpy.polynomial.legendre import leggauss
+        for rule, n in ((energy._G16, 16), (energy._G8, 8)):
+            nodes, weights = leggauss(n)
+            assert rule[0].tolist() == nodes.tolist()
+            assert rule[1].tolist() == weights.tolist()
+
+    def test_cli_import_loads_no_numpy_polynomial(self):
+        src = Path(__file__).resolve().parents[1] / "src"
+        code = ("import sys, dimlab.cli; "
+                "print(sorted(m for m in sys.modules "
+                "if m.startswith('numpy.polynomial')))")
+        env = dict(os.environ, PYTHONPATH=str(src))
+        out = subprocess.run([sys.executable, "-c", code], env=env,
+                             capture_output=True, text=True, check=True)
+        assert out.stdout.strip() == "[]"
+
+    def test_batches_match_one_case_at_a_time(self):
+        # == on value and error estimate: a batch makes each case's float
+        # operations and sums in the order the case alone makes them.  The
+        # batches are those of `dimlab kernel` at d = 1 and 2 (the sweep,
+        # then kernel_q_slope's q values, per u), the spot check, and
+        # peaks narrow enough for 42 to 52 panels
+        qs = [0.5 ** k for k in range(1, 9)]
+        sweep = [(p, q, theta) for p in qs for q in qs
+                 for theta in (0.0, 0.3, 2.0)]
+        slope = [(0.5, 0.5 ** k, 0.0) for k in range(1, 13)]
+        narrow = [(1.0, 2.0 ** -k, theta) for k in (20, 24)
+                  for theta in (0.0, 0.3, (0.3,))]
+        batches = [(1, u, cases) for u in (0.75, 1.0, 1.5)
+                   for cases in (sweep, slope)]
+        batches += [(2, u, cases) for u in (1.25, 1.5, 2.0)
+                    for cases in (sweep, slope)]
+        batches += [(1, 1.0, [(1.0, 1.0, 0.0)]), (1, 1.0, narrow),
+                    (1, 1.5, narrow + sweep[:5])]
+        for d, u, cases in batches:
+            got = kernel_integrals(cases, u, d)
+            want = [kernel_integral_one_case(p, q, theta, u, d)
+                    for p, q, theta in cases]
+            assert got == want, (d, u)
+        assert max(len(energy._axis_cuts(p, q, 0.3)) - 1
+                   for p, q, _ in narrow) > 40
+
+    def test_batch_refuses_any_bad_case(self):
+        good = (0.5, 0.5, 0.0)
+        for bad in ((0.0, 0.5, 0.0), (0.5, 1.5, 0.0), (0.5, 0.5, (0.1,))):
+            with pytest.raises(ValueError):
+                kernel_integrals([good, bad], 1.5, 2)
+        assert kernel_integrals([], 1.0, 1) == []
 
     def test_constants(self):
         assert kernel_constant(1, 1.0) == pytest.approx(math.pi)
@@ -495,10 +594,11 @@ class TestPairExpectation:
         (1, (0.0,)), (1, (0.3,)), (2, (0.0, 0.0)), (2, (0.3, -0.3)),
     ])
     def test_pair_draws_match_two_int64_calls(self, monkeypatch, d, theta):
-        # one int32 call of shape (2, trials) per coordinate reads the
-        # stream as the two int64 calls of the oracle do, at every window
-        # width from a same-leaf pair (22 bits) to a level-0 pair at
-        # depth 4 (26 bits): the draws and the means are the same
+        # one buffer of raw Philox words per coordinate reads the stream
+        # as the two int64 calls of the oracle do, at every window width
+        # from a same-leaf pair (22 bits) to a level-0 pair at depth 4
+        # (26 bits) and at odd trial counts, where x's draws end in the
+        # middle of a word: the draws and the means are the same
         fam = build_nested_family((2, 2, 2, 2))
         anchors = [leaf.anchor for leaf in fam.leaves()]
         pairs = [ladder_pairs(fam)[0],
@@ -509,15 +609,16 @@ class TestPairExpectation:
 
         class Spy:
             def __init__(self, *key):
-                self.rng = stable_generator(*key)
+                self.real = stable_generator(*key).bit_generator
+                self.bit_generator = self
 
-            def integers(self, *args, **kwargs):
-                out = self.rng.integers(*args, **kwargs)
+            def random_raw(self, *args, **kwargs):
+                out = self.real.random_raw(*args, **kwargs)
                 drawn.append(out.copy())
                 return out
 
-        for x, y in pairs:
-            args = (fam, x, y, theta, 0.5, d, 4096, ("int32", d))
+        for (x, y), trials in itertools.product(pairs, (1, 4095, 4096)):
+            args = (fam, x, y, theta, 0.5, d, trials, ("int32", d))
             want = pair_mean(*args)
             drawn.clear()
             with monkeypatch.context() as m:
@@ -529,10 +630,40 @@ class TestPairExpectation:
                                    (y.numerator, y.denominator))
             assert len(drawn) == d
             for got in drawn:
-                assert got.shape == (2, 4096)
-                for row in got:
+                assert got.shape == (trials,)
+                values = (got.view(np.uint32) >> (32 - bits)).reshape(2, -1)
+                for row in values:
                     assert row.tolist() == rng.integers(
-                        0, 1 << bits, size=4096, dtype=np.int64).tolist()
+                        0, 1 << bits, size=trials, dtype=np.int64).tolist()
+
+    def test_pair_draws_do_not_depend_on_byte_order(
+            self, nested_family_depth3, monkeypatch):
+        # raw words stored big-endian, as a big-endian host holds them,
+        # give the same draws and so the same mean
+        fam = nested_family_depth3
+        x, y = ladder_pairs(fam)[0]
+        args = (fam, x, y, (0.3, -0.3), 0.5, 2, 4095, "order")
+        want = energy._pair_mean(*args)
+
+        class BigEndian:
+            def __init__(self, *key):
+                self.real = stable_generator(*key).bit_generator
+                self.bit_generator = self
+
+            def random_raw(self, *args, **kwargs):
+                return self.real.random_raw(*args, **kwargs).astype(">u8")
+
+        monkeypatch.setattr(energy, "stable_generator", BigEndian)
+        assert energy._pair_mean(*args) == want
+
+    def test_pair_mean_holds_one_buffer(self, nested_family_depth3):
+        # at d = 1 the raw words, their differences and the accumulator
+        # share one buffer of 2**20 float64s, 8 MiB; two buffers were 16
+        fam = nested_family_depth3
+        x, y = ladder_pairs(fam)[0]
+        peak = traced_peak_mib(lambda: energy._pair_mean(
+            fam, x, y, (0.0,), 0.5, 1, 1 << 20, "peak"))
+        assert peak < 8.5
 
     @pytest.mark.parametrize("rungs", [1, 2])
     def test_separations_within_two_decades_fail(self, nested_family_depth3,

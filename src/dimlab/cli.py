@@ -337,12 +337,14 @@ def run(cfg: ExperimentConfig) -> ResultTable:
         raise ValueError("trials must be >= 1")
     if cfg.d < 1:
         raise ValueError("d must be >= 1")
+    if cfg.command == "prevalence" and cfg.n_min < 1:
+        raise ValueError(f"prevalence needs --n-min >= 1, got {cfg.n_min}")
+    if cfg.n_min < 0:
+        raise ValueError(f"--n-min must be >= 0, got {cfg.n_min}")
     if cfg.n_max is None:
         layered = cfg.command in ("prevalence", "saturation")
         cfg = replace(cfg, n_max=witness.largest_layer(
             SPACES[cfg.space](), cfg.d) if layered else 12)
-    if cfg.n_min < 0:
-        raise ValueError(f"--n-min must be >= 0, got {cfg.n_min}")
     if cfg.n_max < 1:
         raise ValueError(f"--n-max must be >= 1, got {cfg.n_max}")
     if cfg.stride < 1:

@@ -33,11 +33,12 @@ every comparison is exact, so a distance tie (exactly equal to delta) is
 never misclassified; callers that pack many instances over one common
 denominator (the event check) pass integer rows and an integer delta.
 
-:func:`greedy_packing_counts` is the same greedy sweep over a block of
-float point sets at once, one candidate per trial per step, which the
-saturation Monte Carlo uses to count a block of trials.  Its float
-comparisons are exact on that Monte Carlo's dyadic grid values, shifted
-by the built-in adversaries.
+:func:`greedy_packing_counts` counts a block of point sets at once: the
+saturation Monte Carlo's trials, and the d = 1 event check's balls.
+Each entry point has one body per axis count: gallop or window sweep
+for the scalar kernel, sorted steps or candidate columns for the
+blocked one, which compares one axis in the block's own dtype, exactly
+as the scalar kernel does, and two or more in float64.
 
 :func:`occupied_cell_count` counts the 2**-n grid cells a net meets.
 Every net is one-dimensional; a product with a cube has no net.  The
@@ -230,28 +231,46 @@ def _converted_prefixes(rows: np.ndarray, cols: list[list]):
 def greedy_packing_counts(points, delta, stop: int):
     """Greedy packing counts, capped at ``stop``, of a block of trials.
 
-    ``points`` is a float array of shape (B, m, d): B trials of m finite
+    ``points`` is an array of shape (B, m, d): B trials of m finite
     points in R**d, in any order.  Entry b of the result is
     ``len(greedy_packing_coords(sorted(map(tuple, points[b])), delta,
-    stop=stop))``, and ``stop`` below 1 is refused the same way: each
-    trial's points are sorted lexicographically and taken in turn, and
-    a candidate is kept iff fewer than ``stop`` points are kept and no
-    kept point lies within squared distance <= delta**2; ``stop = m``
-    counts a whole packing.  The scalar kernel sweeps one trial's
-    coordinate columns a candidate at a time; this loop takes candidate
-    j of every trial at once, for j < m, vectorised over trials.  A
-    candidate is compared with the first ``count.max()`` kept slots
-    only, and the unfilled slots hold inf, which is never near.
+    stop=stop))``, and ``stop`` below 1 is refused the same way; an
+    empty block or trial counts nothing.  One axis takes sorted steps
+    in the block's own dtype (int64, object or float): from each
+    trial's least value, at most stop - 1 steps over all trials keep
+    the first value beyond kept + delta, the gallop's test, so the
+    counts equal the scalar kernel's exactly.  Two or more axes take
+    candidate columns in float64: candidate j of every trial, for
+    j < m, is compared by squared distance against delta**2 with the
+    first ``count.max()`` kept slots (unfilled slots hold inf).
     """
-    pts = np.asarray(points, dtype=float)
+    pts = np.asarray(points)
     d2 = _positive(delta) * delta
     _check_stop(stop)
     trials, m, d = pts.shape
+    count = np.zeros(trials, dtype=np.intp)
+    if not pts.size:
+        return count
+    if d == 1:
+        xs = np.sort(pts[:, :, 0], axis=1)
+        starts = np.arange(0, trials * m, m)
+        kept = xs[:, 0]
+        count += 1
+        for step in range(1, stop):
+            # per trial, the place of the first value beyond kept + delta;
+            # a trial with none keeps its last value and finds none again
+            at = (xs <= (kept + delta)[:, None]).sum(axis=1)
+            more = at < m
+            count += more
+            if step == stop - 1 or not more.any():
+                break
+            kept = xs.ravel().take(starts + np.minimum(at, m - 1))
+        return count
+    pts = pts.astype(float, copy=False)
     # np.lexsort sorts by its last key first
     order = np.lexsort(pts.transpose(2, 0, 1)[::-1], axis=-1)
     pts = np.take_along_axis(pts, order[..., None], axis=1)
     kept = np.full((trials, min(m, stop), d), np.inf)
-    count = np.zeros(trials, dtype=np.intp)
     for j in range(m):
         cand = pts[:, j]
         diff = kept[:, :count.max()] - cand[:, None]

@@ -18,8 +18,7 @@ The two probabilistic checks:
   full-size 2**-n packing of values, drawn from one
   ``rng.stable_generator`` stream in trial order.  Trials run in bounded
   blocks: the adversary maps a block's history prefix to its shifts,
-  and ``packing.greedy_packing_counts`` counts the block's float points
-  one candidate column at a time, vectorised over trials;
+  and ``packing.greedy_packing_counts`` counts the block's points;
 * ``EventChecker`` / ``event_fraction``: how often does the graph of the
   summed layers plus a drift carry at least N_n(K) * 2**(n d) * n**-2d
   packing points at scale 2**-n.  A trial's sample draws the grid
@@ -33,7 +32,8 @@ The two probabilistic checks:
   one width bound, from the sizes, is below 2**62) with one gather of
   the drawn grid vectors and one ``np.add.at``.  At d = 1 it first takes
   the paper's per-ball saturation: each ball's y-separated count,
-  capped at s_n, summed over the k_n balls, which do not interact.
+  capped at s_n, summed in full over the k_n balls (which do not
+  interact) by the saturation kernel, ``packing.greedy_packing_counts``.
   When that certificate falls short, and at every d >= 2, it hands the
   rows to the greedy kernel, which sweeps their coordinate columns and
   stops counting at ceil(threshold); small instances fall back to exact
@@ -470,12 +470,12 @@ class EventChecker:
         values live exactly; more evaluation points could only increase
         the count, so this is the conservative side of the event.
 
-        At d = 1 the per-ball certificate comes first: each ball's kept
-        y values (at most s_n of them, see ``_ball_count``) form one
-        packing over all balls, since rows of different balls are more
-        than delta apart in x and kept y values of one ball more than
-        delta apart in y.  k_n s_n >= ceil(threshold), as s_n exceeds
-        2**n / n**2, so the certificate can decide; when its sum reaches
+        At d = 1 the per-ball certificate comes first: every ball's y
+        values (``ball_rows``) are counted by ``greedy_packing_counts``
+        up to s_n, with no early exit, and the kept rows form one
+        packing, since rows of different balls are more than delta
+        apart in x.  As s_n > 2**n / n**2, k_n s_n >= ceil(threshold),
+        so the certificate can decide: when its sum reaches
         ceil(threshold) the event holds, with ``method`` "ball".
 
         Otherwise, and at every d >= 2, the greedy kernel sweeps the
@@ -491,7 +491,9 @@ class EventChecker:
         """
         rows = self.rows(sample)
         need = math.ceil(self.threshold)
-        if self.d == 1 and self._ball_count(rows[:, 1], need) >= need:
+        if self.d == 1 and packing.greedy_packing_counts(
+                rows[:, 1:].take(self.ball_rows, axis=0), self.delta,
+                self.layer.s_n).sum() >= need:
             return EventReport(self.n, need, self.threshold, True, "ball")
         chosen = packing.greedy_packing_coords(rows, self.delta, stop=need)
         if len(rows) <= packing.EXACT_SEARCH_LIMIT:
@@ -504,32 +506,6 @@ class EventChecker:
         count = min(len(chosen), need)
         return EventReport(self.n, count, self.threshold,
                            count >= self.threshold, method)
-
-    def _ball_count(self, ys: np.ndarray, need) -> int:
-        """The per-ball certificate of a d = 1 check, summed up to ``need``.
-
-        ``ys`` holds the rows' y values.  Each ball's are sorted and
-        swept greedily: from the least, the next kept y is the first
-        beyond the last kept one plus delta.  Step j keeps the
-        (j + 1)-th y of every ball still sweeping, all balls at once,
-        and a ball stops at s_n kept or when no y lies beyond.  The sum
-        of the kept counts is returned once it reaches ``need``, so it
-        reaches ``need`` iff the full sum does.
-        """
-        ys = ys.take(self.ball_rows)
-        ys.sort(axis=1)
-        kept = ys[:, 0]
-        total = len(kept)
-        for _ in range(self.layer.s_n - 1):
-            if total >= need:
-                break
-            # per ball, the place of the first y beyond kept + delta
-            at = np.count_nonzero(ys <= (kept + self.delta)[:, None], axis=1)
-            (live,) = np.nonzero(at < ys.shape[1])
-            ys = ys[live]
-            kept = ys[np.arange(len(live)), at[live]]
-            total += len(live)
-        return total
 
 
 def _nearest_keys(keys: np.ndarray, xs: np.ndarray):
@@ -592,6 +568,8 @@ def wilson_interval(successes: int, trials: int) -> tuple[float, float]:
     """
     if trials < 1:
         raise ValueError("need at least one trial")
+    if not 0 <= successes <= trials:
+        raise ValueError(f"need 0 <= successes <= {trials}, got {successes}")
     z = WILSON_Z
     p = successes / trials
     denom = 1 + z * z / trials

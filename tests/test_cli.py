@@ -336,7 +336,27 @@ class TestCommands:
     def test_unbuilt_prevalence_layer_named(self, capsys):
         assert main(["prevalence", "--n-min", "0", "--n-max", "3",
                      "--trials", "1"]) == 2
-        assert "layer 0 not built: layers 1..3 are" in capsys.readouterr().err
+        assert ("error: prevalence needs --n-min >= 1, got 0"
+                in capsys.readouterr().err)
+
+    @pytest.mark.parametrize("n_max", [["--n-max", "3"], []],
+                             ids=["n-max-3", "n-max-default"])
+    def test_prevalence_n_min_0_refused_before_any_layer(self, monkeypatch,
+                                                         capsys, n_max):
+        # refused from the options alone: no layer is sized or built,
+        # also where the default --n-max would size them all
+        def refuse(*args):
+            raise AssertionError("a layer was sized")
+
+        monkeypatch.setattr(witness, "_size_layer", refuse)
+        assert main(["prevalence", "--n-min", "0", *n_max]) == 2
+        assert "--n-min >= 1" in capsys.readouterr().err
+        # estimate counts nets, which start at scale 0
+        ran = []
+        monkeypatch.setitem(cli.RUNNERS, "estimate",
+                            lambda cfg, table: ran.append(cfg.n_min))
+        assert main(["estimate", "--n-min", "0", "--n-max", "5"]) == 0
+        assert ran == [0]
 
     def test_kernel_d3_refused(self, capsys):
         assert main(["kernel", "--d", "3"]) == 2

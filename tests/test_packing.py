@@ -288,6 +288,42 @@ class TestWindowKernel:
             assert len(packing.greedy_packing_coords(
                 sorted(map(tuple, trial)), delta)) == want
 
+    @pytest.mark.parametrize("kind", ["int64", "object", "float-near-ties"])
+    def test_line_block_counts_are_exact(self, kind):
+        # the one-axis body compares the values as given.  Integers past
+        # 2**53 sit 1 apart, where a float64 cast would merge them; the
+        # near-tie floats sit delta * (1 +- k 2**-52) apart, where
+        # (x - kept)**2 <= delta**2 and x <= kept + delta disagree
+        rng = np.random.default_rng(len(kind))
+        if kind == "float-near-ties":
+            cases = []
+            for delta in (0.1, 0.3, 1 / 3, 0.7):
+                gaps = delta * (1 + rng.integers(-4, 5, size=(500, 12))
+                                * 2.0 ** -52)
+                gaps[:, 0] = rng.random(500)
+                cases.append((np.cumsum(gaps, axis=1), delta))
+        else:
+            values = 2 ** 60 + rng.integers(0, 40, size=(500, 12))
+            block = values if kind == "int64" else values.astype(object)
+            cases = [(block, delta) for delta in (1, 2, 5)]
+        for block, delta in cases:
+            block = rng.permuted(block, axis=1)
+            for stop in (1, 3, 12):
+                want = [len(packing.greedy_packing_coords(
+                    sorted((x,) for x in trial), delta, stop))
+                    for trial in block.tolist()]
+                got = packing.greedy_packing_counts(block[:, :, None], delta,
+                                                    stop)
+                assert got.tolist() == want, (delta, stop)
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_empty_blocks_count_nothing(self, dim):
+        # no trials give no counts; trials of no points count 0 each
+        for shape, want in (((0, 5, dim), []), ((3, 0, dim), [0, 0, 0]),
+                            ((0, 0, dim), [])):
+            got = packing.greedy_packing_counts(np.zeros(shape), 0.5, 2)
+            assert got.tolist() == want
+
     @pytest.mark.parametrize("space", [unit_interval(), triadic_cantor(),
                                        harmonic_sequence()],
                              ids=lambda sp: sp.kind)

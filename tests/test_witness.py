@@ -805,6 +805,13 @@ def _ball_sweep(checker, ys):
     return out
 
 
+def _ball_counts(checker, ys):
+    """Per ball, the certificate's count of the y values ``ys``: the
+    block kernel over ``ball_rows``, capped at s_n, as ``check`` runs it."""
+    return packing.greedy_packing_counts(ys.take(checker.ball_rows)[:, :, None],
+                                         checker.delta, checker.layer.s_n)
+
+
 class TestBallCertificate:
     @pytest.mark.parametrize("key", ["cantor-d1", "interval-d1"])
     def test_balls_can_reach_the_threshold(self, accepted_layers, key):
@@ -848,14 +855,14 @@ class TestBallCertificate:
                 assert all((xy[a][0] - xy[b][0]) ** 2
                            + (xy[a][1] - xy[b][1]) ** 2 > d2
                            for a, b in itertools.combinations(kept, 2))
-                assert checker._ball_count(rows[:, 1], math.inf) == len(kept)
+                assert _ball_counts(checker, rows[:, 1]).sum() == len(kept)
 
     @pytest.mark.parametrize("key", ["cantor-d1", "interval-d1"])
     def test_count_matches_the_sweep_at_exact_ties(self, accepted_layers,
                                                    key):
         # y values on a delta / 2 lattice, so kept + delta is often hit
-        # exactly: a y there is not kept.  With ``need`` the count stops
-        # early, but reaches ``need`` exactly when the full count does
+        # exactly: a y there is not kept.  The summed count reaches
+        # ``need`` exactly when the sweep's does
         layers = accepted_layers[key]
         rnd = random.Random(f"ties-{key}")
         for n in range(1, len(layers) + 1):
@@ -866,13 +873,14 @@ class TestBallCertificate:
                       for _ in range(len(checker.points))]
                 want = sum(map(len, _ball_sweep(checker, ys)))
                 arr = np.array(ys, dtype=checker.dtype)
-                assert checker._ball_count(arr, math.inf) == want
+                total = _ball_counts(checker, arr).sum()
+                assert total == want
                 for need in (want, want + 1):
-                    assert (checker._ball_count(arr, need) >= need) == (
-                        want >= need)
+                    assert (total >= need) == (want >= need)
 
     @BALL_SETS
-    def test_verdicts_match_the_sweep(self, accepted_layers, key, drift):
+    def test_verdicts_match_the_sweep(self, accepted_layers, key, drift,
+                                      monkeypatch):
         # on fixed seeds the certificate decides every check, with the
         # count and verdict of the sweep it replaces
         layers = accepted_layers[key]
@@ -881,8 +889,11 @@ class TestBallCertificate:
             samples = [sample_witness(layers[:n], ("sweep", key, n, t))
                        for t in range(6)]
             reps = [checker.check(s) for s in samples]
-            checker._ball_count = lambda ys, need: 0
-            sweep = [checker.check(s) for s in samples]
+            with monkeypatch.context() as patch:
+                patch.setattr(packing, "greedy_packing_counts",
+                              lambda points, delta, stop: np.zeros(
+                                  len(points), dtype=np.intp))
+                sweep = [checker.check(s) for s in samples]
             assert {rep.method for rep in reps} == {"ball"}
             assert ({rep.method for rep in sweep}
                     == {"exact" if len(checker.points)
@@ -912,8 +923,8 @@ class TestBallCertificate:
                 flat = witness.WitnessSample(layers[:n], tuple(
                     (0,) * lay.ell_n for lay in layers[:n]))
                 k_n, need = checker.layer.k_n, math.ceil(checker.threshold)
-                assert checker._ball_count(checker.rows(flat)[:, 1],
-                                           math.inf) == k_n
+                assert _ball_counts(checker,
+                                    checker.rows(flat)[:, 1]).sum() == k_n
                 calls.clear()
                 rep = checker.check(flat)
                 if k_n >= need:
@@ -1102,6 +1113,13 @@ class TestSaturation:
         assert wilson_interval(0, 1000)[1] < wilson_interval(0, 100)[1]
         with pytest.raises(ValueError):
             wilson_interval(0, 0)
+
+    @pytest.mark.parametrize("k, trials", [(5, 3), (-1, 3)])
+    def test_wilson_interval_refuses_counts_outside_the_trials(self, k,
+                                                              trials):
+        with pytest.raises(ValueError, match=f"^need 0 <= successes <= "
+                                             f"{trials}, got {k}$"):
+            wilson_interval(k, trials)
 
     @pytest.mark.parametrize("k, trials", [
         (0, 2000), (1, 100), (37, 50), (99, 100), (100, 100), (200, 200),

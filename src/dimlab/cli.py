@@ -115,11 +115,7 @@ def emit_csv(table: ResultTable, path: str) -> None:
             r.experiment, f'"{pj}"', _fmt(r.value), _fmt(r.reference),
             _fmt(r.passed), str(r.seed), _fmt(r.ci_low), _fmt(r.ci_high),
         )))
-    try:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write("\n".join(lines) + "\n")
-    except OSError as exc:
-        raise OSError(f"cannot write CSV to {path}: {exc}") from exc
+    _write_lines(path, lines, "CSV")
 
 
 def emit_plotdata(table: ResultTable, path: str) -> None:
@@ -137,8 +133,15 @@ def emit_plotdata(table: ResultTable, path: str) -> None:
                      f"params={json.dumps(params, sort_keys=True)}")
         for n, count in r.params["series"]:
             lines.append(f"{n * math.log(base)!r} {math.log(count)!r}")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+    _write_lines(path, lines, "plot data")
+
+
+def _write_lines(path: str, lines: list[str], what: str) -> None:
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write("\n".join(lines) + "\n")
+    except OSError as exc:
+        raise OSError(f"cannot write {what} to {path}: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------

@@ -462,8 +462,10 @@ def _energy_grid(measure: DiscreteMeasure, s_list: Sequence[float]) -> list[floa
     of them may differ from those of dimlab 0.1.0 (an ordered double sum)
     in the last bits, and verdicts built on them do not.
     """
-    if any(s <= 0 for s in s_list):
-        raise ValueError("energy exponent must be positive")
+    for s in s_list:
+        if not 0 < s < math.inf:
+            raise ValueError(f"energy exponent must be positive and "
+                             f"finite, got {s}")
     if len(measure.weights) < 2:
         return [0.0] * len(s_list)
     for path in (_lattice_energies, _reciprocal_energies):

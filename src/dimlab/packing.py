@@ -4,25 +4,15 @@ A delta-packing is a point set whose pairwise distances strictly exceed
 delta.  Two counters are provided:
 
 * a deterministic greedy counter (maximal, not maximum) that inserts
-  points in ascending lexicographic coordinate order and therefore
-  reproduces exactly across runs.  One kernel serves every dimension: a
-  sorted window sweep that compares a candidate only with the chosen
-  points whose first coordinate lies within delta below its own.  It
-  sweeps coordinate columns, one Python list per axis read from the
-  rows (a tuple sequence or an int64 or object array, so the event
-  check hands over its integer rows as they are; an array of two or
-  more axes is converted only as far as the sweep reads), ascending as
-  given (it does not sort), and a distance is the first-axis difference
-  squared plus the other axes' in order.  On one-dimensional point sets
-  the window is the last chosen
-  point, the sweep is in fact optimal, and it gallops past the points
-  within reach instead of comparing each.  On two or more axes the
-  window is also sorted on the second axis, and a candidate is compared
-  only with the window's points within 2 delta of it there: a superset
-  of those within delta, wide enough that float rounding cannot push a
-  flagged point outside it (see :func:`greedy_packing_coords`).  It can
-  stop once a given number of points is kept, which decides whether a
-  count reaches a threshold;
+  points in ascending lexicographic coordinate order, as given (it does
+  not sort), and therefore reproduces exactly across runs.  Its window
+  sweep compares a candidate only with the chosen points whose first
+  coordinate lies within delta below its own: on one axis the last
+  chosen point, which it gallops past (the sweep is optimal there), and
+  on two or more axes those of a band of the window sorted on the
+  second axis (see :func:`greedy_packing_coords`).  It can stop once a
+  given number of points is kept, which decides whether a count
+  reaches a threshold;
 * an exact branch-and-bound counter for instances of at most
   ``EXACT_SEARCH_LIMIT`` points (read at call time), used both directly
   and as the correctness oracle for greedy.
@@ -104,12 +94,9 @@ def greedy_packing_coords(rows, delta, stop: int | None = None) -> list[int]:
     conflicting row (distance <= delta) is in it.  On one axis reaching
     is conflicting, and the window is the last chosen row:
     :func:`_greedy_line` gallops to the first row beyond its reach.  On
-    the 2**-n packings of the 2**-(n+1) nets that takes 450 comparisons
-    where testing each row takes 8 192 (harmonic, n = 12), 1 788 for
-    2 047 (Cantor, n = 13) and 4 096 either way (interval, n = 11, a
-    third of the rows kept).  On two or more axes the window's rows are
-    also kept in a list sorted on the second axis (ties in the order
-    chosen, so a leaving row is the first of its ties), and a candidate
+    two or more axes the window's rows are also kept in a list sorted
+    on the second axis (ties in the order chosen, so a leaving row is
+    the first of its ties), and a candidate
     at second coordinate y is compared, first-axis difference squared
     plus the other axes' in order, only with the rows of second
     coordinate in [y - 2 delta, y + 2 delta].
@@ -232,7 +219,8 @@ def greedy_packing_counts(points, delta, stop: int):
     """Greedy packing counts, capped at ``stop``, of a block of trials.
 
     ``points`` is an array of shape (B, m, d): B trials of m finite
-    points in R**d, in any order.  Entry b of the result is
+    points in R**d, in any order; a float block holding NaN or inf is
+    refused.  Entry b of the result is
     ``len(greedy_packing_coords(sorted(map(tuple, points[b])), delta,
     stop=stop))``, and ``stop`` below 1 is refused the same way; an
     empty block or trial counts nothing.  One axis takes sorted steps
@@ -247,6 +235,8 @@ def greedy_packing_counts(points, delta, stop: int):
     pts = np.asarray(points)
     d2 = _positive(delta) * delta
     _check_stop(stop)
+    if pts.dtype.kind == "f" and not np.isfinite(pts).all():
+        raise ValueError("packing points must be finite")
     trials, m, d = pts.shape
     count = np.zeros(trials, dtype=np.intp)
     if not pts.size:

@@ -16,10 +16,12 @@ one denominator (:class:`LatticePoints`), the harmonic net as the
 reciprocals it stands for (:class:`HarmonicPoints`).  The net counters
 in ``packing`` read those integers directly.
 
-No distance is computed here: a net hands its points to the row
-kernels as exact coordinate rows (:meth:`ResolutionNet.coord_rows`),
-ascending as the greedy kernel requires, and the packing kernels
-compare squared distances on those rows.  Every net is
+No distance is computed here.  ``packing.max_packing_greedy`` and
+``packing.occupied_cell_count`` read a built net's integers;
+:meth:`ResolutionNet.coord_rows` gives exact coordinate rows, ascending
+as the greedy kernel requires, to those counters on a net built by
+hand, to ``packing.max_packing_exact`` and to
+``estimators.DiscreteMeasure.uniform_on_net``.  Every net is
 one-dimensional: a product with a cube has no net, and
 ``estimators.cell_count_series`` counts its cells from its base net.
 """

@@ -15,29 +15,22 @@ The two probabilistic checks:
 
 * ``simulate_saturation_failure``: how often do ell_n grid draws,
   shifted by an adversary that sees only the past, fail to contain a
-  full-size 2**-n packing of values, drawn from one
-  ``rng.stable_generator`` stream in trial order.  Trials run in bounded
-  blocks: the adversary maps a block's history prefix to its shifts,
-  and ``packing.greedy_packing_counts`` counts the block's points;
+  full-size 2**-n packing of values.  The adversary, a causal map,
+  shifts a bounded block of trials' draws in one call, and
+  ``packing.greedy_packing_counts`` counts the block's points;
 * ``EventChecker`` / ``event_fraction``: how often does the graph of the
   summed layers plus a drift carry at least N_n(K) * 2**(n d) * n**-2d
   packing points at scale 2**-n.  A trial's sample draws the grid
   indices of layers 1..n from one ``rng.stable_generator`` stream, in
   layer order, so it is a prefix of the same seed's sample over more
-  layers.  The checker puts its rows over one denominator, built from
-  layer n's ``den``, and finds each point's nearest satellite of every
-  layer with one ``np.searchsorted`` per layer; it keeps only the bumps
-  that reach a point, as sparse (row, satellite, coefficient) entries
-  of all layers together.  A check builds its integer rows (int64 while
-  one width bound, from the sizes, is below 2**62) with one gather of
-  the drawn grid vectors and one ``np.add.at``.  At d = 1 it first takes
+  layers.  A check builds the graph rows as integers over one
+  denominator (see :class:`EventChecker`).  At d = 1 it first takes
   the paper's per-ball saturation: each ball's y-separated count,
   capped at s_n, summed in full over the k_n balls (which do not
   interact) by the saturation kernel, ``packing.greedy_packing_counts``.
-  When that certificate falls short, and at every d >= 2, it hands the
-  rows to the greedy kernel, which sweeps their coordinate columns and
-  stops counting at ceil(threshold); small instances fall back to exact
-  search, on row lists, only when greedy falls short.
+  When that certificate falls short, and at every d >= 2, the greedy
+  sweep counts the rows up to ceil(threshold), and small instances fall
+  back to exact search when greedy falls short.
 
 A layer is sized (grid, k_n, m_n, ell_n and the ball centres, a
 :class:`LayerSize`) before its satellites are placed; the saturation
@@ -73,13 +66,14 @@ from .spaces import (
 SATELLITE_DEPTH_CAP = 64
 # Largest k_n * ell_n a layer may place.  Layer cost grows about 5x per n
 # (Cantor d = 1: 1 056 satellites at n = 7, 7 680 at n = 8, 36 288 at
-# n = 9), and the event check then packs one 2-D row per satellite.
+# n = 9), and the event check builds one row per satellite, which the
+# sweep packs at d >= 2 and where the d = 1 ball certificate falls short.
 MAX_LAYER_SATELLITES = 10_000
 WILSON_Z = 1.959963984540054  # two-sided 95% normal quantile
 # Largest trials * ell_n grid indices the saturation Monte Carlo draws
-# at once; its history and point arrays hold d floats per index.  Fewer
-# mean more Python column loops: at ell_n = 3 375 (interval, d = 3) 2**16
-# took 1.8 s and 45 MB peak RSS, 2**18 takes 1.1 s and 60 MB.
+# at once (d floats per index in each of draws, shifts and points); at
+# ell_n = 3 375 (interval, d = 3, 200 trials) 2**17 takes 0.8-1.1 s and
+# 51 MB peak RSS, 2**18 0.7-0.8 s and 61 MB.
 SATURATION_BLOCK = 1 << 18
 
 
@@ -479,12 +473,10 @@ class EventChecker:
         ceil(threshold) the event holds, with ``method`` "ball".
 
         Otherwise, and at every d >= 2, the greedy kernel sweeps the
-        rows, which ascend as it requires: it takes the row array as it
-        is, reads one list per column as far as it sweeps and stops at
+        rows as they are (they ascend, as it requires) and stops at
         ceil(threshold); on at most EXACT_SEARCH_LIMIT rows exact search
         runs, on the rows as lists, only when greedy falls short, since
-        a greedy count never exceeds the maximum.  At d >= 2 a ball's
-        y-separated count is itself a packing problem, and no per-ball
+        a greedy count never exceeds the maximum.  At d >= 2 no per-ball
         form tried (parity-cell keys with one ``np.unique``, a block
         kernel) was faster than the sweep.  The reported count is capped
         at ceil(threshold).
@@ -579,16 +571,24 @@ def wilson_interval(successes: int, trials: int) -> tuple[float, float]:
             1.0 if successes == trials else (center + spread) / denom)
 
 
+def _no_shifts(draws: np.ndarray, d: int) -> np.ndarray:
+    if draws.shape[-1] != d:
+        raise ValueError(f"adversary for d = {d} got draws with last axis "
+                         f"{draws.shape[-1]}")
+    return np.zeros(draws.shape)
+
+
 def zero_adversary(d: int) -> Callable:
-    return lambda history: np.zeros((len(history), d))
+    """Shifts no draw."""
+    return lambda draws: _no_shifts(draws, d)
 
 
 def colliding_adversary(d: int) -> Callable:
     """Shifts each draw by the negated previous one, hunting collisions."""
-    def strategy(history):
-        if not history.shape[1]:
-            return np.zeros((len(history), d))
-        return -history[:, -1]
+    def strategy(draws):
+        shifts = _no_shifts(draws, d)
+        shifts[:, 1:] = -draws[:, :-1]
+        return shifts
     return strategy
 
 
@@ -596,17 +596,18 @@ def simulate_saturation_failure(layer: LayerSize, adversary: Callable,
                                 trials: int, seed) -> SaturationReport:
     """Monte Carlo for the adversarially translated grid saturation event.
 
-    Per trial, ell_n values are drawn uniformly from the layer grid; the
-    adversary produces each shift y_i from the history X_1..X_{i-1} only.
+    Per trial, ell_n values are drawn uniformly from the layer grid, and
+    the adversary shifts X_i by a y_i chosen from X_1..X_{i-1} only.
     Trials run in blocks of B = max(1, SATURATION_BLOCK // ell_n): a
     block's (B, ell_n) grid indices come from one ``stable_generator``
     stream, which yields the indices of B per-trial draws in trial order,
     so a run's first T trials repeat a T-trial run and memory does not
-    grow with ``trials``.  At column i the adversary gets a read-only
-    (B, i, d) array of the block's first i draws and returns (B, d)
-    shifts.  That array is a view of a history buffer that is filled one
-    column after each call, so later draws are structurally out of its
-    reach.
+    grow with ``trials``.  The adversary is called once per block, on the
+    block's draws as a read-only (B, ell_n, d) array, and returns their
+    shifts, of the same shape.  It must be causal (shift i of a trial
+    reads only that trial's draws before i, with a loop if need be); a
+    test reference hands it draws 1..i for shift i, so a map that reads
+    ahead disagrees with the run.
 
     A trial fails when the translated points contain no s_n-element
     2**-n packing, counted by :func:`packing.greedy_packing_counts`,
@@ -624,14 +625,14 @@ def simulate_saturation_failure(layer: LayerSize, adversary: Callable,
     for start in range(0, trials, block):
         idx = rng.integers(layer.s_n, size=(min(block, trials - start),
                                             layer.ell_n))
-        history = np.zeros(idx.shape + (layer.d,))
-        points = np.empty_like(history)
-        for i in range(layer.ell_n):
-            past = history[:, :i]
-            past.flags.writeable = False
-            shift = adversary(past)
-            history[:, i] = grid[idx[:, i]]
-            np.add(history[:, i], shift, out=points[:, i])
+        draws = grid[idx]
+        draws.flags.writeable = False
+        shifts = adversary(draws)
+        if np.shape(shifts) != draws.shape:
+            raise ValueError(f"adversary returned shifts of shape "
+                             f"{np.shape(shifts)} for draws {draws.shape}")
+        points = draws + shifts
+        del draws, shifts  # the counter's copies reuse their memory
         counts = packing.greedy_packing_counts(points, delta, stop=layer.s_n)
         failures += int(np.count_nonzero(counts < layer.s_n))
     bound = 1.0 / (layer.k_n * 2 ** layer.n)

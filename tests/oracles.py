@@ -239,8 +239,11 @@ def saturation_failure_flags(layer, adversary, trials, seed):
     """Per trial, whether it fails to saturate, one trial at a time.
 
     Each trial draws its ell_n grid indices alone from the run's stream.
-    The adversary gets that trial's history as a (1, i, d) array, and
-    the shifted points, sorted, are counted by the scalar greedy kernel.
+    Shift i is column i of the adversary's map of the trial's draws up to
+    and including i, a (1, i + 1, d) array, so draws after i are out of
+    its reach: an adversary that read ahead would disagree with the
+    blocked simulator.  The shifted points, sorted, are counted by the
+    scalar greedy kernel.
     """
     grid = [tuple(float(c) for c in g) for g in layer.grid]
     rng = stable_generator(seed, "saturation")
@@ -249,7 +252,8 @@ def saturation_failure_flags(layer, adversary, trials, seed):
         xs = [grid[i] for i in rng.integers(layer.s_n, size=layer.ell_n)]
         points = []
         for i, x in enumerate(xs):
-            y = adversary(np.array(xs[:i]).reshape(1, i, layer.d))[0]
+            y = adversary(np.array(xs[:i + 1]).reshape(1, i + 1,
+                                                       layer.d))[0, i]
             points.append(tuple(a + b for a, b in zip(x, y.tolist())))
         kept = greedy_packing_coords(sorted(points), 0.5 ** layer.n)
         flags.append(len(kept) < layer.s_n)

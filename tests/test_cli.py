@@ -50,6 +50,21 @@ class TestEmitCsv:
         with pytest.raises(OSError):
             emit_csv(table, "/nonexistent-dir/x.csv")
 
+    @pytest.mark.parametrize("flag, what", [("--out", "CSV"),
+                                            ("--plot-out", "plot data")])
+    def test_unwritable_output_named(self, tmp_path, capsys, flag, what):
+        # both files report a failed write with their path, exit 2
+        bad = tmp_path / "missing" / "x.txt"
+        paths = {"--out": str(tmp_path / "r.csv"),
+                 "--plot-out": str(tmp_path / "p.txt"), flag: str(bad)}
+        argv = ["estimate", "--n-max", "6"]
+        for key, path in paths.items():
+            argv += [key, path]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot write {what} to {bad}: ")
+        assert "No such file or directory" in err
+
 
 class TestDeterminism:
     def test_rerun_byte_identical(self, tmp_path):

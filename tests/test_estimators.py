@@ -754,6 +754,18 @@ class TestEnergyProfile:
         with pytest.raises(ValueError):
             energy_dimension_profile(ms * 2, [0.2, 0.4])
 
+    @pytest.mark.parametrize("bad", [0.0, -1.0, math.nan, math.inf])
+    def test_exponent_must_be_positive_and_finite(self, bad):
+        # a NaN exponent gives nan energies, which the profile reads as
+        # bounded
+        message = (r"^energy exponent must be positive and finite, "
+                   rf"got {bad}$")
+        m = measure_on_values([0, 1, 3])
+        with pytest.raises(ValueError, match=message):
+            discrete_energy(m, bad)
+        with pytest.raises(ValueError, match=message):
+            energy_dimension_profile([m] * 4, [0.2, 0.4, bad, 0.8, 1.0])
+
 
 class TestCellSeries:
     def test_interval_cells(self):

@@ -324,6 +324,21 @@ class TestWindowKernel:
             got = packing.greedy_packing_counts(np.zeros(shape), 0.5, 2)
             assert got.tolist() == want
 
+    @pytest.mark.parametrize("dim", [1, 2])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_block_counts_refuse_non_finite_points(self, dim, bad):
+        # a NaN compares false, so it would pass as a kept point or hide
+        # one; integer and object blocks are not tested
+        block = np.zeros((2, 3, dim))
+        block[1, 0, 0] = bad
+        with pytest.raises(ValueError, match="^packing points must be "
+                                             "finite$"):
+            packing.greedy_packing_counts(block, 0.5, 9)
+        ints = np.array([[[0] * dim, [2] * dim, [4] * dim]])
+        for dtype in (np.int64, object):
+            got = packing.greedy_packing_counts(ints.astype(dtype), 1, 9)
+            assert got.tolist() == [3]
+
     @pytest.mark.parametrize("space", [unit_interval(), triadic_cantor(),
                                        harmonic_sequence()],
                              ids=lambda sp: sp.kind)

@@ -975,43 +975,76 @@ class TestSaturation:
                                           colliding_adversary(1), 5000, 7)
         assert rep.passed
 
-    def test_adversary_sees_only_history(self, cantor_layers):
-        # column i hands over a read-only (trials, i, d) array: exactly i
-        # draws per trial
-        seen = []
+    def test_adversary_sees_only_history(self, cantor_layers,
+                                         accepted_layers):
+        # both shipped maps are causal: new draws at and after column j
+        # leave shifts 0..j as they were; the simulator calls the map once
+        # per block, on a read-only (trials, ell_n, d) array of its draws
+        rng = np.random.default_rng(5)
+        for d in (1, 2):
+            for adversary in (zero_adversary(d), colliding_adversary(d)):
+                draws = rng.random((3, 6, d))
+                shifts = adversary(draws)
+                assert shifts.shape == draws.shape
+                for j in range(6):
+                    changed = draws.copy()
+                    changed[:, j:] = rng.random(changed[:, j:].shape)
+                    assert np.array_equal(adversary(changed)[:, :j + 1],
+                                          shifts[:, :j + 1])
+        for lay in (cantor_layers[4], accepted_layers["interval-d2"][0]):
+            seen = []
 
-        def spy(history):
-            seen.append(history.shape)
-            with pytest.raises(ValueError):
-                history[...] = 0.0
-            return np.zeros((len(history), 1))
+            def spy(draws):
+                seen.append(draws.shape)
+                with pytest.raises(ValueError):
+                    draws[...] = 0.0
+                return np.zeros(draws.shape)
 
-        simulate_saturation_failure(cantor_layers[4], spy, 2, 0)
-        ell = cantor_layers[4].ell_n
-        assert seen == [(2, i, 1) for i in range(ell)]
+            simulate_saturation_failure(lay, spy, 2, 0)
+            assert seen == [(2, lay.ell_n, lay.d)]
 
     def test_histories_are_the_stream_in_trial_order(self, cantor_layers):
         # one stream per run, ell_n indices per trial: a spy sees each
-        # trial's draws as they come, and a longer run extends a shorter
+        # block's draws in trial order, and a longer run extends a shorter
         lay = cantor_layers[4]
         grid = np.array([[float(c) for c in g] for g in lay.grid])
 
         def histories(trials):
             seen = []
             simulate_saturation_failure(
-                lay, lambda h: seen.append(h.copy()) or np.zeros((len(h), 1)),
+                lay, lambda h: seen.append(h.copy()) or np.zeros(h.shape),
                 trials, "spy")
             return seen
 
-        short, long = histories(3), histories(6)
-        assert len(short) == len(long) == lay.ell_n
-        for a, b in zip(short, long):
-            assert np.array_equal(b[:3], a)
+        (short,), (long,) = histories(3), histories(6)
+        assert np.array_equal(long[:3], short)
         stream = stable_generator("spy", "saturation")
         draws = grid[[stream.integers(lay.s_n, size=lay.ell_n)
                       for _ in range(6)]]
-        for i, seen in enumerate(long):
-            assert np.array_equal(seen, draws[:, :i])
+        assert np.array_equal(long, draws)
+
+    @pytest.mark.parametrize("adversary", [zero_adversary,
+                                           colliding_adversary])
+    def test_adversaries_refuse_draws_of_another_d(self, adversary):
+        with pytest.raises(ValueError, match="^adversary for d = 1 got "
+                                             "draws with last axis 2$"):
+            adversary(1)(np.zeros((3, 4, 2)))
+
+    def test_non_finite_shifts_refused(self, cantor_layers):
+        # a NaN point compares false: it would pass as kept, and no trial
+        # would fail
+        with pytest.raises(ValueError, match="finite"):
+            simulate_saturation_failure(
+                cantor_layers[4], lambda h: np.full(h.shape, np.nan), 200, 0)
+
+    def test_shifts_of_another_shape_refused(self, cantor_layers):
+        # one shift per trial, as a per-column map returns, would
+        # broadcast over the columns of a one-trial block
+        lay = cantor_layers[4]
+        with pytest.raises(ValueError, match=r"^adversary returned shifts "
+                           rf"of shape \(1, 1\) for draws \(1, {lay.ell_n}, "
+                           r"1\)$"):
+            simulate_saturation_failure(lay, lambda h: np.zeros((1, 1)), 1, 0)
 
     @pytest.mark.parametrize("key, n", [("cantor-d1", 5), ("cantor-d2", 5),
                                         ("interval-d1", 1),

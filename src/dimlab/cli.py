@@ -291,8 +291,9 @@ def _run_report(cfg: ExperimentConfig, table: ResultTable) -> None:
     _run_estimate(ExperimentConfig(
         "estimate", space="harmonic", variant="liminf", n_min=4, n_max=12,
         seed=cfg.seed, expect=0.5), table)
-    # the Wilson upper bound cannot clear 1.5x the n=5 target with fewer
-    # than ~700 trials, so the battery floors the saturation sample size
+    # the row's Wilson upper bound (ci_high) cannot clear 1.5x the n=5
+    # target with fewer than ~700 trials, so the battery floors the
+    # saturation sample size; the occupancy law decides the verdict
     _run_saturation(ExperimentConfig(
         "saturation", space="cantor", n_max=5,
         trials=max(min(cfg.trials, 20000), 2000), seed=cfg.seed), table)

@@ -14,8 +14,9 @@ delta.  Two counters are provided:
   given number of points is kept, which decides whether a count
   reaches a threshold;
 * an exact branch-and-bound counter for instances of at most
-  ``EXACT_SEARCH_LIMIT`` points (read at call time), used both directly
-  and as the correctness oracle for greedy.
+  ``EXACT_SEARCH_LIMIT`` points (read at call time).  No count the
+  package reports runs it: tests use it as the correctness oracle for
+  greedy, and the benchmark binds it by name.
 
 The kernels compare the numbers they are given as they are, and squared
 distances against ``delta * delta``.  On ``int`` or ``Fraction`` rows
@@ -57,7 +58,8 @@ class ExactSearchLimitExceeded(RuntimeError):
 
 
 def _positive(delta):
-    if delta <= 0:
+    # NaN compares false either way, so only "not > 0" refuses it
+    if not delta > 0:
         raise ValueError(f"packing scale delta must be positive, got {delta}")
     return delta
 

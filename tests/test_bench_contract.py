@@ -56,7 +56,7 @@ def test_tracer_wraps_every_span_and_restores_it():
     spans = _load_spans()
     targets = [spans.resolve(module, attr) for module, attr, *_ in spans.SPANS]
     originals = [getattr(owner, name) for owner, name in targets]
-    layers = witness.build_layers(spaces.triadic_cantor(), 1, 5)
+    layers = witness.build_layers(spaces.triadic_cantor(), 2, 4)
     tracer = spans.Tracer()
     tracer.install()
     try:
@@ -67,10 +67,9 @@ def test_tracer_wraps_every_span_and_restores_it():
         packing.max_packing_exact(net, 2)
         packing.occupied_cell_count(net, 3)
         cantor_pair.brute_force_mesh_count(cantor_pair.DigitFunction.SUM, 1)
-        checker = witness.EventChecker(layers, 5)
-        # above k_n s_n the per-ball certificate cannot decide: the
-        # greedy sweep runs and its counter reads the rows
-        checker.threshold = layers[4].k_n * layers[4].s_n + 1
+        checker = witness.EventChecker(layers, 4)
+        # at d >= 2 the greedy sweep decides the check, and its counter
+        # reads the rows
         checker.check(witness.sample_witness(layers, 0))
     finally:
         tracer.uninstall()

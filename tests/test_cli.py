@@ -549,6 +549,12 @@ class TestLayerDefaults:
     def test_default_runs_from_the_command_line(self):
         assert main(["saturation", "--trials", "1"]) != 2
 
+    def test_default_saturation_passes(self, capsys):
+        # Cantor n = 8 at 200 trials: the occupancy law decides the
+        # verdict, which 200 trials could not
+        assert main(["saturation"]) == 0
+        assert "PASS" in capsys.readouterr().out
+
     @pytest.mark.parametrize("space, d, n, adversary", [
         ("cantor", 1, 6, "zero"), ("interval", 2, 5, "collide"),
     ])

@@ -613,49 +613,42 @@ class TestEventCheck:
                     h = eval_witness(sample, p, n)
                     g = drift(p) if drift else (0,) * d
                     rows.append((p, *(a + b for a, b in zip(h, g))))
+                # greedy, and exact search on small instances, keep the
+                # same integer rows as rational ones
+                ints = checker.rows(sample)
+                assert (packing.greedy_packing_coords(ints, checker.delta)
+                        == packing.greedy_packing_coords(rows, delta))
                 if len(rows) <= packing.EXACT_SEARCH_LIMIT:
-                    count = len(packing.exact_packing_coords(rows, delta))
-                    method = "exact"
+                    assert (packing.exact_packing_coords(ints.tolist(),
+                                                         checker.delta)
+                            == packing.exact_packing_coords(rows, delta))
+                # and the check reports its certificate of the rational rows
+                if d == 1:
+                    count = ball_certificate(layers[n - 1], rows, delta)
+                    method = "ball"
                 else:
                     count = len(packing.greedy_packing_coords(rows, delta))
                     method = "greedy"
-                # at d = 1 the per-ball certificate decides when it
-                # reaches the need; the sweep then runs only above k_n s_n
-                checker.threshold = threshold
-                if d == 1 and ball_certificate(layers[n - 1], rows,
-                                               delta) >= need:
-                    assert checker.check(sample) == witness.EventReport(
-                        n, need, threshold, True, "ball")
-                    checker.threshold = len(points) + 1
-                rep = checker.check(sample)
-                cap = math.ceil(checker.threshold)
-                assert (rep.graph_count, rep.method) == (min(count, cap),
-                                                         method)
-                assert rep.holds == (count >= checker.threshold)
+                assert checker.check(sample) == witness.EventReport(
+                    n, min(count, need), threshold, count >= threshold,
+                    method)
 
-    def test_rows_ascend_on_every_accepted_layer_set(self, monkeypatch,
+    def test_rows_ascend_on_every_accepted_layer_set(self,
                                                       accepted_layers):
         # the greedy kernel requires ascending rows and does not sort:
-        # every layer the CLI accepts hands it rows that ascend
-        # lexicographically (their x values are distinct and ascend).  A
-        # threshold above k_n s_n, beyond the per-ball certificate, makes
-        # the sweep run at every d
-        kernel = packing.greedy_packing_coords
-        seen = []
-
-        def spy(rows, delta, stop=None):
-            seen.append(rows.tolist())
-            return kernel(rows, delta, stop)
-
-        monkeypatch.setattr(packing, "greedy_packing_coords", spy)
+        # every layer the CLI accepts builds rows that ascend
+        # lexicographically (their x values are distinct and ascend), and
+        # the kernel, which checks the order on two or more axes, sweeps
+        # all of them
         for key, layers in accepted_layers.items():
             for n in range(1, len(layers) + 1):
-                seen.clear()
                 checker = witness.EventChecker(layers, n)
-                checker.threshold = layers[n - 1].k_n * layers[n - 1].s_n + 1
-                checker.check(sample_witness(layers[:n], ("ascend", key, n)))
-                (rows,) = seen
-                assert all(a < b for a, b in zip(rows, rows[1:])), (key, n)
+                rows = checker.rows(
+                    sample_witness(layers[:n], ("ascend", key, n)))
+                listed = rows.tolist()
+                assert all(a < b for a, b in zip(listed, listed[1:])), (key,
+                                                                        n)
+                assert packing.greedy_packing_coords(rows, checker.delta)
 
     @pytest.mark.parametrize("space, d, n_max, drift", [
         (triadic_cantor(), 1, 8, None),
@@ -707,27 +700,25 @@ class TestEventCheck:
                         == built.check(sample_witness(cantor_layers,
                                                       ("lift", seed))))
 
-    # sha256 of repr([(graph_count, holds, method), ...]) over eight
-    # seeded checks at each n = 1..n_max, pinned before the greedy kernel
-    # swept coordinate columns.  The capped verdicts at the built
-    # thresholds all hold, so each check runs again with the threshold
-    # above the row count: its count is then the full greedy (or, on at
-    # most EXACT_SEARCH_LIMIT rows, exact) packing count, and a kernel
-    # that keeps other rows shows here.  The samples are the per-index
-    # draws the digests were pinned on, so only the checker is pinned.
-    # The d = 1 digests were re-pinned when the per-ball certificate came
-    # in: each list is the old one with "ball" for the method of every
-    # check at a built threshold, and the checks above the row count,
-    # out of the certificate's reach, are unchanged
+    # sha256 of repr(list) over eight seeded samples at each n = 1..n_max:
+    # per sample the check's (graph_count, holds, method), then the full
+    # greedy packing count of its rows, so a kernel that keeps other
+    # rows shows here.  The samples are the per-index draws the digests
+    # were first pinned on, so only the checker and the kernel are
+    # pinned.  When the check lost its sweep and exact-search fallbacks,
+    # a script compared each list with the one pinned before: the check
+    # verdicts were the same but for "greedy" in place of "exact" on the
+    # eight cantor-d2 checks at n = 3, and every full count was the old
+    # one, which on at most 64 rows had come from exact search
     @pytest.mark.parametrize("space, d, n_max, drift, digest", [
         (triadic_cantor(), 1, 7, None,
-         "c1b850cb3111e00f3a2c3dd134eef7f7fceb23c2a31ba7161a56c68460fd7e2f"),
+         "009dc8c13c6c0ef5e038caded08eeef8b6649b1379966b3e044ad0c05cf011c8"),
         (triadic_cantor(), 1, 7, "cantor-f",
-         "c6b74d57baa52692e0d1fe74d09a1e9237b6ee10845b1a0f906a895eec93ad5a"),
+         "810f6ca3a16709213ea638c31adec98eedb33b318eb0d49a431d2ca90dbb9a02"),
         (unit_interval(), 1, 6, None,
-         "f0a71c6a09fe2b93259e8627f545f17bdb9f73679a5f0a5a8fb891bbcdc1d650"),
+         "166dd37e1cc8e3555cac7a19ae9bcb7e6d603612c19c2933424a1bab8484e4ac"),
         (triadic_cantor(), 2, 5, None,
-         "67890f932a0f7a4a860ce243e05949bedb01d456e5bd4163e7933035979f215e"),
+         "2c513d3fbbbf330d6855900274533712baf382cde12736672f7569bd634b50a2"),
     ], ids=["cantor-d1-zero", "cantor-d1-cantor-f", "interval-d1-zero",
             "cantor-d2-zero"])
     def test_verdicts_are_pinned(self, cantor_layers, space, d, n_max, drift,
@@ -740,44 +731,13 @@ class TestEventCheck:
         verdicts = []
         for n in range(1, n_max + 1):
             checker = witness.EventChecker(layers, n, drift)
-            thresholds = (checker.threshold, len(checker.points) + 1)
             for t in range(8):
                 sample = sample_witness_by_index(layers[:n], ("pin", n, t))
-                for threshold in thresholds:
-                    checker.threshold = threshold
-                    rep = checker.check(sample)
-                    verdicts.append((rep.graph_count, rep.holds, rep.method))
-        assert hashlib.sha256(repr(verdicts).encode()).hexdigest() == digest
-
-    def test_exact_search_only_when_greedy_falls_short(self, cantor_layers,
-                                                       monkeypatch):
-        # no sample makes greedy fall short of n = 4's need of 4, so the
-        # threshold is raised to the exact maximum and one above it
-        checker = witness.EventChecker(cantor_layers, 4)
-        assert len(checker.points) <= packing.EXACT_SEARCH_LIMIT
-        delta = Fraction(1, 2 ** 4)
-        exact = packing.exact_packing_coords
-        calls = []
-
-        def spy(*args, **kwargs):
-            calls.append(args)
-            return exact(*args, **kwargs)
-
-        monkeypatch.setattr(packing, "exact_packing_coords", spy)
-        for seed in range(4):
-            sample = sample_witness(cantor_layers[:4], ("fallback", seed))
-            xs = [Fraction(p, checker.layer.den) for p in checker.points]
-            rows = [(x, *eval_witness(sample, x, 4)) for x in xs]
-            best = len(exact(rows, delta))
-            greedy = len(packing.greedy_packing_coords(rows, delta))
-            for threshold in (best, best + 1):
-                checker.threshold = threshold
-                calls.clear()
                 rep = checker.check(sample)
-                assert len(calls) == (greedy < threshold)
-                assert rep.holds == (best >= threshold)
-                assert rep.graph_count == min(best, threshold)
-                assert rep.method == "exact"
+                verdicts.append((rep.graph_count, rep.holds, rep.method))
+                verdicts.append(len(packing.greedy_packing_coords(
+                    checker.rows(sample), checker.delta)))
+        assert hashlib.sha256(repr(verdicts).encode()).hexdigest() == digest
 
 
 def _cantor_f(p):
@@ -810,6 +770,18 @@ def _ball_counts(checker, ys):
     block kernel over ``ball_rows``, capped at s_n, as ``check`` runs it."""
     return packing.greedy_packing_counts(ys.take(checker.ball_rows)[:, :, None],
                                          checker.delta, checker.layer.s_n)
+
+
+def _spy_row_kernels(monkeypatch):
+    """Patch the sweep and exact search to record each call's row count."""
+    calls = []
+    for name in ("greedy_packing_coords", "exact_packing_coords"):
+        def spy(rows, *args, _kernel=getattr(packing, name), **kwargs):
+            calls.append(len(rows))
+            return _kernel(rows, *args, **kwargs)
+
+        monkeypatch.setattr(packing, name, spy)
+    return calls
 
 
 class TestBallCertificate:
@@ -879,42 +851,30 @@ class TestBallCertificate:
                     assert (total >= need) == (want >= need)
 
     @BALL_SETS
-    def test_verdicts_match_the_sweep(self, accepted_layers, key, drift,
-                                      monkeypatch):
-        # on fixed seeds the certificate decides every check, with the
-        # count and verdict of the sweep it replaces
+    def test_verdicts_match_the_sweep(self, accepted_layers, key, drift):
+        # on fixed seeds the certificate gives every check the capped
+        # count and verdict of the sweep it replaced, run here directly
         layers = accepted_layers[key]
         for n in range(1, len(layers) + 1):
             checker = witness.EventChecker(layers, n, drift)
+            need = math.ceil(checker.threshold)
             samples = [sample_witness(layers[:n], ("sweep", key, n, t))
                        for t in range(6)]
             reps = [checker.check(s) for s in samples]
-            with monkeypatch.context() as patch:
-                patch.setattr(packing, "greedy_packing_counts",
-                              lambda points, delta, stop: np.zeros(
-                                  len(points), dtype=np.intp))
-                sweep = [checker.check(s) for s in samples]
+            sweep = [len(packing.greedy_packing_coords(
+                checker.rows(s), checker.delta, stop=need)) for s in samples]
             assert {rep.method for rep in reps} == {"ball"}
-            assert ({rep.method for rep in sweep}
-                    == {"exact" if len(checker.points)
-                        <= packing.EXACT_SEARCH_LIMIT else "greedy"})
             assert ([(rep.graph_count, rep.holds) for rep in reps]
-                    == [(rep.graph_count, rep.holds) for rep in sweep]), n
+                    == [(count, count >= checker.threshold)
+                        for count in sweep]), n
 
-    def test_short_certificate_reaches_the_sweep(self, accepted_layers,
-                                                 monkeypatch):
+    def test_short_certificate_fails_without_a_sweep(self, accepted_layers,
+                                                     monkeypatch):
         # every grid index 0, no drift: every row has y = 0, so each ball
         # keeps one row and the certificate is k_n.  Where that is below
-        # ceil(threshold) the sweep decides, over rows whose packing
-        # keeps one row per ball: k_n again, and the event fails
-        kernel = packing.greedy_packing_coords
-        calls = []
-
-        def spy(rows, delta, stop=None):
-            calls.append(len(rows))
-            return kernel(rows, delta, stop)
-
-        monkeypatch.setattr(packing, "greedy_packing_coords", spy)
+        # ceil(threshold) the event fails with the certificate's count,
+        # and no other counter runs
+        calls = _spy_row_kernels(monkeypatch)
         short = []
         for key in ("cantor-d1", "interval-d1"):
             layers = accepted_layers[key]
@@ -925,18 +885,31 @@ class TestBallCertificate:
                 k_n, need = checker.layer.k_n, math.ceil(checker.threshold)
                 assert _ball_counts(checker,
                                     checker.rows(flat)[:, 1]).sum() == k_n
-                calls.clear()
                 rep = checker.check(flat)
+                assert calls == []
                 if k_n >= need:
-                    assert (rep.method, calls) == ("ball", [])
+                    assert (rep.method, rep.holds) == ("ball", True)
                     continue
                 short.append((key, n))
-                assert calls == [len(checker.points)]
                 assert rep == witness.EventReport(
-                    n, k_n, checker.threshold, False,
-                    "exact" if len(checker.points)
-                    <= packing.EXACT_SEARCH_LIMIT else "greedy")
+                    n, k_n, checker.threshold, False, "ball")
         assert ("cantor-d1", 8) in short and ("interval-d1", 7) in short
+
+    @pytest.mark.parametrize("key", ["cantor-d1", "interval-d1"])
+    def test_no_sweep_or_exact_search_at_d1(self, accepted_layers, key,
+                                            monkeypatch):
+        # the certificate alone decides a d = 1 check, at the built
+        # threshold and above k_n s_n, where it cannot reach the need
+        calls = _spy_row_kernels(monkeypatch)
+        layers = accepted_layers[key]
+        for n in range(1, len(layers) + 1):
+            checker = witness.EventChecker(layers, n)
+            sample = sample_witness(layers[:n], ("spy", key, n))
+            for threshold in (checker.threshold,
+                              checker.layer.k_n * checker.layer.s_n + 1):
+                checker.threshold = threshold
+                assert checker.check(sample).method == "ball"
+        assert calls == []
 
     def test_object_rows_give_the_same_reports(self, accepted_layers):
         # the Cantor layers over a den 3**40 times larger take the object
@@ -1140,6 +1113,47 @@ class TestSaturation:
         rep = simulate_saturation_failure(lay, zero_adversary(1), 3, 0)
         assert sizes == [(1, lay.ell_n)] * 3
         assert rep.failures == 3  # every draw is grid point 0
+
+    @pytest.mark.parametrize("s", [1, 2, 3, 4])
+    def test_occupancy_failure_matches_enumeration(self, s):
+        # the chance that ell uniform draws into s cells miss one, over
+        # all s**ell draw sequences
+        for ell in range(7):
+            missed = sum(len(set(seq)) < s
+                         for seq in itertools.product(range(s), repeat=ell))
+            assert (witness.occupancy_failure(ell, s)
+                    == Fraction(missed, s ** ell)), ell
+
+    @pytest.mark.parametrize("ell, s", [(-1, 2), (3, 0)])
+    def test_occupancy_failure_refuses_bad_sizes(self, ell, s):
+        with pytest.raises(ValueError, match="need ell >= 0 and s >= 1"):
+            witness.occupancy_failure(ell, s)
+
+    def test_occupancy_failure_fits_the_prevalence_slack(self,
+                                                         accepted_layers):
+        # k_n P_occ(ell_n, s_n) bounds the chance that some ball misses
+        # saturation, so that a d = 1 check fails; on every layer the CLI
+        # accepts it is within 2**-n, inside the prevalence row's slack
+        # 2 * 2**-n
+        for key, layers in accepted_layers.items():
+            for lay in layers:
+                assert (lay.k_n * witness.occupancy_failure(lay.ell_n,
+                                                            lay.s_n)
+                        <= Fraction(1, 2 ** lay.n)), (key, lay.n)
+
+    def test_pass_rule_is_the_occupancy_law(self):
+        # the default saturation run, Cantor n = 8 at 200 trials, sees no
+        # failure, and its Wilson bound cannot clear 1.5x the target: the
+        # law passes it.  Cut short to ell_n = s_n, a layer fails on the
+        # law, however few failures the Monte Carlo saw
+        size = witness._size_layer(triadic_cantor(), 8, 1)
+        rep = simulate_saturation_failure(size, zero_adversary(1), 200, 0)
+        assert rep.failures == 0 and rep.wilson_upper > 1.5 * rep.bound
+        assert rep.passed
+        short = dataclasses.replace(size, ell_n=size.s_n)
+        assert witness.occupancy_failure(short.ell_n, short.s_n) > rep.bound
+        assert not simulate_saturation_failure(short, zero_adversary(1), 1,
+                                               0).passed
 
     def test_wilson_bound_monotone(self):
         assert wilson_interval(0, 100)[1] < wilson_interval(1, 100)[1]

@@ -4,8 +4,12 @@ Counting is exact (see :mod:`dimlab.packing`); everything in this module
 that touches logarithms, least squares or energy sums is deliberately
 floating point, and the energy kernels compute it in preallocated arrays.
 A discrete energy takes one of three kernels (see :func:`_energy_grid`):
-an FFT over the lattice that one routine, :func:`_lattice`, finds for
-the atoms or for their reciprocals, or the blocked pairwise sum.
+an exact pair-offset histogram over the lattice of the atoms, factored
+over a digit-product set and an FFT otherwise; an FFT over the lattice
+of their reciprocals (one routine, :func:`_lattice`, finds both
+lattices); or the blocked pairwise sum.  Their long reductions are
+``np.einsum`` calls, not BLAS, so their bits do not depend on the BLAS
+build or its thread count.
 """
 
 from __future__ import annotations
@@ -30,9 +34,10 @@ DIVERGENCE_LOOKBACK = 3
 # time and memory grow with L, the pairwise sum's time with k**2.
 LATTICE_SPAN_DIVISOR = 16
 # Bound on sum(N_i**2) of the integer weight numerators: every
-# autocorrelation value is at most that, and the float64 FFT's absolute
-# error on it, of order eps * log2(n) * sum(N_i**2), is then about 1e-3
-# for lengths n up to 2**40, far below the 1/2 that rounding tolerates.
+# autocorrelation value is at most that, so a factored one is an exact
+# product of float64 integers, and the float64 FFT's absolute error on
+# it, of order eps * log2(n) * sum(N_i**2), is then about 1e-3 for
+# lengths n up to 2**40, far below the 1/2 that rounding tolerates.
 MAX_LATTICE_SQUARED_MASS = 2 ** 36
 # Elements (rows x columns) of one block of the pairwise energy sum: each
 # of its float64 work arrays stays near 1 MB whatever the number of atoms.
@@ -163,12 +168,17 @@ def cell_count_series(space: SpaceDescriptor,
 # discrete measures and energies
 
 
+def _one_object(seq) -> bool:
+    """Whether ``seq`` is one object repeated, as a uniform measure's
+    weights are built: its values need converting once."""
+    return bool(seq) and all(map(operator.is_, seq, itertools.repeat(seq[0])))
+
+
 def _common_numerators(fractions) -> tuple[int, list[int]]:
     """The LCM of the fractions' denominators, and their numerators over
     it: one ``as_integer_ratio()`` per fraction, and one in all for one
-    object repeated, as a uniform measure's weights are built."""
-    if fractions and all(map(operator.is_, fractions,
-                             itertools.repeat(fractions[0]))):
+    object repeated."""
+    if _one_object(fractions):
         p, q = _ratio(fractions[0])
         return q, [p] * len(fractions)
     ratios = list(map(_ratio, fractions))
@@ -225,6 +235,8 @@ class DiscreteMeasure:
         return np.array([[float(c) for c in row] for row in self.coords])
 
     def float_weights(self) -> np.ndarray:
+        if _one_object(self.weights):
+            return np.full(len(self.weights), float(self.weights[0]))
         return np.array([float(w) for w in self.weights])
 
 
@@ -242,7 +254,7 @@ def _fft_length(n: int) -> int:
 
 
 def _autocorrelation(pos, values, span: int, finish=None) -> np.ndarray:
-    """a_j = sum_i v_i * v_{i+j} for j = 1 .. span, by one rfft/irfft.
+    """a_j = sum_i v_i * v_{i+j} for j = 0 .. span, by one rfft/irfft.
 
     ``values`` sit at the integer positions ``pos`` in [0, span].  Each
     large array is freed once used up, so the freed heap left for later
@@ -257,8 +269,57 @@ def _autocorrelation(pos, values, span: int, finish=None) -> np.ndarray:
     del hist
     spec *= spec.conj()
     # offsets up to the span do not wrap around, since n > 2 * span
-    out = np.fft.irfft(spec, n)[1:span + 1]
+    out = np.fft.irfft(spec, n)[:span + 1]
     return out if finish is None else finish(out)
+
+
+def _pair_counts(pos: np.ndarray, nums: np.ndarray) -> np.ndarray:
+    """a_j = sum_i N_i * N_{i+j} for j = 0 .. span, exact, as floats.
+
+    The integer weights ``nums`` sit at the sorted int64 positions
+    ``pos``, with pos[0] = 0 and span = pos[-1].  Cut into blocks of the
+    kB atoms before its largest gap, the set factors when every block is
+    a translate of the first, B, by g times a position of A, for g the
+    gcd of the block offsets; when the weights are an integer outer
+    product N = NA (x) NB over (block, atom); and when g > 2 * span(B).
+    Then a lag between atoms of blocks at u' and u and of B at v' and v
+    is (u' - u) * g + (v' - v) with |v' - v| <= span(B) < g / 2, so the
+    lag alone fixes u' - u and v' - v, and
+
+        a(u * g + v) = a_A(u) * a_B(|v|),
+
+    one outer product of the factors' counts (each found the same way)
+    laid out in rows of length g, whose ravel lists the lags in order.
+    Two atoms are written down; any other set takes the FFT
+    (:func:`_autocorrelation`, rounded).  Every count is an integer of
+    at most sum(N_i**2) <= MAX_LATTICE_SQUARED_MASS, so both ways give
+    it exactly.
+    """
+    span = int(pos[-1])
+    if len(pos) == 2:
+        out = np.zeros(span + 1)
+        out[0], out[span] = nums @ nums, nums[0] * nums[1]
+        return out
+    kb = int(np.argmax(np.diff(pos))) + 1
+    ka, rest = divmod(len(pos), kb)
+    if kb > 1 and not rest:
+        blocks, weights = pos.reshape(ka, kb), nums.reshape(ka, kb)
+        offsets, sb = blocks[:, 0], int(pos[kb - 1])
+        g = int(np.gcd.reduce(offsets))
+        nb = weights[0] // np.gcd.reduce(weights[0])
+        na, rem = np.divmod(weights[:, 0], nb[0])
+        if (g > 2 * sb and not rem.any()
+                and (blocks - offsets[:, None] == blocks[0]).all()
+                and (weights == np.outer(na, nb)).all()):
+            a = _pair_counts(offsets // g, na)
+            b = _pair_counts(pos[:kb], nb)
+            # row u holds the lags u * g - span(B) .. u * g + span(B)
+            row = np.zeros(g)
+            row[:sb] = b[:0:-1]
+            row[sb:2 * sb + 1] = b
+            del b
+            return np.outer(a, row).ravel()[sb:sb + span + 1]
+    return _autocorrelation(pos, nums, span, np.rint)
 
 
 def _lattice(ratios: Sequence[tuple[int, int]], k2: int):
@@ -292,9 +353,12 @@ def _lattice_energies(measure: DiscreteMeasure,
         E_s = (2 / C**2) * sum_{j >= 1} a_j * (j / D)**-s,
         a_j = sum_i N_i * N_{i+j},
 
-    and the autocorrelation a is one FFT over the lattice span L.  Returns
-    None (use the pairwise sum) off the gate: coordinates that are not
-    1-D, a span L above k**2 / LATTICE_SPAN_DIVISOR for k atoms (as
+    with a exact from :func:`_pair_counts`: outer products of its
+    factors' histograms on a digit-product set such as a Cantor net, one
+    FFT over the lattice span L otherwise.  The atoms go to it sorted, as
+    int64 offsets from the lowest position (at most L).  Returns None
+    (use the pairwise sum) off the gate: coordinates that are not 1-D, a
+    span L above k**2 / LATTICE_SPAN_DIVISOR for k atoms (as
     :func:`_lattice` finds it), or a squared weight mass sum(N_i**2) above
     MAX_LATTICE_SQUARED_MASS, beyond which rounding the float FFT to the
     integer a_j is no longer exact.
@@ -308,18 +372,22 @@ def _lattice_energies(measure: DiscreteMeasure,
     mass, nums = _common_numerators(measure.weights)
     if sum(u * u for u in nums) > MAX_LATTICE_SQUARED_MASS:
         return None
-    counts = _autocorrelation([p - lo for p in pos], nums, span, np.rint)
+    at = np.fromiter((p - lo for p in pos), np.int64, len(pos))
+    order = np.argsort(at)
+    counts = _pair_counts(at[order], np.array(nums, np.int64)[order])[1:]
+    del at, order
     offsets = np.flatnonzero(counts)
     counts = counts[offsets]
-    logd = np.log(offsets + 1.0)
+    logd = np.add(offsets, 1.0)
     del offsets
+    np.log(logd, out=logd)
     logd -= math.log(den)
     scale = 2.0 / mass ** 2
     terms = np.empty_like(logd)
     energies = []
     for s in s_list:
         np.exp(np.multiply(logd, -s, out=terms), out=terms)
-        energies.append(scale * float(counts @ terms))
+        energies.append(scale * float(np.einsum("i,i->", counts, terms)))
     return energies
 
 
@@ -378,11 +446,13 @@ def _reciprocal_energies(measure: DiscreteMeasure,
         np.exp(np.multiply(logq, s, out=b), out=b)
         b *= w
         np.exp(np.multiply(logm, -s, out=terms), out=terms)
-        pairs = float(_autocorrelation(pos, b, span) @ terms)
+        pairs = float(np.einsum("i,i->", _autocorrelation(pos, b, span)[1:],
+                                terms))
         # each c_m is off by about eps * log2(n) * sum(b**2): past 1e-12
         # of the pair sum (an atom far out, with a large b, among light
         # ones), the pairwise path is the accurate one
-        if error * float(b @ b) * float(terms.sum()) > 1e-12 * pairs:
+        if (error * float(np.einsum("i,i->", b, b)) * float(terms.sum())
+                > 1e-12 * pairs):
             return None
         energies.append(2.0 * math.exp(s * (log_q_max - log_lcm))
                         * (math.exp(s * log_q_max) * pairs
@@ -448,8 +518,10 @@ def _energy_grid(measure: DiscreteMeasure, s_list: Sequence[float]) -> list[floa
 
     * a 1-D measure on a lattice of small span takes the pair-offset
       histogram (:func:`_lattice_energies`): one exact autocorrelation of
-      the integer weights, one logarithm per nonzero offset for all
-      exponents (the interval and Cantor nets);
+      the integer weights, by outer products of its factors' histograms
+      on a digit-product set (the Cantor nets) and by one FFT otherwise
+      (the interval nets), then one logarithm per nonzero offset for all
+      exponents;
     * a 1-D measure whose atoms' reciprocals lie on a lattice of small
       span takes :func:`_reciprocal_energies`: one float autocorrelation
       per exponent (the harmonic nets);

@@ -14,7 +14,8 @@ greedy kernel's column sweep (and, on one axis, the row-at-a-time reach
 test for its galloping sweep), graph enumeration and mesh counting for
 the integer mesh counter and a Python set of its cells for its sorted
 keys, the fresh-array expressions for the in-place pairwise, lattice and
-reciprocal-lattice energy kernels, a product's expanded coordinate rows
+reciprocal-lattice energy kernels, one FFT for the factored pair-offset
+histogram of the lattice kernel, a product's expanded coordinate rows
 for the cell count ``cell_count_series`` takes from its base net, a
 value-interval hull scan for the nested family's digit-read ``locate``,
 per-level node values and the per-point tail for ``eval_field``'s
@@ -436,7 +437,20 @@ def lattice_energies(measure, s_list):
     counts = counts[offsets]
     logd = np.log(offsets + 1.0) - math.log(den)
     scale = 2.0 / mass ** 2
-    return [scale * float(counts @ np.exp(logd * -s)) for s in s_list]
+    return [scale * float(np.einsum("i,i->", counts, np.exp(logd * -s)))
+            for s in s_list]
+
+
+def pair_counts(pos, nums):
+    """``estimators._pair_counts`` as one FFT over a fresh array, rounded:
+    a_j = sum_i N_i * N_{i+j} for j = 0 .. max(pos), for the integer
+    weights ``nums`` at the integer positions ``pos`` (in any order)."""
+    span = int(max(pos))
+    n = estimators._fft_length(2 * span + 1)
+    hist = np.zeros(n)
+    hist[pos] = nums
+    spec = np.fft.rfft(hist)
+    return np.rint(np.fft.irfft(spec * spec.conj(), n)[:span + 1])
 
 
 def reciprocal_energies(measure, s_list):
@@ -478,8 +492,10 @@ def reciprocal_energies(measure, s_list):
         hist = np.zeros(n)
         hist[pos] = b
         spec = np.fft.rfft(hist)
-        pairs = float(np.fft.irfft(spec * spec.conj(), n)[1:span + 1] @ terms)
-        if error * float(b @ b) * float(terms.sum()) > 1e-12 * pairs:
+        c = np.fft.irfft(spec * spec.conj(), n)[1:span + 1]
+        pairs = float(np.einsum("i,i->", c, terms))
+        if (error * float(np.einsum("i,i->", b, b)) * float(terms.sum())
+                > 1e-12 * pairs):
             return None
         scale = math.exp(s * (math.log(q_max) - math.log(lcm_num)))
         energies.append(2.0 * scale * (math.exp(s * math.log(q_max)) * pairs

@@ -1,11 +1,16 @@
+import itertools
 import json
 import math
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dimlab import estimators, spaces
 from dimlab.estimators import (
@@ -623,6 +628,165 @@ class TestLatticeGate:
         assert 2 <= len(calls) <= 8
 
 
+def _lattice_atoms(measure):
+    # a 1-D lattice measure's positions, sorted and shifted to start at 0,
+    # and its integer weight numerators, from the Fractions
+    xs = [row[0] for row in measure.coords]
+    den = math.lcm(*(x.denominator for x in xs))
+    mass = math.lcm(*(w.denominator for w in measure.weights))
+    atoms = sorted((int(x * den), int(w * mass))
+                   for x, w in zip(xs, measure.weights))
+    return (np.array([p - atoms[0][0] for p, _ in atoms], np.int64),
+            np.array([u for _, u in atoms], np.int64))
+
+
+def _product_atoms(factors, steps):
+    # the digit-product set sum_l digits_l[i_l] * steps[l], sorted from 0,
+    # with the product of the factors' integer weights
+    atoms = sorted(
+        (sum(p * t for (p, _), t in zip(combo, steps)),
+         math.prod(u for _, u in combo))
+        for combo in itertools.product(*(list(zip(*f)) for f in factors)))
+    return (np.array([p for p, _ in atoms], np.int64),
+            np.array([u for _, u in atoms], np.int64))
+
+
+def _counts_and_ffts(monkeypatch, pos, nums):
+    # the factored histogram, and how many forward FFTs it took
+    calls = []
+    real = np.fft.rfft
+    with monkeypatch.context() as patch:
+        patch.setattr(np.fft, "rfft",
+                      lambda *a, **k: calls.append(a) or real(*a, **k))
+        got = estimators._pair_counts(pos, nums)
+    return got, len(calls)
+
+
+@st.composite
+def _digit_products(draw):
+    # two or three factors, each 2..4 distinct digits from 0 with integer
+    # weights 1..7, at super-increasing steps: each step passes the span
+    # of the levels below it, by a random margin that sometimes leaves
+    # g <= 2 * span(B), where the histogram must take the FFT
+    factors, steps, span = [], [], 0
+    for _ in range(draw(st.integers(2, 3))):
+        digits = sorted(draw(st.sets(st.integers(1, 12), min_size=1,
+                                     max_size=3)) | {0})
+        weights = draw(st.lists(st.integers(1, 7), min_size=len(digits),
+                                max_size=len(digits)))
+        step = span + 1 + draw(st.integers(0, 2 * span + 2))
+        factors.append((digits, weights))
+        steps.append(step)
+        span += digits[-1] * step
+    return _product_atoms(factors, steps)
+
+
+class TestPairCounts:
+    """The factored pair-offset histogram against one FFT over the span
+    (the oracle's construction), element for element."""
+
+    S_LIST = [0.3, 0.75, 1.6]
+
+    @pytest.mark.parametrize("depth", range(2, 13))
+    def test_cantor_endpoints(self, monkeypatch, depth):
+        pos, nums = _lattice_atoms(cantor_endpoint_measure(depth))
+        got, ffts = _counts_and_ffts(monkeypatch, pos, nums)
+        assert np.array_equal(got, oracles.pair_counts(pos, nums))
+        assert ffts == 0
+
+    @pytest.mark.parametrize("depth", range(8, 13))
+    def test_shuffled_cantor_energies(self, depth):
+        measure = cantor_endpoint_measure(depth)
+        want = oracles.lattice_energies(measure, self.S_LIST)
+        assert want is not None
+        assert estimators._lattice_energies(measure, self.S_LIST) == want
+        for seed in range(2):
+            assert estimators._lattice_energies(
+                _shuffled(measure, seed), self.S_LIST) == want
+
+    @settings(max_examples=150, deadline=None)
+    @given(_digit_products())
+    def test_digit_products(self, atoms):
+        pos, nums = atoms
+        assert np.array_equal(estimators._pair_counts(pos, nums),
+                              oracles.pair_counts(pos, nums))
+
+    @pytest.mark.parametrize("g, ffts", [(9, 0), (8, 1)])
+    def test_gap_boundary(self, monkeypatch, g, ffts):
+        # B = {0, 1, 3, 4} (span 4, itself {0, 1} x {0, 3}) at the offsets
+        # 0 and g, with product weights: g = 2 * span(B) + 1 factors, and
+        # at g = 2 * span(B) the lag 4 is both 0 * g + 4 and 1 * g - 4, so
+        # the whole set takes the FFT
+        pos, nums = _product_atoms([([0, 1], [2, 3]), ([0, 1], [1, 5]),
+                                    ([0, 1], [4, 1])], [1, 3, g])
+        got, calls = _counts_and_ffts(monkeypatch, pos, nums)
+        assert calls == ffts
+        assert np.array_equal(got, oracles.pair_counts(pos, nums))
+
+    @pytest.mark.parametrize("measure", [
+        DiscreteMeasure.uniform_on_net(build_net(unit_interval(), 10)),
+        _lattice_unequal(),
+        # the depth-8 Cantor set with its atom 37 moved up by one step
+        measure_on_values([Fraction(m + (i == 37), 3 ** 8) for i, m in
+                           enumerate(spaces.cantor_numerators(8))]),
+        # the depth-4 Cantor set with weights 1 .. 16, not an outer
+        # product over the top digit
+        measure_on_values([Fraction(m, 3 ** 4)
+                           for m in spaces.cantor_numerators(4)],
+                          [Fraction(i, 136) for i in range(1, 17)]),
+    ], ids=["interval-1025", "lattice-unequal", "cantor-moved-atom",
+            "cantor-unequal-weights"])
+    def test_non_products_take_the_fft(self, monkeypatch, measure):
+        pos, nums = _lattice_atoms(measure)
+        got, calls = _counts_and_ffts(monkeypatch, pos, nums)
+        assert calls >= 1
+        assert np.array_equal(got, oracles.pair_counts(pos, nums))
+        assert (estimators._lattice_energies(measure, self.S_LIST)
+                == oracles.lattice_energies(measure, self.S_LIST))
+
+    def test_cantor_energies_take_no_fft(self, monkeypatch):
+        # the depth-12 Cantor measure's 2**12 atoms span 265 720 steps: the
+        # factored histogram replaces a transform of length 3**12
+        measure = cantor_endpoint_measure(12)
+        want = oracles.lattice_energies(measure, self.S_LIST)
+
+        def no_fft(*args, **kwargs):
+            raise AssertionError("np.fft called on a digit-product measure")
+
+        for name in np.fft.__all__:
+            if callable(getattr(np.fft, name)):
+                monkeypatch.setattr(np.fft, name, no_fft)
+        assert estimators._lattice_energies(measure, self.S_LIST) == want
+
+
+_BLAS_THREADS_SCRIPT = """
+from fractions import Fraction
+from dimlab import estimators, spaces
+pts = [Fraction(m, 3 ** 12) for m in spaces.cantor_numerators(12)]
+measure = estimators.DiscreteMeasure(
+    tuple(pts), (Fraction(1, len(pts)),) * len(pts), tuple((p,) for p in pts))
+grid = [0.45, 0.5, 0.55, 0.6, 0.65, 0.7, 0.75, 0.8]
+print(*map(float.hex, estimators._lattice_energies(measure, grid)))
+"""
+
+
+def test_lattice_energies_do_not_depend_on_blas_threads():
+    # the depth-12 Cantor energies to the bit under one and two OpenBLAS
+    # threads: a long dot product that BLAS splits between threads sums
+    # in another order, and its last bits show here
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    outputs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, (src, env.get("PYTHONPATH"))))
+        done = subprocess.run([sys.executable, "-c", _BLAS_THREADS_SCRIPT],
+                              env=env, capture_output=True, text=True)
+        assert done.returncode == 0, done.stderr
+        outputs.append(done.stdout)
+    assert outputs[0] == outputs[1]
+
+
 # Measures on which both energy kernels must equal their out-of-place
 # oracles bit for bit.  All have at most 7 coordinates, where numpy sums a
 # difference row's squares in coordinate order, as the kernel does; above
@@ -663,8 +827,9 @@ class TestKernelOracles:
         assert (got is not None) == ("harmonic" in name)
 
     # tracemalloc peaks in MiB on numpy 2.4.  Measured: 2.26 for the
-    # pairwise sum (4.92 when each step made a fresh array) and 10.47 for
-    # the lattice path, whose rfft/irfft arrays dominate it.
+    # pairwise sum (4.92 when each step made a fresh array) and 6.95 for
+    # the lattice path, whose factored histogram (two rows of 3**11 lags)
+    # and offset arrays dominate it.
     def test_pairwise_memory(self):
         measure = DiscreteMeasure.uniform_on_net(
             build_net(harmonic_sequence(), 12))
@@ -687,7 +852,7 @@ class TestKernelOracles:
         peak = traced_peak_mib(lambda: out.append(
             estimators._lattice_energies(measure, self.S_LIST)))
         assert out[0] is not None
-        assert peak <= 11.0
+        assert peak <= 7.3
 
 
 @pytest.mark.parametrize("space", NET_SPACES, ids=lambda sp: sp.kind)
